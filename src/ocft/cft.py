@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from statistics import NormalDist
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "reflection_split_check",
     "sample_bosonic_z",
     "sample_fermionic_z",
+    "sidak_row_bound",
     "verify_bosonic_cft",
     "verify_fermionic_cft",
     "verify_son_cft",
@@ -400,6 +402,8 @@ def lhs_coefficient_means(
     """
     if samples < 2:
         raise ConfigError("need at least 2 samples")
+    if group not in ("O", "SO"):
+        raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
     pairs, table = _lhs_structure(n_colour, n_flavour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
@@ -545,8 +549,36 @@ class MonomialRow:
     z_score: float
 
 
+def sidak_row_bound(threshold: float, rows: int) -> float:
+    """Per-row |z| bound with the family-wise level of a single row at ``threshold``.
+
+    One row passes |z| <= t with two-sided tail alpha = erfc(t / sqrt 2).
+    Over ``rows`` rows the Sidak per-row tail is 1 - (1 - alpha)^{1/rows};
+    by Sidak's inequality this keeps the chance that any row of a jointly
+    Gaussian family fails at most alpha, whatever the correlations.  If the
+    per-row tail underflows (t above about 37) the bound stays at t.
+    """
+    if rows <= 1 or threshold <= 0.0:
+        return threshold
+    alpha = math.erfc(threshold / math.sqrt(2.0))
+    if alpha >= 1.0:
+        return threshold
+    per_row = -math.expm1(math.log1p(-alpha) / rows)
+    if per_row <= 0.0:
+        return threshold
+    return max(threshold, -NormalDist().inv_cdf(0.5 * per_row))
+
+
 @dataclass
 class VerificationReport:
+    """Rows of a verification run; ``threshold`` is the single-row |z| level.
+
+    The verdict is family-wise: every row is held to the Sidak-corrected
+    ``row_threshold`` over the ``rows_tested`` rows that carry a nonzero
+    standard error, so the chance of a false failure does not grow with the
+    number of monomials.
+    """
+
     variant: str
     n_colour: int
     n_flavour: int
@@ -560,8 +592,16 @@ class VerificationReport:
         return float(max((r.z_score for r in self.rows), default=0.0))
 
     @property
+    def rows_tested(self) -> int:
+        return sum(1 for r in self.rows if math.hypot(r.lhs_se, r.rhs_se) > 0.0)
+
+    @property
+    def row_threshold(self) -> float:
+        return sidak_row_bound(self.threshold, self.rows_tested)
+
+    @property
     def passed(self) -> bool:
-        return self.max_abs_z <= self.threshold
+        return self.max_abs_z <= self.row_threshold
 
     def row(self, mask: int) -> MonomialRow:
         for r in self.rows:
@@ -832,6 +872,8 @@ def reflection_split_check(
     last row negated.  Exercises the decomposition of the full group into
     its two components.
     """
+    if samples < 2:
+        raise ConfigError("need at least 2 samples")
     pairs, table = _lhs_structure(n_colour, n_flavour)
     gen_so = rng.substream(1).generator()
     gen_o = rng.substream(2).generator()
@@ -855,6 +897,7 @@ def reflection_split_check(
     for idx, (mask, _, _) in enumerate(table):
         means = sums[:, idx] / samples
         var = np.maximum(sums_sq[:, idx] / samples - means**2, 0.0)
+        var *= samples / (samples - 1)
         ses = np.sqrt(var / samples)
         half = 0.5 * (means[1] + means[2])
         half_se = 0.5 * float(np.hypot(ses[1], ses[2]))

@@ -162,7 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, help="complex point 're,im' or 'x'")
     p.add_argument("--g", required=True, help="comma-separated singular values")
     p.add_argument("--method", choices=("closed", "pfaffian", "mc"), default="closed")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=200_000,
+        help="Haar draws for --method mc only (default 200000); the complex-z "
+        "m = 2 pfaffian route always averages over 1000 U(4) draws",
+    )
     _add_common(p)
 
     p = sub.add_parser("jacobi", help="Jacobi-ensemble average ratio")
@@ -192,7 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavors", type=int, required=True, help="flavour count n")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--probes", type=int, default=10, help="bosonic probe points")
-    p.add_argument("--threshold", type=float, default=4.0, help="max |z| to pass")
+    p.add_argument(
+        "--threshold",
+        type=float,
+        default=4.0,
+        help="single-row |z| level (default 4); each row is held to its Sidak "
+        "correction over the rows with a nonzero standard error",
+    )
     _add_common(p)
 
     return parser
@@ -370,6 +382,8 @@ def _run_verify(args) -> tuple[dict, int]:
         "seed": args.seed,
         "workers": args.workers,
         "threshold": report.threshold,
+        "rows_tested": report.rows_tested,
+        "row_threshold": report.row_threshold,
         "max_abs_z": report.max_abs_z,
         "passed": bool(report.passed),
         "extras": {

@@ -18,11 +18,12 @@ from ocft.cft import (
     rhs_mc_coefficients,
     sample_bosonic_z,
     sample_fermionic_z,
+    sidak_row_bound,
     verify_bosonic_cft,
     verify_fermionic_cft,
     verify_son_cft,
 )
-from ocft.cft import _lhs_structure, _minor_dets
+from ocft.cft import MonomialRow, VerificationReport, _lhs_structure, _minor_dets
 from ocft.errors import ConfigError, DomainError
 from ocft.grassmann import lhs_integrand
 from ocft.haar import RngStream
@@ -300,3 +301,54 @@ class TestReflectionSplit:
     def test_full_group_is_mean_of_components(self, shape):
         report = reflection_split_check(*shape, 120_000, RngStream(25))
         assert report.passed, f"max|z| = {report.max_abs_z}"
+
+
+class TestFamilyWiseVerdict:
+    @pytest.mark.parametrize(
+        "rows, bound", [(36, 4.78), (4900, 5.69), (12_870, 5.85)]
+    )
+    def test_sidak_bounds(self, rows, bound):
+        assert sidak_row_bound(4.0, rows) == pytest.approx(bound, abs=5e-3)
+
+    def test_single_row_keeps_threshold(self):
+        assert sidak_row_bound(4.0, 1) == 4.0
+        assert sidak_row_bound(4.0, 0) == 4.0
+
+    def test_bound_grows_with_rows_and_threshold(self):
+        bounds = [sidak_row_bound(4.0, m) for m in (2, 10, 100, 1000)]
+        assert bounds == sorted(bounds) and bounds[0] > 4.0
+        assert sidak_row_bound(3.0, 100) < sidak_row_bound(4.0, 100)
+
+    def test_extreme_thresholds(self):
+        assert sidak_row_bound(1e-6, 34) < 1.0  # still forces a failure
+        assert sidak_row_bound(40.0, 100) == 40.0  # tail underflows
+        assert sidak_row_bound(-1.0, 100) == -1.0
+
+    def test_rows_without_error_are_not_counted(self):
+        rows = [
+            MonomialRow(0, "1", 1.0, 0.0, 1.0, 0.0, 0.0),
+            MonomialRow(1, "a", 0.1, 0.01, 0.1, 0.0, 0.0),
+            MonomialRow(2, "b", 0.2, 0.0, 0.2, 0.02, 4.1),
+        ]
+        report = VerificationReport("fermionic", 2, 2, 100, 4.0, rows)
+        assert report.rows_tested == 2
+        assert report.row_threshold == pytest.approx(sidak_row_bound(4.0, 2))
+        assert report.max_abs_z == 4.1 and report.passed  # over 4.0, under 4.16
+
+
+class TestEstimatorContracts:
+    def test_lhs_rejects_unknown_group(self):
+        with pytest.raises(ConfigError):
+            lhs_coefficient_means(2, 1, 100, RngStream(0), group="U")
+
+    def test_reflection_split_error_is_bessel_corrected(self):
+        # (N, n) = (1, 1): the O(1) side of the O_11 monomial is the draw itself
+        samples = 30
+        report = reflection_split_check(1, 1, samples, RngStream(34))
+        o = RngStream(34).substream(2).generator().standard_normal(samples)
+        signs = np.sign(o)
+        (row,) = [r for r in report.rows if r.mask != 0]
+        assert row.lhs == pytest.approx(signs.mean(), abs=1e-15)
+        assert row.lhs_se == pytest.approx(
+            np.std(signs, ddof=1) / np.sqrt(samples), rel=1e-12
+        )

@@ -1,8 +1,12 @@
 import io
 import json
+import math
+import subprocess
+import sys
 
 import pytest
 
+from ocft import cft
 from ocft.cli import parse_complex, run
 
 
@@ -115,6 +119,16 @@ class TestGinibreCheck:
         assert rec["closed_ratio"]["re"] == pytest.approx(2.0)
         assert abs(rec["mc_ratio"]["re"] - 2.0) <= 3 * rec["mc_std_error"]
 
+    def test_four_colours_pass(self):
+        # the exact Gaussian inner moments remove the old 5e-6 pipeline error
+        code, out, _ = invoke(
+            ["ginibre-check", "--n", "4", "--lambda", "1", "--gamma", "1",
+             "--samples", "200000", "--seed", "7"]
+        )
+        rec = json.loads(out)
+        assert code == 0 and rec["passed"]
+        assert rec["pipeline_rel_err"] <= 1e-12
+
 
 class TestVerifyCft:
     def test_fermionic_small(self):
@@ -134,6 +148,38 @@ class TestVerifyCft:
         )
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    def test_reports_family_wise_bound(self):
+        code, out, _ = invoke(
+            ["verify-cft", "--variant", "fermionic", "--colors", "2",
+             "--flavors", "2", "--samples", "5000", "--seed", "3"]
+        )
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["rows_tested"] == sum(
+            1 for r in rec["rows"] if math.hypot(r["lhs_se"], r["rhs_se"]) > 0
+        )
+        assert rec["row_threshold"] == pytest.approx(
+            cft.sidak_row_bound(rec["threshold"], rec["rows_tested"])
+        )
+        assert rec["row_threshold"] > rec["threshold"]
+
+    def test_mutated_flavour_side_still_fails(self, monkeypatch):
+        # dropping the (-1)^u of the exact flavour side must not pass
+        def unsigned(n_colour, n_flavour):
+            return {
+                mask: sign / math.comb(n_colour, u)
+                for mask, sign, u, v in cft._rhs_structure(n_colour)
+                if u == v
+            }
+
+        monkeypatch.setattr(cft, "rhs_exact_coefficients", unsigned)
+        code, out, _ = invoke(
+            ["verify-cft", "--variant", "fermionic", "--colors", "3",
+             "--flavors", "2", "--samples", "100000", "--seed", "0"]
+        )
+        rec = json.loads(out)
+        assert code == 3 and rec["max_abs_z"] > rec["row_threshold"]
 
     def test_bosonic_variant_serialises(self):
         code, out, _ = invoke(
@@ -168,3 +214,11 @@ class TestVerifyCft:
              "--flavors", "1", "--samples", "5000"]
         )
         assert "elapsed" in err and "elapsed" not in out
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, ocft.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -6,10 +6,12 @@ from scipy import integrate
 
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream
+from ocft.jacobi import MAX_GINIBRE_N, _gaussian_weight, _inner_moments
 from ocft.jacobi import (
     JacobiQuery,
     alpha_entry,
     alpha_entry_quadrature,
+    gaussian_inner_moments,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
@@ -183,15 +185,34 @@ class TestGinibre:
     def test_zero_product(self):
         assert ginibre_closed(0.0, 1.0, 3) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_pipeline_matches_closed(self, n):
-        for lg in (0.5, 1.0, 2.0):
+        for lg in (0.5, 1.0, 2.0, 1.0 + 2.0j):
             pipe = ginibre_pipeline(lg, 1.0, n)
-            assert pipe == pytest.approx(ginibre_closed(lg, 1.0, n), rel=1e-6)
+            assert pipe == pytest.approx(ginibre_closed(lg, 1.0, n), rel=1e-12)
+
+    def test_pipeline_size_cap(self):
+        assert ginibre_pipeline(1.0, 1.0, MAX_GINIBRE_N) == pytest.approx(
+            ginibre_closed(1.0, 1.0, MAX_GINIBRE_N), rel=1e-10
+        )
+        with pytest.raises(ConfigError):
+            ginibre_pipeline(1.0, 1.0, MAX_GINIBRE_N + 1)
 
     def test_mc_matches_closed(self):
         est = ginibre_mc(1.0, 1.0, 2, 150_000, RngStream(7))
         assert est.z_score(ginibre_closed(1.0, 1.0, 2)) <= 3.0
+
+    def test_mc_standard_error_is_bessel_corrected(self):
+        # at N = 1 the delta-method error is the spread of num - R den
+        samples = 50
+        lam, gam = 0.7 + 0.4j, 1.3 - 0.9j
+        est = ginibre_mc(lam, gam, 1, samples, RngStream(33))
+        a = RngStream(33).generator().standard_normal(samples)
+        num, den = (lam - a) * (gam - a), a**2
+        ratio = num.mean() / den.mean()
+        se = np.std(num - ratio * den, ddof=1) / np.sqrt(samples) / den.mean()
+        assert est.mean == pytest.approx(ratio, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-10)
 
     def test_finite_r_domain_breaks_n1(self):
         # restricting the radial integral to [0, 1] is inconsistent with the
@@ -207,3 +228,16 @@ class TestGinibre:
         truncated = s(lg) / s(0.0)
         assert abs(truncated - 2.0) > 0.25  # far from the exact ratio
         assert ginibre_pipeline(1.0, 1.0, 1) == pytest.approx(2.0, rel=1e-8)
+
+
+class TestGaussianInnerMoments:
+    @pytest.mark.parametrize("n, rtol", [(1, 1e-12), (2, 1e-10), (3, 1e-6)])
+    def test_closed_form_matches_nested_quadrature(self, n, rtol):
+        nested = _inner_moments(n, _gaussian_weight(), True, None)
+        np.testing.assert_allclose(
+            nested / nested[0], gaussian_inner_moments(n), rtol=rtol
+        )
+
+    def test_small_values(self):
+        assert list(gaussian_inner_moments(1)) == [1.0, 1.0]
+        assert list(gaussian_inner_moments(3)) == [1.0, 9.0, 18.0, 6.0]

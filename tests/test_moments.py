@@ -12,6 +12,13 @@ from ocft.moments import (
     moment_pfaffian_integral,
     pfaffian_batch,
 )
+from ocft.moments import (
+    _kernel_batch,
+    _m2_grid,
+    _m2_kernel_pfaffian,
+    _pf_product,
+    _skew_sigma_blocks,
+)
 
 
 def o1_enumeration(z, g, m):
@@ -201,3 +208,62 @@ class TestPfaffianIntegral:
     def test_complex_z_needs_rng(self):
         with pytest.raises(ConfigError):
             moment_pfaffian_integral(MomentQuery(z=1.0j, g=(1.0,), m=2))
+
+
+def explicit_u_average(query, rng, samples, radial_nodes=32, u_chunk=8):
+    """The complex-z m = 2 route with every Z = U Sigma U^T and 8x8 kernel built.
+
+    Same U(4) draws, in the same order, as ``moment_pfaffian_integral``;
+    kept as the oracle for its closed-form kernel Pfaffians.
+    """
+    t_pairs, t_weights = _m2_grid(query.n, radial_nodes)
+    sigma = _skew_sigma_blocks(t_pairs)
+    den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, 2) @ t_weights)
+    gen = rng.generator()
+    q_num = []
+    done = 0
+    while done < samples:
+        b = min(u_chunk, samples - done)
+        gauss = gen.standard_normal((b, 4, 4)) + 1j * gen.standard_normal((b, 4, 4))
+        u, r = np.linalg.qr(gauss)
+        d = np.einsum("...ii->...i", r).copy()
+        u *= (d / np.abs(d))[:, None, :]
+        z_all = np.einsum("uij,kjl,uml->ukim", u, sigma, u).reshape(-1, 4, 4)
+        fg = _pf_product(z_all, query.g, query.z, 2).reshape(b, -1)
+        q_num.extend(fg @ t_weights)
+        done += b
+    q_num = np.array(q_num)
+    se = np.std(q_num, ddof=1) / np.sqrt(samples) / abs(den)
+    return (q_num.mean() / den).real, se
+
+
+class TestClosedFormKernelPfaffian:
+    def test_matches_matching_expansion(self):
+        rng = np.random.default_rng(31)
+        stack = np.array([random_skew(4, rng) for _ in range(40)])
+        p = np.abs(stack[:, 0, 1]) ** 2
+        q = np.abs(stack[:, 2, 3]) ** 2
+        iu = np.triu_indices(4, 1)
+        trace = np.sum(np.abs(stack[:, iu[0], iu[1]]) ** 2, axis=1)
+        pf_sq = np.abs(
+            stack[:, 0, 1] * stack[:, 2, 3]
+            - stack[:, 0, 2] * stack[:, 1, 3]
+            + stack[:, 0, 3] * stack[:, 1, 2]
+        ) ** 2
+        for z in (0.9 + 0.4j, -1.3 + 2.1j, 0.2 - 0.7j):
+            for g in (0.6, 1.7):
+                closed = _m2_kernel_pfaffian(p, q, trace, pf_sq, g, z)
+                ref = pfaffian_batch(_kernel_batch(stack, g, z, 2))
+                np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "z, g",
+        [(0.9 + 0.4j, (0.6, 1.2)), (0.5 - 0.7j, (0.3, 1.0, 1.6))],
+    )
+    def test_u_average_matches_explicit_route(self, z, g):
+        q = MomentQuery(z=z, g=g, m=2)
+        est = moment_pfaffian_integral(q, RngStream(32), samples=40)
+        mean, se = explicit_u_average(q, RngStream(32), samples=40)
+        assert est.samples == 40
+        assert est.mean.real == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-9)
