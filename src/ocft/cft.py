@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from statistics import NormalDist
 
@@ -42,6 +43,7 @@ from .haar import (
     RngStream,
     sample_orthogonal_batch,
     sample_special_orthogonal_batch,
+    stream_mean,
 )
 from .linalg import log_gamma
 
@@ -67,7 +69,9 @@ __all__ = [
 
 Z_SE_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 4.0
-DEFAULT_BATCH = 20_000
+# entries of one (rows, monomials) batch of colour-side products; the row
+# count of a batch is derived from this and the monomial table's width
+BATCH_ENTRIES = 2**18
 
 
 # -- normalisation constants ----------------------------------------------
@@ -197,58 +201,26 @@ class BosonicMeasure:
         return self.n_colour / 2.0 - self.n_flavour - 1.0
 
 
-_HEAVY_TAIL = 1.15
-_BULK_TAIL = 3.5
-_BULK_WEIGHT = 0.9
+def sample_fermionic_z(measure: FermionicMeasure, rng, count: int = 1) -> np.ndarray:
+    """Draw Z from the fermionic measure, n <= 2.
 
-
-def sample_fermionic_z(
-    measure: FermionicMeasure, rng, count: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (Z, w) so that weighted averages estimate measure expectations.
-
-    n = 1 is the zero matrix with unit weight; n = 2 samples the single
-    complex entry exactly through the radial inverse CDF of
-    (1+r)^{-(N+2)} (unit weights).  For n >= 3 entries are proposed from a
-    defensive power-law mixture and the importance weight
-    density/proposal is returned; weighted means then estimate
-    E_mu[f] = sum(w f) / sum(w).
+    n = 1 is the zero matrix; n = 2 samples the single complex entry exactly
+    through the radial inverse CDF of (1+r)^{-(N+2)}.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = measure.n_flavour
     if n == 1:
-        return np.zeros((count, 1, 1), dtype=complex), np.ones(count)
-    if n == 2:
-        u = gen.random(count)
-        r = (1.0 - u) ** (-1.0 / (measure.n_colour + 1.0)) - 1.0
-        theta = gen.random(count) * 2.0 * np.pi
-        a = np.sqrt(r) * np.exp(1j * theta)
-        z = np.zeros((count, 2, 2), dtype=complex)
-        z[:, 0, 1] = a
-        z[:, 1, 0] = -a
-        return z, np.ones(count)
-
-    n_entries = n * (n - 1) // 2
-    pick_heavy = gen.random((count, n_entries)) >= _BULK_WEIGHT
-    p = np.where(pick_heavy, _HEAVY_TAIL, _BULK_TAIL)
-    u = gen.random((count, n_entries))
-    rho = (1.0 - u) ** (-1.0 / (p - 1.0)) - 1.0
-    theta = gen.random((count, n_entries)) * 2.0 * np.pi
-    entries = np.sqrt(rho) * np.exp(1j * theta)
-    z = np.zeros((count, n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    z[:, iu[0], iu[1]] = entries
-    z[:, iu[1], iu[0]] = -entries
-    log1p_rho = np.log1p(rho)
-    log_q = np.logaddexp(
-        np.log((1.0 - _BULK_WEIGHT) * (_HEAVY_TAIL - 1.0)) - _HEAVY_TAIL * log1p_rho,
-        np.log(_BULK_WEIGHT * (_BULK_TAIL - 1.0)) - _BULK_TAIL * log1p_rho,
-    ).sum(axis=1)
-    sv = np.linalg.svd(z, compute_uv=False)
-    log_det = np.log1p(sv**2).sum(axis=1)
-    log_w = -measure.exponent * log_det - log_q
-    log_w -= log_w.max()
-    return z, np.exp(log_w)
+        return np.zeros((count, 1, 1), dtype=complex)
+    if n != 2:
+        raise ConfigError("fermionic flavour sampling implemented for n <= 2")
+    u = gen.random(count)
+    r = (1.0 - u) ** (-1.0 / (measure.n_colour + 1.0)) - 1.0
+    theta = gen.random(count) * 2.0 * np.pi
+    a = np.sqrt(r) * np.exp(1j * theta)
+    z = np.zeros((count, 2, 2), dtype=complex)
+    z[:, 0, 1] = a
+    z[:, 1, 0] = -a
+    return z
 
 
 def sample_bosonic_z(measure: BosonicMeasure, rng, count: int = 1) -> np.ndarray:
@@ -306,20 +278,28 @@ def _minor_pairs(n_colour: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     return pairs
 
 
-def _minor_dets(o_batch: np.ndarray, pairs) -> np.ndarray:
-    """(B, P) array of minors det(O[S, T]) for every pair."""
-    b = o_batch.shape[0]
-    out = np.empty((b, len(pairs)))
-    for idx, (s, t) in enumerate(pairs):
-        k = len(s)
-        if k == 0:
-            out[:, idx] = 1.0
-        elif k == 1:
-            out[:, idx] = o_batch[:, s[0], t[0]]
-        else:
-            sub = o_batch[:, np.ix_(s, t)[0], np.ix_(s, t)[1]]
-            out[:, idx] = np.linalg.det(sub)
-    return out
+@lru_cache(maxsize=None)
+def _minor_index(n_colour: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per size k = 1..N: (P_k, k) row and column sets of the pairs of that size."""
+    pairs = _minor_pairs(n_colour)
+    return tuple(
+        tuple(np.array([p[side] for p in pairs if len(p[0]) == k]) for side in (0, 1))
+        for k in range(1, n_colour + 1)
+    )
+
+
+def _minor_dets(o_batch: np.ndarray) -> np.ndarray:
+    """(B, P) minors det(O[S, T]) in ``_minor_pairs`` order.
+
+    The minors of each size k >= 2 are gathered into one (B, P_k, k, k) stack
+    and taken in a single determinant call; sizes 0 and 1 are ones and entries.
+    """
+    b, n_colour = o_batch.shape[:2]
+    (rows, cols), *larger = _minor_index(n_colour)
+    blocks = [np.ones((b, 1)), o_batch[:, rows[:, 0], cols[:, 0]]]
+    for r, c in larger:
+        blocks.append(np.linalg.det(o_batch[:, r[:, :, None], c[:, None, :]]))
+    return np.concatenate(blocks, axis=1)
 
 
 def _mask_for(pair_choice, n_colour: int, n_flavour: int, pairs) -> int:
@@ -372,6 +352,21 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     return pairs, table
 
 
+def _colour_coefficients(table):
+    """Map a (B, N, N) stack to the (B, len(table)) colour-side coefficients.
+
+    Column t is sign_t * prod_a det(O[S_a, T_a]) over row t's flavour choices.
+    """
+    signs = np.array([sign for _, sign, _ in table], dtype=float)
+    choices = np.array([choice for _, _, choice in table], dtype=int)
+    return lambda mats: signs * np.prod(_minor_dets(mats)[:, choices], axis=2)
+
+
+def _batch_rows(width: int) -> int:
+    """Rows per Monte-Carlo batch, so that one batch holds <= BATCH_ENTRIES values."""
+    return max(1, BATCH_ENTRIES // width)
+
+
 def mask_label(mask: int, n_colour: int, n_flavour: int) -> str:
     """Readable monomial name: b<i><a> for psibar, p<i><a> for psi."""
     if mask == 0:
@@ -392,7 +387,6 @@ def lhs_coefficient_means(
     samples: int,
     rng: RngStream,
     group: str = "O",
-    batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> dict[int, tuple[float, float]]:
     """Haar-Monte-Carlo means of every monomial coefficient of the colour side.
@@ -400,36 +394,23 @@ def lhs_coefficient_means(
     Returns {mask: (mean, std_error)}; masks that cannot appear carry exact
     zeros and are omitted.
     """
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
     if group not in ("O", "SO"):
         raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
-    pairs, table = _lhs_structure(n_colour, n_flavour)
+    _, table = _lhs_structure(n_colour, n_flavour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
     )
-    sums = np.zeros(len(table))
-    sums_sq = np.zeros(len(table))
-    for w in range(workers):
-        gen = rng.substream(w).generator()
-        shard = samples // workers + (1 if w < samples % workers else 0)
-        done = 0
-        while done < shard:
-            b = min(batch_size, shard - done)
-            minors = _minor_dets(sampler(n_colour, b, gen), pairs)
-            for idx, (_, sign, choice) in enumerate(table):
-                vals = sign * np.prod(minors[:, choice], axis=1)
-                sums[idx] += vals.sum()
-                sums_sq[idx] += (vals**2).sum()
-            done += b
-    out = {}
-    for idx, (mask, _, _) in enumerate(table):
-        mean = sums[idx] / samples
-        var = max(sums_sq[idx] / samples - mean**2, 0.0) * samples / (samples - 1)
-        prev = out.get(mask)
-        if prev is not None:  # distinct flavour assignments, same monomial
-            raise AssertionError("monomial masks must be unique")
-        out[mask] = (float(mean), float(np.sqrt(var / samples)))
+    coefficients = _colour_coefficients(table)
+    mean, se = stream_mean(
+        lambda gen, b: coefficients(sampler(n_colour, b, gen)),
+        samples,
+        rng,
+        workers,
+        batch=_batch_rows(len(table)),
+    )
+    out = {mask: (float(m), float(e)) for (mask, _, _), m, e in zip(table, mean, se)}
+    if len(out) != len(table):  # distinct flavour assignments, same monomial
+        raise AssertionError("monomial masks must be unique")
     return out
 
 
@@ -497,8 +478,7 @@ def rhs_mc_coefficients(
     n_flavour: int,
     samples: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
-) -> dict[int, tuple[float, float]]:
+) -> dict[int, tuple[complex, float]]:
     """Monte-Carlo estimate of the flavour-side coefficients, n <= 2.
 
     Provided as the sampling route the exact table replaces; note the
@@ -512,27 +492,14 @@ def rhs_mc_coefficients(
         raise ConfigError("flavour-side sampling implemented for n <= 2")
     measure = FermionicMeasure(n_colour, n_flavour)
     table = _rhs_structure(n_colour)
-    gen = rng.generator()
-    sums = np.zeros(len(table), dtype=complex)
-    sums_sq = np.zeros(len(table))
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
-        z, _ = sample_fermionic_z(measure, gen, b)
-        a = z[:, 0, 1]
-        neg_abar = -np.conj(a)
-        for idx, (_, sign, u, v) in enumerate(table):
-            vals = sign * a**u * neg_abar**v
-            sums[idx] += vals.sum()
-            sums_sq[idx] += float((np.abs(vals) ** 2).sum())
-        done += b
-    out = {}
-    for idx, (mask, _, _, _) in enumerate(table):
-        mean = sums[idx] / samples
-        var = max(sums_sq[idx] / samples - abs(mean) ** 2, 0.0)
-        var *= samples / (samples - 1)
-        out[mask] = (complex(mean), float(np.sqrt(var / samples)))
-    return out
+    signs, u, v = (np.array([row[col] for row in table]) for col in (1, 2, 3))
+
+    def values(gen, b):
+        a = sample_fermionic_z(measure, gen, b)[:, 0, 1, None]
+        return signs * a**u * (-np.conj(a)) ** v
+
+    mean, se = stream_mean(values, samples, rng, batch=_batch_rows(len(table)))
+    return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
 # -- reports ----------------------------------------------------------------
@@ -634,15 +601,16 @@ def verify_fermionic_cft(
         raise ConfigError(
             f"N*n = {n_colour * n_flavour} exceeds the cap of {MAX_GENERATORS // 2}"
         )
-    lhs = lhs_coefficient_means(
-        n_colour, n_flavour, samples, rng, group="O", workers=workers
-    )
+    # the flavour side rejects n >= 3 before the colour side samples anything
     if rhs_method == "exact":
         rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
     elif rhs_method == "mc":
         rhs = rhs_mc_coefficients(n_colour, n_flavour, samples, rng.substream(997))
     else:
         raise ConfigError(f"unknown rhs_method {rhs_method!r}")
+    lhs = lhs_coefficient_means(
+        n_colour, n_flavour, samples, rng, group="O", workers=workers
+    )
 
     rows = []
     for mask in sorted(set(lhs) | set(rhs)):
@@ -680,7 +648,6 @@ def verify_bosonic_cft(
     samples: int,
     rng: RngStream,
     threshold: float = DEFAULT_THRESHOLD,
-    batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
 ) -> VerificationReport:
     """Probe-point comparison of the two sides of the bosonic identity.
@@ -688,13 +655,13 @@ def verify_bosonic_cft(
     At each probe (phi, phibar), the colour side averages
     exp(sum_a phibar^a . O phi^a) over O(N) and the flavour side averages
     exp((phibar Z phibar + phi Z^dagger phi)/2) over the bosonic measure;
-    both sides share the constant-term normalisation 1.
+    both sides share the constant-term normalisation 1.  The colour side's
+    worker shards read substreams 1..workers, the flavour side's the
+    ``workers`` substreams after them.
     """
     measure = BosonicMeasure(n_colour, n_flavour)  # validates N > 2n
     if probes < 1:
         raise ConfigError("need at least one probe point")
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
     gen = rng.generator()
     probe_list = [_probe_pair(gen, n_colour, n_flavour) for _ in range(probes)]
     # colour side: one pass over shared Haar draws for all probes
@@ -704,53 +671,31 @@ def verify_bosonic_cft(
             for phi, phibar in probe_list
         ]
     )
-    lsum = np.zeros(probes, dtype=complex)
-    lsq = np.zeros(probes)
     # flavour-space bilinears: sum_i phibar_i^a phibar_i^b and its phi twin
     sbar = np.stack([phibar.T @ phibar for _, phibar in probe_list])
     s = np.stack([phi.T @ phi for phi, _ in probe_list])
-    rsum = np.zeros(probes, dtype=complex)
-    rsq = np.zeros(probes)
-    for w in range(workers):
-        shard = samples // workers + (1 if w < samples % workers else 0)
-        o_gen = rng.substream(1 + 2 * w).generator()
-        done = 0
-        while done < shard:
-            b = min(batch_size, shard - done)
-            o = sample_orthogonal_batch(n_colour, b, o_gen)
-            vals = np.exp(np.einsum("bij,pij->bp", o, mats))
-            lsum += vals.sum(axis=0)
-            lsq += (np.abs(vals) ** 2).sum(axis=0)
-            done += b
-        z_gen = rng.substream(2 + 2 * w).generator()
-        done = 0
-        while done < shard:
-            b = min(batch_size, shard - done)
-            z = sample_bosonic_z(measure, z_gen, b)
-            zdag = np.conj(np.transpose(z, (0, 2, 1)))
-            vals = np.exp(
-                0.5
-                * (
-                    np.einsum("bxy,pxy->bp", z, sbar)
-                    + np.einsum("bxy,pxy->bp", zdag, s)
-                )
-            )
-            rsum += vals.sum(axis=0)
-            rsq += (np.abs(vals) ** 2).sum(axis=0)
-            done += b
+
+    def colour(o_gen, b):
+        o = sample_orthogonal_batch(n_colour, b, o_gen)
+        return np.exp(np.einsum("bij,pij->bp", o, mats))
+
+    def flavour(z_gen, b):
+        z = sample_bosonic_z(measure, z_gen, b)
+        zdag = np.conj(np.transpose(z, (0, 2, 1)))
+        return np.exp(
+            0.5
+            * (np.einsum("bxy,pxy->bp", z, sbar) + np.einsum("bxy,pxy->bp", zdag, s))
+        )
+
+    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers)
+    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers)
 
     rows = []
     for p in range(probes):
-        lm = lsum[p] / samples
-        lv = max(lsq[p] / samples - abs(lm) ** 2, 0.0) * samples / (samples - 1)
-        rm = rsum[p] / samples
-        rv = max(rsq[p] / samples - abs(rm) ** 2, 0.0) * samples / (samples - 1)
-        ls, rs = np.sqrt(lv / samples), np.sqrt(rv / samples)
-        z = _z_score(abs(lm - rm), float(np.hypot(ls, rs)))
+        ls, rs = float(lhs_se[p]), float(rhs_se[p])
+        z = _z_score(abs(lhs[p] - rhs[p]), float(np.hypot(ls, rs)))
         rows.append(
-            MonomialRow(
-                p, f"probe{p + 1}", complex(lm), float(ls), complex(rm), float(rs), z
-            )
+            MonomialRow(p, f"probe{p + 1}", complex(lhs[p]), ls, complex(rhs[p]), rs, z)
         )
     report = VerificationReport(
         "bosonic", n_colour, n_flavour, samples, threshold, rows
@@ -870,49 +815,42 @@ def reflection_split_check(
 
     R = diag(1, ..., 1, -1); reflected draws are SO(N) samples with the
     last row negated.  Exercises the decomposition of the full group into
-    its two components.
+    its two components.  SO(N) draws come from substream 1, O(N) draws
+    from substream 2.
     """
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
-    pairs, table = _lhs_structure(n_colour, n_flavour)
-    gen_so = rng.substream(1).generator()
-    gen_o = rng.substream(2).generator()
-    sums = np.zeros((3, len(table)))
-    sums_sq = np.zeros((3, len(table)))
-    done = 0
-    while done < samples:
-        b = min(DEFAULT_BATCH, samples - done)
-        so = sample_special_orthogonal_batch(n_colour, b, gen_so)
+    _, table = _lhs_structure(n_colour, n_flavour)
+    width = len(table)
+    coefficients = _colour_coefficients(table)
+
+    def components(gen, b):
+        so = sample_special_orthogonal_batch(n_colour, b, gen)
         refl = so.copy()
         refl[:, -1, :] *= -1.0
-        o = sample_orthogonal_batch(n_colour, b, gen_o)
-        for row, mats in enumerate((o, so, refl)):
-            minors = _minor_dets(mats, pairs)
-            for idx, (_, sign, choice) in enumerate(table):
-                vals = sign * np.prod(minors[:, choice], axis=1)
-                sums[row, idx] += vals.sum()
-                sums_sq[row, idx] += (vals**2).sum()
-        done += b
-    rows = []
-    for idx, (mask, _, _) in enumerate(table):
-        means = sums[:, idx] / samples
-        var = np.maximum(sums_sq[:, idx] / samples - means**2, 0.0)
-        var *= samples / (samples - 1)
-        ses = np.sqrt(var / samples)
-        half = 0.5 * (means[1] + means[2])
-        half_se = 0.5 * float(np.hypot(ses[1], ses[2]))
-        z = _z_score(abs(means[0] - half), float(np.hypot(ses[0], half_se)))
-        rows.append(
-            MonomialRow(
-                mask,
-                mask_label(mask, n_colour, n_flavour),
-                means[0],
-                float(ses[0]),
-                half,
-                half_se,
-                z,
-            )
+        return np.concatenate([coefficients(so), coefficients(refl)], axis=1)
+
+    def full_group(gen, b):
+        return coefficients(sample_orthogonal_batch(n_colour, b, gen))
+
+    split, split_se = stream_mean(
+        components, samples, rng.substream(1), batch=_batch_rows(2 * width)
+    )
+    full, full_se = stream_mean(
+        full_group, samples, rng.substream(2), batch=_batch_rows(width)
+    )
+    half = 0.5 * (split[:width] + split[width:])
+    half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
+    rows = [
+        MonomialRow(
+            mask,
+            mask_label(mask, n_colour, n_flavour),
+            lv,
+            float(ls),
+            rv,
+            float(rs),
+            _z_score(abs(lv - rv), float(np.hypot(ls, rs))),
         )
+        for (mask, _, _), lv, ls, rv, rs in zip(table, full, full_se, half, half_se)
+    ]
     return VerificationReport(
         "reflection-split", n_colour, n_flavour, samples, threshold, rows
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -124,8 +123,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("OCFT_WORKERS", "1")),
-        help="worker substreams (default $OCFT_WORKERS or 1)",
+        default=1,
+        help="RNG shards, each on its own substream and run one after another "
+        "(default 1); the draws, and so the output, depend on this count",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
@@ -245,7 +245,6 @@ def _run_haar_moment(args) -> tuple[dict, int]:
         RngStream(args.seed),
         group=args.group,
         workers=args.workers,
-        batched=True,
     )
     record = {
         "command": "haar-moment",

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._quad import gauss_legendre_01, half_line_nodes
 from .errors import ConfigError, DomainError
-from .haar import Estimate, RngStream
+from .haar import Estimate, RngStream, stream_mean
 from .linalg import log_beta, log_gamma, pfaffian
 
 __all__ = [
@@ -474,39 +474,28 @@ def ginibre_mc(
     n: int,
     samples: int,
     rng: RngStream,
-    batch_size: int = 20_000,
 ) -> Estimate:
     """Monte-Carlo Gaussian-weight average ratio.
 
     Samples real N x N matrices with iid standard normal entries and
     estimates E[det(lam - A) det(gam - A^T)] / E[det(A) det(A^T)] on common
-    draws (the denominator is the lg = 0 reference).
+    draws (the denominator is the lg = 0 reference).  The standard error is
+    the delta-method one of the ratio of the two means.
     """
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
-    gen = rng.generator()
     eye = np.eye(n)
-    sums = np.zeros(2, dtype=complex)
-    sums_sq = np.zeros(2)
-    cross = 0.0 + 0.0j
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
+
+    def values(gen, b):
         mats = gen.standard_normal((b, n, n))
         num = np.linalg.det(lam * eye - mats) * np.linalg.det(gam * eye - mats)
         den = np.linalg.det(mats) ** 2
-        sums += (num.sum(), den.sum())
-        sums_sq += ((np.abs(num) ** 2).sum(), (np.abs(den) ** 2).sum())
-        cross += (num * np.conj(den)).sum()
-        done += b
-    mean_n, mean_d = sums / samples
+        return np.stack([num, den, num * np.conj(den)], axis=1)
+
+    (mean_n, mean_d, cross), se = stream_mean(values, samples, rng)
     ratio = mean_n / mean_d
-    var_n = sums_sq[0] / samples - abs(mean_n) ** 2
-    var_d = sums_sq[1] / samples - abs(mean_d) ** 2
-    cov = cross / samples - mean_n * np.conj(mean_d)
+    # Bessel-corrected variances back from the standard errors, se^2 = var / n
+    var_n, var_d = samples * se[:2] ** 2
+    cov = (cross - mean_n * np.conj(mean_d)) * samples / (samples - 1)
     var_r = (
         var_n - 2 * (np.conj(ratio) * cov).real + abs(ratio) ** 2 * var_d
     ) / abs(mean_d) ** 2
-    var_r *= samples / (samples - 1)
-    se = float(np.sqrt(max(var_r, 0.0) / samples))
-    return Estimate(complex(ratio), se, samples)
+    return Estimate(complex(ratio), float(np.sqrt(max(var_r, 0.0) / samples)), samples)

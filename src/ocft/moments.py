@@ -24,7 +24,7 @@ import numpy as np
 
 from ._quad import half_line_nodes
 from .errors import ConfigError, ShapeError
-from .haar import Estimate, RngStream, mc_expectation
+from .haar import Estimate, RngStream, mc_expectation, stream_mean
 from .linalg import as_complex_matrix, elementary_symmetric_all, is_skew, pfaffian
 
 __all__ = [
@@ -85,7 +85,7 @@ def moment_mc(
         dets = np.linalg.det(mats)
         return (dets * dets.conj()).real ** m
 
-    return mc_expectation(f, g.size, samples, rng, workers=workers, batched=True)
+    return mc_expectation(f, g.size, samples, rng, workers=workers)
 
 
 def build_pf_kernel(z_skew, g: float, z: complex, m: int) -> np.ndarray:
@@ -232,6 +232,11 @@ def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex):
     return base + g2 * (np.conj(z) ** 2 - zz) * p + g2 * (z**2 - zz) * q
 
 
+# U(4) draws per batch of the complex-z m = 2 average; it fixes how the draws
+# interleave with the Gaussian stream, so changing it changes the estimate
+_U_CHUNK = 8
+
+
 def _haar_u4_chunk(gen: np.random.Generator, count: int) -> np.ndarray:
     """(count, 4, 4) Haar U(4) draws by phase-corrected QR of complex Gaussians."""
     gauss = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
@@ -266,7 +271,6 @@ def moment_pfaffian_integral(
     nodes: int = 128,
     samples: int = 1000,
     radial_nodes: int = 32,
-    u_chunk: int = 8,
 ) -> Estimate:
     """Flavour-space Pfaffian-product integral for F_G(z), m <= 2.
 
@@ -303,22 +307,17 @@ def moment_pfaffian_integral(
 
     if rng is None:
         raise ConfigError("complex z at m = 2 needs an RngStream for the U-average")
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
     t1, t2 = t_pairs[:, 0], t_pairs[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
     trace, pf_sq = t1 + t2, t1 * t2
-    gen = rng.generator()
-    q_num = np.empty(samples, dtype=complex)
-    done = 0
-    while done < samples:
-        b = min(u_chunk, samples - done)
+
+    def numerator(gen, b):
         coef_01, coef_23 = _block_minor_coefficients(_haar_u4_chunk(gen, b))
         p, q = coef_01 @ radial_basis, coef_23 @ radial_basis
         fg = np.ones((b, t_weights.size), dtype=complex)
         for gi in query.g:
             fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, query.z)
-        q_num[done : done + b] = fg @ t_weights
-        done += b
-    se = float(np.sqrt(np.var(q_num, ddof=1) / samples) / abs(den))
-    return Estimate((q_num.mean() / den).real, se, samples)
+        return (fg @ t_weights)[:, None]
+
+    mean, se = stream_mean(numerator, samples, rng, batch=_U_CHUNK)
+    return Estimate((mean[0] / den).real, float(se[0] / abs(den)), samples)

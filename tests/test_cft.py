@@ -23,10 +23,30 @@ from ocft.cft import (
     verify_fermionic_cft,
     verify_son_cft,
 )
-from ocft.cft import MonomialRow, VerificationReport, _lhs_structure, _minor_dets
+from ocft import cft
+from ocft.cft import (
+    MonomialRow,
+    VerificationReport,
+    _lhs_structure,
+    _minor_dets,
+    _minor_pairs,
+)
 from ocft.errors import ConfigError, DomainError
 from ocft.grassmann import lhs_integrand
 from ocft.haar import RngStream
+
+
+def per_pair_minor_dets(o_batch, pairs):
+    """The minors one (S, T) pair and one determinant call at a time."""
+    out = np.empty((o_batch.shape[0], len(pairs)))
+    for idx, (s, t) in enumerate(pairs):
+        if len(s) == 0:
+            out[:, idx] = 1.0
+        elif len(s) == 1:
+            out[:, idx] = o_batch[:, s[0], t[0]]
+        else:
+            out[:, idx] = np.linalg.det(o_batch[:, np.ix_(s, t)[0], np.ix_(s, t)[1]])
+    return out
 
 
 class TestConstants:
@@ -66,18 +86,17 @@ class TestConstants:
 
 class TestFermionicSampler:
     def test_single_flavour_is_zero_matrix(self):
-        z, w = sample_fermionic_z(FermionicMeasure(3, 1), RngStream(1), 10)
-        assert np.all(z == 0)
-        assert np.all(w == 1.0)
+        z = sample_fermionic_z(FermionicMeasure(3, 1), RngStream(1), 10)
+        assert z.shape == (10, 1, 1) and np.all(z == 0)
 
-    def test_two_flavour_weights_are_unit(self):
-        z, w = sample_fermionic_z(FermionicMeasure(4, 2), RngStream(2), 1000)
-        assert np.all(w == 1.0)
-        np.testing.assert_allclose(z[:, 0, 1], -z[:, 1, 0])
+    def test_three_flavours_rejected(self):
+        with pytest.raises(ConfigError):
+            sample_fermionic_z(FermionicMeasure(4, 3), RngStream(5), 10)
 
     def test_two_flavour_radial_moment(self):
         n_colour = 4
-        z, _ = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(3), 400_000)
+        z = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(3), 400_000)
+        np.testing.assert_array_equal(z[:, 0, 1], -z[:, 1, 0])
         r = np.abs(z[:, 0, 1]) ** 2
         # quadrature oracle for E[r / (1 + r)]
         dens = lambda r_: (1 + r_) ** (-(n_colour + 2.0))
@@ -90,27 +109,10 @@ class TestFermionicSampler:
     def test_radial_moment_closed_form(self):
         # E[r^u] = 1 / binom(N, u) under the n=2 measure
         n_colour = 5
-        z, _ = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(4), 400_000)
+        z = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(4), 400_000)
         r = np.abs(z[:, 0, 1]) ** 2
         se = r.std() / np.sqrt(r.size)
         assert abs(r.mean() - 1.0 / n_colour) <= 3 * se
-
-    def test_importance_path_consistency(self):
-        # n = 3 draws are weighted; two disjoint streams must agree
-        measure = FermionicMeasure(4, 3)
-
-        def weighted_mean(seed):
-            z, w = sample_fermionic_z(measure, RngStream(seed), 100_000)
-            f = 1.0 / (1.0 + np.einsum("bij,bij->b", z, z.conj()).real)
-            mean = (w * f).sum() / w.sum()
-            ess = w.sum() ** 2 / (w**2).sum()
-            se = np.sqrt(((w / w.sum()) ** 2 * (f - mean) ** 2).sum())
-            return mean, se, ess
-
-        m1, s1, e1 = weighted_mean(5)
-        m2, s2, e2 = weighted_mean(6)
-        assert min(e1, e2) > 1000
-        assert abs(m1 - m2) <= 4 * np.hypot(s1, s2)
 
 
 class TestBosonicSampler:
@@ -150,7 +152,7 @@ class TestColourSideStructure:
         rng = np.random.default_rng(11)
         o = rng.standard_normal((n_colour, n_colour))
         pairs, table = _lhs_structure(n_colour, n_flavour)
-        minors = _minor_dets(o[None], pairs)[0]
+        minors = _minor_dets(o[None])[0]
         exact = lhs_integrand(o, n_colour, n_flavour)
         for mask, sign, choice in table:
             pred = sign * np.prod(minors[list(choice)])
@@ -167,6 +169,25 @@ class TestColourSideStructure:
             bar = (mask & ((1 << nn) - 1)).bit_count()
             unbar = (mask >> nn).bit_count()
             assert bar == unbar
+
+    @pytest.mark.parametrize("n_colour", [1, 2, 3, 4, 8])
+    def test_batched_minors_match_per_pair_loop(self, n_colour):
+        o = np.random.default_rng(n_colour).standard_normal((6, n_colour, n_colour))
+        pairs = _minor_pairs(n_colour)
+        np.testing.assert_array_equal(_minor_dets(o), per_pair_minor_dets(o, pairs))
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    def test_lhs_means_do_not_depend_on_the_row_cap(self, group, monkeypatch):
+        args = (3, 2, 2_000, RngStream(35), group)
+        default = lhs_coefficient_means(*args, workers=2)
+        _, table = _lhs_structure(3, 2)
+        monkeypatch.setattr(cft, "BATCH_ENTRIES", 7 * len(table))
+        assert cft._batch_rows(len(table)) == 7
+        capped = lhs_coefficient_means(*args, workers=2)
+        assert capped.keys() == default.keys()
+        for mask, (mean, se) in default.items():
+            assert capped[mask][0] == pytest.approx(mean, rel=1e-13, abs=1e-13)
+            assert capped[mask][1] == pytest.approx(se, rel=1e-12, abs=1e-15)
 
     def test_second_moment_of_minors(self):
         # E[det(O[S,T])^2] = 1/binom(N,k) over O(N)

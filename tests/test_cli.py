@@ -90,6 +90,16 @@ class TestHaarMoment:
         rec = json.loads(out)
         assert abs(rec["value"]["re"] - 1 / 3) <= 3 * rec["std_error"]
 
+    def test_worker_environment_variable_is_ignored(self, monkeypatch):
+        argv = ["haar-moment", "--n", "2", "--entries", "1,1", "--samples",
+                "5000", "--seed", "4"]
+        monkeypatch.delenv("OCFT_WORKERS", raising=False)
+        unset = invoke(argv)
+        monkeypatch.setenv("OCFT_WORKERS", "3")
+        code, out, _ = invoke(argv)
+        assert code == 0 and out == unset[1]
+        assert json.loads(out)["workers"] == 1
+
     def test_entry_bounds_checked(self):
         code, _, _ = invoke(
             ["haar-moment", "--n", "2", "--entries", "3,1", "--samples", "100"]
@@ -180,6 +190,32 @@ class TestVerifyCft:
         )
         rec = json.loads(out)
         assert code == 3 and rec["max_abs_z"] > rec["row_threshold"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "variant, colors, flavors",
+        [("fermionic", "2", "2"), ("bosonic", "4", "1"), ("son", "2", "1")],
+    )
+    def test_worker_count_below_one_is_usage_error(
+        self, variant, colors, flavors, workers
+    ):
+        code, out, err = invoke(
+            ["verify-cft", "--variant", variant, "--colors", colors,
+             "--flavors", flavors, "--samples", "1000", "--workers", workers]
+        )
+        assert code == 2 and out == ""
+        assert "workers" in err
+
+    def test_flavour_count_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the colour side was sampled")
+
+        monkeypatch.setattr(cft, "lhs_coefficient_means", no_sampling)
+        code, _, err = invoke(
+            ["verify-cft", "--variant", "fermionic", "--colors", "2",
+             "--flavors", "3", "--samples", "100000"]
+        )
+        assert code == 2 and "n <= 2" in err
 
     def test_bosonic_variant_serialises(self):
         code, out, _ = invoke(

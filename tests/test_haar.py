@@ -10,6 +10,7 @@ from ocft.haar import (
     sample_orthogonal_batch,
     sample_special_orthogonal,
     sample_special_orthogonal_batch,
+    stream_mean,
 )
 
 
@@ -79,33 +80,22 @@ class TestSamplers:
 
 class TestMcExpectation:
     def test_determinant_mean_zero_on_full_group(self):
-        est = mc_expectation(
-            np.linalg.det, 4, 200_000, RngStream(11), batched=True
-        )
+        est = mc_expectation(np.linalg.det, 4, 200_000, RngStream(11))
         assert est.z_score(0.0) <= 3.0
 
     def test_product_of_diagonal_entries_vanishes(self):
         est = mc_expectation(
-            lambda o: o[:, 0, 0] * o[:, 1, 1], 3, 200_000, RngStream(12), batched=True
+            lambda o: o[:, 0, 0] * o[:, 1, 1], 3, 200_000, RngStream(12)
         )
         assert est.z_score(0.0) <= 3.0
 
     def test_second_moment_matches_one_over_n(self):
         n = 3
-        est = mc_expectation(
-            lambda o: o[:, 0, 0] ** 2, n, 400_000, RngStream(13), batched=True
-        )
+        est = mc_expectation(lambda o: o[:, 0, 0] ** 2, n, 400_000, RngStream(13))
         assert est.z_score(1.0 / n) <= 3.0
 
-    def test_unbatched_path_agrees(self):
-        est_a = mc_expectation(lambda m: m[0, 0] ** 2, 2, 500, RngStream(14))
-        est_b = mc_expectation(
-            lambda o: o[:, 0, 0] ** 2, 2, 500, RngStream(14), batched=True
-        )
-        assert est_a.mean == pytest.approx(est_b.mean, rel=1e-12)
-
     def test_bit_identical_for_fixed_config(self):
-        cfg = dict(n=3, samples=5_000, group="SO", workers=4, batched=True)
+        cfg = dict(n=3, samples=5_000, group="SO", workers=4)
         f = lambda o: o[:, 0, 1] * o[:, 1, 0]
         a = mc_expectation(f, rng=RngStream(21), **cfg)
         b = mc_expectation(f, rng=RngStream(21), **cfg)
@@ -113,8 +103,8 @@ class TestMcExpectation:
 
     def test_worker_count_changes_split_not_statistics(self):
         f = lambda o: o[:, 0, 0] ** 2
-        a = mc_expectation(f, 2, 100_000, RngStream(22), workers=1, batched=True)
-        b = mc_expectation(f, 2, 100_000, RngStream(22), workers=3, batched=True)
+        a = mc_expectation(f, 2, 100_000, RngStream(22), workers=1)
+        b = mc_expectation(f, 2, 100_000, RngStream(22), workers=3)
         # different substreams, same distribution
         assert abs(a.mean - b.mean) <= 3 * np.hypot(a.std_error, b.std_error)
 
@@ -123,15 +113,66 @@ class TestMcExpectation:
         p = np.eye(3)[[2, 0, 1]]
         f_plain = lambda o: o[:, 0, 0] ** 2
         f_perm = lambda o: np.einsum("ij,bjk->bik", p, o)[:, 0, 0] ** 2
-        a = mc_expectation(f_plain, 3, 300_000, RngStream(23), batched=True)
-        b = mc_expectation(f_perm, 3, 300_000, RngStream(24), batched=True)
+        a = mc_expectation(f_plain, 3, 300_000, RngStream(23))
+        b = mc_expectation(f_perm, 3, 300_000, RngStream(24))
         assert abs(a.mean - b.mean) <= 3 * np.hypot(a.std_error, b.std_error)
 
     def test_sample_count_validation(self):
         with pytest.raises(ConfigError):
             mc_expectation(np.linalg.det, 2, 1, RngStream(0))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_validation(self, workers):
+        with pytest.raises(ConfigError):
+            mc_expectation(np.linalg.det, 2, 100, RngStream(0), workers=workers)
+
     def test_estimate_z_score_handles_zero_error(self):
         est = Estimate(1.0 + 0j, 0.0, 10)
         assert est.z_score(1.0 + 0j) == 0.0
         assert est.z_score(2.0) == float("inf")
+
+
+class TestStreamMean:
+    @staticmethod
+    def draws(gen, b):
+        x = gen.standard_normal((b, 3))
+        return x + np.array([0.0, 2.0, -1.0])
+
+    @staticmethod
+    def complex_draws(gen, b):
+        # one draw per batch, so the stream does not depend on the batch size
+        g = gen.standard_normal((b, 4))
+        x = g[:, :2] + 1j * g[:, 2:]
+        return x * np.array([1.0, 0.3 - 0.2j]) + np.array([0.5j, 4.0])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_numpy_mean_and_error(self, workers, kind):
+        values = self.draws if kind == "real" else self.complex_draws
+        samples, rng = 10_001, RngStream(41)
+        extra = samples % workers
+        # batches of 700 rows: shards of 3334 / 3334 / 3333 end on partial batches
+        mean, se = stream_mean(values, samples, rng, workers, batch=700)
+        rows = np.concatenate(
+            [
+                values(rng.substream(w).generator(), samples // workers + (w < extra))
+                for w in range(workers)
+            ]
+        )
+        assert rows.shape[0] == samples
+        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-12, atol=1e-12)
+        ref_se = rows.std(axis=0, ddof=1) / np.sqrt(samples)
+        np.testing.assert_allclose(se, ref_se, rtol=1e-12)
+
+    def test_batch_size_does_not_change_the_draws(self):
+        a = stream_mean(self.draws, 5_000, RngStream(42), batch=7)
+        b = stream_mean(self.draws, 5_000, RngStream(42))
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("samples, workers", [(1, 1), (0, 1), (10, 0), (10, -3)])
+    def test_rejects_bad_counts_before_drawing(self, samples, workers):
+        def values(gen, b):
+            raise AssertionError("drew samples")
+
+        with pytest.raises(ConfigError):
+            stream_mean(values, samples, RngStream(0), workers)
