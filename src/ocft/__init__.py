@@ -3,7 +3,7 @@
 Modules
 -------
 linalg     Pfaffians, determinants, symmetric polynomials, log-Gamma/Beta.
-haar       Haar sampling on O(N)/SO(N) and seeded Monte-Carlo estimation.
+haar       Haar sampling on O(N)/SO(N) and U(M), seeded Monte-Carlo estimation.
 grassmann  Exact sparse exterior algebra for the fermionic integrands.
 cft        Flavour-space measures and identity verification reports.
 moments    Averaged modulus powers of characteristic polynomials |z - GO|.

@@ -7,7 +7,9 @@ weighted integral over a small space of flavour matrices:
   exp((psibar Z psibar + psi Z^dagger psi)/2) over complex skew n x n
   matrices with density det^{-(N/2+n-1)}(1 + Z Z^dagger);
 * bosonic: same structure with commuting probe vectors, complex symmetric
-  Z, density det^{N/2-n-1}(1 - Z Z^dagger) on the contracting ball;
+  Z, density det^{N/2-n-1}(1 - Z Z^dagger) on the contracting ball, drawn
+  exactly as the n x n block of a circular orthogonal ensemble matrix of
+  size N - 1;
 * special-orthogonal: restricting the average to SO(N) adds a single
   det-correction term with one scalar constant K, fitted here numerically.
 
@@ -43,6 +45,7 @@ from .haar import (
     RngStream,
     sample_orthogonal_batch,
     sample_special_orthogonal_batch,
+    sample_unitary_columns,
     stream_mean,
 )
 from .linalg import log_gamma
@@ -185,7 +188,11 @@ class FermionicMeasure:
 
 @dataclass(frozen=True)
 class BosonicMeasure:
-    """Complex symmetric n x n matrices with 1 - Z Z^dagger positive definite."""
+    """Complex symmetric n x n matrices, density det^{N/2-n-1}(1 - Z Z^dagger).
+
+    Supported where 1 - Z Z^dagger is positive definite; N > 2n is required
+    (the integrability bound).
+    """
 
     n_colour: int
     n_flavour: int
@@ -195,10 +202,6 @@ class BosonicMeasure:
             raise DomainError(
                 f"need N > 2n, got N={self.n_colour}, n={self.n_flavour}"
             )
-
-    @property
-    def exponent(self) -> float:
-        return self.n_colour / 2.0 - self.n_flavour - 1.0
 
 
 def sample_fermionic_z(measure: FermionicMeasure, rng, count: int = 1) -> np.ndarray:
@@ -224,45 +227,16 @@ def sample_fermionic_z(measure: FermionicMeasure, rng, count: int = 1) -> np.nda
 
 
 def sample_bosonic_z(measure: BosonicMeasure, rng, count: int = 1) -> np.ndarray:
-    """Draw Z from the bosonic measure.
+    """Draw Z from the bosonic measure, exactly, for every N > 2n.
 
-    n = 1: exact radial inverse CDF of (1-r)^{N/2-2} on the unit disc.
-    n >= 2: rejection sampling; entries proposed uniformly on the disc and
-    accepted with probability det^{N/2-n-1}(1 - Z Z^dagger), which is a
-    valid thinning only when the exponent is non-negative (N >= 2n + 2).
+    With M = N - 1 and Q the first n columns of a Haar U(M) matrix, Z = Q^T Q
+    is the leading n x n block of the circular orthogonal ensemble matrix
+    U^T U.  That block has density det^{(M-2n-1)/2}(1 - Z Z^dagger), which is
+    the measure's det^{N/2-n-1} (Zyczkowski-Sommers, J. Phys. A 33 (2000)
+    2045; Forrester, J. Phys. A 39 (2006) 6861).
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n = measure.n_flavour
-    if n == 1:
-        u = gen.random(count)
-        r = 1.0 - (1.0 - u) ** (1.0 / (measure.n_colour / 2.0 - 1.0))
-        theta = gen.random(count) * 2.0 * np.pi
-        return (np.sqrt(r) * np.exp(1j * theta)).reshape(count, 1, 1)
-
-    if measure.exponent < 0:
-        raise DomainError(
-            "rejection sampling needs N >= 2n + 2 (non-negative density exponent)"
-        )
-    iu = np.triu_indices(n)
-    out = np.empty((count, n, n), dtype=complex)
-    got = 0
-    while got < count:
-        m = max(4 * (count - got), 256)
-        r = np.sqrt(gen.random((m, iu[0].size)))
-        theta = gen.random((m, iu[0].size)) * 2.0 * np.pi
-        entries = r * np.exp(1j * theta)
-        z = np.zeros((m, n, n), dtype=complex)
-        z[:, iu[0], iu[1]] = entries
-        z[:, iu[1], iu[0]] = entries
-        sv = np.linalg.svd(z, compute_uv=False)
-        inside = sv[:, 0] < 1.0
-        accept = np.zeros(m, dtype=bool)
-        dens = np.prod(1.0 - sv[inside] ** 2, axis=1) ** measure.exponent
-        accept[inside] = gen.random(inside.sum()) < dens
-        take = min(int(accept.sum()), count - got)
-        out[got : got + take] = z[accept][:take]
-        got += take
-    return out
+    q = sample_unitary_columns(measure.n_colour - 1, measure.n_flavour, count, rng)
+    return np.transpose(q, (0, 2, 1)) @ q
 
 
 # -- monomial bookkeeping ---------------------------------------------------

@@ -18,6 +18,7 @@ timing goes to stderr.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -118,11 +119,18 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help="RNG shards, each on its own substream and run one after another "
         "(default 1); the draws, and so the output, depend on this count",
@@ -271,6 +279,7 @@ def _run_moment(args) -> tuple[dict, int]:
         "g": list(g),
         "method": args.method,
         "seed": args.seed,
+        "workers": args.workers,
     }
     if args.method == "closed":
         record["value"] = moment_m1_closed(query)
@@ -412,7 +421,8 @@ def run(argv, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()

@@ -1,9 +1,11 @@
-"""Haar sampling on O(N) / SO(N) and the one streaming Monte-Carlo estimator.
+"""Haar sampling on O(N) / SO(N) and U(M), and the one streaming estimator.
 
-The sampler is the sign-corrected QR construction: QR-decompose a matrix of
-iid standard Gaussians and multiply each column of Q by the sign of the
-matching diagonal entry of R.  The result is exactly Haar on the full
-orthogonal group, with both determinant components equally likely.
+The samplers are the sign-corrected QR construction: QR-decompose a matrix
+of iid standard Gaussians and multiply each column of Q by the sign (for
+complex Gaussians, the phase) of the matching diagonal entry of R.  The
+result is exactly Haar on the full orthogonal group, with both determinant
+components equally likely, and on the unitary group; an M x n complex
+Gaussian gives the first n columns of a Haar U(M) matrix.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
@@ -30,6 +32,7 @@ __all__ = [
     "sample_orthogonal_batch",
     "sample_special_orthogonal",
     "sample_special_orthogonal_batch",
+    "sample_unitary_columns",
     "stream_mean",
 ]
 
@@ -116,6 +119,17 @@ def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
 def sample_special_orthogonal(n: int, rng) -> np.ndarray:
     """One Haar draw from SO(n)."""
     return sample_special_orthogonal_batch(n, 1, rng)[0]
+
+
+def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
+    """(count, m, n) stack: the first n columns of Haar U(m) draws."""
+    if not 1 <= n <= m:
+        raise DimensionError(f"need 1 <= n <= m, got m={m}, n={n}")
+    gen = _as_generator(rng)
+    gauss = gen.standard_normal((count, m, n)) + 1j * gen.standard_normal((count, m, n))
+    q, r = np.linalg.qr(gauss)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 _SAMPLERS = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}

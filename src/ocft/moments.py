@@ -24,7 +24,13 @@ import numpy as np
 
 from ._quad import half_line_nodes
 from .errors import ConfigError, ShapeError
-from .haar import Estimate, RngStream, mc_expectation, stream_mean
+from .haar import (
+    Estimate,
+    RngStream,
+    mc_expectation,
+    sample_unitary_columns,
+    stream_mean,
+)
 from .linalg import as_complex_matrix, elementary_symmetric_all, is_skew, pfaffian
 
 __all__ = [
@@ -237,15 +243,6 @@ def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex):
 _U_CHUNK = 8
 
 
-def _haar_u4_chunk(gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 4, 4) Haar U(4) draws by phase-corrected QR of complex Gaussians."""
-    gauss = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
-    u, r = np.linalg.qr(gauss)
-    d = np.einsum("...ii->...i", r).copy()
-    u *= (d / np.abs(d))[:, None, :]
-    return u
-
-
 def _block_minor_coefficients(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-draw coefficients of |Z_01|^2 and |Z_23|^2 in (t1, t2, 2 sqrt(t1 t2)).
 
@@ -312,7 +309,8 @@ def moment_pfaffian_integral(
     trace, pf_sq = t1 + t2, t1 * t2
 
     def numerator(gen, b):
-        coef_01, coef_23 = _block_minor_coefficients(_haar_u4_chunk(gen, b))
+        u = sample_unitary_columns(4, 4, b, gen)
+        coef_01, coef_23 = _block_minor_coefficients(u)
         p, q = coef_01 @ radial_basis, coef_23 @ radial_basis
         fg = np.ones((b, t_weights.size), dtype=complex)
         for gi in query.g:

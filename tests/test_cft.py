@@ -49,6 +49,44 @@ def per_pair_minor_dets(o_batch, pairs):
     return out
 
 
+def rejection_bosonic_z(n_colour, rng, count):
+    """Two-flavour bosonic draws by rejection, for N >= 6.
+
+    The three entries of the symmetric Z are proposed uniformly on the unit
+    disc and accepted with probability det^{N/2-3}(1 - Z Z^dagger), a valid
+    thinning because the exponent is non-negative.  Kept as the oracle for
+    the COE-block sampler.
+    """
+    assert n_colour >= 6
+    gen = rng.generator()
+    iu = np.triu_indices(2)
+    kept, got = [], 0
+    while got < count:
+        m = max(4 * (count - got), 256)
+        r = np.sqrt(gen.random((m, 3)))
+        theta = gen.random((m, 3)) * 2.0 * np.pi
+        entries = r * np.exp(1j * theta)
+        z = np.zeros((m, 2, 2), dtype=complex)
+        z[:, iu[0], iu[1]] = entries
+        z[:, iu[1], iu[0]] = entries
+        sv = np.linalg.svd(z, compute_uv=False)
+        inside = sv[:, 0] < 1.0
+        accept = np.zeros(m, dtype=bool)
+        dens = np.prod(1.0 - sv[inside] ** 2, axis=1) ** (n_colour / 2.0 - 3.0)
+        accept[inside] = gen.random(inside.sum()) < dens
+        kept.append(z[accept])
+        got += int(accept.sum())
+    return np.concatenate(kept)[:count]
+
+
+def bosonic_statistics(z):
+    """Per-draw tr ZZ^dagger, its square, |det Z|^2, top sv, bottom sv^2."""
+    sv = np.linalg.svd(z, compute_uv=False)
+    trace = (sv**2).sum(axis=1)
+    det_sq = np.prod(sv**2, axis=1)
+    return np.stack([trace, trace**2, det_sq, sv[:, 0], sv[:, -1] ** 2], axis=1)
+
+
 class TestConstants:
     def test_fermionic_closed_form_single_flavour(self):
         for n_colour in (1, 3, 7):
@@ -130,15 +168,36 @@ class TestBosonicSampler:
         se = r.std() / np.sqrt(r.size)
         assert abs(r.mean() - num / den) <= 3 * se
 
-    def test_two_flavour_rejection_contracts(self):
-        z = sample_bosonic_z(BosonicMeasure(6, 2), RngStream(9), 500)
-        np.testing.assert_allclose(z, np.transpose(z, (0, 2, 1)))
+    @pytest.mark.parametrize("n_colour", [5, 6])
+    def test_two_flavour_draws_are_symmetric_contractions(self, n_colour):
+        # N = 5 = 2n + 1 has density exponent -1/2
+        z = sample_bosonic_z(BosonicMeasure(n_colour, 2), RngStream(9), 500)
+        assert z.shape == (500, 2, 2)
+        np.testing.assert_allclose(z, np.transpose(z, (0, 2, 1)), atol=1e-15)
         sv = np.linalg.svd(z, compute_uv=False)
         assert sv.max() < 1.0
 
-    def test_rejection_needs_nonnegative_exponent(self):
-        with pytest.raises(DomainError):
-            sample_bosonic_z(BosonicMeasure(5, 2), RngStream(10), 10)
+    @pytest.mark.parametrize(
+        "n_colour, n_flavour", [(4, 1), (5, 2), (6, 2), (7, 3), (14, 4)]
+    )
+    def test_mean_trace_is_exact(self, n_colour, n_flavour):
+        # E tr Z Z^dagger = n(n+1)/N for the n x n block of COE(N - 1)
+        measure = BosonicMeasure(n_colour, n_flavour)
+        z = sample_bosonic_z(measure, RngStream(11), 100_000)
+        trace = np.einsum("bij,bij->b", z, np.conj(z)).real
+        se = trace.std(ddof=1) / np.sqrt(trace.size)
+        exact = n_flavour * (n_flavour + 1) / n_colour
+        assert abs(trace.mean() - exact) <= 4 * se
+
+    def test_two_flavour_statistics_match_rejection_oracle(self):
+        draws = 100_000
+        coe = bosonic_statistics(
+            sample_bosonic_z(BosonicMeasure(6, 2), RngStream(12), draws)
+        )
+        ref = bosonic_statistics(rejection_bosonic_z(6, RngStream(13), draws))
+        se = np.hypot(coe.std(axis=0, ddof=1), ref.std(axis=0, ddof=1))
+        z = (coe.mean(axis=0) - ref.mean(axis=0)) / (se / np.sqrt(draws))
+        assert np.abs(z).max() <= 4.0
 
     def test_integrability_bound(self):
         with pytest.raises(DomainError):

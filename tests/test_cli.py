@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -32,6 +33,26 @@ class TestParsing:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pfaffian", "--matrix", "[[0, 1], [-1, 0]]"],
+            ["moment", "--n", "1", "--z", "2", "--g", "1", "--method", "closed"],
+            ["moment", "--n", "2", "--m", "2", "--z", "0.9,0.4", "--g", "0.6,1.2",
+             "--method", "pfaffian"],
+            ["jacobi", "--n", "2", "--a", "0", "--b", "0", "--lambda", "1.5",
+             "--gamma", "1.2"],
+            ["ginibre-check", "--n", "1", "--lambda", "1", "--gamma", "1",
+             "--samples", "1000"],
+        ],
+        ids=["pfaffian", "moment-closed", "moment-pfaffian", "jacobi", "ginibre"],
+    )
+    def test_worker_count_below_one_is_usage_error(self, argv, workers):
+        code, out, err = invoke(argv + ["--workers", workers])
+        assert code == 2 and out == ""
+        assert "--workers" in err
 
 
 class TestPfaffian:
@@ -78,6 +99,15 @@ class TestMoment:
         rec = json.loads(out)
         assert rec["std_error"] > 0
         assert abs(rec["value"]["re"] - 5.0) <= 3 * rec["std_error"]
+
+    def test_record_names_the_worker_count(self):
+        # the mc value depends on the shard count, so the record states it
+        argv = ["moment", "--n", "2", "--z", "1.3", "--g", "0.5,0.8", "--method",
+                "mc", "--samples", "2000", "--seed", "0", "--workers"]
+        one, two = (json.loads(invoke(argv + [w])[1]) for w in ("1", "2"))
+        assert list(one)[list(one).index("seed") + 1] == "workers"
+        assert (one["workers"], two["workers"]) == (1, 2)
+        assert one["value"] != two["value"]
 
 
 class TestHaarMoment:
@@ -226,6 +256,18 @@ class TestVerifyCft:
         assert code == 0
         rec = json.loads(out)
         assert rec["passed"] is True and len(rec["rows"]) == 3
+
+    @pytest.mark.parametrize("colors, flavors", [("5", "2"), ("14", "4")])
+    def test_bosonic_variant_covers_every_valid_size(self, colors, flavors):
+        # N = 2n + 1 has density exponent -1/2; (14, 4) is far from the
+        # region a rejection sampler can reach
+        started = time.perf_counter()
+        code, out, _ = invoke(
+            ["verify-cft", "--variant", "bosonic", "--colors", colors,
+             "--flavors", flavors, "--samples", "10", "--probes", "2"]
+        )
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert time.perf_counter() - started < 5.0
 
     def test_byte_identical_reruns(self):
         argv = ["verify-cft", "--variant", "son", "--colors", "2",

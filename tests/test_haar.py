@@ -10,6 +10,7 @@ from ocft.haar import (
     sample_orthogonal_batch,
     sample_special_orthogonal,
     sample_special_orthogonal_batch,
+    sample_unitary_columns,
     stream_mean,
 )
 
@@ -64,11 +65,29 @@ class TestSamplers:
         se = np.sqrt(np.maximum(total_sq / samples - mean**2, 0) / samples)
         assert (np.abs(mean) <= 3 * se).all()
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (7, 3)])
+    def test_unitary_columns_are_orthonormal(self, m, n):
+        q = sample_unitary_columns(m, n, 200, RngStream(8))
+        assert q.shape == (200, m, n)
+        gram = np.conj(np.transpose(q, (0, 2, 1))) @ q
+        np.testing.assert_allclose(gram - np.eye(n), 0.0, atol=1e-12)
+
+    def test_unitary_entry_moments(self):
+        # Haar U(m): E u_11 = 0, which needs the phase fix, and E|u_11|^2 = 1/m
+        m = 5
+        u = sample_unitary_columns(m, 2, 200_000, RngStream(9))[:, 0, 0]
+        assert abs(u.mean()) <= 4 * np.abs(u).std(ddof=1) / np.sqrt(u.size)
+        r = np.abs(u) ** 2
+        assert abs(r.mean() - 1.0 / m) <= 4 * r.std(ddof=1) / np.sqrt(r.size)
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             sample_orthogonal(0, RngStream(0))
         with pytest.raises(DimensionError):
             sample_special_orthogonal(0, RngStream(0))
+        for m, n in ((0, 0), (2, 0), (2, 3)):
+            with pytest.raises(DimensionError):
+                sample_unitary_columns(m, n, 1, RngStream(0))
 
     def test_stream_reproducibility(self):
         a = sample_orthogonal(4, RngStream(7, 3))
