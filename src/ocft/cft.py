@@ -31,7 +31,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._quad import integrate_half_line
 from .errors import ConfigError, DomainError
 from .grassmann import (
     MAX_GENERATORS,
@@ -43,12 +42,13 @@ from .grassmann import (
 )
 from .haar import (
     RngStream,
+    _as_generator,
     sample_orthogonal_batch,
     sample_special_orthogonal_batch,
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import log_gamma
+from .linalg import log_beta, log_gamma
 
 __all__ = [
     "BosonicMeasure",
@@ -90,27 +90,22 @@ def c0_fermionic_closed_form(n_colour: int, n_flavour: int) -> float:
     return math.exp(log_val)
 
 
-def c0_fermionic_selfconsistent(
-    n_colour: int, n_flavour: int, radial_nodes: int = 256
-) -> float:
+def c0_fermionic_selfconsistent(n_colour: int, n_flavour: int) -> float:
     """Inverse total mass of the fermionic flavour measure, flat convention.
 
     The flat measure is the product of dRe dIm over independent strict
     upper-triangle entries.  For n = 1 the space is zero dimensional; for
     n = 2 a single complex entry a remains and det(1 + Z Z^dagger) =
-    (1 + |a|^2)^2, so the mass is pi * integral (1+r)^{-(N+2)} dr.  This
-    value, not the closed form, normalises the verification integrals
-    (they coincide; see ``normalization_audit``).
+    (1 + |a|^2)^2, so the mass is pi * integral (1+r)^{-(N+2)} dr
+    = pi B(1, N+1).  This value, not the closed form, normalises the
+    verification integrals (they coincide; see ``normalization_audit``).
     """
     if n_colour < 1 or n_flavour < 1:
         raise DomainError("need N >= 1 and n >= 1")
     if n_flavour == 1:
         return 1.0
     if n_flavour == 2:
-        mass = math.pi * integrate_half_line(
-            lambda r: (1.0 + r) ** (-(n_colour + 2.0)), radial_nodes
-        )
-        return 1.0 / float(mass)
+        return math.exp(-log_beta(1.0, n_colour + 1.0)) / math.pi
     raise ConfigError("explicit parametrization implemented for n <= 2")
 
 
@@ -128,25 +123,17 @@ def c0_bosonic_closed_form(n_colour: int, n_flavour: int) -> float:
     return val
 
 
-def c0_bosonic_selfconsistent(
-    n_colour: int, n_flavour: int, radial_nodes: int = 256
-) -> float:
+def c0_bosonic_selfconsistent(n_colour: int, n_flavour: int) -> float:
     """Inverse total mass of the bosonic flavour measure, flat convention.
 
     Implemented for n = 1, where the mass is
-    pi * integral_0^1 (1-r)^{N/2-2} dr.
+    pi * integral_0^1 (1-r)^{N/2-2} dr = pi B(1, N/2 - 1).
     """
     if n_colour <= 2 * n_flavour:
         raise DomainError(f"need N > 2n, got N={n_colour}, n={n_flavour}")
     if n_flavour != 1:
         raise ConfigError("explicit parametrization implemented for n = 1")
-    from numpy.polynomial.legendre import leggauss
-
-    # substitute r = 1 - s^2 so the half-power endpoint (odd N) is smooth
-    x, w = leggauss(radial_nodes)
-    s = 0.5 * (x + 1.0)
-    mass = math.pi * float((0.5 * w) @ (2.0 * s * s ** (n_colour - 4.0)))
-    return 1.0 / mass
+    return math.exp(-log_beta(1.0, n_colour / 2.0 - 1.0)) / math.pi
 
 
 def normalization_audit(n_colour: int, n_flavour: int = 2) -> dict:
@@ -210,7 +197,7 @@ def sample_fermionic_z(measure: FermionicMeasure, rng, count: int = 1) -> np.nda
     n = 1 is the zero matrix; n = 2 samples the single complex entry exactly
     through the radial inverse CDF of (1+r)^{-(N+2)}.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _as_generator(rng)
     n = measure.n_flavour
     if n == 1:
         return np.zeros((count, 1, 1), dtype=complex)
@@ -455,10 +442,9 @@ def rhs_mc_coefficients(
 ) -> dict[int, tuple[complex, float]]:
     """Monte-Carlo estimate of the flavour-side coefficients, n <= 2.
 
-    Provided as the sampling route the exact table replaces; note the
-    top-coefficient estimator has infinite variance at N = 1 (the measure
-    is too heavy-tailed there), so the exact table is what verification
-    uses by default.
+    Kept as the sampling oracle for :func:`rhs_exact_coefficients`, which is
+    what verification uses; note the top-coefficient estimator has infinite
+    variance at N = 1 (the measure is too heavy-tailed there).
     """
     if n_flavour == 1:
         return {0: (1.0, 0.0)}
@@ -561,27 +547,21 @@ def verify_fermionic_cft(
     samples: int,
     rng: RngStream,
     threshold: float = DEFAULT_THRESHOLD,
-    rhs_method: str = "exact",
     workers: int = 1,
 ) -> VerificationReport:
     """Coefficient-wise comparison of the two sides of the fermionic identity.
 
     The colour side is Haar Monte Carlo over O(N); the flavour side is the
-    exact radial reduction by default (``rhs_method="mc"`` samples it
-    instead).  Coefficients absent from both sides are identically zero
-    and not listed; the constant monomial must match exactly.
+    exact radial reduction (:func:`rhs_exact_coefficients`).  Coefficients
+    absent from both sides are identically zero and not listed; the
+    constant monomial must match exactly.
     """
     if n_colour * n_flavour > MAX_GENERATORS // 2:
         raise ConfigError(
             f"N*n = {n_colour * n_flavour} exceeds the cap of {MAX_GENERATORS // 2}"
         )
     # the flavour side rejects n >= 3 before the colour side samples anything
-    if rhs_method == "exact":
-        rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
-    elif rhs_method == "mc":
-        rhs = rhs_mc_coefficients(n_colour, n_flavour, samples, rng.substream(997))
-    else:
-        raise ConfigError(f"unknown rhs_method {rhs_method!r}")
+    rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
     lhs = lhs_coefficient_means(
         n_colour, n_flavour, samples, rng, group="O", workers=workers
     )
@@ -597,7 +577,6 @@ def verify_fermionic_cft(
     report = VerificationReport(
         "fermionic", n_colour, n_flavour, samples, threshold, rows
     )
-    report.extras["rhs_method"] = rhs_method
     if n_flavour == 2:
         report.extras["normalization_audit"] = normalization_audit(n_colour)
     return report

@@ -136,12 +136,17 @@ def elementary_symmetric(values, l: int) -> float:
 
 
 def elementary_symmetric_all(values) -> np.ndarray:
-    """All elementary symmetric polynomials S^0..S^n as a vector."""
-    v = np.asarray(values, dtype=float).ravel()
-    coeffs = np.zeros(v.size + 1)
-    coeffs[0] = 1.0
-    for k, x in enumerate(v):
-        coeffs[1:k + 2] += x * coeffs[:k + 1].copy()
+    """All elementary symmetric polynomials S^0..S^n of each row.
+
+    ``values`` is a vector or a (..., n) stack of rows; the result has shape
+    (..., n + 1).
+    """
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    n = v.shape[-1]
+    coeffs = np.zeros(v.shape[:-1] + (n + 1,))
+    coeffs[..., 0] = 1.0
+    for k in range(n):
+        coeffs[..., 1:k + 2] += v[..., k:k + 1] * coeffs[..., :k + 1].copy()
     return coeffs
 
 

@@ -6,14 +6,18 @@ Three routes to the same quantity, used to cross-check each other:
                                  polynomials of the squared singular values,
                                  sum_l binom(N, l)^{-1} |z|^{2(N-l)} S^l(G^2);
 * ``moment_pfaffian_integral``-- flavour-space integral of a product of
-                                 Pfaffian kernels (radial quadrature, plus a
+                                 Pfaffian kernels over the m squared block
+                                 radii of the skew flavour matrix (plus a
                                  compact-group average at m = 2 for complex z);
 * ``moment_mc``               -- brute-force Haar average of the determinant.
 
-The flavour-space integral carries an overall constant that is fixed
-numerically by the G = 0 calibration point F_0(z) = |z|^{2Nm}: the same
-integral is evaluated with G and with the calibration pair on identical
-nodes and only the ratio is reported.
+m = 1 and m = 2 share one path: a tensor grid over the block radii
+(``_radial_grid``), the canonical skew matrices on it
+(``_skew_sigma_blocks``) and batched kernel Pfaffians (``_pf_product``).
+The flavour-space integral carries an overall constant that is fixed by
+the G = 0 calibration point F_0(1) = 1: the same integral is evaluated with
+G and with the calibration pair on identical nodes and only the ratio is
+reported.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .haar import (
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import as_complex_matrix, elementary_symmetric_all, is_skew, pfaffian
+from .linalg import as_complex_matrix, elementary_symmetric_all, is_skew
 
 __all__ = [
     "MomentQuery",
@@ -105,36 +109,10 @@ def build_pf_kernel(z_skew, g: float, z: complex, m: int) -> np.ndarray:
         raise ShapeError(f"flavour matrix must be {2 * m}x{2 * m}, got {zm.shape}")
     if not is_skew(zm):
         raise ShapeError("flavour matrix must be skew-symmetric")
-    d = np.kron(np.diag([z, np.conj(z)]), np.eye(m))
-    k = np.zeros((4 * m, 4 * m), dtype=complex)
-    k[: 2 * m, : 2 * m] = g**2 * zm
-    k[: 2 * m, 2 * m :] = d
-    k[2 * m :, : 2 * m] = -d
-    k[2 * m :, 2 * m :] = zm.conj().T
-    return k
+    return _kernel_batch(zm[None], g, z, m)[0]
 
 
-# -- m = 1: one radial parameter, straight quadrature --------------------
-
-
-def _m1_ratio(query: MomentQuery, z0: complex, nodes: int) -> float:
-    """Ratio of the radial kernel-product integral at (G, z) to (0, z0)."""
-    n = query.n
-    r, w = half_line_nodes(nodes)
-    weight = w * (1.0 + r) ** (-(n + 2))
-    num = np.ones_like(r, dtype=complex)
-    den = np.ones_like(r, dtype=complex)
-    for k, rk in enumerate(r):
-        a = np.sqrt(rk)
-        zmat = np.array([[0.0, a], [-a, 0.0]], dtype=complex)
-        for gi in query.g:
-            num[k] *= pfaffian(build_pf_kernel(zmat, gi, query.z, 1))
-            den[k] *= pfaffian(build_pf_kernel(zmat, 0.0, z0, 1))
-    ratio = (num @ weight) / (den @ weight)
-    return float(ratio.real)
-
-
-# -- m = 2: polar decomposition of the six complex parameters -------------
+# -- polar decomposition of the skew flavour matrix -------------------------
 
 
 def _perfect_matchings(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,34 +163,43 @@ def _kernel_batch(z_batch: np.ndarray, g: float, z: complex, m: int) -> np.ndarr
     return k
 
 
-def _skew_sigma_blocks(t_pairs: np.ndarray) -> np.ndarray:
-    """(K, 4, 4) canonical skew matrices with 2x2 blocks of radii sqrt(t)."""
-    k = t_pairs.shape[0]
-    sig = np.zeros((k, 4, 4), dtype=complex)
-    s1 = np.sqrt(t_pairs[:, 0])
-    s2 = np.sqrt(t_pairs[:, 1])
-    sig[:, 0, 1], sig[:, 1, 0] = s1, -s1
-    sig[:, 2, 3], sig[:, 3, 2] = s2, -s2
+def _skew_sigma_blocks(t: np.ndarray) -> np.ndarray:
+    """(K, 2m, 2m) canonical skew matrices with 2x2 blocks of radii sqrt(t)."""
+    k, m = t.shape
+    sig = np.zeros((k, 2 * m, 2 * m), dtype=complex)
+    s = np.sqrt(t)
+    even = 2 * np.arange(m)
+    sig[:, even, even + 1], sig[:, even + 1, even] = s, -s
     return sig
 
 
-def _m2_grid(query_n: int, radial_nodes: int):
-    """Tensor quadrature grid over the two squared block radii (t1, t2).
+# Gauss-Legendre nodes per block radius of the m-th moment's grid
+_GRID_NODES = {1: 128, 2: 32}
 
-    The flat measure on complex skew 4x4 matrices factorises under the
+
+def _radial_grid(query_n: int, m: int):
+    """Tensor quadrature grid over the m squared block radii t_1..t_m.
+
+    The flat measure on complex skew 2m x 2m matrices factorises under the
     Youla decomposition Z = U Sigma U^T as
 
-        dZ dZ^dagger = const * (t1 - t2)^4 dt1 dt2 * dHaar(U),
+        dZ dZ^dagger = const * prod_{i<j} (t_i - t_j)^4 prod_i dt_i * dHaar(U),
 
-    with t_i the squared block radii (det(1 + Z Z^dagger) = (1+t1)^2 (1+t2)^2).
-    The returned weights fold in the Jacobian and the measure density.
+    with t_i the squared block radii (det(1 + Z Z^dagger) = prod (1+t_i)^2),
+    and the flavour density is prod_i (1+t_i)^{-(N+4m-2)}.  Returns the
+    (K, m) nodes and weights that fold in the Jacobian and the density.
     """
-    r, w = half_line_nodes(radial_nodes)
-    t1, t2 = np.meshgrid(r, r, indexing="ij")
-    w2 = np.outer(w, w)
-    dens = (t1 - t2) ** 4 * ((1.0 + t1) * (1.0 + t2)) ** (-(query_n + 6.0))
-    t_pairs = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    return t_pairs, (w2 * dens).ravel()
+    r, w = half_line_nodes(_GRID_NODES[m])
+
+    def tensor(x):
+        return np.stack([c.ravel() for c in np.meshgrid(*([x] * m), indexing="ij")], 1)
+
+    t = tensor(r)
+    dens = np.prod(1.0 + t, axis=1) ** (-(query_n + 4.0 * m - 2.0))
+    for i in range(m):
+        for j in range(i + 1, m):
+            dens = (t[:, i] - t[:, j]) ** 4 * dens
+    return t, np.prod(tensor(w), axis=1) * dens
 
 
 def _pf_product(z_batch: np.ndarray, g_values, z: complex, m: int) -> np.ndarray:
@@ -265,20 +252,18 @@ def _block_minor_coefficients(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def moment_pfaffian_integral(
     query: MomentQuery,
     rng: RngStream | None = None,
-    nodes: int = 128,
     samples: int = 1000,
-    radial_nodes: int = 32,
 ) -> Estimate:
     """Flavour-space Pfaffian-product integral for F_G(z), m <= 2.
 
-    m = 1 reduces to one radial parameter and is integrated by
-    Gauss-Legendre.  m = 2 uses the polar decomposition Z = U Sigma U^T of
-    the skew flavour matrix: the two block radii are integrated by tensor
-    Gauss-Legendre quadrature with the exact (t1 - t2)^4 radial Jacobian.
-    For real z the kernel product is invariant under the unitary factor, so
-    the radial quadrature is the whole integral (zero standard error); for
-    complex z the compact factor is averaged by Haar Monte Carlo over
-    ``samples`` U(4) draws, which keeps every random quantity bounded.
+    Uses the polar decomposition Z = U Sigma U^T of the skew flavour
+    matrix: the m block radii are integrated by tensor Gauss-Legendre
+    quadrature with the exact radial Jacobian (:func:`_radial_grid`).  At
+    m = 1, and at m = 2 for real z, the kernel product is invariant under
+    the unitary factor, so the radial quadrature is the whole integral
+    (zero standard error); for complex z at m = 2 the compact factor is
+    averaged by Haar Monte Carlo over ``samples`` U(4) draws, which keeps
+    every random quantity bounded.
     There each kernel Pfaffian is evaluated in closed form
     (:func:`_m2_kernel_pfaffian`): it depends on U only through
     |Z_01|^2 and |Z_23|^2, which are per-draw combinations of two 2x2
@@ -289,22 +274,18 @@ def moment_pfaffian_integral(
     """
     if query.m > 2:
         raise ConfigError("flavour-space integral implemented for m <= 2 only")
-    z0 = complex(query.z) if abs(query.z) > 1e-8 else 1.0 + 0.0j
-    if query.m == 1:
-        scale = abs(z0) ** (2 * query.n)
-        return Estimate(scale * _m1_ratio(query, z0, nodes), 0.0, 0)
+    radii, t_weights = _radial_grid(query.n, query.m)
+    sigma = _skew_sigma_blocks(radii)
+    den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, query.m) @ t_weights)
 
-    t_pairs, t_weights = _m2_grid(query.n, radial_nodes)
-    sigma = _skew_sigma_blocks(t_pairs)
-    den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, 2) @ t_weights)
-
-    if abs(complex(query.z).imag) < 1e-14:
-        num = complex(_pf_product(sigma, query.g, query.z.real, 2) @ t_weights)
+    z = query.z.real if abs(query.z.imag) < 1e-14 else query.z
+    if query.m == 1 or z.imag == 0.0:
+        num = complex(_pf_product(sigma, query.g, z, query.m) @ t_weights)
         return Estimate((num / den).real, 0.0, 0)
 
     if rng is None:
         raise ConfigError("complex z at m = 2 needs an RngStream for the U-average")
-    t1, t2 = t_pairs[:, 0], t_pairs[:, 1]
+    t1, t2 = radii[:, 0], radii[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
     trace, pf_sq = t1 + t2, t1 * t2
 

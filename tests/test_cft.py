@@ -107,7 +107,7 @@ class TestConstants:
     def test_normalization_audit_ratio_is_one(self):
         for n_colour in (2, 4, 6):
             audit = normalization_audit(n_colour)
-            assert audit["ratio"] == pytest.approx(1.0, rel=1e-10)
+            assert audit["ratio"] == pytest.approx(1.0, rel=1e-14)
 
     def test_bosonic_closed_form(self):
         assert c0_bosonic_closed_form(4, 1) == pytest.approx(1.0 / math.pi, rel=1e-12)
@@ -118,7 +118,7 @@ class TestConstants:
     def test_bosonic_selfconsistent_matches_closed_form(self):
         for n_colour in (4, 5, 6, 8):
             assert c0_bosonic_selfconsistent(n_colour, 1) == pytest.approx(
-                c0_bosonic_closed_form(n_colour, 1), rel=1e-10
+                c0_bosonic_closed_form(n_colour, 1), rel=1e-14
             )
 
 
@@ -130,6 +130,10 @@ class TestFermionicSampler:
     def test_three_flavours_rejected(self):
         with pytest.raises(ConfigError):
             sample_fermionic_z(FermionicMeasure(4, 3), RngStream(5), 10)
+
+    def test_rejects_unsupported_rng(self):
+        with pytest.raises(ConfigError):
+            sample_fermionic_z(FermionicMeasure(2, 2), "x", 3)
 
     def test_two_flavour_radial_moment(self):
         n_colour = 4
@@ -297,12 +301,6 @@ class TestFermionicVerification:
         # the only non-constant monomial compares E[O] over O(1) with 0
         other = [r for r in report.rows if r.mask != 0]
         assert len(other) == 1 and other[0].rhs == 0.0
-
-    def test_mc_rhs_route(self):
-        report = verify_fermionic_cft(
-            2, 2, 150_000, RngStream(17), rhs_method="mc"
-        )
-        assert report.passed
 
     def test_size_cap(self):
         with pytest.raises(ConfigError):

@@ -169,6 +169,33 @@ class TestGinibreCheck:
         assert code == 0 and rec["passed"]
         assert rec["pipeline_rel_err"] <= 1e-12
 
+    def test_size_cap_gives_a_finite_verdict(self):
+        from ocft.jacobi import MAX_GINIBRE_N
+
+        argv = ["ginibre-check", "--lambda", "1", "--gamma", "1", "--samples", "2000",
+                "--seed", "1", "--n"]
+        code, out, _ = invoke(argv + [str(MAX_GINIBRE_N)])
+        rec = json.loads(out)
+        assert code == 0 and rec["passed"]
+        assert math.isfinite(rec["mc_std_error"]) and rec["mc_std_error"] > 0.0
+        assert rec["pipeline_rel_err"] <= 1e-12
+        code, out, _ = invoke(argv + [str(MAX_GINIBRE_N + 1)])
+        assert code == 2 and out == ""
+
+    def test_non_finite_std_error_fails(self, monkeypatch):
+        # z = 0 against an infinite standard error is no evidence of a match
+        from ocft import cli
+        from ocft.haar import Estimate
+
+        monkeypatch.setattr(
+            cli, "ginibre_mc", lambda lam, gam, n, samples, rng: Estimate(2.5, math.inf, samples)
+        )
+        code, out, _ = invoke(
+            ["ginibre-check", "--n", "2", "--lambda", "1", "--gamma", "1", "--samples", "100"]
+        )
+        rec = json.loads(out)
+        assert code == 3 and not rec["passed"] and rec["mc_z_score"] == 0.0
+
 
 class TestVerifyCft:
     def test_fermionic_small(self):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ocft._quad import half_line_moments
 from ocft.errors import ConfigError, DomainError
-from ocft.haar import RngStream
-from ocft.jacobi import MAX_GINIBRE_N, _gaussian_weight, _inner_moments
+from ocft.haar import RngStream, stream_mean
+from ocft.jacobi import _gaussian_weight, _inner_moments
 from ocft.jacobi import (
     JacobiQuery,
     alpha_entry,
@@ -192,11 +193,26 @@ class TestGinibre:
             assert pipe == pytest.approx(ginibre_closed(lg, 1.0, n), rel=1e-12)
 
     def test_pipeline_size_cap(self):
-        assert ginibre_pipeline(1.0, 1.0, MAX_GINIBRE_N) == pytest.approx(
-            ginibre_closed(1.0, 1.0, MAX_GINIBRE_N), rel=1e-10
-        )
+        # exact up to N = 166; the float Aomoto moments overflow at N = 167
+        for lg in (0.5, 1.0, 2.0, 1.0 + 2.0j, 10.0):
+            assert ginibre_pipeline(lg, 1.0, 166) == pytest.approx(
+                ginibre_closed(lg, 1.0, 166), rel=1e-12
+            )
         with pytest.raises(ConfigError):
-            ginibre_pipeline(1.0, 1.0, MAX_GINIBRE_N + 1)
+            ginibre_pipeline(1.0, 1.0, 167)
+
+    def test_mc_det_scaling_is_exact(self):
+        # dets scaled by a power of two give the unscaled ratio bit for bit
+        n, samples = 6, 500
+        eye = np.eye(n)
+
+        def values(gen, b):
+            mats = gen.standard_normal((b, n, n))
+            num = np.linalg.det(eye - mats) * np.linalg.det(2.0 * eye - mats)
+            return np.stack([num, np.linalg.det(mats) ** 2], axis=1)
+
+        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3))
+        assert ginibre_mc(1.0, 2.0, n, samples, RngStream(3)).mean == mean_n / mean_d
 
     def test_mc_matches_closed(self):
         est = ginibre_mc(1.0, 1.0, 2, 150_000, RngStream(7))
@@ -228,6 +244,19 @@ class TestGinibre:
         truncated = s(lg) / s(0.0)
         assert abs(truncated - 2.0) > 0.25  # far from the exact ratio
         assert ginibre_pipeline(1.0, 1.0, 1) == pytest.approx(2.0, rel=1e-8)
+
+
+class TestHalfLineMoments:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_adaptive_quadrature(self, n):
+        exact = half_line_moments(n)
+        assert exact.shape == (n + 1,)
+        for k in range(n + 1):
+            ref, _ = integrate.quad(
+                lambda r: r**k * (1.0 + r) ** (-(n + 2.0)), 0.0, np.inf,
+                epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            assert exact[k] == pytest.approx(ref, rel=1e-12)
 
 
 class TestGaussianInnerMoments:

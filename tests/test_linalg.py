@@ -87,6 +87,12 @@ class TestElementarySymmetric:
                 linalg.elementary_symmetric(v, l) * t**l for l in range(9)
             )
             assert total == pytest.approx(np.prod(1.0 + v * t), rel=1e-12)
+        # a (..., n) stack of rows runs the same recurrence row by row
+        rows = rng.standard_normal((2, 5, 8))
+        stacked = linalg.elementary_symmetric_all(rows)
+        assert stacked.shape == (2, 5, 9)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(stacked[idx], linalg.elementary_symmetric_all(rows[idx]))
 
 
 class TestLogGammaBeta:

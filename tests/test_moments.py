@@ -14,9 +14,9 @@ from ocft.moments import (
 )
 from ocft.moments import (
     _kernel_batch,
-    _m2_grid,
     _m2_kernel_pfaffian,
     _pf_product,
+    _radial_grid,
     _skew_sigma_blocks,
 )
 
@@ -126,6 +126,14 @@ class TestKernel:
         expected = pfaffian(g**2 * zm) * pfaffian(zm.conj().T)
         assert pfaffian(k) == pytest.approx(expected, rel=1e-12)
 
+    def test_single_kernel_is_a_batch_row(self):
+        rng = np.random.default_rng(34)
+        for m in (1, 2):
+            stack = np.array([random_skew(2 * m, rng) for _ in range(3)])
+            batch = _kernel_batch(stack, 0.7, 0.5 + 0.2j, m)
+            for zm, row in zip(stack, batch):
+                assert np.array_equal(build_pf_kernel(zm, 0.7, 0.5 + 0.2j, m), row)
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             build_pf_kernel(np.zeros((2, 2)), 1.0, 1.0, 2)
@@ -144,12 +152,12 @@ class TestKernel:
 class TestPfaffianIntegral:
     def test_m1_matches_closed_form(self):
         rng = np.random.default_rng(12)
-        for n in (1, 2, 4):
+        for n in (1, 2, 4, 8, 10):
             z = complex(rng.normal(), rng.normal())
             g = tuple(rng.uniform(0.1, 1.8, size=n))
             q = MomentQuery(z=z, g=g)
             est = moment_pfaffian_integral(q)
-            assert est.mean.real == pytest.approx(moment_m1_closed(q), rel=1e-8)
+            assert est.mean.real == pytest.approx(moment_m1_closed(q), rel=1e-12)
             assert est.std_error == 0.0
 
     def test_m1_zero_z(self):
@@ -210,13 +218,13 @@ class TestPfaffianIntegral:
             moment_pfaffian_integral(MomentQuery(z=1.0j, g=(1.0,), m=2))
 
 
-def explicit_u_average(query, rng, samples, radial_nodes=32, u_chunk=8):
+def explicit_u_average(query, rng, samples, u_chunk=8):
     """The complex-z m = 2 route with every Z = U Sigma U^T and 8x8 kernel built.
 
     Same U(4) draws, in the same order, as ``moment_pfaffian_integral``;
     kept as the oracle for its closed-form kernel Pfaffians.
     """
-    t_pairs, t_weights = _m2_grid(query.n, radial_nodes)
+    t_pairs, t_weights = _radial_grid(query.n, 2)
     sigma = _skew_sigma_blocks(t_pairs)
     den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, 2) @ t_weights)
     gen = rng.generator()
