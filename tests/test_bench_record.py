@@ -1,0 +1,73 @@
+"""scripts/bench_record.py against stub checkouts whose benchmark echoes its arguments."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+# A stand-in for perfbench/run.py: wall_s = OFFSET + seed, and one op of the
+# three fails on "jacobi"; a record line comes before the summary line, and
+# every run is logged to runs.log in the checkout.  Each run takes well under
+# a second, whatever --seconds says.
+STUB = """
+import argparse, json
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag)
+a = p.parse_args()
+with open("runs.log", "a") as log:
+    log.write(f"{a.workload} {a.seed} {a.trace} {a.seconds}\\n")
+if a.trace == "1":
+    metrics = {"haar.sample.calls": {"value": OFFSET + 10, "unit": "count"}}
+else:
+    metrics = {"wall_s": {"value": OFFSET + int(a.seed), "unit": "s"}}
+failed = int(a.workload == "jacobi")
+print(json.dumps({"workload": a.workload}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}))
+"""
+
+
+def make_checkout(root: Path, offset: float) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB.replace("OFFSET", repr(offset)))
+    return root
+
+
+def test_medians_per_column_and_interleaved_order(tmp_path):
+    parent = make_checkout(tmp_path / "parent", 0.0)
+    change = make_checkout(tmp_path / "change", 0.5)
+    out = tmp_path / "BENCH_7.json"
+    assert bench_record.main([f"parent={parent}", f"change={change}", "--pr", "7",
+                              "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["pr"] == 7 and result["seeds"] == [41, 42, 43]
+    assert set(result["columns"]) == {"parent", "change"}
+    assert set(result["workloads"]) == {"identity", "moments", "jacobi"}
+    moments = result["workloads"]["moments"]
+    assert moments["parent"]["metrics"] == {"wall_s": 42.0, "haar.sample.calls": 10.0}
+    assert moments["change"]["metrics"] == {"wall_s": 42.5, "haar.sample.calls": 10.5}
+    assert moments["change"]["runs"] == 6 and moments["change"]["correct"]
+    assert moments["parent"]["fail_ratio"] == 0.0
+    assert result["workloads"]["jacobi"]["parent"]["fail_ratio"] == pytest.approx(1 / 3)
+    # both traces at every seed, at the benchmark's run length, in each checkout
+    log = (parent / "runs.log").read_text().split("\n")[:-1]
+    assert log[:6] == [f"identity {seed} {trace} 30" for seed in (41, 42, 43)
+                       for trace in (0, 1)]
+
+
+def test_failed_run_raises(tmp_path):
+    checkout = make_checkout(tmp_path / "broken", 0.0)
+    (checkout / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_record.run_benchmark(checkout, "moments", 41, 0)
+
+
+def test_rejects_checkout_without_benchmark(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_record.main([f"parent={tmp_path}", "--pr", "1"])

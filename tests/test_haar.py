@@ -5,6 +5,7 @@ from ocft.errors import ConfigError, DimensionError
 from ocft.haar import (
     Estimate,
     RngStream,
+    _orthonormal_columns,
     mc_expectation,
     sample_orthogonal,
     sample_orthogonal_batch,
@@ -95,6 +96,65 @@ class TestSamplers:
         np.testing.assert_array_equal(a, b)
         c = sample_orthogonal(4, RngStream(7, 4))
         assert np.abs(a - c).max() > 1e-3
+
+
+def _lapack_q(a):
+    """np.linalg.qr's Q, each column scaled by the sign/phase of R_jj."""
+    q, r = np.linalg.qr(a)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _gram_error(q):
+    n = q.shape[-1]
+    return np.abs(np.conj(np.transpose(q, (0, 2, 1))) @ q - np.eye(n)).max()
+
+
+class TestOrthonormalColumns:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_real_matches_sign_corrected_qr(self, n):
+        a = RngStream(50 + n).generator().standard_normal((300, n, n))
+        np.testing.assert_allclose(_orthonormal_columns(a), _lapack_q(a), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 2), (7, 3), (13, 4)])
+    def test_complex_matches_phase_corrected_qr(self, m, n):
+        g = RngStream(60 + m).generator().standard_normal((2, 300, m, n))
+        a = g[0] + 1j * g[1]
+        np.testing.assert_allclose(_orthonormal_columns(a), _lapack_q(a), rtol=0, atol=1e-11)
+
+    def test_ill_conditioned_stack_stays_orthogonal(self):
+        # condition number 1e10: a single classical Gram-Schmidt pass loses all
+        # orthogonality here (max |Q^H Q - I| ~ 1)
+        gen = RngStream(70).generator()
+        n, count = 6, 200
+        u = _lapack_q(gen.standard_normal((count, n, n)))
+        v = _lapack_q(gen.standard_normal((count, n, n)))
+        a = (u * np.logspace(0, -10, n)) @ np.transpose(v, (0, 2, 1))
+        assert np.linalg.cond(a).min() > 0.9e10
+        assert _gram_error(_orthonormal_columns(a)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_zero_column_row_falls_back_to_qr(self, kind):
+        g = RngStream(71).generator().standard_normal((2, 5, 4, 3))
+        a = g[0] + 1j * g[1] if kind == "complex" else g[0]
+        a[2, :, 1] = 0.0
+        q = _orthonormal_columns(a)
+        assert np.isfinite(q).all()
+        assert _gram_error(q) <= 1e-14
+        # the other draws keep their Gram-Schmidt Q
+        rest = [0, 1, 3, 4]
+        np.testing.assert_array_equal(q[rest], _orthonormal_columns(a[rest]))
+        # the zero column's R_jj = 0 keeps LAPACK's column as it is
+        ref, r = np.linalg.qr(a[2])
+        d = np.diag(r)[[0, 2]]
+        ref[:, [0, 2]] *= d / np.abs(d)
+        np.testing.assert_allclose(q[2], ref, rtol=0, atol=1e-14)
+
+    def test_samplers_return_c_contiguous_stacks(self):
+        gen = RngStream(72).generator()
+        assert sample_orthogonal_batch(5, 10, gen).flags.c_contiguous
+        assert sample_special_orthogonal_batch(5, 10, gen).flags.c_contiguous
+        assert sample_unitary_columns(7, 3, 10, gen).flags.c_contiguous
 
 
 class TestMcExpectation:
