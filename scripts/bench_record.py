@@ -13,7 +13,12 @@ Runs are interleaved so that host drift hits every column alike: for each
 of the checkouts flips from one seed to the next.  Each column records the
 checkout's commit (``git describe --always --dirty``, where it is a git
 checkout), and each workload the failed-op share and whether every run was
-correct.
+correct.  From the run records of the ``--trace 0`` runs, which give the
+end-to-end metrics, each column also keeps the median number of untraced
+passes and the median ``peak_rss_mb`` of the first pass: a pass's
+``ru_maxrss`` includes the memory of the runner that spawned it, which grows
+with the passes it holds, so a faster checkout can report a higher
+``peak_rss_mb`` for no change in its own memory.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ SEEDS = (41, 42, 43)
 SECONDS = 30
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The last stdout line of one `perfbench/run.py` run: its summary record."""
+def run_benchmark(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+    """The last two stdout lines of one `perfbench/run.py` run: its run record
+    and its summary record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
@@ -40,7 +46,8 @@ def run_benchmark(checkout: Path, workload: str, seed: int, trace: int) -> dict:
             f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
             f"{proc.stderr[-2000:]}"
         )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    record, summary = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(record), json.loads(summary)
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -52,8 +59,11 @@ def commit_of(checkout: Path) -> str | None:
     return proc.stdout.strip()
 
 
-def summarise(summaries: list[dict]) -> dict:
-    """Per-metric medians, the failed-op share and correctness of a run list."""
+def summarise(runs: list[tuple[dict, dict]]) -> dict:
+    """Per-metric medians, the failed-op share and correctness of a run list,
+    and the untraced pass count and first-pass peak RSS of its untraced runs."""
+    summaries = [summary for _, summary in runs]
+    untraced = [record["passes"] for record, _ in runs if record["trace"] == 0]
     values: dict[str, list[float]] = {}
     for summary in summaries:
         for name, metric in summary["metrics"].items():
@@ -63,6 +73,12 @@ def summarise(summaries: list[dict]) -> dict:
         "correct": all(s["correct"] for s in summaries),
         "fail_ratio": sum(s["failed"] for s in summaries)
         / max(1, sum(s["attempted"] for s in summaries)),
+        "untraced_passes": statistics.median(
+            sum(not p["traced"] for p in passes) for passes in untraced
+        ),
+        "first_pass_peak_rss_mb": statistics.median(
+            passes[0]["peak_rss_mb"] for passes in untraced
+        ),
         "metrics": {name: statistics.median(v) for name, v in sorted(values.items())},
     }
 

@@ -26,6 +26,18 @@ against each other in the tests:
 * the ordered-sector monomial determinant (``mehta_determinant``),
 * a Pfaffian of Beta-function sums (``inner_pfaffian`` / ``alpha_entry``).
 
+The two quadrature routes sum over one Gauss-Legendre product grid on the
+ordered sector g_1 > ... > g_N, mapped from the unit cube by
+g_i = u_1 u_2 ... u_i (``_slab_grid``).  The grid is taken in slabs of fixed
+u_1: with s = g_1^2 every node is x = g^2 = s * y, where
+y_i = (u_2 ... u_i)^2 ranges over the same nodes^{N-1} rows on every slab.
+Then prod_{i<j} |x_i - x_j| = s^{N(N-1)/2} prod_{i<j} |y_i - y_j| and
+e_k(x) = s^k e_k(y), so the moment route builds its Vandermonde and
+e_k(y) rows once and each slab costs one weight evaluation and one
+matrix-vector product; the determinant route evaluates its N x N
+determinants one slab at a time.  Either way no array holds more than one
+slab, nodes^{N-1} points.
+
 Factoring lg^N out of prod_i (lg + r g_i^2) turns the inner weight into
 (1 + c g^2) with c = r / lg; the Pfaffian data (h, k_i, alpha_ij) is
 expressed in terms of c throughout.
@@ -222,36 +234,37 @@ def _gaussian_weight():
     return lambda x: np.exp(-0.5 * x)
 
 
-def _ordered_nodes(n: int, nodes: int, half_line: bool):
-    """Nodes/weights for the descending-ordered sector g_1 > ... > g_n.
+def _slab_grid(n: int, nodes: int | None, half_line: bool):
+    """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
 
     Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k;
     for the half-line the first coordinate is opened up with u -> u/(1-u).
-    Returns (g, w) with g of shape (nodes^n, n), w folding in the map's
-    Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}.
+    Since g_i = g_1 (u_2 ... u_i), the squares factor as x = s * y with
+    s = g_1^2 the slab value and y_i = (u_2 ... u_i)^2 the same on every
+    slab.  Returns (s, ws, y, wy): the ``nodes`` slab values and weights,
+    ws folding in the Jacobian g_1^{n-1} (and 1/(1-u_1)^2 on the
+    half-line), and the nodes^{n-1} rows y of shape (nodes^{n-1}, n) with
+    weights wy folding in prod_{k>=2} u_k^{n-k}.  The node s_a * y_b has
+    weight ws_a * wy_b.
     """
+    if n > MAX_QUADRATURE_N:
+        raise ConfigError(f"nested quadrature capped at N = {MAX_QUADRATURE_N}")
+    nodes = nodes or _INNER_NODES[n]
     x, w = gauss_legendre_01(nodes)
-    cube = np.stack(
-        [gr.ravel() for gr in np.meshgrid(*([x] * n), indexing="ij")], axis=1
-    )
-    weights = np.prod(
-        np.stack(
-            [wg.ravel() for wg in np.meshgrid(*([w] * n), indexing="ij")], axis=1
-        ),
-        axis=1,
-    )
-    u = cube.copy()
+    g1 = x / (1.0 - x) if half_line else x
+    ws = w * g1 ** (n - 1)
     if half_line:
-        u[:, 0] = cube[:, 0] / (1.0 - cube[:, 0])
-        weights = weights / (1.0 - cube[:, 0]) ** 2
-    g = np.cumprod(u, axis=1)
-    jac = u[:, 0] ** (n - 1)
+        ws = ws / (1.0 - x) ** 2
+    # rows (1, u_2, u_2 u_3, ..., u_2 ... u_n) of the row-major product grid
+    ratios, wy = np.ones((1, 1)), np.ones(1)
     for k in range(2, n + 1):
-        jac = jac * cube[:, k - 1] ** (n - k)
-    return g, weights * jac
+        last = np.outer(ratios[:, -1], x).ravel()
+        ratios = np.hstack([np.repeat(ratios, nodes, axis=0), last[:, None]])
+        wy = np.outer(wy, w * x ** (n - k)).ravel()
+    return g1**2, ws, ratios**2, wy
 
 
-def _vandermonde_sq(x: np.ndarray) -> np.ndarray:
+def _abs_vandermonde(x: np.ndarray) -> np.ndarray:
     """prod_{i<j} |x_i - x_j| for descending rows x (positive as written)."""
     n = x.shape[1]
     out = np.ones(x.shape[0])
@@ -267,17 +280,19 @@ def _inner_moments(n: int, weight, half_line: bool, nodes: int | None) -> np.nda
     These moments reconstruct the inner integral for every coefficient at
     once: J(lg; r) = sum_k M_k lg^{n-k} r^k, since
     prod_i (lg + r g_i^2) = sum_k lg^{n-k} r^k e_k(g^2) pointwise.
+
+    On a slab x = s * y of :func:`_slab_grid`, prod|x_i - x_j| =
+    s^{n(n-1)/2} prod|y_i - y_j| and e_k(x) = s^k e_k(y), so the rows
+    wy * prod|y_i - y_j| * e_k(y) are built once, and each slab costs one
+    evaluation of prod_i W(s y_i) and one matrix-vector product with them.
     """
-    if n > MAX_QUADRATURE_N:
-        raise ConfigError(f"nested quadrature capped at N = {MAX_QUADRATURE_N}")
-    nodes = nodes or _INNER_NODES[n]
-    g, w = _ordered_nodes(n, nodes, half_line)
-    x = g**2
-    vand = _vandermonde_sq(x)
-    wprod = np.prod(weight(x), axis=1)
-    ek = elementary_symmetric_all(x)
-    base = w * vand * wprod * math.factorial(n)
-    return base @ ek
+    s, ws, y, wy = _slab_grid(n, nodes, half_line)
+    rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
+    powers = n * (n - 1) // 2 + np.arange(n + 1)
+    total = np.zeros(n + 1)
+    for s_a, w_a in zip(s, ws):
+        total += w_a * s_a**powers * (np.prod(weight(s_a * y), axis=1) @ rows)
+    return math.factorial(n) * total
 
 
 def inner_symmetrized(
@@ -307,20 +322,20 @@ def mehta_determinant(
     the (1 + r g^2) factor; the full pipeline passes c = r / (lambda gamma).
     """
     n = query.n
-    if n > MAX_QUADRATURE_N:
-        raise ConfigError(f"nested quadrature capped at N = {MAX_QUADRATURE_N}")
+    s, ws, y, wy = _slab_grid(n, nodes, False)
     powers = tuple(range(n)) if powers is None else tuple(powers)
     if len(powers) != n:
         raise ConfigError("need one monomial power per matrix row")
-    nodes = nodes or _INNER_NODES[n]
-    g, w = _ordered_nodes(n, nodes, False)
-    x_asc = (g**2)[:, ::-1]  # ascending rows make the default determinant positive
+    y_asc = y[:, ::-1]  # ascending rows make the default determinant positive
     weight = _jacobi_weight(query.a, query.b)
-    fcols = np.stack(
-        [weight(x_asc) * x_asc**p * (1.0 + r * x_asc) for p in powers], axis=2
-    )
-    dets = np.linalg.det(fcols.astype(complex))
-    return complex(math.factorial(n) * (w @ dets))
+    total = 0.0 + 0.0j
+    for s_a, w_a in zip(s, ws):
+        x_asc = s_a * y_asc
+        fcols = np.stack(
+            [weight(x_asc) * x_asc**p * (1.0 + r * x_asc) for p in powers], axis=2
+        )
+        total += w_a * (wy @ np.linalg.det(fcols.astype(complex)))
+    return complex(math.factorial(n) * total)
 
 
 def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:

@@ -13,8 +13,10 @@ spec.loader.exec_module(bench_record)
 
 # A stand-in for perfbench/run.py: wall_s = OFFSET + seed, and one op of the
 # three fails on "jacobi"; a record line comes before the summary line, and
-# every run is logged to runs.log in the checkout.  Each run takes well under
-# a second, whatever --seconds says.
+# every run is logged to runs.log in the checkout.  With --trace 0, seed s
+# makes s - 38 passes whose peak RSS climbs from OFFSET + s + 10 MB; with
+# --trace 1 it makes s - 40 untraced passes, climbing from 1000 MB.  Each run takes well under a second,
+# whatever --seconds says.
 STUB = """
 import argparse, json
 p = argparse.ArgumentParser()
@@ -28,7 +30,13 @@ if a.trace == "1":
 else:
     metrics = {"wall_s": {"value": OFFSET + int(a.seed), "unit": "s"}}
 failed = int(a.workload == "jacobi")
-print(json.dumps({"workload": a.workload}))
+seed, traced = int(a.seed), a.trace == "1"
+first = 1000 if traced else OFFSET + seed + 10
+count = seed - (40 if traced else 38)
+passes = [{"traced": False, "peak_rss_mb": first + i} for i in range(count)]
+if traced:
+    passes = [q for p in passes for q in (p, {"traced": True, "peak_rss_mb": 2000})]
+print(json.dumps({"workload": a.workload, "trace": int(a.trace), "passes": passes}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}))
 """
 
@@ -55,6 +63,10 @@ def test_medians_per_column_and_interleaved_order(tmp_path):
     assert moments["change"]["runs"] == 6 and moments["change"]["correct"]
     assert moments["parent"]["fail_ratio"] == 0.0
     assert result["workloads"]["jacobi"]["parent"]["fail_ratio"] == pytest.approx(1 / 3)
+    # pass counts and first-pass RSS come from the --trace 0 runs only
+    assert moments["parent"]["untraced_passes"] == 4
+    assert moments["parent"]["first_pass_peak_rss_mb"] == 52.0
+    assert moments["change"]["first_pass_peak_rss_mb"] == 52.5
     # both traces at every seed, at the benchmark's run length, in each checkout
     log = (parent / "runs.log").read_text().split("\n")[:-1]
     assert log[:6] == [f"identity {seed} {trace} 30" for seed in (41, 42, 43)

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ocft._quad import half_line_moments
+from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
-from ocft.jacobi import _gaussian_weight, _inner_moments
+from ocft.jacobi import _gaussian_weight, _inner_moments, _jacobi_weight
+from ocft.jacobi import _INNER_NODES, _abs_vandermonde
 from ocft.jacobi import (
     JacobiQuery,
     alpha_entry,
@@ -24,6 +26,60 @@ from ocft.jacobi import (
     k_func,
     mehta_determinant,
 )
+from ocft.linalg import elementary_symmetric_all
+
+
+def aomoto_moments(n, a, b):
+    """Exact M_k / M_0 of the Jacobi weight x^a (1-x)^b, k = 0..n.
+
+    Aomoto's Selberg integral with alpha = a + 1/2, beta = b + 1 and
+    gamma = 1/2 (SIAM J. Math. Anal. 18 (1987) 545).
+    """
+    al, be, ga = a + 0.5, b + 1.0, 0.5
+    out = []
+    for k in range(n + 1):
+        ratio = math.comb(n, k)
+        for i in range(1, k + 1):
+            ratio *= (al + (n - i) * ga) / (al + be + (2 * n - i - 1) * ga)
+        out.append(ratio)
+    return np.array(out)
+
+
+def full_grid_moments(n, weight, half_line):
+    """The inner moments as one sum over the full nodes^n product grid.
+
+    The unit cube maps to the ordered sector through g_i = prod_{k<=i} u_k
+    (u_1 -> u_1/(1-u_1) on the half-line), with Jacobian
+    g_1^{n-1} prod_{k>=2} u_k^{n-k}: the same nodes and weights as the slab
+    route, summed in another order.
+    """
+    x, w = gauss_legendre_01(_INNER_NODES[n])
+    cube = np.stack([gr.ravel() for gr in np.meshgrid(*([x] * n), indexing="ij")], axis=1)
+    weights = np.prod(
+        np.stack([wg.ravel() for wg in np.meshgrid(*([w] * n), indexing="ij")], axis=1),
+        axis=1,
+    )
+    u = cube.copy()
+    if half_line:
+        u[:, 0] = cube[:, 0] / (1.0 - cube[:, 0])
+        weights = weights / (1.0 - cube[:, 0]) ** 2
+    g = np.cumprod(u, axis=1)
+    jac = u[:, 0] ** (n - 1)
+    for k in range(2, n + 1):
+        jac = jac * cube[:, k - 1] ** (n - k)
+    xs = g**2
+    base = weights * jac * _abs_vandermonde(xs) * np.prod(weight(xs), axis=1)
+    return math.factorial(n) * (base @ elementary_symmetric_all(xs))
+
+
+def traced_peak_mb(fn, *args):
+    """Peak traced allocation of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestH:
@@ -119,6 +175,51 @@ class TestInnerOracles:
     def test_dimension_cap(self):
         with pytest.raises(ConfigError):
             mehta_determinant(JacobiQuery(1, 1, 0, 0, 5), 0.1)
+
+
+class TestSlabGrid:
+    # the 48-node Gauss-Legendre rule of N = 3 integrates monomials only to
+    # 5.5e-14 relative, which sets a 1.2e-14 floor there on any summation order
+    @pytest.mark.parametrize("n, rtol", [(1, 1e-14), (2, 1e-14), (3, 2e-14), (4, 1e-14)])
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_inner_moments_match_aomoto(self, n, rtol, a, b):
+        m = _inner_moments(n, _jacobi_weight(a, b), False, None)
+        np.testing.assert_allclose(m / m[0], aomoto_moments(n, a, b), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (2, 1)])
+    def test_matches_full_grid_jacobi(self, n, a, b):
+        weight = _jacobi_weight(a, b)
+        np.testing.assert_allclose(
+            _inner_moments(n, weight, False, None),
+            full_grid_moments(n, weight, False),
+            rtol=1e-12, atol=0,
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_full_grid_gaussian(self, n):
+        weight = _gaussian_weight()
+        np.testing.assert_allclose(
+            _inner_moments(n, weight, True, None),
+            full_grid_moments(n, weight, True),
+            rtol=1e-12, atol=0,
+        )
+
+    def test_quadrature_memory_at_cap(self):
+        # the full 32^4 grid peaked at 192 MiB
+        peak = traced_peak_mb(jacobi_quadrature, JacobiQuery(1.5, 1.2, 1, 2, 4))
+        assert peak < 32.0
+
+    def test_mehta_memory_at_cap(self):
+        # the full 32^4 grid of 4 x 4 complex matrices peaked at 472 MiB
+        peak = traced_peak_mb(mehta_determinant, JacobiQuery(1, 1, 2, 1, 4), 0.7)
+        assert peak < 64.0
+
+    def test_mehta_matches_symmetrized_at_cap(self):
+        md = mehta_determinant(JacobiQuery(1, 1, 1, 1, 4), 0.7)
+        sym = inner_symmetrized(4, 1, 1, 0.7)
+        assert complex(md) == pytest.approx(complex(sym), rel=1e-10)
 
 
 class TestFullRatios:
