@@ -19,15 +19,24 @@ passes and the median ``peak_rss_mb`` of the first pass: a pass's
 ``ru_maxrss`` includes the memory of the runner that spawned it, which grows
 with the passes it holds, so a faster checkout can report a higher
 ``peak_rss_mb`` for no change in its own memory.
+
+Each column compiles its sources afresh: its runs get their own temporary
+``PYTHONPYCACHEPREFIX``, made outside the checkouts and removed at the end,
+which perfbench's workers inherit, so no checkout is measured on the stale
+bytecode of its ``__pycache__`` directories.  ``PYTHONDONTWRITEBYTECODE`` is
+dropped from their environment, so the first run fills the cache and every
+later interpreter of the column reads it, as it would read ``__pycache__``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("identity", "moments", "jacobi")
@@ -35,12 +44,16 @@ SEEDS = (41, 42, 43)
 SECONDS = 30
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
-    """The last two stdout lines of one `perfbench/run.py` run: its run record
-    and its summary record."""
+def run_benchmark(checkout: Path, workload: str, seed: int, trace: int,
+                  pycache: Path) -> tuple[dict, dict]:
+    """The last two stdout lines of one `perfbench/run.py` run, with its
+    bytecode cached under ``pycache``: its run record and its summary record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
     if proc.returncode != 0:
         raise RuntimeError(
             f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
@@ -86,14 +99,18 @@ def summarise(runs: list[tuple[dict, dict]]) -> dict:
 def record(columns: dict[str, Path], pr: int) -> dict:
     names = list(columns)
     runs = {w: {name: [] for name in names} for w in WORKLOADS}
-    for w in WORKLOADS:
-        for i, seed in enumerate(SEEDS):
-            order = names if i % 2 == 0 else names[::-1]
-            for trace in (0, 1):
-                for name in order:
-                    runs[w][name].append(run_benchmark(columns[name], w, seed, trace))
-                    print(f"bench_record: {w} seed {seed} trace {trace} {name} done",
-                          file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
+        pycaches = {name: Path(tmp) / f"pycache-{i}" for i, name in enumerate(names)}
+        for w in WORKLOADS:
+            for i, seed in enumerate(SEEDS):
+                order = names if i % 2 == 0 else names[::-1]
+                for trace in (0, 1):
+                    for name in order:
+                        runs[w][name].append(
+                            run_benchmark(columns[name], w, seed, trace, pycaches[name])
+                        )
+                        print(f"bench_record: {w} seed {seed} trace {trace} {name} done",
+                              file=sys.stderr, flush=True)
     return {
         "pr": pr,
         "seeds": list(SEEDS),

@@ -15,9 +15,11 @@ Gaussian), because the reduction only determines S up to a constant.
 Expanding prod_i (lg + r g_i^2) = sum_k lg^{N-k} r^k e_k(g^2) turns S into
 sum_k M_k lg^{N-k} B_k, with M_k the inner moments and the exact
 B_k = integral r^k (1+r)^{-(N+2)} dr = 1 / ((N+1) binom(N, k))
-(``_quad.half_line_moments``).  So the r-integral of the moment routes
-(``jacobi_quadrature``, ``ginibre_pipeline``) is exact; only the Pfaffian
-route (``jacobi_pfaffian``) integrates r by quadrature.
+(``_quad.half_line_moments``).  Every route therefore computes one moment
+vector M_0..M_N and takes the r-integral exactly (``_s_ratio``):
+``jacobi_quadrature`` and ``ginibre_pipeline`` from quadrature or closed
+moments, and ``jacobi_pfaffian`` by reading the coefficients of the degree-N
+polynomial pf[A(c)] off N+1 Pfaffians on a circle in the complex c-plane.
 
 The inner integral J has three independent evaluation routes, compared
 against each other in the tests:
@@ -57,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gauss_legendre_01, half_line_moments, half_line_nodes
+from ._quad import gauss_legendre_01, half_line_moments
 from .errors import ConfigError, DomainError
 from .haar import Estimate, RngStream, stream_mean
 from .linalg import elementary_symmetric_all, log_beta, log_gamma, pfaffian
@@ -75,11 +77,19 @@ __all__ = [
     "inner_symmetrized",
     "jacobi_pfaffian",
     "jacobi_quadrature",
-    "k_func",
     "mehta_determinant",
 ]
 
 MAX_QUADRATURE_N = 4
+# jacobi_pfaffian's range: the float Pfaffian of the monomial-basis alpha
+# kernel is badly conditioned.  Over a, b in {0, 1, 2} and query and
+# reference lg in {0, 0.15, 1.08 e^{0.4i}, 1.25, 1.8, 8}, the worst relative
+# error of its ratios against Aomoto's closed moments is 5.0e-9 at N = 6 and
+# 1.6e-6 at N = 7
+MAX_PFAFFIAN_N = 6
+# radius of the circle in the c-plane on which pf[A(c)] is sampled; the unit
+# circle is up to 11x less accurate at N = 6 and 8
+_PFAFFIAN_RADIUS = 2.0
 # ginibre_mc's range.  Its delta-method error understates the spread of the
 # heavy-tailed det ratios as N grows: in 2000-sample runs |z| > 3 came up in
 # 0.7% of runs at N <= 15, 5.5% at N = 30..50 and 6% at N = 70..94, against
@@ -134,19 +144,6 @@ def h_closed(a: float, b: int, x) -> float | np.ndarray:
         coeff = math.exp(prefix - log_gamma(b - i + 1.0) - log_gamma(a + i + 1.5))
         total = total + coeff * xs ** (2 * (a + i) + 1) * one_minus ** (b - i)
     return total if total.shape else float(total)
-
-
-def k_func(i: int, a: float, b: int, r: float, lg: complex, x) -> complex:
-    """k_i(a, b; x) = h(a+i, b; x) + (r / lg) h(a+i+1, b; x).
-
-    This is the antiderivative of (1 + c g^2) g^{2(a+i)} (1 - g^2)^b with
-    c = r / lg, the inner weight left after factoring lg^N out of the
-    characteristic-polynomial product.
-    """
-    if lg == 0:
-        raise DomainError("k_i divides by lambda*gamma; use the quadrature route")
-    c = r / lg
-    return h_closed(a + i, b, x) + c * h_closed(a + i + 1, b, x)
 
 
 @lru_cache(maxsize=4096)
@@ -234,14 +231,15 @@ def _gaussian_weight():
     return lambda x: np.exp(-0.5 * x)
 
 
-def _slab_grid(n: int, nodes: int | None, half_line: bool):
+def _slab_grid(n: int, half_line: bool):
     """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
 
     Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k;
     for the half-line the first coordinate is opened up with u -> u/(1-u).
     Since g_i = g_1 (u_2 ... u_i), the squares factor as x = s * y with
     s = g_1^2 the slab value and y_i = (u_2 ... u_i)^2 the same on every
-    slab.  Returns (s, ws, y, wy): the ``nodes`` slab values and weights,
+    slab.  With nodes = _INNER_NODES[n], returns (s, ws, y, wy): the
+    ``nodes`` slab values and weights,
     ws folding in the Jacobian g_1^{n-1} (and 1/(1-u_1)^2 on the
     half-line), and the nodes^{n-1} rows y of shape (nodes^{n-1}, n) with
     weights wy folding in prod_{k>=2} u_k^{n-k}.  The node s_a * y_b has
@@ -249,7 +247,7 @@ def _slab_grid(n: int, nodes: int | None, half_line: bool):
     """
     if n > MAX_QUADRATURE_N:
         raise ConfigError(f"nested quadrature capped at N = {MAX_QUADRATURE_N}")
-    nodes = nodes or _INNER_NODES[n]
+    nodes = _INNER_NODES[n]
     x, w = gauss_legendre_01(nodes)
     g1 = x / (1.0 - x) if half_line else x
     ws = w * g1 ** (n - 1)
@@ -274,7 +272,7 @@ def _abs_vandermonde(x: np.ndarray) -> np.ndarray:
     return np.abs(out)
 
 
-def _inner_moments(n: int, weight, half_line: bool, nodes: int | None) -> np.ndarray:
+def _inner_moments(n: int, weight, half_line: bool) -> np.ndarray:
     """M_k = integral of prod|g_i^2-g_j^2| e_k(g^2) prod W(g^2), k = 0..n.
 
     These moments reconstruct the inner integral for every coefficient at
@@ -286,7 +284,7 @@ def _inner_moments(n: int, weight, half_line: bool, nodes: int | None) -> np.nda
     wy * prod|y_i - y_j| * e_k(y) are built once, and each slab costs one
     evaluation of prod_i W(s y_i) and one matrix-vector product with them.
     """
-    s, ws, y, wy = _slab_grid(n, nodes, half_line)
+    s, ws, y, wy = _slab_grid(n, half_line)
     rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
     powers = n * (n - 1) // 2 + np.arange(n + 1)
     total = np.zeros(n + 1)
@@ -295,22 +293,19 @@ def _inner_moments(n: int, weight, half_line: bool, nodes: int | None) -> np.nda
     return math.factorial(n) * total
 
 
-def inner_symmetrized(
-    n: int, a: int, b: int, c: complex, nodes: int | None = None
-) -> complex:
+def inner_symmetrized(n: int, a: int, b: int, c: complex) -> complex:
     """Symmetrised quadrature of the inner integral at fixed coefficient c.
 
     J_sym(c) = integral over [0,1]^N of
                prod_{i<j} |g_i^2 - g_j^2| prod_i (1 + c g_i^2) W(g_i^2) dg.
     """
-    m = _inner_moments(n, _jacobi_weight(a, b), False, nodes)
+    m = _inner_moments(n, _jacobi_weight(a, b), False)
     return sum(m[k] * c**k for k in range(n + 1))
 
 
 def mehta_determinant(
     query: JacobiQuery,
     r: float | complex,
-    nodes: int | None = None,
     powers: tuple[int, ...] | None = None,
 ) -> complex:
     """Ordered-sector monomial-determinant route to the inner integral.
@@ -322,7 +317,7 @@ def mehta_determinant(
     the (1 + r g^2) factor; the full pipeline passes c = r / (lambda gamma).
     """
     n = query.n
-    s, ws, y, wy = _slab_grid(n, nodes, False)
+    s, ws, y, wy = _slab_grid(n, False)
     powers = tuple(range(n)) if powers is None else tuple(powers)
     if len(powers) != n:
         raise ConfigError("need one monomial power per matrix row")
@@ -374,44 +369,49 @@ def inner_pfaffian(n: int, a: int, b: int, c: complex) -> complex:
     return math.factorial(n) * sign * pfaffian(kernel)
 
 
+def _pfaffian_moments(n: int, a: int, b: int) -> np.ndarray:
+    """Inner moments M_0..M_N read off the Pfaffian route.
+
+    J_sym(c) = sum_k M_k c^k is a polynomial of degree N, so its values at
+    the N+1 points c_j = rho w_j, w_j = e^{2 pi i j / (N+1)}, determine it:
+    sum_j J_sym(c_j) w_j^{-k} = (N+1) M_k rho^k.  The kernel is real, so the
+    coefficients are real up to rounding and only their real part is kept.
+    The sum is one small matrix product, which loads no FFT module.
+    """
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    values = np.array([inner_pfaffian(n, a, b, _PFAFFIAN_RADIUS * w) for w in roots])
+    dft = np.vander(roots.conj(), increasing=True).T
+    return (dft @ values).real / ((n + 1) * _PFAFFIAN_RADIUS ** np.arange(n + 1))
+
+
 # -- full averages ---------------------------------------------------------
 
 
-def jacobi_pfaffian(
-    query: JacobiQuery,
-    radial_nodes: int = 128,
-    reference_lg: complex = 1.0,
-) -> complex:
+def _s_ratio(moments: np.ndarray, lg: complex, reference_lg: complex) -> complex:
+    """S(lg) / S(reference_lg) with S(lg) = sum_k M_k lg^{N-k} B_k, the exact
+    r-integral of the moment sum."""
+    n = moments.size - 1
+    weighted = moments * half_line_moments(n)
+
+    def s(x: complex) -> complex:
+        return complex(weighted @ np.array([x ** (n - k) for k in range(n + 1)]))
+
+    return s(lg) / s(complex(reference_lg))
+
+
+def jacobi_pfaffian(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
     """Pfaffian-assembled Jacobi average, as the ratio S(lg) / S(reference).
 
-    S(lg) = lg^N * integral over r of (1+r)^{-(N+2)} pf[A(r / lg)] dr with
-    the r-integral over [0, inf).
+    The inner moments are the coefficients of the kernel Pfaffian
+    pf[A(c)] in c (:func:`_pfaffian_moments`, N+1 Pfaffians) and the
+    r-integral is exact, so lg = 0 is a valid query and reference.  Above
+    ``MAX_PFAFFIAN_N`` the float Pfaffian loses more than 1e-8 relative and
+    the route raises ``ConfigError``.
     """
-    lg = query.lg
-    if lg == 0:
-        raise DomainError(
-            "Pfaffian route divides by lambda*gamma; use jacobi_quadrature"
-        )
-    mats = _alpha_matrix_poly(query.n, query.a, query.b)
-    r, w = half_line_nodes(radial_nodes)
-    w = w * (1.0 + r) ** (-(query.n + 2.0))
-
-    def s_value(lg_val: complex) -> complex:
-        total = 0.0 + 0.0j
-        for rk, wk in zip(r, w):
-            c = rk / lg_val
-            kernel = (mats[0] + c * mats[1] + c * c * mats[2]).astype(complex)
-            total += wk * pfaffian(kernel)
-        return lg_val**query.n * total
-
-    return s_value(lg) / s_value(complex(reference_lg))
-
-
-def _s_from_moments(moments: np.ndarray, lg: complex) -> complex:
-    """S(lg) = sum_k M_k lg^{N-k} B_k, the exact r-integral of the moment sum."""
-    n = moments.size - 1
-    powers = np.array([lg ** (n - k) for k in range(n + 1)])
-    return complex((moments * half_line_moments(n)) @ powers)
+    if query.n > MAX_PFAFFIAN_N:
+        raise ConfigError(f"float Pfaffian route capped at N = {MAX_PFAFFIAN_N}")
+    moments = _pfaffian_moments(query.n, query.a, query.b)
+    return _s_ratio(moments, query.lg, reference_lg)
 
 
 def jacobi_quadrature(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
@@ -422,10 +422,8 @@ def jacobi_quadrature(query: JacobiQuery, reference_lg: complex = 1.0) -> comple
     r-integral is exact.
     """
     weight = _jacobi_weight(query.a, query.b)
-    moments = _inner_moments(query.n, weight, False, None)
-    return _s_from_moments(moments, query.lg) / _s_from_moments(
-        moments, complex(reference_lg)
-    )
+    moments = _inner_moments(query.n, weight, False)
+    return _s_ratio(moments, query.lg, reference_lg)
 
 
 def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:
@@ -465,9 +463,7 @@ def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
     finite r-domain breaks the N = 1 ratio 1 + lg.  The moments overflow
     float64 from N = 167.
     """
-    moments = gaussian_inner_moments(n)
-    lg = complex(lam) * complex(gam)
-    return _s_from_moments(moments, lg) / _s_from_moments(moments, 0.0)
+    return _s_ratio(gaussian_inner_moments(n), complex(lam) * complex(gam), 0.0)
 
 
 def ginibre_mc(

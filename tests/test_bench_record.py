@@ -13,18 +13,22 @@ spec.loader.exec_module(bench_record)
 
 # A stand-in for perfbench/run.py: wall_s = OFFSET + seed, and one op of the
 # three fails on "jacobi"; a record line comes before the summary line, and
-# every run is logged to runs.log in the checkout.  With --trace 0, seed s
-# makes s - 38 passes whose peak RSS climbs from OFFSET + s + 10 MB; with
-# --trace 1 it makes s - 40 untraced passes, climbing from 1000 MB.  Each run takes well under a second,
-# whatever --seconds says.
+# every run is logged to runs.log in the checkout, its PYTHONPYCACHEPREFIX and
+# PYTHONDONTWRITEBYTECODE to pycache.log.  With --trace 0, seed s makes s - 38
+# passes whose peak RSS climbs from OFFSET + s + 10 MB; with --trace 1 it
+# makes s - 40 untraced passes, climbing from 1000 MB.  Each run takes well
+# under a second, whatever --seconds says.
 STUB = """
-import argparse, json
+import argparse, json, os
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     p.add_argument(flag)
 a = p.parse_args()
 with open("runs.log", "a") as log:
     log.write(f"{a.workload} {a.seed} {a.trace} {a.seconds}\\n")
+with open("pycache.log", "a") as log:
+    log.write(f"{os.environ.get('PYTHONPYCACHEPREFIX')} "
+              f"{os.environ.get('PYTHONDONTWRITEBYTECODE')}\\n")
 if a.trace == "1":
     metrics = {"haar.sample.calls": {"value": OFFSET + 10, "unit": "count"}}
 else:
@@ -47,7 +51,8 @@ def make_checkout(root: Path, offset: float) -> Path:
     return root
 
 
-def test_medians_per_column_and_interleaved_order(tmp_path):
+def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     parent = make_checkout(tmp_path / "parent", 0.0)
     change = make_checkout(tmp_path / "change", 0.5)
     out = tmp_path / "BENCH_7.json"
@@ -71,13 +76,24 @@ def test_medians_per_column_and_interleaved_order(tmp_path):
     log = (parent / "runs.log").read_text().split("\n")[:-1]
     assert log[:6] == [f"identity {seed} {trace} 30" for seed in (41, 42, 43)
                        for trace in (0, 1)]
+    # one fresh bytecode cache per column, written to, outside both checkouts
+    # and removed at the end
+    prefixes = [set((checkout / "pycache.log").read_text().split("\n")[:-1])
+                for checkout in (parent, change)]
+    assert [len(p) for p in prefixes] == [1, 1] and prefixes[0] != prefixes[1]
+    for (line,) in prefixes:
+        prefix, dont_write = line.split(" ")
+        assert dont_write == "None"
+        path = Path(prefix)
+        assert path.is_absolute() and not path.exists()
+        assert not path.is_relative_to(parent) and not path.is_relative_to(change)
 
 
 def test_failed_run_raises(tmp_path):
     checkout = make_checkout(tmp_path / "broken", 0.0)
     (checkout / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
     with pytest.raises(RuntimeError, match="exited 1"):
-        bench_record.run_benchmark(checkout, "moments", 41, 0)
+        bench_record.run_benchmark(checkout, "moments", 41, 0, tmp_path / "pycache")
 
 
 def test_rejects_checkout_without_benchmark(tmp_path):

@@ -147,6 +147,24 @@ class TestJacobi:
         qd = json.loads(out_qd)["value"]["re"]
         assert pf == pytest.approx(qd, rel=1e-5)
 
+    def test_pfaffian_zero_product(self):
+        code, out, _ = invoke(["jacobi", "--n", "3", "--a", "1", "--b", "2", "--lambda", "0",
+                               "--gamma", "1", "--method", "pfaffian"])
+        rec = json.loads(out)
+        assert code == 0 and rec["value"]["im"] == 0.0
+        assert 0.0 < rec["value"]["re"] < 1.0
+
+    def test_pfaffian_size_cap(self):
+        from ocft.jacobi import MAX_PFAFFIAN_N
+
+        argv = ["jacobi", "--a", "0", "--b", "0", "--lambda", "1.5", "--gamma", "1.2",
+                "--method", "pfaffian", "--n"]
+        code, out, _ = invoke(argv + [str(MAX_PFAFFIAN_N)])
+        assert code == 0 and json.loads(out)["value"]["im"] == 0.0
+        code, out, err = invoke(argv + [str(MAX_PFAFFIAN_N + 1)])
+        assert code == 2 and out == ""
+        assert "capped" in err
+
 
 class TestGinibreCheck:
     def test_passes_and_reports_two(self):

@@ -9,8 +9,9 @@ from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
 from ocft.jacobi import _gaussian_weight, _inner_moments, _jacobi_weight
-from ocft.jacobi import _INNER_NODES, _abs_vandermonde
+from ocft.jacobi import _INNER_NODES, _abs_vandermonde, _pfaffian_moments, _s_ratio
 from ocft.jacobi import (
+    MAX_PFAFFIAN_N,
     JacobiQuery,
     alpha_entry,
     alpha_entry_quadrature,
@@ -23,10 +24,9 @@ from ocft.jacobi import (
     inner_symmetrized,
     jacobi_pfaffian,
     jacobi_quadrature,
-    k_func,
     mehta_determinant,
 )
-from ocft.linalg import elementary_symmetric_all
+from ocft.linalg import elementary_symmetric_all, pfaffian
 
 
 def aomoto_moments(n, a, b):
@@ -106,19 +106,6 @@ class TestH:
             h_closed(-1.0, 0, 0.5)
 
 
-class TestK:
-    def test_reduces_to_h_at_zero_r(self):
-        assert k_func(0, 0, 0, 0.0, 2.7, 1.0) == pytest.approx(1.0)
-        assert k_func(1, 0, 0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_unit_coefficient(self):
-        assert k_func(0, 0, 0, 1.0, 1.0, 1.0) == pytest.approx(4.0 / 3.0)
-
-    def test_zero_product_rejected(self):
-        with pytest.raises(DomainError):
-            k_func(0, 0, 0, 1.0, 0.0, 1.0)
-
-
 class TestAlpha:
     def test_diagonal_vanishes(self):
         for i in (0, 2):
@@ -184,7 +171,7 @@ class TestSlabGrid:
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0, 1, 2])
     def test_inner_moments_match_aomoto(self, n, rtol, a, b):
-        m = _inner_moments(n, _jacobi_weight(a, b), False, None)
+        m = _inner_moments(n, _jacobi_weight(a, b), False)
         np.testing.assert_allclose(m / m[0], aomoto_moments(n, a, b), rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -192,7 +179,7 @@ class TestSlabGrid:
     def test_matches_full_grid_jacobi(self, n, a, b):
         weight = _jacobi_weight(a, b)
         np.testing.assert_allclose(
-            _inner_moments(n, weight, False, None),
+            _inner_moments(n, weight, False),
             full_grid_moments(n, weight, False),
             rtol=1e-12, atol=0,
         )
@@ -201,7 +188,7 @@ class TestSlabGrid:
     def test_matches_full_grid_gaussian(self, n):
         weight = _gaussian_weight()
         np.testing.assert_allclose(
-            _inner_moments(n, weight, True, None),
+            _inner_moments(n, weight, True),
             full_grid_moments(n, weight, True),
             rtol=1e-12, atol=0,
         )
@@ -220,6 +207,60 @@ class TestSlabGrid:
         md = mehta_determinant(JacobiQuery(1, 1, 1, 1, 4), 0.7)
         sym = inner_symmetrized(4, 1, 1, 0.7)
         assert complex(md) == pytest.approx(complex(sym), rel=1e-10)
+
+
+class TestPfaffianMoments:
+    # worst moment error on the radius-2 circle: 8.7e-14 at N = 3, 6.2e-12 at
+    # N = 4, 6.9e-10 at N = 5 and 4.7e-9 at N = 6; the unit circle gives
+    # 1.8e-13 at N = 3 and 5.7e-8 at N = 6, outside these bounds
+    @pytest.mark.parametrize(
+        "n, rtol", [(1, 1e-14), (2, 5e-14), (3, 1.5e-13), (4, 2e-11), (5, 3e-9), (6, 1e-8)]
+    )
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_match_aomoto(self, n, rtol, a, b):
+        m = _pfaffian_moments(n, a, b)
+        np.testing.assert_allclose(m / m[0], aomoto_moments(n, a, b), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_inner_quadrature(self, n):
+        for a, b in [(0, 0), (1, 2), (2, 1), (2, 2)]:
+            np.testing.assert_allclose(
+                _pfaffian_moments(n, a, b),
+                _inner_moments(n, _jacobi_weight(a, b), False),
+                rtol=2e-11, atol=0,
+            )
+
+    def test_ratios_hold_at_cap(self):
+        lgs = (0.0, 0.15, 1.08 * np.exp(0.4j), 1.25, 1.8, 8.0)
+        for a in (0, 1, 2):
+            for b in (0, 1, 2):
+                exact = aomoto_moments(MAX_PFAFFIAN_N, a, b)
+                for lg in lgs:
+                    for ref in lgs:
+                        q = JacobiQuery(lg, 1.0, a, b, MAX_PFAFFIAN_N)
+                        assert jacobi_pfaffian(q, reference_lg=ref) == pytest.approx(
+                            _s_ratio(exact, complex(lg), ref), rel=1e-8
+                        )
+
+    def test_one_pfaffian_per_coefficient(self, monkeypatch):
+        import ocft.jacobi
+
+        calls = []
+
+        def counted(kernel):
+            calls.append(kernel.shape)
+            return pfaffian(kernel)
+
+        monkeypatch.setattr(ocft.jacobi, "pfaffian", counted)
+        for n in range(1, MAX_PFAFFIAN_N + 1):
+            calls.clear()
+            jacobi_pfaffian(JacobiQuery(1.5, 1.2, 1, 1, n), reference_lg=0.3)
+            assert len(calls) == n + 1
+
+    def test_cap(self):
+        with pytest.raises(ConfigError):
+            jacobi_pfaffian(JacobiQuery(1.5, 1.2, 0, 0, MAX_PFAFFIAN_N + 1))
 
 
 class TestFullRatios:
@@ -262,10 +303,18 @@ class TestFullRatios:
 
     def test_zero_product_paths(self):
         q = JacobiQuery(0.0, 1.0, 0, 0, 2)
-        with pytest.raises(DomainError):
-            jacobi_pfaffian(q)
         val = jacobi_quadrature(q, reference_lg=0.0)
         assert val == pytest.approx(1.0, rel=1e-12)
+        # lg = 0 as the query and as the reference: both routes take it
+        for n in (1, 2, 3, 4):
+            for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
+                zero, other = JacobiQuery(0.0, 1.0, 1, 2, n), JacobiQuery(lg, 1.0, 1, 2, n)
+                assert jacobi_pfaffian(zero, reference_lg=lg) == pytest.approx(
+                    jacobi_quadrature(zero, reference_lg=lg), rel=1e-11
+                )
+                assert jacobi_pfaffian(other, reference_lg=0.0) == pytest.approx(
+                    jacobi_quadrature(other, reference_lg=0.0), rel=1e-11
+                )
 
     def test_quadrature_cap(self):
         with pytest.raises(ConfigError):
@@ -338,7 +387,7 @@ class TestGinibre:
         from ocft.jacobi import _gaussian_weight, _inner_moments
 
         lg = 1.0
-        m = _inner_moments(1, _gaussian_weight(), True, None)
+        m = _inner_moments(1, _gaussian_weight(), True)
         t, w = gauss_legendre_01(64)
         wgt = w * (1 + t) ** (-3.0)
         s = lambda lgv: wgt @ (m[0] * lgv + m[1] * t)
@@ -363,7 +412,7 @@ class TestHalfLineMoments:
 class TestGaussianInnerMoments:
     @pytest.mark.parametrize("n, rtol", [(1, 1e-12), (2, 1e-10), (3, 1e-6)])
     def test_closed_form_matches_nested_quadrature(self, n, rtol):
-        nested = _inner_moments(n, _gaussian_weight(), True, None)
+        nested = _inner_moments(n, _gaussian_weight(), True)
         np.testing.assert_allclose(
             nested / nested[0], gaussian_inner_moments(n), rtol=rtol
         )
