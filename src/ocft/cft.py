@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, product
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grassmann import (
-    MAX_GENERATORS,
     Multivector,
     gmul,
     psi_index,
@@ -185,6 +184,8 @@ class BosonicMeasure:
     n_flavour: int
 
     def __post_init__(self):
+        if self.n_colour < 1 or self.n_flavour < 1:
+            raise DomainError("need N >= 1 and n >= 1")
         if self.n_colour <= 2 * self.n_flavour:
             raise DomainError(
                 f"need N > 2n, got N={self.n_colour}, n={self.n_flavour}"
@@ -280,36 +281,20 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     The coefficient of the monomial with per-flavour index sets
     (S_a, T_a) in the expanded exponential is
 
-        sign * prod_a det(O[S_a, T_a]),
-        sign = prod_a (-1)^{k_a (k_a - 1)/2} * (-1)^{sum_{a<b} k_a k_b},
+        sign * prod_a det(O[S_a, T_a]),   sign = (-1)^{K (K - 1)/2},
 
-    the first factor from interleaving each flavour's bar/unbar pairs, the
-    second from merging the per-flavour blocks into canonical order.
-    Cross-checked against the exact exterior-algebra expansion in tests.
+    K = sum_a |S_a|: the parity of moving the K psi generators of the
+    product of bar/unbar pairs behind the K psibar generators, into
+    canonical order.  Cross-checked against the exact exterior-algebra
+    expansion in tests.
     """
     universe_size(n_colour, n_flavour)
     pairs = _minor_pairs(n_colour)
     table = []
-
-    def rec(choice):
-        if len(choice) == n_flavour:
-            ks = [len(pairs[p][0]) for p in choice]
-            sign = 1
-            for k in ks:
-                if (k * (k - 1) // 2) % 2:
-                    sign = -sign
-            cross = sum(
-                ks[x] * ks[y] for x in range(len(ks)) for y in range(x + 1, len(ks))
-            )
-            if cross % 2:
-                sign = -sign
-            mask = _mask_for(choice, n_colour, n_flavour, pairs)
-            table.append((mask, sign, tuple(choice)))
-            return
-        for p in range(len(pairs)):
-            rec(choice + [p])
-
-    rec([])
+    for choice in product(range(len(pairs)), repeat=n_flavour):
+        k = sum(len(pairs[p][0]) for p in choice)
+        sign = -1 if k * (k - 1) // 2 % 2 else 1
+        table.append((_mask_for(choice, n_colour, n_flavour, pairs), sign, choice))
     return pairs, table
 
 
@@ -556,11 +541,8 @@ def verify_fermionic_cft(
     absent from both sides are identically zero and not listed; the
     constant monomial must match exactly.
     """
-    if n_colour * n_flavour > MAX_GENERATORS // 2:
-        raise ConfigError(
-            f"N*n = {n_colour * n_flavour} exceeds the cap of {MAX_GENERATORS // 2}"
-        )
-    # the flavour side rejects n >= 3 before the colour side samples anything
+    # the flavour side rejects n >= 3, and the colour side's monomial table
+    # N*n > 8, before anything is sampled
     rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
     lhs = lhs_coefficient_means(
         n_colour, n_flavour, samples, rng, group="O", workers=workers
@@ -660,36 +642,25 @@ def verify_bosonic_cft(
 # -- SO(N) variant -----------------------------------------------------------
 
 
-def _det_m_terms(n_colour: int, n_flavour: int) -> dict[int, complex]:
-    """Leibniz expansion of det[ sum_a psibar_i^a psi_j^a ] in the algebra."""
-    ngen = universe_size(n_colour, n_flavour)
-    entries = [[None] * n_colour for _ in range(n_colour)]
-    for i in range(n_colour):
-        for j in range(n_colour):
-            terms: dict[int, complex] = {}
-            for a in range(n_flavour):
-                bi = psibar_index(i, a, n_colour)
-                pj = psi_index(j, a, n_colour, n_flavour)
-                mv = gmul(
-                    Multivector.generator(ngen, bi),
-                    Multivector.generator(ngen, pj),
-                )
-                for mk, cf in mv.terms.items():
-                    terms[mk] = terms.get(mk, 0.0) + cf
-            entries[i][j] = Multivector(ngen, terms)
-    det = Multivector(ngen)
-    for perm in permutations(range(n_colour)):
-        sign = 1
-        seen = list(perm)
-        for x in range(len(seen)):
-            for y in range(x + 1, len(seen)):
-                if seen[x] > seen[y]:
-                    sign = -sign
-        prod = Multivector.scalar(ngen, float(sign))
-        for i in range(n_colour):
-            prod = gmul(prod, entries[i][perm[i]])
-        det = det + prod
-    return det.terms
+def _det_m0_terms(n_colour: int, pairs, table) -> dict[int, int]:
+    """Monomial coefficients of det(M_0), M_0[i, j] = sum_a psibar_i^a psi_j^a.
+
+    A table row carries det(M_0) only if its row sets S_a and its column sets
+    T_a each partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|!
+    permutations pi with pi(S_a) = T_a, each the row's monomial times
+    sign * sgn(pi_0), where pi_0 maps each sorted S_a onto the sorted T_a.
+    """
+    full = list(range(n_colour))
+    out = {}
+    for mask, sign, choice in table:
+        rows = [i for p in choice for i in pairs[p][0]]
+        cols = [j for p in choice for j in pairs[p][1]]
+        if sorted(rows) == full == sorted(cols):
+            # pi_0 sends rows[x] to cols[x]: sgn(pi_0) = sgn(rows) * sgn(cols)
+            flips = sum(x > y for seq in (rows, cols) for x, y in combinations(seq, 2))
+            count = math.prod(math.factorial(len(pairs[p][0])) for p in choice)
+            out[mask] = (-1) ** flips * sign * count
+    return out
 
 
 def verify_son_cft(
@@ -704,23 +675,24 @@ def verify_son_cft(
 
     The flavour side is exp-part + K * correction, where the correction's
     monomial coefficients reduce (for n <= 2) to kappa * coeff(det M_0),
-    M_0[i,j] = sum_a psibar_i^a psi_j^a expanded by Leibniz, with
-    kappa = E[(1+r)^N] = N + 1 for n = 2 and 1 for n = 1 (the angular
-    integral first removes every cross term).  K is fitted by weighted
-    least squares over all monomials and the residual z-scores reported.
+    M_0[i,j] = sum_a psibar_i^a psi_j^a read off the colour-side monomial
+    table, with kappa = E[(1+r)^N] = N + 1 for n = 2 and 1 for n = 1 (the
+    angular integral first removes every cross term).  K is fitted by
+    weighted least squares over all monomials and the residual z-scores
+    reported; it comes out as 1/(kappa N!).  N*n <= 8, as in the fermionic
+    variant.
     """
-    if n_colour > 3:
-        raise ConfigError("Leibniz expansion kept to N <= 3")
     if n_flavour > 2:
         raise ConfigError("exact flavour-side reduction implemented for n <= 2")
+    pairs, table = _lhs_structure(n_colour, n_flavour)
+    kappa = float(n_colour + 1) if n_flavour == 2 else 1.0
+    b_coeffs = {
+        m: kappa * c for m, c in _det_m0_terms(n_colour, pairs, table).items()
+    }
     lhs = lhs_coefficient_means(
         n_colour, n_flavour, samples, rng, group="SO", workers=workers
     )
     a_coeffs = rhs_exact_coefficients(n_colour, n_flavour)
-    kappa = float(n_colour + 1) if n_flavour == 2 else 1.0
-    b_coeffs = {
-        m: kappa * c.real for m, c in _det_m_terms(n_colour, n_flavour).items()
-    }
 
     masks = sorted(set(lhs) | set(a_coeffs) | set(b_coeffs))
     num = den = 0.0

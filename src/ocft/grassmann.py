@@ -10,8 +10,8 @@ The verification workloads use a universe of 2*N*n generators split into a
     index(psibar^a_i) = a*N + i          a = 0..n-1, i = 0..N-1
     index(psi^a_i)    = N*n + a*N + i
 
-The universe is capped at 16 generators (N*n <= 8): identity checks only
-need N <= 3, n <= 2, and the cap keeps the dense monomial space at 65536.
+The universe is capped at 16 generators (N*n <= 8), the cap of the
+fermionic and SO(N) identity checks; it keeps the monomial space at 65536.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,12 +28,20 @@ from ocft import cft
 from ocft.cft import (
     MonomialRow,
     VerificationReport,
+    _det_m0_terms,
     _lhs_structure,
     _minor_dets,
     _minor_pairs,
 )
 from ocft.errors import ConfigError, DomainError
-from ocft.grassmann import lhs_integrand
+from ocft.grassmann import (
+    Multivector,
+    gmul,
+    lhs_integrand,
+    psi_index,
+    psibar_index,
+    universe_size,
+)
 from ocft.haar import RngStream
 
 
@@ -47,6 +56,29 @@ def per_pair_minor_dets(o_batch, pairs):
         else:
             out[:, idx] = np.linalg.det(o_batch[:, np.ix_(s, t)[0], np.ix_(s, t)[1]])
     return out
+
+
+def leibniz_det_m0(n_colour, n_flavour):
+    """det(M_0), M_0[i, j] = sum_a psibar_i^a psi_j^a, as a Leibniz sum in the algebra."""
+    ngen = universe_size(n_colour, n_flavour)
+
+    def entry(i, j):
+        out = Multivector(ngen)
+        for a in range(n_flavour):
+            out = out + gmul(
+                Multivector.generator(ngen, psibar_index(i, a, n_colour)),
+                Multivector.generator(ngen, psi_index(j, a, n_colour, n_flavour)),
+            )
+        return out
+
+    det = Multivector(ngen)
+    for perm in itertools.permutations(range(n_colour)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = Multivector.scalar(ngen, (-1.0) ** inversions)
+        for i, j in enumerate(perm):
+            term = gmul(term, entry(i, j))
+        det = det + term
+    return det.terms
 
 
 def rejection_bosonic_z(n_colour, rng, count):
@@ -206,6 +238,11 @@ class TestBosonicSampler:
     def test_integrability_bound(self):
         with pytest.raises(DomainError):
             BosonicMeasure(2, 1)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (5, -1), (0, 1)])
+    def test_rejects_empty_sizes(self, shape):
+        with pytest.raises(DomainError, match="need N >= 1 and n >= 1"):
+            BosonicMeasure(*shape)
 
 
 class TestColourSideStructure:
@@ -369,9 +406,38 @@ class TestSonVerification:
         # K carries over from the n = 1 fit of the same group
         assert report.extras["fitted_k"] == pytest.approx(1.0 / 6.0, rel=0.05)
 
-    def test_leibniz_cap(self):
-        with pytest.raises(ConfigError):
-            verify_son_cft(4, 1, 100, RngStream(0))
+    @pytest.mark.parametrize(
+        "n_colour, n_flavour",
+        [(n_colour, n_flavour) for n_colour in (1, 2, 3) for n_flavour in (1, 2, 3, 4)
+         if n_colour * n_flavour <= 8],
+    )
+    def test_det_correction_matches_exterior_algebra(self, n_colour, n_flavour):
+        pairs, table = _lhs_structure(n_colour, n_flavour)
+        exact = leibniz_det_m0(n_colour, n_flavour)
+        assert exact and {m: c.real for m, c in exact.items()} == _det_m0_terms(
+            n_colour, pairs, table
+        )
+
+    @pytest.mark.parametrize(
+        "n_colour, n_flavour, samples, seed",
+        [(4, 1, 100_000, 36), (4, 2, 10_000, 37), (5, 1, 20_000, 38), (8, 1, 250, 39)],
+    )
+    def test_passes_above_three_colours(self, n_colour, n_flavour, samples, seed):
+        report = verify_son_cft(n_colour, n_flavour, samples, RngStream(seed))
+        assert report.passed, f"max|z| = {report.max_abs_z}"
+        kappa = report.extras["kappa"]
+        assert report.extras["fitted_k"] == pytest.approx(
+            1.0 / (kappa * math.factorial(n_colour)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(9, 1), (5, 2)])
+    def test_shares_the_fermionic_size_cap(self, shape, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the colour side was sampled")
+
+        monkeypatch.setattr(cft, "lhs_coefficient_means", no_sampling)
+        with pytest.raises(ConfigError, match="exceeds the cap of 8"):
+            verify_son_cft(*shape, 100, RngStream(0))
 
 
 class TestReflectionSplit:

@@ -1,14 +1,18 @@
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ocft import cft
-from ocft.cli import parse_complex, run
+from ocft.cli import build_parser, parse_complex, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(argv):
@@ -292,6 +296,31 @@ class TestVerifyCft:
         )
         assert code == 2 and "n <= 2" in err
 
+    def test_son_variant_runs_above_three_colours(self):
+        code, out, _ = invoke(
+            ["verify-cft", "--variant", "son", "--colors", "4", "--flavors", "2",
+             "--samples", "10000", "--seed", "1"]
+        )
+        assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_son_variant_shares_the_fermionic_cap(self):
+        code, out, err = invoke(
+            ["verify-cft", "--variant", "son", "--colors", "9", "--flavors", "1"]
+        )
+        assert code == 2 and out == ""
+        assert "N*n = 9 exceeds the cap of 8" in err
+
+    def test_bosonic_variant_rejects_zero_flavours(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "ocft.cli", "verify-cft", "--variant", "bosonic",
+             "--colors", "3", "--flavors", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert "need N >= 1 and n >= 1" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
     def test_bosonic_variant_serialises(self):
         code, out, _ = invoke(
             ["verify-cft", "--variant", "bosonic", "--colors", "4",
@@ -337,6 +366,16 @@ class TestVerifyCft:
              "--flavors", "1", "--samples", "5000"]
         )
         assert "elapsed" in err and "elapsed" not in out
+
+
+def test_readme_cli_lines_parse():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("ocft ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_cli_import_does_not_load_scipy():
