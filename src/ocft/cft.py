@@ -541,6 +541,7 @@ def verify_fermionic_cft(
     absent from both sides are identically zero and not listed; the
     constant monomial must match exactly.
     """
+    FermionicMeasure(n_colour, n_flavour)  # validates N >= 1 and n >= 1
     # the flavour side rejects n >= 3, and the colour side's monomial table
     # N*n > 8, before anything is sampled
     rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
@@ -682,6 +683,7 @@ def verify_son_cft(
     reported; it comes out as 1/(kappa N!).  N*n <= 8, as in the fermionic
     variant.
     """
+    FermionicMeasure(n_colour, n_flavour)  # validates N >= 1 and n >= 1
     if n_flavour > 2:
         raise ConfigError("exact flavour-side reduction implemented for n <= 2")
     pairs, table = _lhs_structure(n_colour, n_flavour)

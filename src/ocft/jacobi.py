@@ -17,9 +17,10 @@ sum_k M_k lg^{N-k} B_k, with M_k the inner moments and the exact
 B_k = integral r^k (1+r)^{-(N+2)} dr = 1 / ((N+1) binom(N, k))
 (``_quad.half_line_moments``).  Every route therefore computes one moment
 vector M_0..M_N and takes the r-integral exactly (``_s_ratio``):
-``jacobi_quadrature`` and ``ginibre_pipeline`` from quadrature or closed
-moments, and ``jacobi_pfaffian`` by reading the coefficients of the degree-N
-polynomial pf[A(c)] off N+1 Pfaffians on a circle in the complex c-plane.
+``ginibre_pipeline`` from closed moments, ``jacobi_quadrature`` from a
+Gauss-Legendre rule sized to the integrand's degree, and ``jacobi_pfaffian``
+from the values of the degree-N polynomial pf[A(c)] at c = 0..N, which for
+integer a and b are exact rationals (``Fraction``), as are its moments.
 
 The inner integral J has three independent evaluation routes, compared
 against each other in the tests:
@@ -41,8 +42,8 @@ determinants one slab at a time.  Either way no array holds more than one
 slab, nodes^{N-1} points.
 
 Factoring lg^N out of prod_i (lg + r g_i^2) turns the inner weight into
-(1 + c g^2) with c = r / lg; the Pfaffian data (h, k_i, alpha_ij) is
-expressed in terms of c throughout.
+(1 + c g^2) with c = r / lg; the Pfaffian data (h, alpha_ij) is expressed
+in terms of c throughout.
 
 The Gaussian weight W(x) = exp(-x/2) reproduces the closed form
 sum_{k<=N} lg^k / k! (the real Ginibre average), which pins the r-domain
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -62,17 +64,15 @@ import numpy as np
 from ._quad import gauss_legendre_01, half_line_moments
 from .errors import ConfigError, DomainError
 from .haar import Estimate, RngStream, stream_mean
-from .linalg import elementary_symmetric_all, log_beta, log_gamma, pfaffian
+from .linalg import elementary_symmetric_all, pfaffian
 
 __all__ = [
     "JacobiQuery",
     "alpha_entry",
-    "alpha_entry_quadrature",
     "gaussian_inner_moments",
     "ginibre_closed",
     "ginibre_mc",
     "ginibre_pipeline",
-    "h_closed",
     "inner_pfaffian",
     "inner_symmetrized",
     "jacobi_pfaffian",
@@ -80,22 +80,18 @@ __all__ = [
     "mehta_determinant",
 ]
 
-MAX_QUADRATURE_N = 4
-# jacobi_pfaffian's range: the float Pfaffian of the monomial-basis alpha
-# kernel is badly conditioned.  Over a, b in {0, 1, 2} and query and
-# reference lg in {0, 0.15, 1.08 e^{0.4i}, 1.25, 1.8, 8}, the worst relative
-# error of its ratios against Aomoto's closed moments is 5.0e-9 at N = 6 and
-# 1.6e-6 at N = 7
-MAX_PFAFFIAN_N = 6
-# radius of the circle in the c-plane on which pf[A(c)] is sampled; the unit
-# circle is up to 11x less accurate at N = 6 and 8
-_PFAFFIAN_RADIUS = 2.0
+# jacobi_pfaffian's range, a time cap on its exact arithmetic: N = 16 takes
+# 0.3-0.7 s for a = b <= 50, and 6.4 s at a = b = 200
+MAX_PFAFFIAN_N = 16
+MAX_PFAFFIAN_AB = 100
+# nested quadrature's size budget on nodes^N grid points; gauss_legendre_01
+# solves a dense nodes x nodes eigenproblem, so N = 1 counts nodes^2
+_GRID_BUDGET = 2**21
 # ginibre_mc's range.  Its delta-method error understates the spread of the
 # heavy-tailed det ratios as N grows: in 2000-sample runs |z| > 3 came up in
 # 0.7% of runs at N <= 15, 5.5% at N = 30..50 and 6% at N = 70..94, against
 # 0.27% for a Gaussian z, so the range is not widened until that is fixed
 MAX_GINIBRE_N = 50
-_INNER_NODES = {1: 128, 2: 64, 3: 48, 4: 32}
 
 
 @dataclass(frozen=True)
@@ -119,56 +115,34 @@ class JacobiQuery:
         return complex(self.lam) * complex(self.gam)
 
 
-# -- h, k and the alpha kernel -------------------------------------------
+# -- h and the alpha kernel, in exact rationals ---------------------------
 
 
-def h_closed(a: float, b: int, x) -> float | np.ndarray:
-    """h(a, b; x) = integral_0^x g^{2a} (1 - g^2)^b dg via the finite Gamma sum.
-
-    Valid for real a >= 0 (half-integers included) and integer b >= 0;
-    evaluated term by term in the log domain.  ``x`` may be an array in
-    [0, 1].
-    """
-    xs = np.asarray(x, dtype=float)
-    if np.any((xs < 0) | (xs > 1)):
-        raise DomainError("h is defined for x in [0, 1]")
-    if b != int(b) or b < 0:
-        raise DomainError("b must be a non-negative integer")
-    if a < 0:
-        raise DomainError("a must be >= 0")
-    b = int(b)
-    prefix = log_gamma(b + 1.0) + log_gamma(a + 0.5) - math.log(2.0)
-    total = np.zeros_like(xs)
-    one_minus = 1.0 - xs**2
-    for i in range(b + 1):
-        coeff = math.exp(prefix - log_gamma(b - i + 1.0) - log_gamma(a + i + 1.5))
-        total = total + coeff * xs ** (2 * (a + i) + 1) * one_minus ** (b - i)
-    return total if total.shape else float(total)
+def _h_terms(q: int, b: int) -> list[Fraction]:
+    """h_m, m = 0..b, with h(q, b; x) = integral_0^x g^{2q} (1-g^2)^b dg
+    = sum_m h_m x^{2q+2m+1}."""
+    return [Fraction((-1) ** m * math.comb(b, m), 2 * q + 2 * m + 1) for m in range(b + 1)]
 
 
 @lru_cache(maxsize=4096)
-def _i_moment(p: float, q: float, b: int) -> float:
-    """I(p, q) = integral_0^1 g^{2p} (1-g^2)^b h(q, b; g) dg, in log domain.
+def _i_moment(p: int, q: int, b: int) -> Fraction:
+    """I(p, q) = integral_0^1 g^{2p} (1-g^2)^b h(q, b; g) dg, exactly.
 
-    Expanding h termwise gives
-    I = (1/4) Gamma(b+1) Gamma(q+1/2)
-        * sum_l B(p+q+l+1, 2b-l+1) / (Gamma(b-l+1) Gamma(q+l+3/2)).
+    Termwise, I = 1/2 sum_m h_m B(p+q+m+1, b+1) with h_m from
+    :func:`_h_terms`, and B(x+1, b+1) = x! b! / (x+b+1)! for integer x.
     """
-    prefix = log_gamma(b + 1.0) + log_gamma(q + 0.5) - math.log(4.0)
-    total = 0.0
-    for l in range(b + 1):
-        total += math.exp(
-            prefix
-            + log_beta(p + q + l + 1.0, 2.0 * b - l + 1.0)
-            - log_gamma(b - l + 1.0)
-            - log_gamma(q + l + 1.5)
-        )
-    return total
+    fb = math.factorial(b)
+    total = sum(
+        h * Fraction(math.factorial(p + q + m) * fb, math.factorial(p + q + m + b + 1))
+        for m, h in enumerate(_h_terms(q, b))
+    )
+    return total / 2
 
 
-def _alpha_poly(i: int, j: int, a: int, b: int) -> tuple[float, float, float]:
+def _alpha_poly(i: int, j: int, a: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients (A0, A1, A2) of alpha_ij(c) = A0 + A1 c + A2 c^2."""
-    ai, aj = a + i, a + j
+    # Python ints: numpy ints would overflow inside Fraction
+    ai, aj, b = int(a + i), int(a + j), int(b)
 
     def anti(p, q):
         return _i_moment(p, q, b) - _i_moment(q, p, b)
@@ -183,7 +157,8 @@ def alpha_entry(i: int, j: int, a: int, b: int, r: float, lg: complex) -> comple
     """Closed Beta-sum evaluation of the antisymmetric kernel alpha_ij.
 
     alpha_ij = integral_0^1 (1 + c g^2) g^{2a} (1-g^2)^b
-               (g^{2i} k_j(g) - g^{2j} k_i(g)) dg,  c = r / lg.
+               (g^{2i} k_j(g) - g^{2j} k_i(g)) dg,  c = r / lg,
+    with k_i(g) = h(a+i, b; g) + c h(a+i+1, b; g).
     """
     if lg == 0:
         raise DomainError("alpha divides by lambda*gamma")
@@ -192,74 +167,90 @@ def alpha_entry(i: int, j: int, a: int, b: int, r: float, lg: complex) -> comple
     return a0 + a1 * c + a2 * c * c
 
 
-def alpha_entry_quadrature(
-    i: int, j: int, a: int, b: int, r: float, lg: complex
-) -> complex:
-    """Adaptive quadrature of the defining integral for alpha_ij.
+def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:
+    """Matrix coefficients [A0, A1, A2] of the Pfaffian kernel in c.
 
-    Independent oracle for :func:`alpha_entry`; authoritative if the two
-    ever disagree.  SciPy is imported here, so the library itself does not
-    load it.
+    Object arrays of ``Fraction``.  For even N = 2s the kernel is
+    alpha[0:2s, 0:2s]; for odd N = 2s+1 it is bordered by the column
+    k_i(1) = h(a+i, b; 1) + c h(a+i+1, b; 1), linear in c.
     """
-    from scipy import integrate
-
-    if lg == 0:
-        raise DomainError("alpha divides by lambda*gamma")
-    c = complex(r) / complex(lg)
-
-    def integrand(g):
-        kj = h_closed(a + j, b, g) + c * h_closed(a + j + 1, b, g)
-        ki = h_closed(a + i, b, g) + c * h_closed(a + i + 1, b, g)
-        w = (1.0 + c * g**2) * g ** (2 * a) * (1.0 - g**2) ** b
-        return w * (g ** (2 * i) * kj - g ** (2 * j) * ki)
-
-    re, _ = integrate.quad(lambda g: integrand(g).real, 0.0, 1.0, limit=200)
-    if c.imag == 0.0:
-        return re
-    im, _ = integrate.quad(lambda g: integrand(g).imag, 0.0, 1.0, limit=200)
-    return complex(re, im)
+    size = n + n % 2
+    mats = [np.full((size, size), Fraction(0), dtype=object) for _ in range(3)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m, val in zip(mats, _alpha_poly(i, j, a, b)):
+                m[i, j], m[j, i] = val, -val
+    if n % 2 == 1:
+        for i in range(n):
+            for m, q in zip(mats, (a + i, a + i + 1)):
+                val = sum(_h_terms(int(q), int(b)))
+                m[i, n], m[n, i] = val, -val
+    return mats
 
 
-# -- ordered-sector quadrature machinery ----------------------------------
+def inner_pfaffian(n: int, a: int, b: int, c) -> complex | Fraction:
+    """Pfaffian route to the inner integral at fixed coefficient c.
+
+    J_sym(c) = N! (-1)^{floor(N/2)} pf[A(c)] with A the alpha kernel (even
+    N) or its k-bordered extension (odd N); exact for an int or ``Fraction`` c.
+    """
+    a0, a1, a2 = _alpha_matrix_poly(n, a, b)
+    kernel = a0 + c * (a1 + c * a2)
+    sign = -1 if (n // 2) % 2 else 1
+    return math.factorial(n) * sign * pfaffian(kernel)
 
 
-def _jacobi_weight(a: int, b: int):
-    return lambda x: x**a * (1.0 - x) ** b
+def _pfaffian_moments(n: int, a: int, b: int) -> list[Fraction]:
+    """Exact inner moments M_k / M_0, k = 0..N, read off the Pfaffian route.
+
+    J_sym(c) = sum_k M_k c^k is a polynomial of degree N, so its exact values
+    at c = 0..N (N+1 Pfaffians; the factor N! (-1)^{floor(N/2)} of
+    :func:`inner_pfaffian` cancels in M_k / M_0) determine it.  Newton's
+    divided differences on these unit-spaced nodes give its Newton form,
+    which is expanded into powers of c.  The ratios to M_0 stay in float
+    range where M_0 does not: it underflows float64 at a = b = 50, N = 16.
+    """
+    a0, a1, a2 = _alpha_matrix_poly(n, a, b)
+    table = [pfaffian(a0 + c * (a1 + c * a2)) for c in range(n + 1)]
+    for level in range(1, n + 1):
+        for j in range(n, level - 1, -1):
+            table[j] = (table[j] - table[j - 1]) / level
+    coeffs = [0] * (n + 1)
+    for k in range(n, -1, -1):  # coeffs(c) <- coeffs(c) * (c - k) + table[k]
+        coeffs = [table[k] - k * coeffs[0]] + [lo - k * hi for lo, hi in zip(coeffs, coeffs[1:])]
+    return [m / coeffs[0] for m in coeffs]
 
 
-def _gaussian_weight():
-    return lambda x: np.exp(-0.5 * x)
+# -- degree-sized ordered-sector quadrature -------------------------------
 
 
-def _slab_grid(n: int, half_line: bool):
+def _slab_grid(n: int, a: int, b: int):
     """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
 
-    Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k;
-    for the half-line the first coordinate is opened up with u -> u/(1-u).
+    Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k.
+    With the Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}, the moment and
+    determinant integrands have degree d = n^2 + 2n - 1 + 2n(a+b) in u_1 and
+    less in every other u_k, so ceil((d+1)/2) Gauss-Legendre nodes per axis
+    are exact.  Above the size budget it raises ``ConfigError``.
+
     Since g_i = g_1 (u_2 ... u_i), the squares factor as x = s * y with
     s = g_1^2 the slab value and y_i = (u_2 ... u_i)^2 the same on every
-    slab.  With nodes = _INNER_NODES[n], returns (s, ws, y, wy): the
-    ``nodes`` slab values and weights,
-    ws folding in the Jacobian g_1^{n-1} (and 1/(1-u_1)^2 on the
-    half-line), and the nodes^{n-1} rows y of shape (nodes^{n-1}, n) with
-    weights wy folding in prod_{k>=2} u_k^{n-k}.  The node s_a * y_b has
-    weight ws_a * wy_b.
+    slab.  Returns (s, ws, y, wy): the ``nodes`` slab values and weights,
+    ws folding in g_1^{n-1}, and the nodes^{n-1} rows y of shape
+    (nodes^{n-1}, n) with weights wy folding in prod_{k>=2} u_k^{n-k}.
+    The node s_a * y_b has weight ws_a * wy_b.
     """
-    if n > MAX_QUADRATURE_N:
-        raise ConfigError(f"nested quadrature capped at N = {MAX_QUADRATURE_N}")
-    nodes = _INNER_NODES[n]
+    nodes = int((n + 1) ** 2 + 2 * n * (a + b)) // 2  # JacobiQuery admits a = 2.0
+    if nodes ** max(n, 2) > _GRID_BUDGET:
+        raise ConfigError(f"nested quadrature needs {nodes}^{n} nodes, over the budget of 2^21")
     x, w = gauss_legendre_01(nodes)
-    g1 = x / (1.0 - x) if half_line else x
-    ws = w * g1 ** (n - 1)
-    if half_line:
-        ws = ws / (1.0 - x) ** 2
     # rows (1, u_2, u_2 u_3, ..., u_2 ... u_n) of the row-major product grid
     ratios, wy = np.ones((1, 1)), np.ones(1)
     for k in range(2, n + 1):
         last = np.outer(ratios[:, -1], x).ravel()
         ratios = np.hstack([np.repeat(ratios, nodes, axis=0), last[:, None]])
         wy = np.outer(wy, w * x ** (n - k)).ravel()
-    return g1**2, ws, ratios**2, wy
+    return x**2, w * x ** (n - 1), ratios**2, wy
 
 
 def _abs_vandermonde(x: np.ndarray) -> np.ndarray:
@@ -272,24 +263,37 @@ def _abs_vandermonde(x: np.ndarray) -> np.ndarray:
     return np.abs(out)
 
 
-def _inner_moments(n: int, weight, half_line: bool) -> np.ndarray:
-    """M_k = integral of prod|g_i^2-g_j^2| e_k(g^2) prod W(g^2), k = 0..n.
+def _peak(a: int, b: int) -> float:
+    """x0 = (a + 1/2) / (a + b + 1) in (0, 1), near the peak of x^a (1-x)^b."""
+    return (a + 0.5) / (a + b + 1)
+
+
+def _inner_moments(n: int, a: int, b: int) -> np.ndarray:
+    """M_k / W(x0)^n, k = 0..n, with M_k the integral of
+    prod|g_i^2-g_j^2| e_k(g^2) prod W(g_i^2) for the Jacobi weight
+    W(x) = x^a (1-x)^b, and x0 = :func:`_peak`.
 
     These moments reconstruct the inner integral for every coefficient at
     once: J(lg; r) = sum_k M_k lg^{n-k} r^k, since
-    prod_i (lg + r g_i^2) = sum_k lg^{n-k} r^k e_k(g^2) pointwise.
+    prod_i (lg + r g_i^2) = sum_k lg^{n-k} r^k e_k(g^2) pointwise.  The
+    factor W(x0)^{-n} cancels in every ratio of moments and keeps the sum in
+    float64 range: unscaled, the N = 2 sums turn subnormal from a = b = 260.
 
     On a slab x = s * y of :func:`_slab_grid`, prod|x_i - x_j| =
     s^{n(n-1)/2} prod|y_i - y_j| and e_k(x) = s^k e_k(y), so the rows
     wy * prod|y_i - y_j| * e_k(y) are built once, and each slab costs one
-    evaluation of prod_i W(s y_i) and one matrix-vector product with them.
+    evaluation of prod_i W(s y_i) / W(x0) and one matrix-vector product
+    with them.
     """
-    s, ws, y, wy = _slab_grid(n, half_line)
+    s, ws, y, wy = _slab_grid(n, a, b)
+    x0 = _peak(a, b)
     rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
     powers = n * (n - 1) // 2 + np.arange(n + 1)
     total = np.zeros(n + 1)
     for s_a, w_a in zip(s, ws):
-        total += w_a * s_a**powers * (np.prod(weight(s_a * y), axis=1) @ rows)
+        x = s_a * y
+        weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
+        total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
     return math.factorial(n) * total
 
 
@@ -299,117 +303,67 @@ def inner_symmetrized(n: int, a: int, b: int, c: complex) -> complex:
     J_sym(c) = integral over [0,1]^N of
                prod_{i<j} |g_i^2 - g_j^2| prod_i (1 + c g_i^2) W(g_i^2) dg.
     """
-    m = _inner_moments(n, _jacobi_weight(a, b), False)
+    x0 = _peak(a, b)
+    m = _inner_moments(n, a, b) * (x0**a * (1.0 - x0) ** b) ** n
     return sum(m[k] * c**k for k in range(n + 1))
 
 
-def mehta_determinant(
-    query: JacobiQuery,
-    r: float | complex,
-    powers: tuple[int, ...] | None = None,
-) -> complex:
+def mehta_determinant(query: JacobiQuery, r: float | complex) -> complex:
     """Ordered-sector monomial-determinant route to the inner integral.
 
     Evaluates N! * integral over the ordered sector of
-    det[ W(g_i^2) R_{j-1}(g_i^2) (1 + r g_i^2) ] with R_j(x) = x^{p_j}
-    (default p = (0, 1, ..., N-1), which makes the determinant the positive
-    Vandermonde on ascending rows).  ``r`` is the literal coefficient of
-    the (1 + r g^2) factor; the full pipeline passes c = r / (lambda gamma).
+    det[ W(g_i^2) g_i^{2(j-1)} (1 + r g_i^2) ], which on ascending rows is
+    prod_i W(g_i^2) (1 + r g_i^2) times the positive Vandermonde.  ``r`` is
+    the literal coefficient of the (1 + r g^2) factor; the full pipeline
+    passes c = r / (lambda gamma).
     """
-    n = query.n
-    s, ws, y, wy = _slab_grid(n, False)
-    powers = tuple(range(n)) if powers is None else tuple(powers)
-    if len(powers) != n:
-        raise ConfigError("need one monomial power per matrix row")
-    y_asc = y[:, ::-1]  # ascending rows make the default determinant positive
-    weight = _jacobi_weight(query.a, query.b)
+    n, a, b = query.n, query.a, query.b
+    s, ws, y, wy = _slab_grid(n, a, b)
+    y_asc = y[:, ::-1]  # ascending rows make the determinant positive
     total = 0.0 + 0.0j
     for s_a, w_a in zip(s, ws):
         x_asc = s_a * y_asc
-        fcols = np.stack(
-            [weight(x_asc) * x_asc**p * (1.0 + r * x_asc) for p in powers], axis=2
-        )
+        f = x_asc**a * (1.0 - x_asc) ** b * (1.0 + r * x_asc)
+        fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
         total += w_a * (wy @ np.linalg.det(fcols.astype(complex)))
     return complex(math.factorial(n) * total)
-
-
-def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:
-    """Matrix coefficients [A0, A1, A2] of the Pfaffian kernel in c.
-
-    For even N = 2s the kernel is alpha[0:2s, 0:2s]; for odd N = 2s+1 it is
-    bordered by the column k_i(a, b; 1), itself linear in c, giving a third
-    degree-one coefficient slot merged into A0/A1.
-    """
-    size = n if n % 2 == 0 else n + 1
-    mats = [np.zeros((size, size)) for _ in range(3)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a0, a1, a2 = _alpha_poly(i, j, a, b)
-            for m, val in zip(mats, (a0, a1, a2)):
-                m[i, j] = val
-                m[j, i] = -val
-    if n % 2 == 1:
-        for i in range(n):
-            k0 = float(h_closed(a + i, b, 1.0))
-            k1 = float(h_closed(a + i + 1, b, 1.0))
-            mats[0][i, n], mats[0][n, i] = k0, -k0
-            mats[1][i, n], mats[1][n, i] = k1, -k1
-    return mats
-
-
-def inner_pfaffian(n: int, a: int, b: int, c: complex) -> complex:
-    """Pfaffian route to the inner integral at fixed coefficient c.
-
-    J_sym(c) = N! (-1)^{floor(N/2)} pf[A(c)] with A the alpha kernel (even
-    N) or its k-bordered extension (odd N).
-    """
-    mats = _alpha_matrix_poly(n, a, b)
-    kernel = (mats[0] + c * mats[1] + c * c * mats[2]).astype(complex)
-    sign = -1.0 if (n // 2) % 2 else 1.0
-    return math.factorial(n) * sign * pfaffian(kernel)
-
-
-def _pfaffian_moments(n: int, a: int, b: int) -> np.ndarray:
-    """Inner moments M_0..M_N read off the Pfaffian route.
-
-    J_sym(c) = sum_k M_k c^k is a polynomial of degree N, so its values at
-    the N+1 points c_j = rho w_j, w_j = e^{2 pi i j / (N+1)}, determine it:
-    sum_j J_sym(c_j) w_j^{-k} = (N+1) M_k rho^k.  The kernel is real, so the
-    coefficients are real up to rounding and only their real part is kept.
-    The sum is one small matrix product, which loads no FFT module.
-    """
-    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    values = np.array([inner_pfaffian(n, a, b, _PFAFFIAN_RADIUS * w) for w in roots])
-    dft = np.vander(roots.conj(), increasing=True).T
-    return (dft @ values).real / ((n + 1) * _PFAFFIAN_RADIUS ** np.arange(n + 1))
 
 
 # -- full averages ---------------------------------------------------------
 
 
-def _s_ratio(moments: np.ndarray, lg: complex, reference_lg: complex) -> complex:
+def _s_ratio(moments, lg: complex, reference_lg: complex) -> complex:
     """S(lg) / S(reference_lg) with S(lg) = sum_k M_k lg^{N-k} B_k, the exact
-    r-integral of the moment sum."""
-    n = moments.size - 1
-    weighted = moments * half_line_moments(n)
+    r-integral of the moment sum, in float64; ``ConfigError`` if S(reference)
+    is zero or either is not finite."""
+    weighted = np.array(moments, dtype=float) * half_line_moments(len(moments) - 1)
 
     def s(x: complex) -> complex:
-        return complex(weighted @ np.array([x ** (n - k) for k in range(n + 1)]))
+        total = 0j  # Horner: overflow gives inf, not OverflowError
+        for w in weighted:
+            total = total * x + w
+        return total
 
-    return s(lg) / s(complex(reference_lg))
+    num, den = s(complex(lg)), s(complex(reference_lg))
+    if not (den != 0 and np.isfinite(den) and np.isfinite(num / den)):
+        raise ConfigError(f"S(lg) = {num} over S(reference) = {den} has no float64 ratio")
+    return num / den
 
 
 def jacobi_pfaffian(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
     """Pfaffian-assembled Jacobi average, as the ratio S(lg) / S(reference).
 
-    The inner moments are the coefficients of the kernel Pfaffian
-    pf[A(c)] in c (:func:`_pfaffian_moments`, N+1 Pfaffians) and the
-    r-integral is exact, so lg = 0 is a valid query and reference.  Above
-    ``MAX_PFAFFIAN_N`` the float Pfaffian loses more than 1e-8 relative and
-    the route raises ``ConfigError``.
+    The inner moments are the exact rational coefficients of the kernel
+    Pfaffian pf[A(c)] in c (:func:`_pfaffian_moments`, N+1 Pfaffians) and
+    the r-integral is exact, so lg = 0 is a valid query and reference.
+    Above N = ``MAX_PFAFFIAN_N`` or a + b = ``MAX_PFAFFIAN_AB`` the exact
+    arithmetic takes seconds and the route raises ``ConfigError``.
     """
-    if query.n > MAX_PFAFFIAN_N:
-        raise ConfigError(f"float Pfaffian route capped at N = {MAX_PFAFFIAN_N}")
+    if query.n > MAX_PFAFFIAN_N or query.a + query.b > MAX_PFAFFIAN_AB:
+        raise ConfigError(
+            f"exact Pfaffian route capped at N = {MAX_PFAFFIAN_N} and "
+            f"a + b = {MAX_PFAFFIAN_AB}"
+        )
     moments = _pfaffian_moments(query.n, query.a, query.b)
     return _s_ratio(moments, query.lg, reference_lg)
 
@@ -417,12 +371,11 @@ def jacobi_pfaffian(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
 def jacobi_quadrature(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
     """Direct-quadrature Jacobi average, as the ratio S(lg) / S(reference).
 
-    The inner moments are nested quadrature of the unfactored product
-    prod_i (lg + r g_i^2), so lg = 0 is a valid query and reference; the
-    r-integral is exact.
+    The inner moments are degree-sized nested quadrature of the unfactored
+    product prod_i (lg + r g_i^2), so lg = 0 is a valid query and reference;
+    the r-integral is exact.
     """
-    weight = _jacobi_weight(query.a, query.b)
-    moments = _inner_moments(query.n, weight, False)
+    moments = _inner_moments(query.n, query.a, query.b)
     return _s_ratio(moments, query.lg, reference_lg)
 
 

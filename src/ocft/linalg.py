@@ -27,7 +27,6 @@ __all__ = [
     "log_beta",
     "log_gamma",
     "pfaffian",
-    "symmetrize_skew",
 ]
 
 
@@ -54,35 +53,34 @@ def is_skew(a, tol: float | None = None) -> bool:
     return bool(np.abs(m + m.T).max() <= tol) if m.size else True
 
 
-def symmetrize_skew(a) -> np.ndarray:
-    """Project onto the skew part, (A - A^T)/2, to suppress rounding drift."""
-    m = as_complex_matrix(a)
-    return 0.5 * (m - m.T)
-
-
-def pfaffian(a, tol: float | None = None) -> complex:
+def pfaffian(a, tol: float | None = None):
     """Pfaffian of a complex skew-symmetric matrix.
 
     Uses skew-symmetric (Parlett-Reid style) elimination with partial
     pivoting: the matrix is reduced to tridiagonal form by congruence with
     unit lower-triangular Gauss transforms, and the Pfaffian is the product
     of the surviving superdiagonal entries times the pivot sign.  O(n^3),
-    numerically stable for the small dimensions used here.
+    numerically stable for the small dimensions used here.  An object-dtype
+    input stays in its own arithmetic: ``Fraction`` entries give an exact
+    Pfaffian.  Any other input is taken as complex.
 
     Raises DimensionError for odd dimension, ShapeError if the skew check
     fails at ``tol`` (same default as :func:`is_skew`).
     """
-    m = as_complex_matrix(a)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1] or n % 2 == 1:
+    m = np.asarray(a)
+    exact = m.dtype == object
+    if not exact:
+        m = as_complex_matrix(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 == 1:
         raise DimensionError(f"pfaffian needs an even square matrix, got {m.shape}")
+    n = m.shape[0]
     if not is_skew(m, tol):
         raise ShapeError("matrix is not skew-symmetric within tolerance")
     if n == 0:
         return 1.0 + 0.0j
-    m = symmetrize_skew(m)
+    m = (m - m.T) / 2  # the skew part, free of rounding drift
 
-    val = 1.0 + 0.0j
+    val = 1 if exact else 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # pivot the largest entry of column k below the diagonal into (k+1, k)
         kp = k + 1 + int(np.abs(m[k + 1:, k]).argmax())
@@ -91,14 +89,14 @@ def pfaffian(a, tol: float | None = None) -> complex:
             m[k:, [k + 1, kp]] = m[k:, [kp, k + 1]]
             val = -val
         pivot = m[k + 1, k]
-        if pivot == 0.0:
-            return 0.0 + 0.0j
+        if pivot == 0:
+            return 0 * pivot if exact else 0.0 + 0.0j
         val *= m[k, k + 1]
         if k + 2 < n:
             tau = m[k + 2:, k] / pivot
             col = m[k + 2:, k + 1]
             m[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(val)
+    return val if exact else complex(val)
 
 
 def determinant(a) -> complex:

@@ -15,11 +15,11 @@ from ocft.cft import (
     verify_bosonic_cft,
     verify_fermionic_cft,
 )
+from jacobi_oracles import alpha_entry_quadrature
 from ocft.haar import RngStream, sample_orthogonal_batch
 from ocft.jacobi import (
     JacobiQuery,
     alpha_entry,
-    alpha_entry_quadrature,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,

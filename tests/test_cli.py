@@ -170,6 +170,42 @@ class TestJacobi:
         assert "capped" in err
 
 
+    @pytest.mark.parametrize("method", ["pfaffian", "quadrature"])
+    def test_validated_sizes_finish_or_exit_two(self, method):
+        for n in (1, 4, 5, 16, 17):
+            for a, b in ((0, 0), (20, 20), (300, 300)):
+                code, out, err = invoke(
+                    ["jacobi", "--n", str(n), "--a", str(a), "--b", str(b),
+                     "--lambda", "1.5", "--gamma", "1.2", "--method", method]
+                )
+                if code == 0:
+                    value = json.loads(out)["value"]
+                    assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+                else:
+                    assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_pfaffian_matches_aomoto(self):
+        # Aomoto's M_k / M_0 = binom(N, k) prod_{i<=k} (2a+1+N-i) / (2a+2b+2N+2-i),
+        # here binom(4, k) prod_{i<=k} (45 - i) / (90 - i)
+        moments = [1.0]
+        for k in range(1, 5):
+            moments.append(moments[-1] * (5 - k) / k * (45 - k) / (90 - k))
+        weighted = [m / math.comb(4, k) for k, m in enumerate(moments)]
+        lg = 1.5 * 1.2
+        exact = sum(w * lg ** (4 - k) for k, w in enumerate(weighted)) / sum(weighted)
+        code, out, _ = invoke(["jacobi", "--n", "4", "--a", "20", "--b", "20",
+                               "--lambda", "1.5", "--gamma", "1.2", "--method", "pfaffian"])
+        assert code == 0
+        assert json.loads(out)["value"]["re"] == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("method", ["pfaffian", "quadrature"])
+    def test_large_exponents_exit_two(self, method):
+        code, out, err = invoke(["jacobi", "--n", "4", "--a", "200", "--b", "200",
+                                 "--lambda", "1.5", "--gamma", "1.2", "--method", method])
+        assert code == 2 and out == ""
+        assert "capped" in err or "budget" in err
+
+
 class TestGinibreCheck:
     def test_passes_and_reports_two(self):
         code, out, _ = invoke(
@@ -295,6 +331,20 @@ class TestVerifyCft:
              "--flavors", "3", "--samples", "100000"]
         )
         assert code == 2 and "n <= 2" in err
+
+    @pytest.mark.parametrize("variant", ["son", "fermionic"])
+    @pytest.mark.parametrize("colors, flavors", [("3", "0"), ("3", "-1"), ("-1", "1")])
+    def test_sizes_checked_before_sampling(self, monkeypatch, variant, colors, flavors):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the colour side was sampled")
+
+        monkeypatch.setattr(cft, "lhs_coefficient_means", no_sampling)
+        code, out, err = invoke(
+            ["verify-cft", "--variant", variant, "--colors", colors,
+             "--flavors", flavors, "--samples", "1000"]
+        )
+        assert code == 2 and out == ""
+        assert "need N >= 1 and n >= 1" in err
 
     def test_son_variant_runs_above_three_colours(self):
         code, out, _ = invoke(

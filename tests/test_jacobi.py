@@ -1,25 +1,26 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from jacobi_oracles import aomoto_moments, alpha_entry_quadrature, h_closed
 from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
-from ocft.jacobi import _gaussian_weight, _inner_moments, _jacobi_weight
-from ocft.jacobi import _INNER_NODES, _abs_vandermonde, _pfaffian_moments, _s_ratio
+from ocft.jacobi import _GRID_BUDGET, _abs_vandermonde, _inner_moments
+from ocft.jacobi import _pfaffian_moments, _s_ratio
 from ocft.jacobi import (
+    MAX_PFAFFIAN_AB,
     MAX_PFAFFIAN_N,
     JacobiQuery,
     alpha_entry,
-    alpha_entry_quadrature,
     gaussian_inner_moments,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
-    h_closed,
     inner_pfaffian,
     inner_symmetrized,
     jacobi_pfaffian,
@@ -29,23 +30,16 @@ from ocft.jacobi import (
 from ocft.linalg import elementary_symmetric_all, pfaffian
 
 
-def aomoto_moments(n, a, b):
-    """Exact M_k / M_0 of the Jacobi weight x^a (1-x)^b, k = 0..n.
-
-    Aomoto's Selberg integral with alpha = a + 1/2, beta = b + 1 and
-    gamma = 1/2 (SIAM J. Math. Anal. 18 (1987) 545).
-    """
-    al, be, ga = a + 0.5, b + 1.0, 0.5
-    out = []
-    for k in range(n + 1):
-        ratio = math.comb(n, k)
-        for i in range(1, k + 1):
-            ratio *= (al + (n - i) * ga) / (al + be + (2 * n - i - 1) * ga)
-        out.append(ratio)
-    return np.array(out)
+def aomoto_float(n, a, b):
+    return np.array(aomoto_moments(n, a, b), dtype=float)
 
 
-def full_grid_moments(n, weight, half_line):
+def rule_nodes(n, a, b):
+    """ceil((d+1)/2) for the integrand degree d = n^2 + 2n - 1 + 2n(a+b) in u_1."""
+    return math.ceil((n * n + 2 * n + 2 * n * (a + b)) / 2)
+
+
+def full_grid_moments(n, weight, nodes, half_line=False):
     """The inner moments as one sum over the full nodes^n product grid.
 
     The unit cube maps to the ordered sector through g_i = prod_{k<=i} u_k
@@ -53,7 +47,7 @@ def full_grid_moments(n, weight, half_line):
     g_1^{n-1} prod_{k>=2} u_k^{n-k}: the same nodes and weights as the slab
     route, summed in another order.
     """
-    x, w = gauss_legendre_01(_INNER_NODES[n])
+    x, w = gauss_legendre_01(nodes)
     cube = np.stack([gr.ravel() for gr in np.meshgrid(*([x] * n), indexing="ij")], axis=1)
     weights = np.prod(
         np.stack([wg.ravel() for wg in np.meshgrid(*([w] * n), indexing="ij")], axis=1),
@@ -141,8 +135,8 @@ class TestInnerOracles:
                 sym = inner_symmetrized(n, a, b, c)
                 pf = inner_pfaffian(n, a, b, c)
                 md = mehta_determinant(JacobiQuery(1, 1, a, b, n), c)
-                assert complex(sym) == pytest.approx(complex(pf), rel=1e-6)
-                assert complex(sym) == pytest.approx(complex(md), rel=1e-6)
+                assert complex(sym) == pytest.approx(complex(pf), rel=1e-12)
+                assert complex(sym) == pytest.approx(complex(md), rel=1e-12)
 
     def test_mehta_single_variable(self):
         # N=1 reduces to the plain 1-D integral of W(g^2)(1 + r g^2)
@@ -153,45 +147,45 @@ class TestInnerOracles:
         )
         assert mehta_determinant(q, r) == pytest.approx(direct, rel=1e-10)
 
-    def test_mehta_column_swap_flips_sign(self):
-        q = JacobiQuery(1, 1, 0, 0, 2)
-        plain = mehta_determinant(q, 0.5, powers=(0, 1))
-        swapped = mehta_determinant(q, 0.5, powers=(1, 0))
-        assert swapped == pytest.approx(-plain, rel=1e-12)
-
     def test_dimension_cap(self):
+        # a = b = 0 fits the node budget up to N = 5 (18^5 nodes), not N = 6
         with pytest.raises(ConfigError):
-            mehta_determinant(JacobiQuery(1, 1, 0, 0, 5), 0.1)
+            mehta_determinant(JacobiQuery(1, 1, 0, 0, 6), 0.1)
 
 
 class TestSlabGrid:
-    # the 48-node Gauss-Legendre rule of N = 3 integrates monomials only to
-    # 5.5e-14 relative, which sets a 1.2e-14 floor there on any summation order
-    @pytest.mark.parametrize("n, rtol", [(1, 1e-14), (2, 1e-14), (3, 2e-14), (4, 1e-14)])
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    @pytest.mark.parametrize("b", [0, 1, 2])
+    # n = 5 only fits the node budget at a = b = 0; its 18-node rule is exact
+    # for the degree-34 integrand, but float64 Gauss-Legendre nodes on [0, 1]
+    # integrate x^35 to 2.9e-14 relative, which sets the rounding floor there
+    @pytest.mark.parametrize(
+        "n, rtol", [(1, 1e-14), (2, 1e-14), (3, 2e-14), (4, 1e-14), (5, 3e-14)]
+    )
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [0, 1, 2, 3])
     def test_inner_moments_match_aomoto(self, n, rtol, a, b):
-        m = _inner_moments(n, _jacobi_weight(a, b), False)
-        np.testing.assert_allclose(m / m[0], aomoto_moments(n, a, b), rtol=rtol, atol=0)
+        if rule_nodes(n, a, b) ** max(n, 2) > _GRID_BUDGET:
+            with pytest.raises(ConfigError):
+                _inner_moments(n, a, b)
+            return
+        m = _inner_moments(n, a, b)
+        np.testing.assert_allclose(m / m[0], aomoto_float(n, a, b), rtol=rtol, atol=0)
+
+    def test_large_exponents_match_aomoto(self):
+        # 128^3 = 2^21 nodes, the edge of the budget
+        m = _inner_moments(3, 20, 20)
+        np.testing.assert_allclose(m / m[0], aomoto_float(3, 20, 20), rtol=1e-14, atol=0)
+
+    def test_budget_refusals(self):
+        for n, a, b in [(4, 6, 6), (6, 0, 0), (2, 400, 400), (1, 800, 800)]:
+            with pytest.raises(ConfigError, match="budget"):
+                jacobi_quadrature(JacobiQuery(1.5, 1.2, a, b, n))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (2, 1)])
     def test_matches_full_grid_jacobi(self, n, a, b):
-        weight = _jacobi_weight(a, b)
-        np.testing.assert_allclose(
-            _inner_moments(n, weight, False),
-            full_grid_moments(n, weight, False),
-            rtol=1e-12, atol=0,
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_full_grid_gaussian(self, n):
-        weight = _gaussian_weight()
-        np.testing.assert_allclose(
-            _inner_moments(n, weight, True),
-            full_grid_moments(n, weight, True),
-            rtol=1e-12, atol=0,
-        )
+        full = full_grid_moments(n, lambda x: x**a * (1 - x) ** b, rule_nodes(n, a, b))
+        slab = _inner_moments(n, a, b)
+        np.testing.assert_allclose(slab / slab[0], full / full[0], rtol=1e-12, atol=0)
 
     def test_quadrature_memory_at_cap(self):
         # the full 32^4 grid peaked at 192 MiB
@@ -206,42 +200,48 @@ class TestSlabGrid:
     def test_mehta_matches_symmetrized_at_cap(self):
         md = mehta_determinant(JacobiQuery(1, 1, 1, 1, 4), 0.7)
         sym = inner_symmetrized(4, 1, 1, 0.7)
-        assert complex(md) == pytest.approx(complex(sym), rel=1e-10)
+        assert complex(md) == pytest.approx(complex(sym), rel=1e-12)
 
 
 class TestPfaffianMoments:
-    # worst moment error on the radius-2 circle: 8.7e-14 at N = 3, 6.2e-12 at
-    # N = 4, 6.9e-10 at N = 5 and 4.7e-9 at N = 6; the unit circle gives
-    # 1.8e-13 at N = 3 and 5.7e-8 at N = 6, outside these bounds
+    # the exact route must equal Aomoto's rationals; the second parameter is
+    # the relative error that the float circle-sampled Pfaffian route was
+    # allowed at that N, and stays only as part of each case's id
     @pytest.mark.parametrize(
-        "n, rtol", [(1, 1e-14), (2, 5e-14), (3, 1.5e-13), (4, 2e-11), (5, 3e-9), (6, 1e-8)]
+        "n, float_rtol", [(1, 1e-14), (2, 5e-14), (3, 1.5e-13), (4, 2e-11), (5, 3e-9), (6, 1e-8)]
     )
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0, 1, 2])
-    def test_match_aomoto(self, n, rtol, a, b):
-        m = _pfaffian_moments(n, a, b)
-        np.testing.assert_allclose(m / m[0], aomoto_moments(n, a, b), rtol=rtol, atol=0)
+    def test_match_aomoto(self, n, float_rtol, a, b):
+        assert _pfaffian_moments(n, a, b) == aomoto_moments(n, a, b)
+
+    def test_exact_up_to_ten(self):
+        for n in range(1, 11):
+            for a in range(4):
+                for b in range(4):
+                    assert _pfaffian_moments(n, a, b) == aomoto_moments(n, a, b), (n, a, b)
+
+    def test_exact_at_cap(self):
+        for a, b in [(2, 3), (MAX_PFAFFIAN_AB // 2, MAX_PFAFFIAN_AB // 2)]:
+            moments = _pfaffian_moments(MAX_PFAFFIAN_N, a, b)
+            assert all(isinstance(m, Fraction) for m in moments)
+            assert moments == aomoto_moments(MAX_PFAFFIAN_N, a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_match_inner_quadrature(self, n):
         for a, b in [(0, 0), (1, 2), (2, 1), (2, 2)]:
+            quad = _inner_moments(n, a, b)
             np.testing.assert_allclose(
-                _pfaffian_moments(n, a, b),
-                _inner_moments(n, _jacobi_weight(a, b), False),
-                rtol=2e-11, atol=0,
+                np.array(_pfaffian_moments(n, a, b), dtype=float), quad / quad[0],
+                rtol=1e-14, atol=0,
             )
 
     def test_ratios_hold_at_cap(self):
-        lgs = (0.0, 0.15, 1.08 * np.exp(0.4j), 1.25, 1.8, 8.0)
-        for a in (0, 1, 2):
-            for b in (0, 1, 2):
-                exact = aomoto_moments(MAX_PFAFFIAN_N, a, b)
-                for lg in lgs:
-                    for ref in lgs:
-                        q = JacobiQuery(lg, 1.0, a, b, MAX_PFAFFIAN_N)
-                        assert jacobi_pfaffian(q, reference_lg=ref) == pytest.approx(
-                            _s_ratio(exact, complex(lg), ref), rel=1e-8
-                        )
+        q = JacobiQuery(1.08 * np.exp(0.4j), 1.0, 1, 2, MAX_PFAFFIAN_N)
+        exact = aomoto_moments(MAX_PFAFFIAN_N, 1, 2)
+        assert jacobi_pfaffian(q, reference_lg=0.15) == pytest.approx(
+            _s_ratio(exact, q.lg, 0.15), rel=1e-14
+        )
 
     def test_one_pfaffian_per_coefficient(self, monkeypatch):
         import ocft.jacobi
@@ -253,7 +253,7 @@ class TestPfaffianMoments:
             return pfaffian(kernel)
 
         monkeypatch.setattr(ocft.jacobi, "pfaffian", counted)
-        for n in range(1, MAX_PFAFFIAN_N + 1):
+        for n in range(1, 9):
             calls.clear()
             jacobi_pfaffian(JacobiQuery(1.5, 1.2, 1, 1, n), reference_lg=0.3)
             assert len(calls) == n + 1
@@ -261,6 +261,8 @@ class TestPfaffianMoments:
     def test_cap(self):
         with pytest.raises(ConfigError):
             jacobi_pfaffian(JacobiQuery(1.5, 1.2, 0, 0, MAX_PFAFFIAN_N + 1))
+        with pytest.raises(ConfigError):
+            jacobi_pfaffian(JacobiQuery(1.5, 1.2, MAX_PFAFFIAN_AB, 1, 2))
 
 
 class TestFullRatios:
@@ -280,7 +282,19 @@ class TestFullRatios:
             q = JacobiQuery(1.5, 1.2, a, b, n)
             pf = jacobi_pfaffian(q)
             qd = jacobi_quadrature(q)
-            assert pf == pytest.approx(qd, rel=1e-5)
+            assert pf == pytest.approx(qd, rel=1e-14)
+
+    def test_both_routes_match_aomoto(self):
+        # at (2, 260, 260) the unscaled weight product is subnormal in float64
+        for method, (n, a, b) in [
+            (jacobi_pfaffian, (4, 20, 20)),
+            (jacobi_quadrature, (4, 2, 3)),
+            (jacobi_quadrature, (3, 20, 20)),
+            (jacobi_quadrature, (2, 260, 260)),
+        ]:
+            q = JacobiQuery(1.5, 1.2, a, b, n)
+            exact = _s_ratio(aomoto_moments(n, a, b), q.lg, 1.0)
+            assert method(q) == pytest.approx(exact, rel=1e-14)
 
     def test_depends_on_product_only(self):
         a = jacobi_pfaffian(JacobiQuery(2.0, 0.9, 1, 1, 2))
@@ -299,7 +313,7 @@ class TestFullRatios:
             q = JacobiQuery(lam, gam, 1, 1, 2)
             pf = jacobi_pfaffian(q)
             qd = jacobi_quadrature(q)
-            assert complex(pf) == pytest.approx(complex(qd), rel=1e-8)
+            assert complex(pf) == pytest.approx(complex(qd), rel=1e-14)
 
     def test_zero_product_paths(self):
         q = JacobiQuery(0.0, 1.0, 0, 0, 2)
@@ -310,15 +324,28 @@ class TestFullRatios:
             for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
                 zero, other = JacobiQuery(0.0, 1.0, 1, 2, n), JacobiQuery(lg, 1.0, 1, 2, n)
                 assert jacobi_pfaffian(zero, reference_lg=lg) == pytest.approx(
-                    jacobi_quadrature(zero, reference_lg=lg), rel=1e-11
+                    jacobi_quadrature(zero, reference_lg=lg), rel=1e-13
                 )
                 assert jacobi_pfaffian(other, reference_lg=0.0) == pytest.approx(
-                    jacobi_quadrature(other, reference_lg=0.0), rel=1e-11
+                    jacobi_quadrature(other, reference_lg=0.0), rel=1e-13
                 )
 
     def test_quadrature_cap(self):
         with pytest.raises(ConfigError):
-            jacobi_quadrature(JacobiQuery(1.0, 1.0, 0, 0, 5))
+            jacobi_quadrature(JacobiQuery(1.0, 1.0, 0, 0, 6))
+
+    def test_unusable_reference_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            _s_ratio([0.0, 0.0, 0.0], 1.5, 1.0)
+        with pytest.raises(ConfigError):
+            _s_ratio([1.0, math.inf], 1.5, 1.0)
+        with pytest.raises(ConfigError):
+            _s_ratio([1.0, 1.0, 1.0], 1e300, 1.0)
+
+    def test_integer_valued_float_exponents(self):
+        exact = jacobi_pfaffian(JacobiQuery(1.5, 1.2, 2, 1, 2))
+        for method in (jacobi_pfaffian, jacobi_quadrature):
+            assert method(JacobiQuery(1.5, 1.2, 2.0, 1.0, 2)) == pytest.approx(exact, rel=1e-14)
 
     def test_query_validation(self):
         with pytest.raises(DomainError):
@@ -383,11 +410,8 @@ class TestGinibre:
     def test_finite_r_domain_breaks_n1(self):
         # restricting the radial integral to [0, 1] is inconsistent with the
         # exact N=1 ratio 1 + lg; the [0, inf) domain is the correct reading
-        from ocft._quad import gauss_legendre_01
-        from ocft.jacobi import _gaussian_weight, _inner_moments
-
         lg = 1.0
-        m = _inner_moments(1, _gaussian_weight(), True)
+        m = gaussian_inner_moments(1)
         t, w = gauss_legendre_01(64)
         wgt = w * (1 + t) ** (-3.0)
         s = lambda lgv: wgt @ (m[0] * lgv + m[1] * t)
@@ -410,9 +434,12 @@ class TestHalfLineMoments:
 
 
 class TestGaussianInnerMoments:
+    # nested Gauss-Legendre quadrature on the half-line, with u_1 -> u_1/(1-u_1)
+    # and 128, 64 and 48 nodes per axis: not exact, hence the tolerances
     @pytest.mark.parametrize("n, rtol", [(1, 1e-12), (2, 1e-10), (3, 1e-6)])
     def test_closed_form_matches_nested_quadrature(self, n, rtol):
-        nested = _inner_moments(n, _gaussian_weight(), True)
+        nodes = {1: 128, 2: 64, 3: 48}[n]
+        nested = full_grid_moments(n, lambda x: np.exp(-0.5 * x), nodes, half_line=True)
         np.testing.assert_allclose(
             nested / nested[0], gaussian_inner_moments(n), rtol=rtol
         )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,23 @@ class TestPfaffian:
 
     def test_zero_dimension(self):
         assert linalg.pfaffian(np.zeros((0, 0))) == 1.0
+
+    def test_rational_input_is_exact(self):
+        # pf = a01 a23 - a02 a13 + a03 a12 for a 4 x 4 skew matrix
+        rng = np.random.default_rng(17)
+        upper = {(i, j): Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                 for i in range(4) for j in range(i + 1, 4)}
+        a = np.full((4, 4), Fraction(0), dtype=object)
+        for (i, j), v in upper.items():
+            a[i, j], a[j, i] = v, -v
+        u = upper
+        expected = u[0, 1] * u[2, 3] - u[0, 2] * u[1, 3] + u[0, 3] * u[1, 2]
+        value = linalg.pfaffian(a)
+        assert isinstance(value, Fraction) and value == expected
+        # the input is left as it was, and a zero pivot gives an exact zero
+        assert a[0, 1] == upper[0, 1]
+        a[0, 1:] = a[1:, 0] = Fraction(0)
+        assert linalg.pfaffian(a) == 0 and isinstance(linalg.pfaffian(a), Fraction)
 
 
 class TestDeterminant:
@@ -123,9 +141,3 @@ class TestSkewHelpers:
         a = linalg.random_skew(6, rng, scale=1e8)
         assert linalg.is_skew(a)
         assert not linalg.is_skew(a + 1e-2 * np.eye(6))
-
-    def test_symmetrize_is_projection(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((5, 5))
-        s = linalg.symmetrize_skew(a)
-        np.testing.assert_allclose(s, -s.T, atol=1e-15)
