@@ -11,7 +11,10 @@ form it instead by Gram-Schmidt with one reorthogonalisation pass,
 vectorised over the batch (:func:`_orthonormal_columns`): its R has a
 positive diagonal by construction, so it is the same Q to rounding, from
 the same Gaussian draws, at several times LAPACK's rate for the small
-matrices drawn here.
+matrices drawn here.  An SO(N) draw is an O(N) draw whose last row is
+negated when its determinant, read off the batched cofactor formulas of
+:func:`linalg.det_stack` (LAPACK above 4 x 4), is negative: det = +-1 to
+rounding, so any accurate determinant picks the same draws.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .linalg import det_stack
 
 __all__ = [
     "Estimate",
@@ -156,7 +160,7 @@ def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     is mapped through the fixed reflection diag(1, ..., 1, -1).
     """
     o = sample_orthogonal_batch(n, count, rng)
-    neg = np.linalg.det(o) < 0
+    neg = det_stack(o) < 0
     o[neg, -1, :] *= -1.0
     return o
 

@@ -64,7 +64,7 @@ import numpy as np
 from ._quad import gauss_legendre_01, half_line_moments
 from .errors import ConfigError, DomainError
 from .haar import Estimate, RngStream, stream_mean
-from .linalg import elementary_symmetric_all, pfaffian
+from .linalg import det_stack, elementary_symmetric_all, pfaffian
 
 __all__ = [
     "JacobiQuery",
@@ -325,7 +325,7 @@ def mehta_determinant(query: JacobiQuery, r: float | complex) -> complex:
         x_asc = s_a * y_asc
         f = x_asc**a * (1.0 - x_asc) ** b * (1.0 + r * x_asc)
         fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
-        total += w_a * (wy @ np.linalg.det(fcols.astype(complex)))
+        total += w_a * (wy @ det_stack(fcols))
     return complex(math.factorial(n) * total)
 
 
@@ -385,7 +385,10 @@ def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:
     Normalised so that lg = 0 gives 1.
     """
     lg = complex(lam) * complex(gam)
-    return complex(sum(lg**k / math.factorial(k) for k in range(n + 1)))
+    try:
+        return complex(sum(lg**k / math.factorial(k) for k in range(n + 1)))
+    except OverflowError:
+        raise ConfigError(f"closed form overflows float64 at lg = {lg}, N = {n}") from None
 
 
 def gaussian_inner_moments(n: int) -> np.ndarray:
@@ -435,6 +438,8 @@ def ginibre_mc(
     """
     if n > MAX_GINIBRE_N:
         raise ConfigError(f"Ginibre Monte Carlo capped at N = {MAX_GINIBRE_N}")
+    # a real shift keeps the shifted matrices, and so their dets, in float64
+    lam, gam = (x.real if x.imag == 0 else x for x in (complex(lam), complex(gam)))
     eye = np.eye(n)
     # E det(A)^2 = N!, so every det is scaled by the power of two nearest
     # 1/sqrt(N!): the det^4-sized cross column and its squares stay in range,
@@ -443,10 +448,8 @@ def ginibre_mc(
 
     def values(gen, b):
         mats = gen.standard_normal((b, n, n))
-        num = (np.linalg.det(lam * eye - mats) * scale) * (
-            np.linalg.det(gam * eye - mats) * scale
-        )
-        den = (np.linalg.det(mats) * scale) ** 2
+        num = (det_stack(lam * eye - mats) * scale) * (det_stack(gam * eye - mats) * scale)
+        den = (det_stack(mats) * scale) ** 2
         return np.stack([num, den, num * np.conj(den)], axis=1)
 
     (mean_n, mean_d, cross), se = stream_mean(values, samples, rng)

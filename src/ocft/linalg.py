@@ -1,10 +1,13 @@
-"""Dense complex linear algebra and combinatorial primitives.
+"""Dense real and complex linear algebra and combinatorial primitives.
 
 Everything downstream (Pfaffian kernels, symmetric-polynomial closed forms,
-Beta-function sums) is built on the handful of routines in this module:
+Beta-function sums, Monte-Carlo determinant oracles) is built on the handful
+of routines in this module:
 
 * ``pfaffian``          -- skew-symmetric elimination with partial pivoting
-* ``determinant``       -- LU via LAPACK, exact small-dimension formulas
+* ``det_stack``         -- batched determinants in the input's dtype:
+                           cofactor / Laplace formulas up to 4 x 4, LAPACK's
+                           LU above; ``determinant`` is its one-matrix form
 * ``elementary_symmetric``  -- stable product-polynomial scheme
 * ``log_gamma`` / ``log_beta`` -- log-domain special functions
 
@@ -21,6 +24,7 @@ from .errors import DimensionError, DomainError, ShapeError
 
 __all__ = [
     "as_complex_matrix",
+    "det_stack",
     "determinant",
     "elementary_symmetric",
     "is_skew",
@@ -99,23 +103,55 @@ def pfaffian(a, tol: float | None = None):
     return val if exact else complex(val)
 
 
-def determinant(a) -> complex:
-    """Determinant of a square complex matrix.
+def det_stack(m) -> np.ndarray:
+    """Determinants of a real or complex (..., n, n) stack, shape (...).
 
-    Dimensions 0..2 use the exact formula; larger matrices go through
+    The result keeps the input's dtype (integer input is taken as float64),
+    so a real stack gives real determinants.  Up to n = 4 every determinant
+    is a fixed polynomial in the entries, with no pivoting, division or
+    log/exp: the entry, ad - bc, the cofactor expansion along the first row,
+    and at n = 4 the Laplace expansion over the six 2 x 2 minors of rows
+    {0, 1} and their complements in rows {2, 3}.  Larger matrices go through
     LAPACK's partially pivoted LU (``numpy.linalg.det``).
     """
+    a = np.asarray(m)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"det_stack needs a (..., n, n) stack, got {a.shape}")
+    n = a.shape[-1]
+    if n > 4:
+        return np.linalg.det(a)
+    if n == 0:
+        return np.ones(a.shape[:-2], dtype=a.dtype)
+    e = [[a[..., i, j] for j in range(n)] for i in range(n)]
+    if n == 1:
+        return e[0][0].copy()
+    if n == 2:
+        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = e
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+    def minor(r, j, k):
+        return e[r][j] * e[r + 1][k] - e[r][k] * e[r + 1][j]
+
+    return (
+        minor(0, 0, 1) * minor(2, 2, 3)
+        - minor(0, 0, 2) * minor(2, 1, 3)
+        + minor(0, 0, 3) * minor(2, 1, 2)
+        + minor(0, 1, 2) * minor(2, 0, 3)
+        - minor(0, 1, 3) * minor(2, 0, 2)
+        + minor(0, 2, 3) * minor(2, 0, 1)
+    )
+
+
+def determinant(a) -> complex:
+    """Determinant of a square complex matrix (:func:`det_stack` of one)."""
     m = as_complex_matrix(a)
-    n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"determinant needs a square matrix, got {m.shape}")
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return complex(np.linalg.det(m))
+    return complex(det_stack(m))
 
 
 def elementary_symmetric(values, l: int) -> float:

@@ -22,6 +22,7 @@ reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .haar import (
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import as_complex_matrix, elementary_symmetric_all, is_skew
+from .linalg import as_complex_matrix, det_stack, elementary_symmetric_all, is_skew
 
 __all__ = [
     "MomentQuery",
@@ -72,11 +73,15 @@ def moment_m1_closed(query: MomentQuery) -> float:
     if query.m != 1:
         raise ConfigError("closed form only covers m = 1")
     n = query.n
-    zz = abs(query.z) ** 2
     s = elementary_symmetric_all(np.asarray(query.g) ** 2)
-    from math import comb
-
-    return float(sum(s[l] * zz ** (n - l) / comb(n, l) for l in range(n + 1)))
+    try:
+        zz = abs(query.z) ** 2
+        value = float(sum(s[l] * zz ** (n - l) / math.comb(n, l) for l in range(n + 1)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"closed form overflows float64 at |z| = {abs(query.z)}, g = {query.g}")
+    return value
 
 
 def moment_mc(
@@ -87,12 +92,13 @@ def moment_mc(
 ) -> Estimate:
     """Haar Monte-Carlo estimate of E[det^m((z - GO)(z - GO)^dagger)]."""
     g = np.asarray(query.g)
-    z = complex(query.z)
+    # a real z keeps z - GO, and so its dets, in float64
+    z = query.z.real if query.z.imag == 0 else query.z
     m = query.m
 
     def f(o):
         mats = z * np.eye(g.size) - g[:, None] * o
-        dets = np.linalg.det(mats)
+        dets = det_stack(mats)
         return (dets * dets.conj()).real ** m
 
     return mc_expectation(f, g.size, samples, rng, workers=workers)

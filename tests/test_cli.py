@@ -79,6 +79,12 @@ class TestMoment:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(5.0)
 
+    def test_closed_form_overflow_exits_two(self):
+        code, out, err = invoke(["moment", "--n", "2", "--m", "1", "--z", "1e200",
+                                 "--g", "1,1", "--method", "closed"])
+        assert code == 2 and out == ""
+        assert "overflow" in err
+
     def test_pfaffian_method(self):
         code, out, _ = invoke(
             ["moment", "--n", "2", "--z", "1,0", "--g", "0.5,1.5",
@@ -239,6 +245,12 @@ class TestGinibreCheck:
         assert rec["pipeline_rel_err"] <= 1e-12
         code, out, _ = invoke(argv + [str(MAX_GINIBRE_N + 1)])
         assert code == 2 and out == ""
+
+    def test_closed_form_overflow_exits_two(self):
+        code, out, err = invoke(["ginibre-check", "--n", "2", "--lambda", "1e200",
+                                 "--gamma", "1", "--samples", "2000"])
+        assert code == 2 and out == ""
+        assert "overflow" in err
 
     def test_non_finite_std_error_fails(self, monkeypatch):
         # z = 0 against an infinite standard error is no evidence of a match

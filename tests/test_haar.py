@@ -43,6 +43,15 @@ class TestSamplers:
         se = entry.std() / np.sqrt(entry.size)
         assert abs(entry.mean()) <= 3 * se
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_special_orthogonal_sign_matches_lapack(self, n):
+        # the SO(n) reflection rule, applied with LAPACK's det to the same O(n) draws
+        for seed in range(10):
+            o = sample_orthogonal_batch(n, 2000, RngStream(seed))
+            o[np.linalg.det(o) < 0, -1, :] *= -1.0
+            so = sample_special_orthogonal_batch(n, 2000, RngStream(seed))
+            np.testing.assert_array_equal(so, o)
+
     def test_determinants_are_signs(self):
         o = sample_orthogonal_batch(4, 2000, RngStream(6))
         dets = np.linalg.det(o)

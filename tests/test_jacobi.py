@@ -391,6 +391,24 @@ class TestGinibre:
         (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3))
         assert ginibre_mc(1.0, 2.0, n, samples, RngStream(3)).mean == mean_n / mean_d
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mc_real_shift_matches_complex_arithmetic(self, n):
+        # lg with a zero imaginary part runs in float64; 1e-300j keeps complex
+        real = ginibre_mc(1 + 0j, 1 + 0j, n, 3000, RngStream(20 + n))
+        cplx = ginibre_mc(1 + 1e-300j, 1 + 0j, n, 3000, RngStream(20 + n))
+        assert real.mean.imag == 0.0
+        assert real.mean == pytest.approx(cplx.mean, rel=1e-12)
+        assert real.std_error == pytest.approx(cplx.std_error, rel=1e-12)
+
+    def test_mc_complex_shift(self):
+        est = ginibre_mc(0.9 + 0.4j, 1.0, 3, 3000, RngStream(9))
+        assert np.isfinite(est.mean) and est.mean.imag != 0.0
+        assert np.isfinite(est.std_error) and est.std_error > 0.0
+
+    def test_closed_overflow_is_config_error(self):
+        with pytest.raises(ConfigError, match="overflow"):
+            ginibre_closed(1e200, 1.0, 2)
+
     def test_mc_matches_closed(self):
         est = ginibre_mc(1.0, 1.0, 2, 150_000, RngStream(7))
         assert est.z_score(ginibre_closed(1.0, 1.0, 2)) <= 3.0

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -81,6 +82,78 @@ class TestDeterminant:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
         assert linalg.determinant(a) == pytest.approx(np.linalg.det(a), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_returns_complex(self, n):
+        rng = np.random.default_rng(80 + n)
+        value = linalg.determinant(rng.standard_normal((n, n)))
+        assert type(value) is complex
+
+
+class TestDetStack:
+    @staticmethod
+    def well_conditioned(shape, n, rng, complex_entries):
+        a = rng.standard_normal(shape + (n, n))
+        if complex_entries:
+            a = a + 1j * rng.standard_normal(shape + (n, n))
+        return a + 3.0 * np.eye(n)
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_lapack(self, n, complex_entries):
+        rng = np.random.default_rng(40 + n)
+        a = self.well_conditioned((500,), n, rng, complex_entries)
+        det = linalg.det_stack(a)
+        np.testing.assert_allclose(det, np.linalg.det(a), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_dtype_is_kept(self, n):
+        rng = np.random.default_rng(50 + n)
+        real = rng.standard_normal((3, n, n))
+        assert linalg.det_stack(real).dtype == np.float64
+        assert linalg.det_stack(real.astype(complex)).dtype == np.complex128
+        assert linalg.det_stack(real.astype(int)).dtype == np.float64
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exact_on_integer_matrices(self, n):
+        # the cofactor and Laplace formulas of small integers are exact in float64
+        rng = np.random.default_rng(60 + n)
+        a = rng.integers(-5, 6, size=(200, n, n))
+        exact = [_leibniz(m.tolist()) for m in a]
+        assert linalg.det_stack(a).tolist() == exact
+        # a repeated row or column gives an exact zero
+        if n > 1:
+            a[:, -1] = a[:, 0]
+            assert not linalg.det_stack(a).any()
+            assert not linalg.det_stack(np.swapaxes(a, 1, 2)).any()
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_leading_batch_axes(self, n):
+        rng = np.random.default_rng(70 + n)
+        a = self.well_conditioned((2, 3), n, rng, True)
+        det = linalg.det_stack(a)
+        assert det.shape == (2, 3)
+        flat = linalg.det_stack(a.reshape((6, n, n)))
+        np.testing.assert_array_equal(det.ravel(), flat)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.det_stack(np.zeros((4, 2, 3)))
+        with pytest.raises(DimensionError):
+            linalg.det_stack(np.zeros(3))
+
+
+def _leibniz(m):
+    """Determinant of a list-of-lists integer matrix by permutation sum."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
 class TestElementarySymmetric:

@@ -49,6 +49,11 @@ class TestClosedForm:
         q = MomentQuery(z=0.0, g=(1.0, 1.0))
         assert moment_m1_closed(q) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("z, g", [(1e200, (1.0, 1.0)), (1.0, (1e200, 1.0))])
+    def test_overflow_is_config_error(self, z, g):
+        with pytest.raises(ConfigError, match="overflow"):
+            moment_m1_closed(MomentQuery(z=z, g=g))
+
     def test_rejects_higher_m(self):
         with pytest.raises(ConfigError):
             moment_m1_closed(MomentQuery(z=1.0, g=(1.0,), m=2))
@@ -83,6 +88,16 @@ class TestMonteCarlo:
         q = MomentQuery(z=0.0, g=(1.0, 1.0), m=2)
         est = moment_mc(q, 1000, RngStream(5))
         assert est.mean.real == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_real_z_matches_complex_arithmetic(self, n, m):
+        # z with a zero imaginary part runs in float64; 1e-300j keeps complex
+        g = (0.5, 0.8, 1.1, 1.4, 0.7, 1.0)[:n]
+        real = moment_mc(MomentQuery(z=1.3, g=g, m=m), 3000, RngStream(30 + n))
+        cplx = moment_mc(MomentQuery(z=1.3 + 1e-300j, g=g, m=m), 3000, RngStream(30 + n))
+        assert real.mean == pytest.approx(cplx.mean, rel=1e-12)
+        assert real.std_error == pytest.approx(cplx.std_error, rel=1e-12)
 
     def test_matches_closed_form_random(self):
         rng = np.random.default_rng(6)
