@@ -18,7 +18,10 @@ end-to-end metrics, each column also keeps the median number of untraced
 passes and the median ``peak_rss_mb`` of the first pass: a pass's
 ``ru_maxrss`` includes the memory of the runner that spawned it, which grows
 with the passes it holds, so a faster checkout can report a higher
-``peak_rss_mb`` for no change in its own memory.
+``peak_rss_mb`` for no change in its own memory.  They also give each
+column's ``ops_sha256`` per seed, the digest of every op's stdout; with two
+columns, each workload gets a ``same_stdout`` flag, true when the two
+columns' digests agree at every seed.
 
 Each column compiles its sources afresh: its runs get their own temporary
 ``PYTHONPYCACHEPREFIX``, made outside the checkouts and removed at the end,
@@ -74,7 +77,8 @@ def commit_of(checkout: Path) -> str | None:
 
 def summarise(runs: list[tuple[dict, dict]]) -> dict:
     """Per-metric medians, the failed-op share and correctness of a run list,
-    and the untraced pass count and first-pass peak RSS of its untraced runs."""
+    and the untraced pass count, first-pass peak RSS and per-seed stdout
+    digest of its untraced runs."""
     summaries = [summary for _, summary in runs]
     untraced = [record["passes"] for record, _ in runs if record["trace"] == 0]
     values: dict[str, list[float]] = {}
@@ -92,6 +96,11 @@ def summarise(runs: list[tuple[dict, dict]]) -> dict:
         "first_pass_peak_rss_mb": statistics.median(
             passes[0]["peak_rss_mb"] for passes in untraced
         ),
+        "ops_sha256": {
+            str(record["seed"]): record["ops_sha256"]
+            for record, _ in runs
+            if record["trace"] == 0
+        },
         "metrics": {name: statistics.median(v) for name, v in sorted(values.items())},
     }
 
@@ -111,14 +120,17 @@ def record(columns: dict[str, Path], pr: int) -> dict:
                         )
                         print(f"bench_record: {w} seed {seed} trace {trace} {name} done",
                               file=sys.stderr, flush=True)
+    workloads = {w: {name: summarise(runs[w][name]) for name in names} for w in WORKLOADS}
+    if len(names) == 2:
+        for summaries in workloads.values():
+            first, second = (summaries[name]["ops_sha256"] for name in names)
+            summaries["same_stdout"] = first == second
     return {
         "pr": pr,
         "seeds": list(SEEDS),
         "seconds": SECONDS,
         "columns": {name: {"commit": commit_of(columns[name])} for name in names},
-        "workloads": {
-            w: {name: summarise(runs[w][name]) for name in names} for w in WORKLOADS
-        },
+        "workloads": workloads,
     }
 
 

@@ -353,6 +353,7 @@ def lhs_coefficient_means(
         rng,
         workers,
         batch=_batch_rows(len(table)),
+        noise=lambda b: [("standard_normal", (b, n_colour, n_colour))],
     )
     out = {mask: (float(m), float(e)) for (mask, _, _), m, e in zip(table, mean, se)}
     if len(out) != len(table):  # distinct flavour assignments, same monomial
@@ -443,7 +444,13 @@ def rhs_mc_coefficients(
         a = sample_fermionic_z(measure, gen, b)[:, 0, 1, None]
         return signs * a**u * (-np.conj(a)) ** v
 
-    mean, se = stream_mean(values, samples, rng, batch=_batch_rows(len(table)))
+    mean, se = stream_mean(
+        values,
+        samples,
+        rng,
+        batch=_batch_rows(len(table)),
+        noise=lambda b: [("random", (b,))] * 2,
+    )
     return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
@@ -623,8 +630,20 @@ def verify_bosonic_cft(
             * (np.einsum("bxy,pxy->bp", z, sbar) + np.einsum("bxy,pxy->bp", zdag, s))
         )
 
-    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers)
-    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers)
+    lhs, lhs_se = stream_mean(
+        colour,
+        samples,
+        rng.substream(1),
+        workers,
+        noise=lambda b: [("standard_normal", (b, n_colour, n_colour))],
+    )
+    rhs, rhs_se = stream_mean(
+        flavour,
+        samples,
+        rng.substream(1 + workers),
+        workers,
+        noise=lambda b: [("standard_normal", (b, n_colour - 1, n_flavour))] * 2,
+    )
 
     rows = []
     for p in range(probes):
@@ -758,11 +777,14 @@ def reflection_split_check(
     def full_group(gen, b):
         return coefficients(sample_orthogonal_batch(n_colour, b, gen))
 
+    def noise(b):
+        return [("standard_normal", (b, n_colour, n_colour))]
+
     split, split_se = stream_mean(
-        components, samples, rng.substream(1), batch=_batch_rows(2 * width)
+        components, samples, rng.substream(1), batch=_batch_rows(2 * width), noise=noise
     )
     full, full_se = stream_mean(
-        full_group, samples, rng.substream(2), batch=_batch_rows(width)
+        full_group, samples, rng.substream(2), batch=_batch_rows(width), noise=noise
     )
     half = 0.5 * (split[:width] + split[width:])
     half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])

@@ -31,6 +31,7 @@ from .errors import OcftError
 from .haar import Estimate, RngStream, mc_expectation
 from .jacobi import (
     JacobiQuery,
+    check_ginibre_n,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
@@ -88,7 +89,8 @@ def _flatten(record: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(record) + "\n")
+        # strict JSON: a non-finite float raises ValueError before any output
+        out.write(json.dumps(record, allow_nan=False) + "\n")
         return
     rows = record.pop("rows", None)
     writer = csv.writer(out, lineterminator="\n")
@@ -316,11 +318,12 @@ def _run_jacobi(args) -> tuple[dict, int]:
 
 def _run_ginibre(args) -> tuple[dict, int]:
     lam, gam = parse_complex(args.lam), parse_complex(args.gam)
-    # ginibre_mc holds the size cap, so it runs before the closed form, which
-    # overflows from N = 171
-    est = ginibre_mc(lam, gam, args.n, args.samples, RngStream(args.seed))
+    # every check that can refuse the query runs before the Monte Carlo: the
+    # size cap first, since the closed form overflows from N = 171 whatever lg
+    check_ginibre_n(args.n)
     closed = ginibre_closed(lam, gam, args.n)
     pipeline = ginibre_pipeline(lam, gam, args.n)
+    est = ginibre_mc(lam, gam, args.n, args.samples, RngStream(args.seed))
     z_mc = est.z_score(closed)
     pipeline_err = abs(pipeline - closed) / abs(closed)
     # an overflowed standard error gives z = 0, which is no evidence of a match
@@ -336,10 +339,11 @@ def _run_ginibre(args) -> tuple[dict, int]:
         "closed_ratio": _cnum(closed),
         "pipeline_ratio": _cnum(pipeline),
         "pipeline_rel_err": pipeline_err,
-        "mc_ratio": _cnum(est.mean),
-        "mc_std_error": est.std_error,
+        # a Monte Carlo that overflowed fails the check, and its values are null
+        "mc_ratio": _cnum(est.mean) if np.isfinite(est.mean) else None,
+        "mc_std_error": est.std_error if np.isfinite(est.std_error) else None,
         "samples": est.samples,
-        "mc_z_score": z_mc,
+        "mc_z_score": z_mc if np.isfinite(z_mc) else None,
         "threshold": args.threshold,
         "passed": passed,
     }
@@ -435,10 +439,10 @@ def run(argv, out=None, err=None) -> int:
     started = time.perf_counter()
     try:
         record, code = _RUNNERS[args.command](args)
+        _emit(record, args.format, out)
     except (OcftError, ValueError, json.JSONDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit(record, args.format, out)
     err.write(f"elapsed: {time.perf_counter() - started:.3f}s\n")
     return code
 

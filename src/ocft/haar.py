@@ -23,10 +23,26 @@ are reproducible: an :class:`RngStream` names a stream by (seed,
 stream_index), worker shard w reads ``rng.substream(w)``, and shards are
 reduced in order, so a fixed (seed, workers) configuration gives
 bit-identical results.
+
+The random numbers of a large batch are drawn one batch ahead.  A caller
+that declares the draws of one batch (``noise``) has each batch's arrays
+filled on a helper thread while the caller's thread turns the previous
+batch into rows; numpy's ``Generator`` releases the interpreter lock while
+it fills an array, so the draw runs beside the Gram-Schmidt passes,
+determinants and sums.  Only those ``Generator`` fills run on the helper
+thread: the samplers, and everything else, run on the caller's thread with
+the same arguments, and read the same numbers in the same order, as
+without the helper.  The fills go into two preallocated buffers per
+declared array, which alternate between batches, so a batch's draws are
+overwritten only once the batch after it is being processed.  Only batches
+of at least DRAW_AHEAD_MIN_VALUES = 2^16 values are drawn ahead: a smaller
+draw takes less time than starting and joining the helper thread.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +54,18 @@ __all__ = [
     "Estimate",
     "RngStream",
     "mc_expectation",
-    "sample_orthogonal",
     "sample_orthogonal_batch",
-    "sample_special_orthogonal",
     "sample_special_orthogonal_batch",
     "sample_unitary_columns",
     "stream_mean",
 ]
 
 DEFAULT_BATCH = 20_000
+
+# stream_mean draws a batch ahead only when the batch fills at least this many
+# values: below it, starting and joining the helper thread costs more than the
+# overlapped draw saves
+DRAW_AHEAD_MIN_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,7 @@ class Estimate:
 
 
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, (np.random.Generator, _Drawn)):
         return rng
     if isinstance(rng, RngStream):
         return rng.generator()
@@ -144,15 +163,6 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     return _orthonormal_columns(gen.standard_normal((count, n, n)))
 
 
-def sample_orthogonal(n: int, rng) -> np.ndarray:
-    """One Haar draw from O(n).
-
-    Pass a ``numpy.random.Generator`` (e.g. ``stream.generator()``) to draw a
-    sequence; an :class:`RngStream` always reproduces the same first draw.
-    """
-    return sample_orthogonal_batch(n, 1, rng)[0]
-
-
 def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """(count, n, n) stack of Haar draws conditioned on det = +1.
 
@@ -163,11 +173,6 @@ def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     neg = det_stack(o) < 0
     o[neg, -1, :] *= -1.0
     return o
-
-
-def sample_special_orthogonal(n: int, rng) -> np.ndarray:
-    """One Haar draw from SO(n)."""
-    return sample_special_orthogonal_batch(n, 1, rng)[0]
 
 
 def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
@@ -182,33 +187,148 @@ def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
 _SAMPLERS = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}
 
 
+class _Drawn:
+    """Pre-drawn stand-in for a ``Generator``: one batch's declared draws.
+
+    Each ``standard_normal`` or ``random`` call is served the next declared
+    array, and must name its method and shape; any other call raises.
+    """
+
+    def __init__(self, arrays: list[tuple[str, np.ndarray]]):
+        self._arrays = arrays
+        self._served = 0
+
+    def _serve(self, method: str, size) -> np.ndarray:
+        shape = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+        if self._served < len(self._arrays):
+            declared, array = self._arrays[self._served]
+            if declared == method and array.shape == shape:
+                self._served += 1
+                return array
+        raise RuntimeError(
+            f"draw {method}{shape} was not declared: the batch declares "
+            f"{[(m, a.shape) for m, a in self._arrays]}, {self._served} served"
+        )
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self._serve("standard_normal", size)
+
+    def random(self, size) -> np.ndarray:
+        return self._serve("random", size)
+
+    def check_all_served(self) -> None:
+        if self._served != len(self._arrays):
+            raise RuntimeError(
+                f"values used {self._served} of the {len(self._arrays)} declared draws"
+            )
+
+
+class _Fill(threading.Thread):
+    """Fills one batch's declared arrays from its generator, on its own thread."""
+
+    def __init__(self, gen: np.random.Generator, arrays: list[tuple[str, np.ndarray]]):
+        super().__init__(name="ocft-draw-ahead")
+        self._gen, self._arrays, self._error = gen, arrays, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            for method, out in self._arrays:
+                getattr(self._gen, method)(out=out)
+        except BaseException as exc:  # re-raised on the caller's thread by drawn()
+            self._error = exc
+
+    def drawn(self) -> _Drawn:
+        """Wait for the fill; its arrays, or the exception it raised."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return _Drawn(self._arrays)
+
+
+def _batch_values(values, jobs, noise):
+    """``values(source, b)`` of each (generator, b) job, in job order.
+
+    Without ``noise``, or when a full batch's declared draws fill fewer than
+    DRAW_AHEAD_MIN_VALUES values, ``source`` is the job's generator itself.
+    Otherwise job k's arrays are filled on a helper thread into the k % 2 set
+    of buffers, while ``values`` runs on job k - 1, whose arrays are the
+    other set; ``source`` is a :class:`_Drawn` over job k's arrays.
+    """
+    rows = jobs[0][1]  # no batch is larger than the first
+    if noise is None or sum(math.prod(s) for _, s in noise(rows)) < DRAW_AHEAD_MIN_VALUES:
+        for gen, b in jobs:
+            yield values(gen, b)
+        return
+    buffers = [[np.empty(shape) for _, shape in noise(rows)] for _ in range(2)]
+
+    def fill(k: int) -> _Fill:
+        gen, b = jobs[k]
+        return _Fill(gen, [(m, buf[:b]) for (m, _), buf in zip(noise(b), buffers[k % 2])])
+
+    pending = fill(0)
+    try:
+        for k, (_, b) in enumerate(jobs):
+            source = pending.drawn()
+            pending = fill(k + 1) if k + 1 < len(jobs) else None
+            vals = values(source, b)
+            source.check_all_served()
+            yield vals
+    finally:
+        if pending is not None:
+            pending.join()
+
+
 def stream_mean(
-    values, samples: int, rng: RngStream, workers: int = 1, batch: int = DEFAULT_BATCH
+    values,
+    samples: int,
+    rng: RngStream,
+    workers: int = 1,
+    batch: int = DEFAULT_BATCH,
+    noise=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column sample mean and standard error of ``values`` rows.
 
     ``values(gen, b)`` draws ``b`` rows from the generator ``gen`` and
     returns a (b, width) array, real or complex.  The samples are split into
     ``workers`` shards of near-equal size; shard w draws from
-    ``rng.substream(w)`` in batches of at most ``batch`` rows.  The standard
-    error is sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of
-    the moduli about the mean.
+    ``rng.substream(w)`` in batches of at most ``batch`` rows, and the
+    shards run one after another.  The standard error is
+    sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
+    moduli about the mean.
+
+    ``noise(b)``, if given, declares every draw that ``values`` makes for
+    ``b`` rows, in order, as a list of (``Generator`` method, shape) pairs,
+    each shape leading with ``b``, e.g. ``[("standard_normal", (b, n, n))]``;
+    the methods may be ``standard_normal`` and ``random``.  When one full
+    batch's declared draws fill at least DRAW_AHEAD_MIN_VALUES values, each
+    batch is drawn one batch ahead: batch k + 1's arrays are filled, in
+    stream order, on a helper thread while ``values`` runs on batch k, and
+    ``values`` then gets a stand-in for ``gen`` that serves exactly the
+    declared arrays and raises on any other call, or if a declared array
+    goes unused.  Only those fills run on the helper thread; the thread is
+    joined before the next batch starts, and before this function returns
+    or raises.  Each declared entry has two buffers of a full batch, used by
+    alternate batches: batch k's arrays live until batch k + 2 is drawn, so
+    ``values`` may change them in place but nothing may keep them past its
+    return.  Below the size gate the draw is too short to pay for the
+    handoff (starting and joining a thread), and ``values`` draws from
+    ``gen`` itself.  Either way the draws, and so the result, are the same
+    bits.
     """
     if samples < 2:
         raise ConfigError("need at least 2 samples for a standard error")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    total = total_abs2 = 0.0
+    jobs = []
     for w in range(workers):
         gen = rng.substream(w).generator()
         shard = samples // workers + (1 if w < samples % workers else 0)
-        done = 0
-        while done < shard:
-            b = min(batch, shard - done)
-            vals = values(gen, b)
-            total = total + vals.sum(axis=0)
-            total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
-            done += b
+        jobs += [(gen, min(batch, shard - done)) for done in range(0, shard, batch)]
+    total = total_abs2 = 0.0
+    for vals in _batch_values(values, jobs, noise):
+        total = total + vals.sum(axis=0)
+        total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
     mean = total / samples
     var = np.maximum(total_abs2 / samples - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var * samples / (samples - 1) / samples)
@@ -230,15 +350,11 @@ def mc_expectation(
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
     sampler = _SAMPLERS[group]
-    held = []
 
     def values(gen, b):
-        # hold each batch of draws until the next is drawn, as a plain loop
-        # does: freed at once, their memory goes back to the OS and is faulted
-        # in again every batch (10x the page faults; 0.26-0.79 s of a 4.1-4.4 s
-        # `moments` benchmark pass on 2 vCPUs)
-        held[:] = [sampler(n, b, gen)]
-        return np.asarray(f(held[0]), dtype=complex)[:, None]
+        return np.asarray(f(sampler(n, b, gen)), dtype=complex)[:, None]
 
-    mean, se = stream_mean(values, samples, rng, workers)
+    mean, se = stream_mean(
+        values, samples, rng, workers, noise=lambda b: [("standard_normal", (b, n, n))]
+    )
     return Estimate(complex(mean[0]), float(se[0]), samples)

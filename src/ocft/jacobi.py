@@ -69,6 +69,7 @@ from .linalg import det_stack, elementary_symmetric_all, pfaffian
 __all__ = [
     "JacobiQuery",
     "alpha_entry",
+    "check_ginibre_n",
     "gaussian_inner_moments",
     "ginibre_closed",
     "ginibre_mc",
@@ -422,6 +423,12 @@ def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
     return _s_ratio(gaussian_inner_moments(n), complex(lam) * complex(gam), 0.0)
 
 
+def check_ginibre_n(n: int) -> None:
+    """Refuse a Ginibre Monte Carlo above MAX_GINIBRE_N."""
+    if n > MAX_GINIBRE_N:
+        raise ConfigError(f"Ginibre Monte Carlo capped at N = {MAX_GINIBRE_N}")
+
+
 def ginibre_mc(
     lam: complex,
     gam: complex,
@@ -436,11 +443,11 @@ def ginibre_mc(
     draws (the denominator is the lg = 0 reference).  The standard error is
     the delta-method one of the ratio of the two means.
     """
-    if n > MAX_GINIBRE_N:
-        raise ConfigError(f"Ginibre Monte Carlo capped at N = {MAX_GINIBRE_N}")
+    check_ginibre_n(n)
     # a real shift keeps the shifted matrices, and so their dets, in float64
     lam, gam = (x.real if x.imag == 0 else x for x in (complex(lam), complex(gam)))
-    eye = np.eye(n)
+    real_shift = isinstance(lam, float) and isinstance(gam, float)
+    diag = np.arange(n)
     # E det(A)^2 = N!, so every det is scaled by the power of two nearest
     # 1/sqrt(N!): the det^4-sized cross column and its squares stay in range,
     # and the scaling is exact, so the ratio and its error are unchanged
@@ -448,11 +455,26 @@ def ginibre_mc(
 
     def values(gen, b):
         mats = gen.standard_normal((b, n, n))
-        num = (det_stack(lam * eye - mats) * scale) * (det_stack(gam * eye - mats) * scale)
         den = (det_stack(mats) * scale) ** 2
+        if real_shift:
+            # A - x = -(x - A) entry by entry, exactly, so det(A - x) is
+            # (-1)^N det(x - A) to the bit, for the cofactor formulas and for
+            # LU alike, and the product of the two dets is the same; shifting
+            # the drawn diagonal in place allocates no shifted copies
+            d = mats[:, diag, diag]
+            mats[:, diag, diag] = d - lam
+            det_l = det_stack(mats)
+            mats[:, diag, diag] = d - gam
+            det_g = det_stack(mats)
+        else:
+            eye = np.eye(n)
+            det_l, det_g = (det_stack(x * eye - mats) for x in (lam, gam))
+        num = (det_l * scale) * (det_g * scale)
         return np.stack([num, den, num * np.conj(den)], axis=1)
 
-    (mean_n, mean_d, cross), se = stream_mean(values, samples, rng)
+    (mean_n, mean_d, cross), se = stream_mean(
+        values, samples, rng, noise=lambda b: [("standard_normal", (b, n, n))]
+    )
     ratio = mean_n / mean_d
     # Bessel-corrected variances back from the standard errors, se^2 = var / n
     var_n, var_d = samples * se[:2] ** 2

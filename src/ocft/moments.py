@@ -73,10 +73,13 @@ def moment_m1_closed(query: MomentQuery) -> float:
     if query.m != 1:
         raise ConfigError("closed form only covers m = 1")
     n = query.n
-    s = elementary_symmetric_all(np.asarray(query.g) ** 2)
     try:
-        zz = abs(query.z) ** 2
-        value = float(sum(s[l] * zz ** (n - l) / math.comb(n, l) for l in range(n + 1)))
+        # an overflow gives inf or nan, which the finiteness check turns into
+        # the error, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = elementary_symmetric_all(np.asarray(query.g) ** 2)
+            zz = abs(query.z) ** 2
+            value = float(sum(s[l] * zz ** (n - l) / math.comb(n, l) for l in range(n + 1)))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -84,6 +87,18 @@ def moment_m1_closed(query: MomentQuery) -> float:
     return value
 
 
+def _finite(est: Estimate, query: MomentQuery) -> Estimate:
+    """``est``, or a ConfigError if its value or its error is not finite.
+
+    The routes that return one run with numpy's overflow and invalid-value
+    warnings off: an overflow anywhere reaches the estimate as inf or nan.
+    """
+    if not (np.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise ConfigError(f"estimate overflows float64 at |z| = {abs(query.z)}, g = {query.g}")
+    return est
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def moment_mc(
     query: MomentQuery,
     samples: int,
@@ -101,7 +116,7 @@ def moment_mc(
         dets = det_stack(mats)
         return (dets * dets.conj()).real ** m
 
-    return mc_expectation(f, g.size, samples, rng, workers=workers)
+    return _finite(mc_expectation(f, g.size, samples, rng, workers=workers), query)
 
 
 def build_pf_kernel(z_skew, g: float, z: complex, m: int) -> np.ndarray:
@@ -255,6 +270,7 @@ def _block_minor_coefficients(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coefficients(0), coefficients(2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moment_pfaffian_integral(
     query: MomentQuery,
     rng: RngStream | None = None,
@@ -287,7 +303,7 @@ def moment_pfaffian_integral(
     z = query.z.real if abs(query.z.imag) < 1e-14 else query.z
     if query.m == 1 or z.imag == 0.0:
         num = complex(_pf_product(sigma, query.g, z, query.m) @ t_weights)
-        return Estimate((num / den).real, 0.0, 0)
+        return _finite(Estimate((num / den).real, 0.0, 0), query)
 
     if rng is None:
         raise ConfigError("complex z at m = 2 needs an RngStream for the U-average")
@@ -304,5 +320,11 @@ def moment_pfaffian_integral(
             fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, query.z)
         return (fg @ t_weights)[:, None]
 
-    mean, se = stream_mean(numerator, samples, rng, batch=_U_CHUNK)
-    return Estimate((mean[0] / den).real, float(se[0] / abs(den)), samples)
+    mean, se = stream_mean(
+        numerator,
+        samples,
+        rng,
+        batch=_U_CHUNK,
+        noise=lambda b: [("standard_normal", (b, 4, 4))] * 2,
+    )
+    return _finite(Estimate((mean[0] / den).real, float(se[0] / abs(den)), samples), query)

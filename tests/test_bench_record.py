@@ -16,8 +16,9 @@ spec.loader.exec_module(bench_record)
 # every run is logged to runs.log in the checkout, its PYTHONPYCACHEPREFIX and
 # PYTHONDONTWRITEBYTECODE to pycache.log.  With --trace 0, seed s makes s - 38
 # passes whose peak RSS climbs from OFFSET + s + 10 MB; with --trace 1 it
-# makes s - 40 untraced passes, climbing from 1000 MB.  Each run takes well
-# under a second, whatever --seconds says.
+# makes s - 40 untraced passes, climbing from 1000 MB.  The stdout digest is
+# "<workload>-<seed>-SALT".  Each run takes well under a second, whatever
+# --seconds says.
 STUB = """
 import argparse, json, os
 p = argparse.ArgumentParser()
@@ -40,14 +41,17 @@ count = seed - (40 if traced else 38)
 passes = [{"traced": False, "peak_rss_mb": first + i} for i in range(count)]
 if traced:
     passes = [q for p in passes for q in (p, {"traced": True, "peak_rss_mb": 2000})]
-print(json.dumps({"workload": a.workload, "trace": int(a.trace), "passes": passes}))
+print(json.dumps({"workload": a.workload, "seed": seed, "trace": int(a.trace),
+                  "passes": passes, "ops_sha256": f"{a.workload}-{seed}-SALT"}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}))
 """
 
 
-def make_checkout(root: Path, offset: float) -> Path:
+def make_checkout(root: Path, offset: float, salt: str = "same") -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STUB.replace("OFFSET", repr(offset)))
+    (root / "perfbench" / "run.py").write_text(
+        STUB.replace("OFFSET", repr(offset)).replace("SALT", salt)
+    )
     return root
 
 
@@ -72,6 +76,11 @@ def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
     assert moments["parent"]["untraced_passes"] == 4
     assert moments["parent"]["first_pass_peak_rss_mb"] == 52.0
     assert moments["change"]["first_pass_peak_rss_mb"] == 52.5
+    # the stdout digest of every seed, and one flag for the pair of columns
+    assert moments["parent"]["ops_sha256"] == {
+        str(seed): f"moments-{seed}-same" for seed in (41, 42, 43)
+    }
+    assert all(result["workloads"][w]["same_stdout"] is True for w in result["workloads"])
     # both traces at every seed, at the benchmark's run length, in each checkout
     log = (parent / "runs.log").read_text().split("\n")[:-1]
     assert log[:6] == [f"identity {seed} {trace} 30" for seed in (41, 42, 43)
@@ -87,6 +96,23 @@ def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
         path = Path(prefix)
         assert path.is_absolute() and not path.exists()
         assert not path.is_relative_to(parent) and not path.is_relative_to(change)
+
+
+def test_same_stdout_flag(tmp_path):
+    parent = make_checkout(tmp_path / "parent", 0.0, salt="a")
+    change = make_checkout(tmp_path / "change", 0.5, salt="b")
+    twin = make_checkout(tmp_path / "twin", 0.5, salt="a")
+    out = tmp_path / "BENCH_8.json"
+    assert bench_record.main([f"parent={parent}", f"change={change}", "--pr", "8",
+                              "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert [workloads[w]["same_stdout"] for w in workloads] == [False] * 3
+    assert workloads["jacobi"]["change"]["ops_sha256"]["43"] == "jacobi-43-b"
+    # the flag compares a pair; three columns get none
+    assert bench_record.main([f"parent={parent}", f"change={change}", f"twin={twin}",
+                              "--pr", "8", "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert all("same_stdout" not in workloads[w] for w in workloads)
 
 
 def test_failed_run_raises(tmp_path):

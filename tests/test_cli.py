@@ -79,11 +79,36 @@ class TestMoment:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(5.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
         code, out, err = invoke(["moment", "--n", "2", "--m", "1", "--z", "1e200",
                                  "--g", "1,1", "--method", "closed"])
         assert code == 2 and out == ""
         assert "overflow" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m", "1", "--z", "1e200", "--method", "mc", "--samples", "100"],
+            ["--m", "2", "--z", "1e100", "--method", "pfaffian"],
+            ["--m", "2", "--z", "1e100,1", "--method", "pfaffian"],
+        ],
+        ids=["mc", "pfaffian", "pfaffian-complex"],
+    )
+    def test_non_finite_estimate_exits_two(self, argv):
+        code, out, err = invoke(["moment", "--n", "2", "--g", "1,1", *argv])
+        assert code == 2 and out == ""
+        assert "overflow" in err
+
+    def test_output_is_strict_json(self, monkeypatch):
+        from ocft import cli
+
+        monkeypatch.setattr(cli, "moment_m1_closed", lambda query: math.nan)
+        code, out, err = invoke(["moment", "--n", "1", "--z", "2", "--g", "1",
+                                 "--method", "closed"])
+        assert code == 2 and out == ""
+        assert "JSON" in err
 
     def test_pfaffian_method(self):
         code, out, _ = invoke(
@@ -246,11 +271,19 @@ class TestGinibreCheck:
         code, out, _ = invoke(argv + [str(MAX_GINIBRE_N + 1)])
         assert code == 2 and out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
         code, out, err = invoke(["ginibre-check", "--n", "2", "--lambda", "1e200",
                                  "--gamma", "1", "--samples", "2000"])
         assert code == 2 and out == ""
         assert "overflow" in err
+
+    def test_size_cap_is_checked_before_the_closed_form(self):
+        # the closed form overflows from N = 171 whatever lg is
+        code, out, err = invoke(["ginibre-check", "--n", "200", "--lambda", "1",
+                                 "--gamma", "1", "--samples", "2000"])
+        assert code == 2 and out == ""
+        assert "capped" in err
 
     def test_non_finite_std_error_fails(self, monkeypatch):
         # z = 0 against an infinite standard error is no evidence of a match

@@ -1,19 +1,34 @@
+import threading
+
 import numpy as np
 import pytest
 
 from ocft.errors import ConfigError, DimensionError
 from ocft.haar import (
+    DRAW_AHEAD_MIN_VALUES,
     Estimate,
     RngStream,
     _orthonormal_columns,
     mc_expectation,
-    sample_orthogonal,
     sample_orthogonal_batch,
-    sample_special_orthogonal,
     sample_special_orthogonal_batch,
     sample_unitary_columns,
     stream_mean,
 )
+
+
+def sample_orthogonal(n: int, rng) -> np.ndarray:
+    """One Haar draw from O(n).
+
+    Pass a ``numpy.random.Generator`` (e.g. ``stream.generator()``) to draw a
+    sequence; an :class:`RngStream` always reproduces the same first draw.
+    """
+    return sample_orthogonal_batch(n, 1, rng)[0]
+
+
+def sample_special_orthogonal(n: int, rng) -> np.ndarray:
+    """One Haar draw from SO(n)."""
+    return sample_special_orthogonal_batch(n, 1, rng)[0]
 
 
 class TestSamplers:
@@ -264,3 +279,139 @@ class TestStreamMean:
 
         with pytest.raises(ConfigError):
             stream_mean(values, samples, RngStream(0), workers)
+
+
+def serial_stream_mean(values, samples, rng, workers=1, batch=20_000):
+    """The batch loop of stream_mean with every draw made in turn, as reference."""
+    total = total_abs2 = 0.0
+    for w in range(workers):
+        gen = rng.substream(w).generator()
+        shard = samples // workers + (1 if w < samples % workers else 0)
+        done = 0
+        while done < shard:
+            b = min(batch, shard - done)
+            vals = values(gen, b)
+            total = total + vals.sum(axis=0)
+            total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
+            done += b
+    mean = total / samples
+    var = np.maximum(total_abs2 / samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var * samples / (samples - 1) / samples)
+
+
+class TestDrawAhead:
+    """stream_mean with declared draws: the same bits as drawing in turn."""
+
+    @staticmethod
+    def real_rows(gen, b):
+        x = gen.standard_normal((b, 70))
+        return x[:, :3] * x[:, 3:6] + x[:, 6:9] + np.array([0.0, 2.0, -1.0])
+
+    @staticmethod
+    def complex_rows(gen, b):
+        g, h = gen.standard_normal((b, 40)), gen.standard_normal((b, 40))
+        u = gen.random(b)
+        x = (g[:, :2] + 1j * h[:, :2]) * u[:, None]
+        return x * np.array([1.0, 0.3 - 0.2j]) + np.array([0.5j, 4.0])
+
+    NOISE = {
+        "real": lambda b: [("standard_normal", (b, 70))],
+        "complex": lambda b: [("standard_normal", (b, 40))] * 2 + [("random", (b,))],
+    }
+
+    @staticmethod
+    def recording(values, sources):
+        def recorded(gen, b):
+            sources.append(isinstance(gen, np.random.Generator))
+            return values(gen, b)
+
+        return recorded
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_serial_loop_bit_for_bit(self, workers, kind):
+        values = self.real_rows if kind == "real" else self.complex_rows
+        samples, rng, sources = 10_001, RngStream(43), []
+        # 1000-row batches hold >= 70,000 values; shards of 3334 / 3334 / 3333
+        # (or one of 10,001) end on partial batches
+        got = stream_mean(self.recording(values, sources), samples, rng, workers,
+                          batch=1000, noise=self.NOISE[kind])
+        want = serial_stream_mean(values, samples, rng, workers, batch=1000)
+        assert sources == [False] * {1: 11, 3: 12}[workers]  # all drawn ahead
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rows, ahead", [(1023, False), (1024, True), (1025, True)])
+    def test_size_gate(self, rows, ahead):
+        # 64 values per row: 1023 rows fall just below the gate, 1024 meet it
+        assert (rows * 64 >= DRAW_AHEAD_MIN_VALUES) == ahead
+
+        def values(gen, b):
+            return gen.standard_normal((b, 64))[:, :2] ** 2
+
+        sources = []
+        got = stream_mean(self.recording(values, sources), 5 * rows + 3, RngStream(44),
+                          batch=rows, noise=lambda b: [("standard_normal", (b, 64))])
+        want = serial_stream_mean(values, 5 * rows + 3, RngStream(44), batch=rows)
+        assert sources == [not ahead] * 6
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("where", ["helper", "values"])
+    def test_errors_reach_the_caller_and_no_thread_is_left(self, monkeypatch, where):
+        threads = []
+
+        class FailingGenerator:
+            """Fills from a real generator; the second fill raises."""
+
+            def __init__(self):
+                self.gen, self.fills = np.random.default_rng(0), 0
+
+            def standard_normal(self, out):
+                threads.append(threading.current_thread())
+                self.fills += 1
+                if where == "helper" and self.fills == 2:
+                    raise FloatingPointError("draw failed")
+                return self.gen.standard_normal(out=out)
+
+        def values(gen, b):
+            if where == "values" and len(threads) == 3:
+                raise ZeroDivisionError("values failed")
+            return gen.standard_normal((b, 70))[:, :1]
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: FailingGenerator())
+        before = threading.active_count()
+        error = FloatingPointError if where == "helper" else ZeroDivisionError
+        with pytest.raises(error):
+            stream_mean(values, 10_000, RngStream(0), batch=1000,
+                        noise=lambda b: [("standard_normal", (b, 70))])
+        assert threading.main_thread() not in threads
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in threads)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            lambda gen, b: gen.standard_normal((b, 70)) + gen.standard_normal((b, 70)),
+            lambda gen, b: gen.random((b, 70)),
+            lambda gen, b: gen.standard_normal((b, 35)),
+            lambda gen, b: gen.integers(2, size=(b, 70)),
+        ],
+        ids=["one-too-many", "wrong-method", "wrong-shape", "other-method"],
+    )
+    def test_undeclared_draw_raises(self, values):
+        before = threading.active_count()
+        with pytest.raises((RuntimeError, AttributeError)):
+            stream_mean(values, 5_000, RngStream(0), batch=1000,
+                        noise=lambda b: [("standard_normal", (b, 70))])
+        assert threading.active_count() == before
+
+    def test_unused_declared_draw_raises(self):
+        def values(gen, b):
+            return gen.standard_normal((b, 70))
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="1 of the 2 declared"):
+            stream_mean(values, 5_000, RngStream(0), batch=1000,
+                        noise=lambda b: [("standard_normal", (b, 70))] * 2)
+        assert threading.active_count() == before

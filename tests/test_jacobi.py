@@ -27,7 +27,7 @@ from ocft.jacobi import (
     jacobi_quadrature,
     mehta_determinant,
 )
-from ocft.linalg import elementary_symmetric_all, pfaffian
+from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
 
 
 def aomoto_float(n, a, b):
@@ -390,6 +390,21 @@ class TestGinibre:
 
         (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3))
         assert ginibre_mc(1.0, 2.0, n, samples, RngStream(3)).mean == mean_n / mean_d
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_mc_in_place_shift_is_exact(self, n):
+        # batches drawn ahead, shifted in place: the bits of x - A in new arrays
+        lam, gam, samples = 1.5, -0.7, 40_007
+        eye = np.eye(n)
+
+        def values(gen, b):
+            mats = gen.standard_normal((b, n, n))
+            num = det_stack(lam * eye - mats) * det_stack(gam * eye - mats)
+            den = det_stack(mats) ** 2
+            return np.stack([num, den], axis=1)
+
+        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4))
+        assert ginibre_mc(lam, gam, n, samples, RngStream(4)).mean == mean_n / mean_d
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_mc_real_shift_matches_complex_arithmetic(self, n):

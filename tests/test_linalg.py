@@ -106,6 +106,12 @@ class TestDetStack:
         det = linalg.det_stack(a)
         np.testing.assert_allclose(det, np.linalg.det(a), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_negated_stack_flips_sign_exactly(self, n):
+        # det(-A) = (-1)^n det(A) to the bit, for the cofactor formulas and LU
+        a = np.random.default_rng(60 + n).standard_normal((500, n, n))
+        np.testing.assert_array_equal(linalg.det_stack(-a), (-1) ** n * linalg.det_stack(a))
+
     @pytest.mark.parametrize("n", range(7))
     def test_dtype_is_kept(self, n):
         rng = np.random.default_rng(50 + n)

@@ -49,6 +49,7 @@ class TestClosedForm:
         q = MomentQuery(z=0.0, g=(1.0, 1.0))
         assert moment_m1_closed(q) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z, g", [(1e200, (1.0, 1.0)), (1.0, (1e200, 1.0))])
     def test_overflow_is_config_error(self, z, g):
         with pytest.raises(ConfigError, match="overflow"):
