@@ -374,8 +374,11 @@ class TestDrawAhead:
                     raise FloatingPointError("draw failed")
                 return self.gen.standard_normal(out=out)
 
+        calls = []
+
         def values(gen, b):
-            if where == "values" and len(threads) == 3:
+            calls.append(b)
+            if where == "values" and len(calls) == 3:  # batch 4 is being drawn
                 raise ZeroDivisionError("values failed")
             return gen.standard_normal((b, 70))[:, :1]
 
