@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -338,6 +339,24 @@ class TestDrawAhead:
                           batch=1000, noise=self.NOISE[kind])
         want = serial_stream_mean(values, samples, rng, workers, batch=1000)
         assert sources == [False] * {1: 11, 3: 12}[workers]  # all drawn ahead
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_bits_hold_under_frequent_thread_switches(self):
+        # a fill that wrote into the buffer values is reading would change the
+        # bits; switching threads every 10 us makes such a race likely to show
+        def values(gen, b):
+            x = gen.standard_normal((b, 64))
+            return np.cumsum(x, axis=1)[:, ::16] * x[:, :4]
+
+        noise = lambda b: [("standard_normal", (b, 64))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = stream_mean(values, 60_001, RngStream(45), 3, batch=1024, noise=noise)
+        finally:
+            sys.setswitchinterval(interval)
+        want = serial_stream_mean(values, 60_001, RngStream(45), 3, batch=1024)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
