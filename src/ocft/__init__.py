@@ -4,7 +4,7 @@ Modules
 -------
 linalg     Pfaffians, determinants, symmetric polynomials, log-Gamma/Beta.
 haar       Haar sampling on O(N)/SO(N) and U(M), seeded Monte-Carlo estimation.
-grassmann  Exact sparse exterior algebra for the fermionic integrands.
+grassmann  Sparse exterior algebra behind the flavour-side monomial signs.
 cft        Flavour-space measures and identity verification reports.
 moments    Averaged modulus powers of characteristic polynomials |z - GO|.
 jacobi     Jacobi-ensemble characteristic polynomial averages and the

@@ -41,7 +41,6 @@ from .grassmann import (
 )
 from .haar import (
     RngStream,
-    _as_generator,
     sample_orthogonal_batch,
     sample_special_orthogonal_batch,
     sample_unitary_columns,
@@ -51,18 +50,13 @@ from .linalg import log_beta, log_gamma
 
 __all__ = [
     "BosonicMeasure",
-    "FermionicMeasure",
     "MonomialRow",
     "VerificationReport",
-    "c0_bosonic_closed_form",
-    "c0_bosonic_selfconsistent",
     "c0_fermionic_closed_form",
     "c0_fermionic_selfconsistent",
     "lhs_coefficient_means",
     "normalization_audit",
-    "reflection_split_check",
     "sample_bosonic_z",
-    "sample_fermionic_z",
     "sidak_row_bound",
     "verify_bosonic_cft",
     "verify_fermionic_cft",
@@ -108,33 +102,6 @@ def c0_fermionic_selfconsistent(n_colour: int, n_flavour: int) -> float:
     raise ConfigError("explicit parametrization implemented for n <= 2")
 
 
-def c0_bosonic_closed_form(n_colour: int, n_flavour: int) -> float:
-    """Closed-form bosonic constant; requires N > 2n for integrability."""
-    if n_colour <= 2 * n_flavour:
-        raise DomainError(f"need N > 2n, got N={n_colour}, n={n_flavour}")
-    log_val = -0.5 * n_flavour * (n_flavour + 1) * math.log(math.pi)
-    val = math.exp(log_val) * (n_colour - 2.0 * n_flavour) / 2.0
-    for i in range(1, n_flavour):
-        val *= (
-            (n_colour / 2.0 - i)
-            * math.exp(log_gamma(n_colour - 1.0 - i) - log_gamma(n_colour - 1.0 - 2 * i))
-        )
-    return val
-
-
-def c0_bosonic_selfconsistent(n_colour: int, n_flavour: int) -> float:
-    """Inverse total mass of the bosonic flavour measure, flat convention.
-
-    Implemented for n = 1, where the mass is
-    pi * integral_0^1 (1-r)^{N/2-2} dr = pi B(1, N/2 - 1).
-    """
-    if n_colour <= 2 * n_flavour:
-        raise DomainError(f"need N > 2n, got N={n_colour}, n={n_flavour}")
-    if n_flavour != 1:
-        raise ConfigError("explicit parametrization implemented for n = 1")
-    return math.exp(-log_beta(1.0, n_colour / 2.0 - 1.0)) / math.pi
-
-
 def normalization_audit(n_colour: int, n_flavour: int = 2) -> dict:
     """Report the closed-form and self-consistent fermionic constants.
 
@@ -157,22 +124,6 @@ def normalization_audit(n_colour: int, n_flavour: int = 2) -> dict:
 
 
 @dataclass(frozen=True)
-class FermionicMeasure:
-    """Complex skew n x n matrices, density det^{-(N/2+n-1)}(1 + Z Z^dagger)."""
-
-    n_colour: int
-    n_flavour: int
-
-    def __post_init__(self):
-        if self.n_colour < 1 or self.n_flavour < 1:
-            raise DomainError("need N >= 1 and n >= 1")
-
-    @property
-    def exponent(self) -> float:
-        return self.n_colour / 2.0 + self.n_flavour - 1.0
-
-
-@dataclass(frozen=True)
 class BosonicMeasure:
     """Complex symmetric n x n matrices, density det^{N/2-n-1}(1 - Z Z^dagger).
 
@@ -190,28 +141,6 @@ class BosonicMeasure:
             raise DomainError(
                 f"need N > 2n, got N={self.n_colour}, n={self.n_flavour}"
             )
-
-
-def sample_fermionic_z(measure: FermionicMeasure, rng, count: int = 1) -> np.ndarray:
-    """Draw Z from the fermionic measure, n <= 2.
-
-    n = 1 is the zero matrix; n = 2 samples the single complex entry exactly
-    through the radial inverse CDF of (1+r)^{-(N+2)}.
-    """
-    gen = _as_generator(rng)
-    n = measure.n_flavour
-    if n == 1:
-        return np.zeros((count, 1, 1), dtype=complex)
-    if n != 2:
-        raise ConfigError("fermionic flavour sampling implemented for n <= 2")
-    u = gen.random(count)
-    r = (1.0 - u) ** (-1.0 / (measure.n_colour + 1.0)) - 1.0
-    theta = gen.random(count) * 2.0 * np.pi
-    a = np.sqrt(r) * np.exp(1j * theta)
-    z = np.zeros((count, 2, 2), dtype=complex)
-    z[:, 0, 1] = a
-    z[:, 1, 0] = -a
-    return z
 
 
 def sample_bosonic_z(measure: BosonicMeasure, rng, count: int = 1) -> np.ndarray:
@@ -407,6 +336,7 @@ def rhs_exact_coefficients(n_colour: int, n_flavour: int) -> dict[int, float]:
     The radial moments of the n = 2 measure are E[r^u] = 1 / binom(N, u),
     and the phase integral kills all terms with unequal bar/unbar pair
     counts, leaving sign * (-1)^u / binom(N, u) on the surviving masks.
+    The tests check these against Monte-Carlo draws of the measure.
     """
     if n_flavour == 1:
         return {0: 1.0}
@@ -418,40 +348,6 @@ def rhs_exact_coefficients(n_colour: int, n_flavour: int) -> dict[int, float]:
             continue
         out[mask] = sign * (-1.0) ** u / math.comb(n_colour, u)
     return out
-
-
-def rhs_mc_coefficients(
-    n_colour: int,
-    n_flavour: int,
-    samples: int,
-    rng: RngStream,
-) -> dict[int, tuple[complex, float]]:
-    """Monte-Carlo estimate of the flavour-side coefficients, n <= 2.
-
-    Kept as the sampling oracle for :func:`rhs_exact_coefficients`, which is
-    what verification uses; note the top-coefficient estimator has infinite
-    variance at N = 1 (the measure is too heavy-tailed there).
-    """
-    if n_flavour == 1:
-        return {0: (1.0, 0.0)}
-    if n_flavour != 2:
-        raise ConfigError("flavour-side sampling implemented for n <= 2")
-    measure = FermionicMeasure(n_colour, n_flavour)
-    table = _rhs_structure(n_colour)
-    signs, u, v = (np.array([row[col] for row in table]) for col in (1, 2, 3))
-
-    def values(gen, b):
-        a = sample_fermionic_z(measure, gen, b)[:, 0, 1, None]
-        return signs * a**u * (-np.conj(a)) ** v
-
-    mean, se = stream_mean(
-        values,
-        samples,
-        rng,
-        batch=_batch_rows(len(table)),
-        noise=lambda b: [("random", (b,))] * 2,
-    )
-    return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
 # -- reports ----------------------------------------------------------------
@@ -548,7 +444,8 @@ def verify_fermionic_cft(
     absent from both sides are identically zero and not listed; the
     constant monomial must match exactly.
     """
-    FermionicMeasure(n_colour, n_flavour)  # validates N >= 1 and n >= 1
+    if n_colour < 1 or n_flavour < 1:
+        raise DomainError("need N >= 1 and n >= 1")
     # the flavour side rejects n >= 3, and the colour side's monomial table
     # N*n > 8, before anything is sampled
     rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
@@ -702,7 +599,8 @@ def verify_son_cft(
     reported; it comes out as 1/(kappa N!).  N*n <= 8, as in the fermionic
     variant.
     """
-    FermionicMeasure(n_colour, n_flavour)  # validates N >= 1 and n >= 1
+    if n_colour < 1 or n_flavour < 1:
+        raise DomainError("need N >= 1 and n >= 1")
     if n_flavour > 2:
         raise ConfigError("exact flavour-side reduction implemented for n <= 2")
     pairs, table = _lhs_structure(n_colour, n_flavour)
@@ -748,58 +646,3 @@ def verify_son_cft(
     report.extras["fitted_k"] = k_fit
     report.extras["kappa"] = kappa
     return report
-
-
-def reflection_split_check(
-    n_colour: int,
-    n_flavour: int,
-    samples: int,
-    rng: RngStream,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> VerificationReport:
-    """Check E_{O(N)} = (E_{SO(N)} + E_{R SO(N)})/2 coefficient-wise.
-
-    R = diag(1, ..., 1, -1); reflected draws are SO(N) samples with the
-    last row negated.  Exercises the decomposition of the full group into
-    its two components.  SO(N) draws come from substream 1, O(N) draws
-    from substream 2.
-    """
-    _, table = _lhs_structure(n_colour, n_flavour)
-    width = len(table)
-    coefficients = _colour_coefficients(table)
-
-    def components(gen, b):
-        so = sample_special_orthogonal_batch(n_colour, b, gen)
-        refl = so.copy()
-        refl[:, -1, :] *= -1.0
-        return np.concatenate([coefficients(so), coefficients(refl)], axis=1)
-
-    def full_group(gen, b):
-        return coefficients(sample_orthogonal_batch(n_colour, b, gen))
-
-    def noise(b):
-        return [("standard_normal", (b, n_colour, n_colour))]
-
-    split, split_se = stream_mean(
-        components, samples, rng.substream(1), batch=_batch_rows(2 * width), noise=noise
-    )
-    full, full_se = stream_mean(
-        full_group, samples, rng.substream(2), batch=_batch_rows(width), noise=noise
-    )
-    half = 0.5 * (split[:width] + split[width:])
-    half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
-    rows = [
-        MonomialRow(
-            mask,
-            mask_label(mask, n_colour, n_flavour),
-            lv,
-            float(ls),
-            rv,
-            float(rs),
-            _z_score(abs(lv - rv), float(np.hypot(ls, rs))),
-        )
-        for (mask, _, _), lv, ls, rv, rs in zip(table, full, full_se, half, half_se)
-    ]
-    return VerificationReport(
-        "reflection-split", n_colour, n_flavour, samples, threshold, rows
-    )

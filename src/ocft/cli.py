@@ -21,13 +21,14 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from .cft import verify_bosonic_cft, verify_fermionic_cft, verify_son_cft
-from .errors import OcftError
+from .errors import ConfigError, OcftError
 from .haar import Estimate, RngStream, mc_expectation
 from .jacobi import (
     JacobiQuery,
@@ -106,25 +107,41 @@ def _emit(record: dict, fmt: str, out) -> None:
         writer.writerow([v for _, v in fr])
 
 
+def _matrix_entry(cell) -> complex:
+    """A JSON number or [re, im] pair that is finite in float64, else ``ConfigError``."""
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ConfigError(f"matrix entry {cell!r} is not a number or an [re, im] pair")
+    try:
+        value = complex(*(float(x) for x in parts))
+    except OverflowError:  # an integer beyond float64
+        value = complex(math.inf)
+    if not np.isfinite(value):
+        raise ConfigError(f"matrix entry {cell!r} is not finite in float64")
+    return value
+
+
 def _parse_matrix(text: str) -> np.ndarray:
-    """JSON matrix; entries are numbers or [re, im] pairs."""
-    data = json.loads(text)
-    rows = []
-    for row in data:
-        entries = []
-        for cell in row:
-            if isinstance(cell, (list, tuple)):
-                entries.append(complex(cell[0], cell[1]))
-            else:
-                entries.append(complex(cell))
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+    """JSON list of equal-length rows; entries are numbers or [re, im] pairs."""
+    rows = json.loads(text)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ConfigError("--matrix must be a JSON list of rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError("--matrix rows must have equal length")
+    return np.array([[_matrix_entry(cell) for cell in row] for row in rows], dtype=complex)
 
 
 def _worker_count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -199,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--gamma", dest="gam", required=True)
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--threshold", type=float, default=3.0, help="MC z-score bound")
+    p.add_argument("--threshold", type=_threshold, default=3.0, help="MC z-score bound")
     _add_common(p)
 
     p = sub.add_parser("verify-cft", help="verify a colour-flavour identity")
@@ -212,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=10, help="bosonic probe points")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_threshold,
         default=4.0,
         help="single-row |z| level (default 4); each row is held to its Sidak "
         "correction over the rows with a nonzero standard error",
@@ -224,9 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_pfaffian(args) -> tuple[dict, int]:
     matrix = _parse_matrix(args.matrix)
-    value = pfaffian(matrix, args.tol)
-    det = determinant(matrix)
-    residual = abs(value**2 - det) / max(abs(det), 1e-300)
+    # an overflow reaches the values as inf or nan, with numpy's warnings
+    # off, or raises OverflowError in Python's complex arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = pfaffian(matrix, args.tol)
+        det = determinant(matrix)
+    try:
+        residual = abs(value**2 - det) / max(abs(det), 1e-300)
+    except OverflowError:
+        residual = math.inf
+    if not (np.isfinite(value) and np.isfinite(det) and math.isfinite(residual)):
+        raise ConfigError("Pfaffian or determinant overflows float64")
     record = {
         "command": "pfaffian",
         "dimension": matrix.shape[0],
@@ -318,18 +343,17 @@ def _run_jacobi(args) -> tuple[dict, int]:
 
 def _run_ginibre(args) -> tuple[dict, int]:
     lam, gam = parse_complex(args.lam), parse_complex(args.gam)
-    # every check that can refuse the query runs before the Monte Carlo: the
-    # size cap first, since the closed form overflows from N = 171 whatever lg
+    # every check that can refuse the query without sampling runs before the
+    # Monte Carlo: the size cap first, since the closed form overflows from
+    # N = 171 whatever lg; the Monte Carlo refuses an estimate that overflows
     check_ginibre_n(args.n)
     closed = ginibre_closed(lam, gam, args.n)
     pipeline = ginibre_pipeline(lam, gam, args.n)
     est = ginibre_mc(lam, gam, args.n, args.samples, RngStream(args.seed))
     z_mc = est.z_score(closed)
-    pipeline_err = abs(pipeline - closed) / abs(closed)
-    # an overflowed standard error gives z = 0, which is no evidence of a match
-    passed = bool(
-        np.isfinite(est.std_error) and z_mc <= args.threshold and pipeline_err <= 1e-6
-    )
+    # relative error, or absolute where the closed form is 0 (N = 1, lg = -1)
+    pipeline_err = abs(pipeline - closed) / (abs(closed) or 1.0)
+    passed = bool(z_mc <= args.threshold and pipeline_err <= 1e-6)
     record = {
         "command": "ginibre-check",
         "n": args.n,
@@ -339,9 +363,8 @@ def _run_ginibre(args) -> tuple[dict, int]:
         "closed_ratio": _cnum(closed),
         "pipeline_ratio": _cnum(pipeline),
         "pipeline_rel_err": pipeline_err,
-        # a Monte Carlo that overflowed fails the check, and its values are null
-        "mc_ratio": _cnum(est.mean) if np.isfinite(est.mean) else None,
-        "mc_std_error": est.std_error if np.isfinite(est.std_error) else None,
+        "mc_ratio": _cnum(est.mean),
+        "mc_std_error": est.std_error,
         "samples": est.samples,
         "mc_z_score": z_mc if np.isfinite(z_mc) else None,
         "threshold": args.threshold,

@@ -21,25 +21,18 @@ vector M_0..M_N and takes the r-integral exactly (``_s_ratio``):
 Gauss-Legendre rule sized to the integrand's degree, and ``jacobi_pfaffian``
 from the values of the degree-N polynomial pf[A(c)] at c = 0..N, which for
 integer a and b are exact rationals (``Fraction``), as are its moments.
+The tests check both routes against Aomoto's closed form and against the
+determinant and symmetrised-quadrature oracles of ``tests/jacobi_oracles.py``.
 
-The inner integral J has three independent evaluation routes, compared
-against each other in the tests:
-
-* symmetrised quadrature of the product form (``inner_symmetrized``),
-* the ordered-sector monomial determinant (``mehta_determinant``),
-* a Pfaffian of Beta-function sums (``inner_pfaffian`` / ``alpha_entry``).
-
-The two quadrature routes sum over one Gauss-Legendre product grid on the
+The quadrature route sums over one Gauss-Legendre product grid on the
 ordered sector g_1 > ... > g_N, mapped from the unit cube by
 g_i = u_1 u_2 ... u_i (``_slab_grid``).  The grid is taken in slabs of fixed
 u_1: with s = g_1^2 every node is x = g^2 = s * y, where
 y_i = (u_2 ... u_i)^2 ranges over the same nodes^{N-1} rows on every slab.
 Then prod_{i<j} |x_i - x_j| = s^{N(N-1)/2} prod_{i<j} |y_i - y_j| and
-e_k(x) = s^k e_k(y), so the moment route builds its Vandermonde and
-e_k(y) rows once and each slab costs one weight evaluation and one
-matrix-vector product; the determinant route evaluates its N x N
-determinants one slab at a time.  Either way no array holds more than one
-slab, nodes^{N-1} points.
+e_k(x) = s^k e_k(y), so the Vandermonde and e_k(y) rows are built once and
+each slab costs one weight evaluation and one matrix-vector product; no
+array holds more than one slab, nodes^{N-1} points.
 
 Factoring lg^N out of prod_i (lg + r g_i^2) turns the inner weight into
 (1 + c g^2) with c = r / lg; the Pfaffian data (h, alpha_ij) is expressed
@@ -68,17 +61,13 @@ from .linalg import det_stack, elementary_symmetric_all, pfaffian
 
 __all__ = [
     "JacobiQuery",
-    "alpha_entry",
     "check_ginibre_n",
     "gaussian_inner_moments",
     "ginibre_closed",
     "ginibre_mc",
     "ginibre_pipeline",
-    "inner_pfaffian",
-    "inner_symmetrized",
     "jacobi_pfaffian",
     "jacobi_quadrature",
-    "mehta_determinant",
 ]
 
 # jacobi_pfaffian's range, a time cap on its exact arithmetic: N = 16 takes
@@ -154,20 +143,6 @@ def _alpha_poly(i: int, j: int, a: int, b: int) -> tuple[Fraction, Fraction, Fra
     return a0, a1, a2
 
 
-def alpha_entry(i: int, j: int, a: int, b: int, r: float, lg: complex) -> complex:
-    """Closed Beta-sum evaluation of the antisymmetric kernel alpha_ij.
-
-    alpha_ij = integral_0^1 (1 + c g^2) g^{2a} (1-g^2)^b
-               (g^{2i} k_j(g) - g^{2j} k_i(g)) dg,  c = r / lg,
-    with k_i(g) = h(a+i, b; g) + c h(a+i+1, b; g).
-    """
-    if lg == 0:
-        raise DomainError("alpha divides by lambda*gamma")
-    c = r / lg
-    a0, a1, a2 = _alpha_poly(i, j, a, b)
-    return a0 + a1 * c + a2 * c * c
-
-
 def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:
     """Matrix coefficients [A0, A1, A2] of the Pfaffian kernel in c.
 
@@ -189,24 +164,14 @@ def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:
     return mats
 
 
-def inner_pfaffian(n: int, a: int, b: int, c) -> complex | Fraction:
-    """Pfaffian route to the inner integral at fixed coefficient c.
-
-    J_sym(c) = N! (-1)^{floor(N/2)} pf[A(c)] with A the alpha kernel (even
-    N) or its k-bordered extension (odd N); exact for an int or ``Fraction`` c.
-    """
-    a0, a1, a2 = _alpha_matrix_poly(n, a, b)
-    kernel = a0 + c * (a1 + c * a2)
-    sign = -1 if (n // 2) % 2 else 1
-    return math.factorial(n) * sign * pfaffian(kernel)
-
-
 def _pfaffian_moments(n: int, a: int, b: int) -> list[Fraction]:
     """Exact inner moments M_k / M_0, k = 0..N, read off the Pfaffian route.
 
-    J_sym(c) = sum_k M_k c^k is a polynomial of degree N, so its exact values
-    at c = 0..N (N+1 Pfaffians; the factor N! (-1)^{floor(N/2)} of
-    :func:`inner_pfaffian` cancels in M_k / M_0) determine it.  Newton's
+    The inner integral at fixed c is J_sym(c) = N! (-1)^{floor(N/2)} pf[A(c)],
+    with A the alpha kernel (even N) or its k-bordered extension (odd N).
+    It is a polynomial sum_k M_k c^k of degree N, so its exact values at
+    c = 0..N (N+1 Pfaffians; the factor N! (-1)^{floor(N/2)} cancels in
+    M_k / M_0) determine it.  Newton's
     divided differences on these unit-spaced nodes give its Newton form,
     which is expanded into powers of c.  The ratios to M_0 stay in float
     range where M_0 does not: it underflows float64 at a = b = 50, N = 16.
@@ -229,8 +194,8 @@ def _slab_grid(n: int, a: int, b: int):
     """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
 
     Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k.
-    With the Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}, the moment and
-    determinant integrands have degree d = n^2 + 2n - 1 + 2n(a+b) in u_1 and
+    With the Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}, the moment integrand
+    has degree d = n^2 + 2n - 1 + 2n(a+b) in u_1 and
     less in every other u_k, so ceil((d+1)/2) Gauss-Legendre nodes per axis
     are exact.  Above the size budget it raises ``ConfigError``.
 
@@ -296,38 +261,6 @@ def _inner_moments(n: int, a: int, b: int) -> np.ndarray:
         weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
         total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
     return math.factorial(n) * total
-
-
-def inner_symmetrized(n: int, a: int, b: int, c: complex) -> complex:
-    """Symmetrised quadrature of the inner integral at fixed coefficient c.
-
-    J_sym(c) = integral over [0,1]^N of
-               prod_{i<j} |g_i^2 - g_j^2| prod_i (1 + c g_i^2) W(g_i^2) dg.
-    """
-    x0 = _peak(a, b)
-    m = _inner_moments(n, a, b) * (x0**a * (1.0 - x0) ** b) ** n
-    return sum(m[k] * c**k for k in range(n + 1))
-
-
-def mehta_determinant(query: JacobiQuery, r: float | complex) -> complex:
-    """Ordered-sector monomial-determinant route to the inner integral.
-
-    Evaluates N! * integral over the ordered sector of
-    det[ W(g_i^2) g_i^{2(j-1)} (1 + r g_i^2) ], which on ascending rows is
-    prod_i W(g_i^2) (1 + r g_i^2) times the positive Vandermonde.  ``r`` is
-    the literal coefficient of the (1 + r g^2) factor; the full pipeline
-    passes c = r / (lambda gamma).
-    """
-    n, a, b = query.n, query.a, query.b
-    s, ws, y, wy = _slab_grid(n, a, b)
-    y_asc = y[:, ::-1]  # ascending rows make the determinant positive
-    total = 0.0 + 0.0j
-    for s_a, w_a in zip(s, ws):
-        x_asc = s_a * y_asc
-        f = x_asc**a * (1.0 - x_asc) ** b * (1.0 + r * x_asc)
-        fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
-        total += w_a * (wy @ det_stack(fcols))
-    return complex(math.factorial(n) * total)
 
 
 # -- full averages ---------------------------------------------------------
@@ -429,6 +362,7 @@ def check_ginibre_n(n: int) -> None:
         raise ConfigError(f"Ginibre Monte Carlo capped at N = {MAX_GINIBRE_N}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ginibre_mc(
     lam: complex,
     gam: complex,
@@ -441,7 +375,10 @@ def ginibre_mc(
     Samples real N x N matrices with iid standard normal entries and
     estimates E[det(lam - A) det(gam - A^T)] / E[det(A) det(A^T)] on common
     draws (the denominator is the lg = 0 reference).  The standard error is
-    the delta-method one of the ratio of the two means.
+    the delta-method one of the ratio of the two means.  It runs with
+    numpy's overflow and invalid-value warnings off: an overflow anywhere
+    reaches the estimate as inf or nan, and a non-finite ratio or error
+    raises ``ConfigError``.
     """
     check_ginibre_n(n)
     # a real shift keeps the shifted matrices, and so their dets, in float64
@@ -482,4 +419,8 @@ def ginibre_mc(
     var_r = (
         var_n - 2 * (np.conj(ratio) * cov).real + abs(ratio) ** 2 * var_d
     ) / abs(mean_d) ** 2
-    return Estimate(complex(ratio), float(np.sqrt(max(var_r, 0.0) / samples)), samples)
+    est = Estimate(complex(ratio), float(np.sqrt(max(var_r, 0.0) / samples)), samples)
+    if not (np.isfinite(est.mean) and math.isfinite(est.std_error)):
+        lg = complex(lam) * complex(gam)
+        raise ConfigError(f"Monte Carlo overflows float64 at lg = {lg}, N = {n}")
+    return est

@@ -8,7 +8,8 @@ of routines in this module:
 * ``det_stack``         -- batched determinants in the input's dtype:
                            cofactor / Laplace formulas up to 4 x 4, LAPACK's
                            LU above; ``determinant`` is its one-matrix form
-* ``elementary_symmetric``  -- stable product-polynomial scheme
+* ``elementary_symmetric_all`` -- every e_k of each row, by the stable
+                           product-polynomial scheme
 * ``log_gamma`` / ``log_beta`` -- log-domain special functions
 
 All functions are pure; none keep state.
@@ -26,7 +27,7 @@ __all__ = [
     "as_complex_matrix",
     "det_stack",
     "determinant",
-    "elementary_symmetric",
+    "elementary_symmetric_all",
     "is_skew",
     "log_beta",
     "log_gamma",
@@ -154,25 +155,12 @@ def determinant(a) -> complex:
     return complex(det_stack(m))
 
 
-def elementary_symmetric(values, l: int) -> float:
-    """l-th elementary symmetric polynomial of the given values.
-
-    Builds the coefficients of prod_i (1 + v_i t) by repeated convolution,
-    which is numerically stable (no alternating Newton sums), then reads off
-    the t^l coefficient.  ``l`` must lie in [0, len(values)].
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(v)):
-        raise DomainError("values must be finite")
-    if not 0 <= l <= v.size:
-        raise IndexError(f"l={l} out of range for {v.size} values")
-    return float(elementary_symmetric_all(v)[l])
-
-
 def elementary_symmetric_all(values) -> np.ndarray:
     """All elementary symmetric polynomials S^0..S^n of each row.
 
-    ``values`` is a vector or a (..., n) stack of rows; the result has shape
+    Builds the coefficients of prod_i (1 + v_i t) by repeated convolution,
+    which is numerically stable (no alternating Newton sums); S^l is the
+    t^l coefficient.  ``values`` is a vector or a (..., n) stack of rows; the result has shape
     (..., n + 1).
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
@@ -196,9 +184,3 @@ def log_beta(x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise DomainError(f"log_beta needs positive arguments, got ({x}, {y})")
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-
-
-def random_skew(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random dense complex skew-symmetric matrix (test helper)."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (a - a.T) / 2.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import half_line_nodes
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .haar import (
     Estimate,
     RngStream,
@@ -36,11 +36,10 @@ from .haar import (
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import as_complex_matrix, det_stack, elementary_symmetric_all, is_skew
+from .linalg import det_stack, elementary_symmetric_all
 
 __all__ = [
     "MomentQuery",
-    "build_pf_kernel",
     "moment_m1_closed",
     "moment_mc",
     "moment_pfaffian_integral",
@@ -119,20 +118,6 @@ def moment_mc(
     return _finite(mc_expectation(f, g.size, samples, rng, workers=workers), query)
 
 
-def build_pf_kernel(z_skew, g: float, z: complex, m: int) -> np.ndarray:
-    """Assemble the 4m x 4m skew kernel [[g^2 Z, D], [-D, Z^dagger]].
-
-    ``z_skew`` is the 2m x 2m complex skew flavour matrix and
-    D = diag(z, zbar) (x) I_m couples the two blocks.
-    """
-    zm = as_complex_matrix(z_skew)
-    if zm.shape != (2 * m, 2 * m):
-        raise ShapeError(f"flavour matrix must be {2 * m}x{2 * m}, got {zm.shape}")
-    if not is_skew(zm):
-        raise ShapeError("flavour matrix must be skew-symmetric")
-    return _kernel_batch(zm[None], g, z, m)[0]
-
-
 # -- polar decomposition of the skew flavour matrix -------------------------
 
 
@@ -174,10 +159,19 @@ def pfaffian_batch(k: np.ndarray) -> np.ndarray:
 
 
 def _kernel_batch(z_batch: np.ndarray, g: float, z: complex, m: int) -> np.ndarray:
+    """(B, 4m, 4m) skew kernels [[g^2 Z, D], [-D, Z^dagger]] of a (B, 2m, 2m) stack.
+
+    Z is a complex skew flavour matrix and D = diag(z, zbar) (x) I_m couples
+    the two blocks.
+    """
+    try:
+        g2 = g**2
+    except OverflowError:  # inf, which the caller's finiteness check refuses
+        g2 = math.inf
     b = z_batch.shape[0]
     d = np.kron(np.diag([z, np.conj(z)]), np.eye(m))
     k = np.zeros((b, 4 * m, 4 * m), dtype=complex)
-    k[:, : 2 * m, : 2 * m] = g**2 * z_batch
+    k[:, : 2 * m, : 2 * m] = g2 * z_batch
     k[:, : 2 * m, 2 * m :] = d
     k[:, 2 * m :, : 2 * m] = -d
     k[:, 2 * m :, 2 * m :] = np.conj(np.transpose(z_batch, (0, 2, 1)))

@@ -1,6 +1,7 @@
 """Independent oracles for the Jacobi routes, used only by the tests.
 
-They load SciPy, which the library itself does not import.
+They load SciPy, which the library itself does not import.  J_sym(c) is
+the inner integral at a fixed coefficient c.
 """
 
 import math
@@ -9,6 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from ocft.errors import DomainError
+from ocft.jacobi import (
+    JacobiQuery, _alpha_matrix_poly, _alpha_poly, _inner_moments, _peak, _slab_grid,
+)
+from ocft.linalg import det_stack, pfaffian
 
 
 def aomoto_moments(n, a, b):
@@ -54,8 +59,8 @@ def h_closed(a, b, x):
 def alpha_entry_quadrature(i, j, a, b, r, lg):
     """Adaptive quadrature of the defining integral for alpha_ij.
 
-    Independent oracle for ``ocft.jacobi.alpha_entry``; authoritative if the
-    two ever disagree.
+    Independent oracle for :func:`alpha_closed`; authoritative if the two
+    ever disagree.
     """
     from scipy import integrate
 
@@ -74,3 +79,47 @@ def alpha_entry_quadrature(i, j, a, b, r, lg):
         return re
     im, _ = integrate.quad(lambda g: integrand(g).imag, 0.0, 1.0, limit=200)
     return complex(re, im)
+
+
+def alpha_closed(i, j, a, b, r, lg):
+    """The library's exact alpha_ij(c) = A0 + A1 c + A2 c^2 at c = r / lg."""
+    c = r / lg
+    a0, a1, a2 = _alpha_poly(i, j, a, b)
+    return a0 + a1 * c + a2 * c * c
+
+
+def inner_pfaffian(n, a, b, c):
+    """J_sym(c) = N! (-1)^{floor(N/2)} pf[A(c)], exact for an int or ``Fraction`` c."""
+    a0, a1, a2 = _alpha_matrix_poly(n, a, b)
+    kernel = a0 + c * (a1 + c * a2)
+    sign = -1 if (n // 2) % 2 else 1
+    return math.factorial(n) * sign * pfaffian(kernel)
+
+
+def inner_symmetrized(n, a, b, c):
+    """J_sym(c) = integral over [0,1]^N of prod_{i<j} |g_i^2 - g_j^2|
+    prod_i (1 + c g_i^2) W(g_i^2) dg, from the library's inner moments."""
+    x0 = _peak(a, b)
+    m = _inner_moments(n, a, b) * (x0**a * (1.0 - x0) ** b) ** n
+    return sum(m[k] * c**k for k in range(n + 1))
+
+
+def mehta_determinant(query: JacobiQuery, r):
+    """Ordered-sector monomial-determinant route to the inner integral.
+
+    Evaluates N! * integral over the ordered sector of
+    det[ W(g_i^2) g_i^{2(j-1)} (1 + r g_i^2) ], which on ascending rows is
+    prod_i W(g_i^2) (1 + r g_i^2) times the positive Vandermonde, one slab
+    of the library's grid at a time.  ``r`` is the literal coefficient of
+    the (1 + r g^2) factor; the full pipeline passes c = r / (lambda gamma).
+    """
+    n, a, b = query.n, query.a, query.b
+    s, ws, y, wy = _slab_grid(n, a, b)
+    y_asc = y[:, ::-1]  # ascending rows make the determinant positive
+    total = 0.0 + 0.0j
+    for s_a, w_a in zip(s, ws):
+        x_asc = s_a * y_asc
+        f = x_asc**a * (1.0 - x_asc) ** b * (1.0 + r * x_asc)
+        fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
+        total += w_a * (wy @ det_stack(fcols))
+    return complex(math.factorial(n) * total)

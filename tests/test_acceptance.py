@@ -15,27 +15,27 @@ from ocft.cft import (
     verify_bosonic_cft,
     verify_fermionic_cft,
 )
-from jacobi_oracles import alpha_entry_quadrature
+from jacobi_oracles import (
+    alpha_closed, alpha_entry_quadrature, inner_pfaffian, inner_symmetrized,
+    mehta_determinant,
+)
 from ocft.haar import RngStream, sample_orthogonal_batch
 from ocft.jacobi import (
     JacobiQuery,
-    alpha_entry,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
-    inner_pfaffian,
-    inner_symmetrized,
     jacobi_pfaffian,
     jacobi_quadrature,
-    mehta_determinant,
 )
-from ocft.linalg import determinant, pfaffian, random_skew
+from ocft.linalg import determinant, pfaffian
 from ocft.moments import (
     MomentQuery,
     moment_m1_closed,
     moment_mc,
     moment_pfaffian_integral,
 )
+from random_inputs import random_skew
 
 MILLION = 1_000_000
 
@@ -291,7 +291,7 @@ class TestCriterion9AlphaKernel:
                 for (i, j) in ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4)):
                     for r in (0.0, 0.5, 2.0):
                         for lg in (0.5, 1.0, 3.0):
-                            closed = alpha_entry(i, j, a, b, r, lg)
+                            closed = alpha_closed(i, j, a, b, r, lg)
                             direct = alpha_entry_quadrature(i, j, a, b, r, lg)
                             err = abs(closed - direct) / max(abs(direct), 1e-14)
                             worst = max(worst, err)

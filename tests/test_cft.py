@@ -5,44 +5,108 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ocft.cft import (
-    BosonicMeasure,
-    FermionicMeasure,
-    c0_bosonic_closed_form,
-    c0_bosonic_selfconsistent,
-    c0_fermionic_closed_form,
-    c0_fermionic_selfconsistent,
-    lhs_coefficient_means,
-    normalization_audit,
-    reflection_split_check,
-    rhs_exact_coefficients,
-    rhs_mc_coefficients,
-    sample_bosonic_z,
-    sample_fermionic_z,
-    sidak_row_bound,
-    verify_bosonic_cft,
-    verify_fermionic_cft,
-    verify_son_cft,
-)
+from grassmann_oracles import lhs_integrand
 from ocft import cft
 from ocft.cft import (
-    MonomialRow,
-    VerificationReport,
-    _det_m0_terms,
-    _lhs_structure,
-    _minor_dets,
-    _minor_pairs,
+    BosonicMeasure, MonomialRow, VerificationReport, _batch_rows, _colour_coefficients,
+    _det_m0_terms, _lhs_structure, _minor_dets, _minor_pairs, _rhs_structure, _z_score,
+    c0_fermionic_closed_form, c0_fermionic_selfconsistent, lhs_coefficient_means,
+    mask_label, normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
+    sidak_row_bound, verify_bosonic_cft, verify_fermionic_cft, verify_son_cft,
 )
 from ocft.errors import ConfigError, DomainError
-from ocft.grassmann import (
-    Multivector,
-    gmul,
-    lhs_integrand,
-    psi_index,
-    psibar_index,
-    universe_size,
+from ocft.grassmann import Multivector, gmul, psi_index, psibar_index, universe_size
+from ocft.haar import (
+    RngStream, _as_generator, sample_orthogonal_batch, sample_special_orthogonal_batch,
+    stream_mean,
 )
-from ocft.haar import RngStream
+
+
+def sample_fermionic_z(n_colour, n_flavour, rng, count=1):
+    """Draw Z from the fermionic flavour measure, n <= 2.
+
+    The measure is det^{-(N/2+n-1)}(1 + Z Z^dagger) on complex skew n x n
+    matrices.  n = 1 is the zero matrix; n = 2 samples the single complex
+    entry exactly through the radial inverse CDF of (1+r)^{-(N+2)}.
+    """
+    gen = _as_generator(rng)
+    if n_flavour == 1:
+        return np.zeros((count, 1, 1), dtype=complex)
+    if n_flavour != 2:
+        raise ConfigError("fermionic flavour sampling implemented for n <= 2")
+    u = gen.random(count)
+    r = (1.0 - u) ** (-1.0 / (n_colour + 1.0)) - 1.0
+    theta = gen.random(count) * 2.0 * np.pi
+    a = np.sqrt(r) * np.exp(1j * theta)
+    z = np.zeros((count, 2, 2), dtype=complex)
+    z[:, 0, 1] = a
+    z[:, 1, 0] = -a
+    return z
+
+
+def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
+    """Monte-Carlo estimate of the flavour-side coefficients, n <= 2.
+
+    The sampling oracle for ``rhs_exact_coefficients``; the top-coefficient
+    estimator has infinite variance at N = 1 (the measure is too
+    heavy-tailed there).
+    """
+    if n_flavour == 1:
+        return {0: (1.0, 0.0)}
+    if n_flavour != 2:
+        raise ConfigError("flavour-side sampling implemented for n <= 2")
+    table = _rhs_structure(n_colour)
+    signs, u, v = (np.array([row[col] for row in table]) for col in (1, 2, 3))
+
+    def values(gen, b):
+        a = sample_fermionic_z(n_colour, n_flavour, gen, b)[:, 0, 1, None]
+        return signs * a**u * (-np.conj(a)) ** v
+
+    mean, se = stream_mean(values, samples, rng, batch=_batch_rows(len(table)),
+                           noise=lambda b: [("random", (b,))] * 2)
+    return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
+
+
+def reflection_split_check(n_colour, n_flavour, samples, rng):
+    """Check E_{O(N)} = (E_{SO(N)} + E_{R SO(N)})/2 coefficient-wise.
+
+    R = diag(1, ..., 1, -1); reflected draws are SO(N) samples with the
+    last row negated.  Exercises the decomposition of the full group into
+    its two components.  SO(N) draws come from substream 1, O(N) draws
+    from substream 2.
+    """
+    _, table = _lhs_structure(n_colour, n_flavour)
+    width = len(table)
+    coefficients = _colour_coefficients(table)
+
+    def components(gen, b):
+        so = sample_special_orthogonal_batch(n_colour, b, gen)
+        refl = so.copy()
+        refl[:, -1, :] *= -1.0
+        return np.concatenate([coefficients(so), coefficients(refl)], axis=1)
+
+    def full_group(gen, b):
+        return coefficients(sample_orthogonal_batch(n_colour, b, gen))
+
+    def noise(b):
+        return [("standard_normal", (b, n_colour, n_colour))]
+
+    split, split_se = stream_mean(
+        components, samples, rng.substream(1), batch=_batch_rows(2 * width), noise=noise
+    )
+    full, full_se = stream_mean(
+        full_group, samples, rng.substream(2), batch=_batch_rows(width), noise=noise
+    )
+    half = 0.5 * (split[:width] + split[width:])
+    half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
+    rows = [
+        MonomialRow(mask, mask_label(mask, n_colour, n_flavour), lv, float(ls), rv, float(rs),
+                    _z_score(abs(lv - rv), float(np.hypot(ls, rs))))
+        for (mask, _, _), lv, ls, rv, rs in zip(table, full, full_se, half, half_se)
+    ]
+    return VerificationReport(
+        "reflection-split", n_colour, n_flavour, samples, cft.DEFAULT_THRESHOLD, rows
+    )
 
 
 def per_pair_minor_dets(o_batch, pairs):
@@ -141,35 +205,23 @@ class TestConstants:
             audit = normalization_audit(n_colour)
             assert audit["ratio"] == pytest.approx(1.0, rel=1e-14)
 
-    def test_bosonic_closed_form(self):
-        assert c0_bosonic_closed_form(4, 1) == pytest.approx(1.0 / math.pi, rel=1e-12)
-        assert c0_bosonic_closed_form(6, 1) == pytest.approx(2.0 / math.pi, rel=1e-12)
-        with pytest.raises(DomainError):
-            c0_bosonic_closed_form(2, 1)
-
-    def test_bosonic_selfconsistent_matches_closed_form(self):
-        for n_colour in (4, 5, 6, 8):
-            assert c0_bosonic_selfconsistent(n_colour, 1) == pytest.approx(
-                c0_bosonic_closed_form(n_colour, 1), rel=1e-14
-            )
-
 
 class TestFermionicSampler:
     def test_single_flavour_is_zero_matrix(self):
-        z = sample_fermionic_z(FermionicMeasure(3, 1), RngStream(1), 10)
+        z = sample_fermionic_z(3, 1, RngStream(1), 10)
         assert z.shape == (10, 1, 1) and np.all(z == 0)
 
     def test_three_flavours_rejected(self):
         with pytest.raises(ConfigError):
-            sample_fermionic_z(FermionicMeasure(4, 3), RngStream(5), 10)
+            sample_fermionic_z(4, 3, RngStream(5), 10)
 
     def test_rejects_unsupported_rng(self):
         with pytest.raises(ConfigError):
-            sample_fermionic_z(FermionicMeasure(2, 2), "x", 3)
+            sample_fermionic_z(2, 2, "x", 3)
 
     def test_two_flavour_radial_moment(self):
         n_colour = 4
-        z = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(3), 400_000)
+        z = sample_fermionic_z(n_colour, 2, RngStream(3), 400_000)
         np.testing.assert_array_equal(z[:, 0, 1], -z[:, 1, 0])
         r = np.abs(z[:, 0, 1]) ** 2
         # quadrature oracle for E[r / (1 + r)]
@@ -183,7 +235,7 @@ class TestFermionicSampler:
     def test_radial_moment_closed_form(self):
         # E[r^u] = 1 / binom(N, u) under the n=2 measure
         n_colour = 5
-        z = sample_fermionic_z(FermionicMeasure(n_colour, 2), RngStream(4), 400_000)
+        z = sample_fermionic_z(n_colour, 2, RngStream(4), 400_000)
         r = np.abs(z[:, 0, 1]) ** 2
         se = r.std() / np.sqrt(r.size)
         assert abs(r.mean() - 1.0 / n_colour) <= 3 * se

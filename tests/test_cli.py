@@ -285,19 +285,13 @@ class TestGinibreCheck:
         assert code == 2 and out == ""
         assert "capped" in err
 
-    def test_non_finite_std_error_fails(self, monkeypatch):
-        # z = 0 against an infinite standard error is no evidence of a match
-        from ocft import cli
-        from ocft.haar import Estimate
-
-        monkeypatch.setattr(
-            cli, "ginibre_mc", lambda lam, gam, n, samples, rng: Estimate(2.5, math.inf, samples)
-        )
-        code, out, _ = invoke(
-            ["ginibre-check", "--n", "2", "--lambda", "1", "--gamma", "1", "--samples", "100"]
-        )
-        rec = json.loads(out)
-        assert code == 3 and not rec["passed"] and rec["mc_z_score"] == 0.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_monte_carlo_overflow_exits_two(self):
+        # lg = 1 has a finite closed form, but the Monte-Carlo dets overflow
+        code, out, err = invoke(["ginibre-check", "--n", "4", "--lambda", "1e100",
+                                 "--gamma", "1e-100", "--samples", "2000"])
+        assert code == 2 and out == ""
+        assert "overflow" in err
 
 
 class TestVerifyCft:

@@ -1,0 +1,134 @@
+"""The CLI's output contract, swept over extreme option values.
+
+Every case runs in-process through ``cli.run`` with small sample counts.  It
+must end in exit 0, 2 or 3 without an exception out of ``run`` and without a
+``RuntimeWarning``; exit 2 prints nothing on stdout, exit 0 or 3 strict JSON.
+Values go in as ``--option=value``, so argparse reads -1e300 as a value.
+"""
+
+import io
+import json
+import warnings
+
+import pytest
+
+from ocft.cli import run
+from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N
+
+# tried on every numeric option of a base command
+EXTREMES = ("0", "1", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "1,1")
+NUMERIC = {"--a", "--b", "--colors", "--flavors", "--g", "--gamma", "--lambda", "--m", "--n",
+           "--probes", "--samples", "--seed", "--threshold", "--tol", "--workers", "--z"}
+MATRICES = (
+    "5", "[1]", "[[null]]", "[[[1]]]", "[[true, 0], [0, true]]", '[["1"]]', '"x"', "{}",
+    "[[", "[]", "[[]]", "[[0]]", "[[0, 1]]", "[[0, 1], [-1]]", "[[0, 1], [2, 0]]",
+    "[[0, [1, 1]], [[-1, -1], 0]]", "[[0, [1, 2, 3]], [[-1, -2], 0]]",
+    "[[0, 1e-300], [-1e-300, 0]]", "[[0, 1e300], [-1e300, 0]]", "[[0, 1e308], [-1e308, 0]]",
+    "[[0, 1e400], [-1e400, 0]]", "[[0, Infinity], [-Infinity, 0]]", "[[NaN]]",
+    "[[0, 1" + "0" * 400 + "], [-1, 0]]",
+    "[[0, 1e160, 0, 0], [-1e160, 0, 0, 0], [0, 0, 0, 1e160], [0, 0, -1e160, 0]]",
+)
+GINIBRE = {"--n": "2", "--lambda": "1", "--gamma": "1", "--samples": "50"}
+CFT = {"--colors": "2", "--flavors": "2", "--samples": "50", "--workers": "1"}
+MOMENT = {"--n": "2", "--z": "1.3", "--g": "0.5,1.0"}
+JACOBI = {"--n": "2", "--a": "1", "--b": "1", "--lambda": "1.5", "--gamma": "1.2"}
+# subcommand -> [(base options, {option: values tried besides EXTREMES})]
+SWEEPS = {
+    "pfaffian": [({"--matrix": "[[0, 1], [-1, 0]]", "--tol": "1e-12"}, {"--matrix": MATRICES})],
+    "haar-moment": [(
+        {"--n": "2", "--entries": "1,1;2,2", "--samples": "50", "--seed": "0", "--workers": "1"},
+        {"--n": ("8",), "--entries": ("0,0", "3,3", "1", "1,1;", "x,y"), "--group": ("SO",),
+         "--workers": ("51",)},
+    )],
+    "moment": [
+        ({**MOMENT, "--method": method, **extra},
+         {"--m": ("2", "3", "1000"),
+          "--g": ("nan,1", "inf,1", "1e300,1", "1e-300,0", "-1,1", "1", "0,0", "")})
+        for method, extra in (("closed", {}), ("pfaffian", {}), ("pfaffian", {"--m": "2"}),
+                              ("mc", {"--samples": "50"}),
+                              ("mc", {"--samples": "50", "--m": "2"}))
+    ],
+    "jacobi": [
+        ({**JACOBI, "--method": method},
+         {"--n": (str(MAX_PFAFFIAN_N), str(MAX_PFAFFIAN_N + 1)),
+          "--a": (str(MAX_PFAFFIAN_AB - 1), str(MAX_PFAFFIAN_AB))})
+        for method in ("pfaffian", "quadrature")
+    ],
+    "ginibre-check": [
+        ({**GINIBRE, "--threshold": "3", "--seed": "0"},
+         {"--n": (str(MAX_GINIBRE_N), str(MAX_GINIBRE_N + 1))}),
+        ({**GINIBRE, "--n": "1"}, {}),  # the closed form 1 + lg is 0 at lg = -1
+    ],
+    "verify-cft": [
+        ({"--variant": variant, **CFT, "--threshold": "4"},
+         {"--colors": ("4", "5"), "--flavors": ("3", "4"), "--workers": ("51",)})
+        for variant in ("fermionic", "son")
+    ] + [
+        ({"--variant": "bosonic", **CFT, "--colors": "5", "--probes": "2", "--threshold": "4"},
+         {"--colors": ("4", "6"), "--flavors": ("3",), "--workers": ("51",)}),
+    ],
+}
+# commands that must exit 2
+REFUSED = [
+    *(["pfaffian", f"--matrix={m}"] for m in ("5", "[1]", "[[null]]", "[[[1]]]",
+                                              "[[0,1e300],[-1e300,0]]")),
+    ["ginibre-check", "--n=4", "--lambda=1e100", "--gamma=1e-100", "--samples=2000"],
+    *([*argv, f"--threshold={value}"]
+      for argv in (["verify-cft", "--variant=fermionic", "--colors=2", "--flavors=1"],
+                   ["ginibre-check", *(f"{k}={v}" for k, v in GINIBRE.items())])
+      for value in ("-1", "0", "nan", "inf", "-inf")),
+]
+
+
+def _cases(command):
+    seen = set()
+    for base, extras in SWEEPS[command]:
+        for option in dict.fromkeys([*base, *extras]):
+            for value in (*(EXTREMES if option in NUMERIC else ()), *extras.get(option, ())):
+                argv = (command, *(f"{k}={v}" for k, v in {**base, option: value}.items()))
+                if argv not in seen:
+                    seen.add(argv)
+                    yield list(argv)
+
+
+def _strict(constant):
+    raise ValueError(f"non-finite {constant} in stdout")
+
+
+def _violation(argv, exits=(0, 2, 3)):
+    """How the run of ``argv`` breaks the contract, or None if it keeps it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run(argv, out=out, err=err)
+        except Exception as exc:
+            return f"{type(exc).__name__} out of run: {exc}"
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = out.getvalue()
+    if code not in exits:
+        return f"exit {code}: {err.getvalue().strip()}"
+    if runtime:
+        return f"RuntimeWarning {runtime}"
+    if code == 2:
+        return f"stdout on exit 2: {out!r}" if out else None
+    try:
+        json.loads(out, parse_constant=_strict)
+    except ValueError as exc:
+        return f"stdout is not strict JSON ({exc}): {out!r}"
+    return None
+
+
+def _failures(cases, **kwargs):
+    return "\n".join(f"{' '.join(argv)}: {why}" for argv in cases
+                     if (why := _violation(argv, **kwargs)))
+
+
+# one test per subcommand, looping over its cases, keeps the sweep to seconds
+@pytest.mark.parametrize("command", list(SWEEPS))
+def test_extreme_values_keep_the_contract(command):
+    assert not (failures := _failures(_cases(command))), failures
+
+
+def test_unusable_input_exits_two():
+    assert not (failures := _failures(REFUSED, exits=(2,))), failures

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jacobi_oracles import aomoto_moments, alpha_entry_quadrature, h_closed
+from jacobi_oracles import (
+    alpha_closed, alpha_entry_quadrature, aomoto_moments, h_closed, inner_pfaffian,
+    inner_symmetrized, mehta_determinant,
+)
 from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
@@ -16,16 +19,12 @@ from ocft.jacobi import (
     MAX_PFAFFIAN_AB,
     MAX_PFAFFIAN_N,
     JacobiQuery,
-    alpha_entry,
     gaussian_inner_moments,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
-    inner_pfaffian,
-    inner_symmetrized,
     jacobi_pfaffian,
     jacobi_quadrature,
-    mehta_determinant,
 )
 from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
 
@@ -103,7 +102,7 @@ class TestH:
 class TestAlpha:
     def test_diagonal_vanishes(self):
         for i in (0, 2):
-            assert alpha_entry(i, i, 1, 1, 0.7, 1.3) == 0.0
+            assert alpha_closed(i, i, 1, 1, 0.7, 1.3) == 0.0
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(2)
@@ -111,10 +110,10 @@ class TestAlpha:
             i, j = rng.integers(0, 5, size=2)
             a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
             r, lg = rng.uniform(0, 2), rng.uniform(0.5, 2)
-            assert alpha_entry(i, j, a, b, r, lg) == -alpha_entry(j, i, a, b, r, lg)
+            assert alpha_closed(i, j, a, b, r, lg) == -alpha_closed(j, i, a, b, r, lg)
 
     def test_elementary_value(self):
-        assert alpha_entry(0, 1, 0, 0, 0.0, 1.0) == pytest.approx(-1.0 / 6.0)
+        assert alpha_closed(0, 1, 0, 0, 0.0, 1.0) == pytest.approx(-1.0 / 6.0)
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0, 1, 2])
@@ -122,7 +121,7 @@ class TestAlpha:
         for (i, j) in [(0, 1), (1, 3), (2, 4)]:
             for r in (0.0, 0.5, 2.0):
                 for lg in (0.5, 1.0, 3.0):
-                    closed = alpha_entry(i, j, a, b, r, lg)
+                    closed = alpha_closed(i, j, a, b, r, lg)
                     direct = alpha_entry_quadrature(i, j, a, b, r, lg)
                     assert closed == pytest.approx(direct, rel=1e-6, abs=1e-14)
 
@@ -423,6 +422,13 @@ class TestGinibre:
     def test_closed_overflow_is_config_error(self):
         with pytest.raises(ConfigError, match="overflow"):
             ginibre_closed(1e200, 1.0, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mc_overflow_is_config_error(self):
+        # lg = 1 has a finite closed form, but det(1e100 - A) overflows at N = 4
+        assert ginibre_closed(1e100, 1e-100, 4) == pytest.approx(65.0 / 24.0)
+        with pytest.raises(ConfigError, match="overflow"):
+            ginibre_mc(1e100, 1e-100, 4, 2000, RngStream(0))
 
     def test_mc_matches_closed(self):
         est = ginibre_mc(1.0, 1.0, 2, 150_000, RngStream(7))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ocft.errors import ConfigError, ShapeError
+from ocft.errors import ConfigError
 from ocft.haar import RngStream
-from ocft.linalg import determinant, pfaffian, random_skew
+from ocft.linalg import determinant, pfaffian
 from ocft.moments import (
     MomentQuery,
-    build_pf_kernel,
     moment_m1_closed,
     moment_mc,
     moment_pfaffian_integral,
@@ -19,6 +18,7 @@ from ocft.moments import (
     _radial_grid,
     _skew_sigma_blocks,
 )
+from random_inputs import random_skew
 
 
 def o1_enumeration(z, g, m):
@@ -116,21 +116,21 @@ class TestKernel:
         zval = 1.1 + 0.2j
         g = 1.7
         zm = np.array([[0, a], [-a, 0]])
-        k = build_pf_kernel(zm, g, zval, 1)
+        k = _kernel_batch(zm[None], g, zval, 1)[0]
         expected = -(abs(zval) ** 2 + g**2 * abs(a) ** 2)
         assert pfaffian(k) == pytest.approx(expected, rel=1e-12)
 
     def test_exactly_skew(self):
         rng = np.random.default_rng(8)
         zm = random_skew(4, rng)
-        k = build_pf_kernel(zm, 0.7, 0.5 + 0.2j, 2)
+        k = _kernel_batch(zm[None], 0.7, 0.5 + 0.2j, 2)[0]
         assert np.abs(k + k.T).max() == 0.0
 
     def test_pf_squared_equals_det(self):
         rng = np.random.default_rng(9)
         for m in (1, 2):
             zm = random_skew(2 * m, rng)
-            k = build_pf_kernel(zm, 1.3, 0.4 - 0.9j, m)
+            k = _kernel_batch(zm[None], 1.3, 0.4 - 0.9j, m)[0]
             assert pfaffian(k) ** 2 == pytest.approx(determinant(k), rel=1e-10)
 
     def test_zero_z_block_factorisation(self):
@@ -138,7 +138,7 @@ class TestKernel:
         rng = np.random.default_rng(10)
         g = 1.2
         zm = random_skew(2, rng)
-        k = build_pf_kernel(zm, g, 0.0, 1)
+        k = _kernel_batch(zm[None], g, 0.0, 1)[0]
         expected = pfaffian(g**2 * zm) * pfaffian(zm.conj().T)
         assert pfaffian(k) == pytest.approx(expected, rel=1e-12)
 
@@ -148,13 +148,7 @@ class TestKernel:
             stack = np.array([random_skew(2 * m, rng) for _ in range(3)])
             batch = _kernel_batch(stack, 0.7, 0.5 + 0.2j, m)
             for zm, row in zip(stack, batch):
-                assert np.array_equal(build_pf_kernel(zm, 0.7, 0.5 + 0.2j, m), row)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            build_pf_kernel(np.zeros((2, 2)), 1.0, 1.0, 2)
-        with pytest.raises(ShapeError):
-            build_pf_kernel(np.eye(2), 1.0, 1.0, 1)
+                assert np.array_equal(_kernel_batch(zm[None], 0.7, 0.5 + 0.2j, m)[0], row)
 
     def test_batch_pfaffian_matches_elimination(self):
         rng = np.random.default_rng(11)
