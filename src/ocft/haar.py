@@ -24,23 +24,24 @@ stream_index), worker shard w reads ``rng.substream(w)``, and shards are
 reduced in order, so a fixed (seed, workers) configuration gives
 bit-identical results.
 
-The random numbers of a large batch are drawn one batch ahead.  A caller
-that declares the draws of one batch (``noise``) has each batch's arrays
-filled on a helper thread while the caller's thread turns the previous
-batch into rows; numpy's ``Generator`` releases the interpreter lock while
-it fills an array, so the draw runs beside the Gram-Schmidt passes,
-determinants and sums.  Only those ``Generator`` fills run on the helper
-thread: the samplers, and everything else, run on the caller's thread with
-the same arguments, and read the same numbers in the same order, as
-without the helper.  The fills go into two preallocated buffers per
-declared array, which alternate between batches, so a batch's draws are
-overwritten only once the batch after it is being processed.  Only batches
-of at least DRAW_AHEAD_MIN_VALUES = 2^16 values are drawn ahead: a smaller
-draw takes less time than starting and joining the helper thread.
+Large arrays of random numbers are drawn one array ahead.  Each shard's
+generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
+after it serves a ``standard_normal`` or ``random`` array of at least
+DRAW_AHEAD_MIN_VALUES = 2^16 values, a helper thread fills the next array
+of the same method and shape from a copy of the generator, while the
+caller's thread turns the draws into rows.  numpy's ``Generator`` releases
+the interpreter lock while it fills an array, so the draw runs beside the
+Gram-Schmidt passes, determinants and sums.  A call that asks for that
+array gets it; any other call drops it and draws from the generator as it
+was, so every call returns the same numbers as without the helper, and
+callers need not say what they draw.  Only the fills run on the helper
+thread.  A smaller array takes less time to draw than starting and joining
+the helper thread.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -62,9 +63,9 @@ __all__ = [
 
 DEFAULT_BATCH = 20_000
 
-# stream_mean draws a batch ahead only when the batch fills at least this many
-# values: below it, starting and joining the helper thread costs more than the
-# overlapped draw saves
+# stream_mean's generator draws the next array ahead only after an array of at
+# least this many values: below it, starting and joining the helper thread
+# costs more than the overlapped draw saves
 DRAW_AHEAD_MIN_VALUES = 1 << 16
 
 
@@ -105,7 +106,7 @@ class Estimate:
 
 
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, (np.random.Generator, _Drawn)):
+    if isinstance(rng, (np.random.Generator, _DrawAhead)):
         return rng
     if isinstance(rng, RngStream):
         return rng.generator()
@@ -187,96 +188,68 @@ def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
 _SAMPLERS = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}
 
 
-class _Drawn:
-    """Pre-drawn stand-in for a ``Generator``: one batch's declared draws.
+class _DrawAhead:
+    """``Generator`` stand-in that draws the next large array on a helper thread.
 
-    Each ``standard_normal`` or ``random`` call is served the next declared
-    array, and must name its method and shape; any other call raises.
+    After it serves a ``standard_normal`` or ``random`` array of at least
+    DRAW_AHEAD_MIN_VALUES values, a helper thread fills a fresh array of the
+    same method and shape from a copy of the generator.  If the next call
+    asks for that method and shape, it gets the filled array (or the error
+    the fill raised) and the copy becomes the generator.  Any other call,
+    and :meth:`close`, waits for the fill and drops it with its copy, so the
+    draw comes from the generator as it was.  Either way every call returns
+    the numbers the generator itself would have returned.
     """
 
-    def __init__(self, arrays: list[tuple[str, np.ndarray]]):
-        self._arrays = arrays
-        self._served = 0
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._ahead = None  # (method, shape), thread, copy, array, errors
+        self.last_batch = False  # set: start no fill, since none would be used
 
-    def _serve(self, method: str, size) -> np.ndarray:
-        shape = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-        if self._served < len(self._arrays):
-            declared, array = self._arrays[self._served]
-            if declared == method and array.shape == shape:
-                self._served += 1
-                return array
-        raise RuntimeError(
-            f"draw {method}{shape} was not declared: the batch declares "
-            f"{[(m, a.shape) for m, a in self._arrays]}, {self._served} served"
-        )
+    def standard_normal(self, size=None, *args, **kwargs):
+        return self._draw("standard_normal", size, args, kwargs)
 
-    def standard_normal(self, size) -> np.ndarray:
-        return self._serve("standard_normal", size)
+    def random(self, size=None, *args, **kwargs):
+        return self._draw("random", size, args, kwargs)
 
-    def random(self, size) -> np.ndarray:
-        return self._serve("random", size)
+    def __getattr__(self, name):
+        self.close()
+        return getattr(self._gen, name)
 
-    def check_all_served(self) -> None:
-        if self._served != len(self._arrays):
-            raise RuntimeError(
-                f"values used {self._served} of the {len(self._arrays)} declared draws"
-            )
+    def close(self) -> None:
+        """Wait for the fill in flight, if any, and drop it."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            ahead[1].join()
 
+    def _draw(self, method: str, size, args, kwargs) -> np.ndarray:
+        # only a plain float64 draw of an integer shape is filled ahead
+        dims = size if isinstance(size, (tuple, list)) else (size,)
+        plain = not (args or kwargs) and all(isinstance(d, (int, np.integer)) for d in dims)
+        key = (method, tuple(int(d) for d in dims)) if plain else None
+        if self._ahead is not None and self._ahead[0] == key:
+            _, thread, gen, array, errors = self._ahead
+            self._ahead = None
+            thread.join()
+            if errors:
+                raise errors[0]
+            self._gen = gen
+        else:
+            self.close()
+            array = getattr(self._gen, method)(size, *args, **kwargs)
+        if key and not self.last_batch and math.prod(key[1]) >= DRAW_AHEAD_MIN_VALUES:
+            gen, ahead, errors = copy.deepcopy(self._gen), np.empty(key[1]), []
 
-class _Fill(threading.Thread):
-    """Fills one batch's declared arrays from its generator, on its own thread."""
+            def fill():
+                try:
+                    getattr(gen, method)(out=ahead)
+                except BaseException as exc:  # raised on the caller's thread by _draw
+                    errors.append(exc)
 
-    def __init__(self, gen: np.random.Generator, arrays: list[tuple[str, np.ndarray]]):
-        super().__init__(name="ocft-draw-ahead")
-        self._gen, self._arrays, self._error = gen, arrays, None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            for method, out in self._arrays:
-                getattr(self._gen, method)(out=out)
-        except BaseException as exc:  # re-raised on the caller's thread by drawn()
-            self._error = exc
-
-    def drawn(self) -> _Drawn:
-        """Wait for the fill; its arrays, or the exception it raised."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return _Drawn(self._arrays)
-
-
-def _batch_values(values, jobs, noise):
-    """``values(source, b)`` of each (generator, b) job, in job order.
-
-    Without ``noise``, or when a full batch's declared draws fill fewer than
-    DRAW_AHEAD_MIN_VALUES values, ``source`` is the job's generator itself.
-    Otherwise job k's arrays are filled on a helper thread into the k % 2 set
-    of buffers, while ``values`` runs on job k - 1, whose arrays are the
-    other set; ``source`` is a :class:`_Drawn` over job k's arrays.
-    """
-    rows = jobs[0][1]  # no batch is larger than the first
-    if noise is None or sum(math.prod(s) for _, s in noise(rows)) < DRAW_AHEAD_MIN_VALUES:
-        for gen, b in jobs:
-            yield values(gen, b)
-        return
-    buffers = [[np.empty(shape) for _, shape in noise(rows)] for _ in range(2)]
-
-    def fill(k: int) -> _Fill:
-        gen, b = jobs[k]
-        return _Fill(gen, [(m, buf[:b]) for (m, _), buf in zip(noise(b), buffers[k % 2])])
-
-    pending = fill(0)
-    try:
-        for k, (_, b) in enumerate(jobs):
-            source = pending.drawn()
-            pending = fill(k + 1) if k + 1 < len(jobs) else None
-            vals = values(source, b)
-            source.check_all_served()
-            yield vals
-    finally:
-        if pending is not None:
-            pending.join()
+            thread = threading.Thread(target=fill, name="ocft-draw-ahead")
+            thread.start()
+            self._ahead = (key, thread, gen, ahead, errors)
+        return array
 
 
 def stream_mean(
@@ -285,7 +258,6 @@ def stream_mean(
     rng: RngStream,
     workers: int = 1,
     batch: int = DEFAULT_BATCH,
-    noise=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column sample mean and standard error of ``values`` rows.
 
@@ -297,38 +269,35 @@ def stream_mean(
     sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
     moduli about the mean.
 
-    ``noise(b)``, if given, declares every draw that ``values`` makes for
-    ``b`` rows, in order, as a list of (``Generator`` method, shape) pairs,
-    each shape leading with ``b``, e.g. ``[("standard_normal", (b, n, n))]``;
-    the methods may be ``standard_normal`` and ``random``.  When one full
-    batch's declared draws fill at least DRAW_AHEAD_MIN_VALUES values, each
-    batch is drawn one batch ahead: batch k + 1's arrays are filled, in
-    stream order, on a helper thread while ``values`` runs on batch k, and
-    ``values`` then gets a stand-in for ``gen`` that serves exactly the
-    declared arrays and raises on any other call, or if a declared array
-    goes unused.  Only those fills run on the helper thread; the thread is
-    joined before the next batch starts, and before this function returns
-    or raises.  Each declared entry has two buffers of a full batch, used by
-    alternate batches: batch k's arrays live until batch k + 2 is drawn, so
-    ``values`` may change them in place but nothing may keep them past its
-    return.  Below the size gate the draw is too short to pay for the
-    handoff (starting and joining a thread), and ``values`` draws from
-    ``gen`` itself.  Either way the draws, and so the result, are the same
-    bits.
+    ``gen`` is a stand-in for the shard's generator that draws ahead: each
+    ``standard_normal`` or ``random`` array of at least
+    DRAW_AHEAD_MIN_VALUES values is followed, on a helper thread, by the
+    fill of the next array of the same method and shape, which the next
+    draw gets if it asks for that method and shape.  The shard's last batch
+    starts no fill, since nothing would use it.  Every draw returns the
+    numbers the generator itself would have returned, whatever ``values``
+    draws and in whatever order, so the result is the same bits as drawing
+    in turn.  A drawn array is ``values``'s own: it may change or keep it.
+    The helper thread is joined before the next different draw, and before
+    this function returns or raises.
     """
     if samples < 2:
         raise ConfigError("need at least 2 samples for a standard error")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    jobs = []
-    for w in range(workers):
-        gen = rng.substream(w).generator()
-        shard = samples // workers + (1 if w < samples % workers else 0)
-        jobs += [(gen, min(batch, shard - done)) for done in range(0, shard, batch)]
     total = total_abs2 = 0.0
-    for vals in _batch_values(values, jobs, noise):
-        total = total + vals.sum(axis=0)
-        total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
+    for w in range(workers):
+        gen = _DrawAhead(rng.substream(w).generator())
+        shard = samples // workers + (1 if w < samples % workers else 0)
+        try:
+            for done in range(0, shard, batch):
+                b = min(batch, shard - done)
+                gen.last_batch = done + b == shard
+                vals = values(gen, b)
+                total = total + vals.sum(axis=0)
+                total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
+        finally:
+            gen.close()
     mean = total / samples
     var = np.maximum(total_abs2 / samples - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var * samples / (samples - 1) / samples)
@@ -354,7 +323,5 @@ def mc_expectation(
     def values(gen, b):
         return np.asarray(f(sampler(n, b, gen)), dtype=complex)[:, None]
 
-    mean, se = stream_mean(
-        values, samples, rng, workers, noise=lambda b: [("standard_normal", (b, n, n))]
-    )
+    mean, se = stream_mean(values, samples, rng, workers)
     return Estimate(complex(mean[0]), float(se[0]), samples)

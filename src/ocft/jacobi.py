@@ -409,9 +409,7 @@ def ginibre_mc(
         num = (det_l * scale) * (det_g * scale)
         return np.stack([num, den, num * np.conj(den)], axis=1)
 
-    (mean_n, mean_d, cross), se = stream_mean(
-        values, samples, rng, noise=lambda b: [("standard_normal", (b, n, n))]
-    )
+    (mean_n, mean_d, cross), se = stream_mean(values, samples, rng)
     ratio = mean_n / mean_d
     # Bessel-corrected variances back from the standard errors, se^2 = var / n
     var_n, var_d = samples * se[:2] ** 2

@@ -314,11 +314,5 @@ def moment_pfaffian_integral(
             fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, query.z)
         return (fg @ t_weights)[:, None]
 
-    mean, se = stream_mean(
-        numerator,
-        samples,
-        rng,
-        batch=_U_CHUNK,
-        noise=lambda b: [("standard_normal", (b, 4, 4))] * 2,
-    )
+    mean, se = stream_mean(numerator, samples, rng, batch=_U_CHUNK)
     return _finite(Estimate((mean[0] / den).real, float(se[0] / abs(den)), samples), query)

@@ -171,6 +171,16 @@ class TestHaarMoment:
         )
         assert code == 2
 
+    def test_size_cap(self):
+        from ocft.cli import MAX_HAAR_MOMENT_N
+
+        argv = ["haar-moment", "--entries", "1,1", "--samples", "50", "--n"]
+        code, out, _ = invoke(argv + [str(MAX_HAAR_MOMENT_N)])
+        assert code == 0 and json.loads(out)["n"] == MAX_HAAR_MOMENT_N
+        code, out, err = invoke(argv + [str(MAX_HAAR_MOMENT_N + 1)])
+        assert code == 2 and out == ""
+        assert f"capped at N = {MAX_HAAR_MOMENT_N}" in err
+
 
 class TestJacobi:
     def test_methods_agree(self):
@@ -398,6 +408,15 @@ class TestVerifyCft:
         )
         assert code == 2 and out == ""
         assert "N*n = 9 exceeds the cap of 8" in err
+
+    def test_bosonic_size_cap(self):
+        argv = ["verify-cft", "--variant", "bosonic", "--flavors", "1", "--samples", "50",
+                "--colors"]
+        code, out, _ = invoke(argv + [str(cft.MAX_BOSONIC_N)])
+        assert code in (0, 3) and json.loads(out)["colors"] == cft.MAX_BOSONIC_N
+        code, out, err = invoke(argv + [str(cft.MAX_BOSONIC_N + 1)])
+        assert code == 2 and out == ""
+        assert f"capped at N = {cft.MAX_BOSONIC_N}" in err
 
     def test_bosonic_variant_rejects_zero_flavours(self):
         done = subprocess.run(

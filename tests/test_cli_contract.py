@@ -12,7 +12,8 @@ import warnings
 
 import pytest
 
-from ocft.cli import run
+from ocft.cft import MAX_BOSONIC_N
+from ocft.cli import MAX_HAAR_MOMENT_N, run
 from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N
 
 # tried on every numeric option of a base command
@@ -37,7 +38,8 @@ SWEEPS = {
     "pfaffian": [({"--matrix": "[[0, 1], [-1, 0]]", "--tol": "1e-12"}, {"--matrix": MATRICES})],
     "haar-moment": [(
         {"--n": "2", "--entries": "1,1;2,2", "--samples": "50", "--seed": "0", "--workers": "1"},
-        {"--n": ("8",), "--entries": ("0,0", "3,3", "1", "1,1;", "x,y"), "--group": ("SO",),
+        {"--n": ("8", str(MAX_HAAR_MOMENT_N), str(MAX_HAAR_MOMENT_N + 1)),
+         "--entries": ("0,0", "3,3", "1", "1,1;", "x,y"), "--group": ("SO",),
          "--workers": ("51",)},
     )],
     "moment": [
@@ -65,7 +67,8 @@ SWEEPS = {
         for variant in ("fermionic", "son")
     ] + [
         ({"--variant": "bosonic", **CFT, "--colors": "5", "--probes": "2", "--threshold": "4"},
-         {"--colors": ("4", "6"), "--flavors": ("3",), "--workers": ("51",)}),
+         {"--colors": ("4", "6", str(MAX_BOSONIC_N), str(MAX_BOSONIC_N + 1)),
+          "--flavors": ("3",), "--workers": ("51",)}),
     ],
 }
 # commands that must exit 2

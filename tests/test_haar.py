@@ -300,8 +300,41 @@ def serial_stream_mean(values, samples, rng, workers=1, batch=20_000):
     return mean, np.sqrt(var * samples / (samples - 1) / samples)
 
 
+@pytest.fixture
+def draw_log(monkeypatch):
+    """Log the thread name of every draw from an RngStream generator.
+
+    Copies of a generator log into the same list, so the fills that
+    stream_mean's stand-in makes on its helper thread are logged too.
+    """
+    log = []
+
+    class Logged:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def __getattr__(self, method):
+            if method.startswith("__"):  # copy's protocol, not a draw
+                raise AttributeError(method)
+
+            def draw(*args, **kwargs):
+                log.append(threading.current_thread().name)
+                return getattr(self.gen, method)(*args, **kwargs)
+
+            return draw
+
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: Logged(generator(self)))
+    return log
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestDrawAhead:
-    """stream_mean with declared draws: the same bits as drawing in turn."""
+    """stream_mean's draw-ahead: the same bits as drawing in turn."""
 
     @staticmethod
     def real_rows(gen, b):
@@ -310,130 +343,179 @@ class TestDrawAhead:
 
     @staticmethod
     def complex_rows(gen, b):
-        g, h = gen.standard_normal((b, 40)), gen.standard_normal((b, 40))
+        g, h = gen.standard_normal((b, 70)), gen.standard_normal((b, 70))
         u = gen.random(b)
         x = (g[:, :2] + 1j * h[:, :2]) * u[:, None]
         return x * np.array([1.0, 0.3 - 0.2j]) + np.array([0.5j, 4.0])
 
-    NOISE = {
-        "real": lambda b: [("standard_normal", (b, 70))],
-        "complex": lambda b: [("standard_normal", (b, 40))] * 2 + [("random", (b,))],
+    @staticmethod
+    def uniform_rows(gen, b):
+        u, v = gen.random((b, 70)), gen.random((b, 70))
+        return u[:, :2] - v[:, 2:4] ** 2
+
+    # Draws the caller's thread makes itself in 11 (workers 1) or 12
+    # (workers 3) batches of 1000 rows, each shard's last batch partial: each
+    # shard's first array and the arrays of its last batch, too small to be
+    # drawn ahead, and in the complex rows g and u of every batch (g follows
+    # u, a different method).  Every other array comes from a fill.
+    CALLER_DRAWS = {
+        ("real", 1): 2, ("real", 3): 6,
+        ("complex", 1): 23, ("complex", 3): 27,
+        ("uniform", 1): 3, ("uniform", 3): 9,
     }
 
-    @staticmethod
-    def recording(values, sources):
-        def recorded(gen, b):
-            sources.append(isinstance(gen, np.random.Generator))
-            return values(gen, b)
-
-        return recorded
-
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_serial_loop_bit_for_bit(self, workers, kind):
-        values = self.real_rows if kind == "real" else self.complex_rows
-        samples, rng, sources = 10_001, RngStream(43), []
-        # 1000-row batches hold >= 70,000 values; shards of 3334 / 3334 / 3333
-        # (or one of 10,001) end on partial batches
-        got = stream_mean(self.recording(values, sources), samples, rng, workers,
-                          batch=1000, noise=self.NOISE[kind])
+    @pytest.mark.parametrize("kind", ["real", "complex", "uniform"])
+    def test_matches_serial_loop_bit_for_bit(self, draw_log, kind, workers):
+        values = getattr(self, f"{kind}_rows")
+        samples, rng = 10_001, RngStream(43)
         want = serial_stream_mean(values, samples, rng, workers, batch=1000)
-        assert sources == [False] * {1: 11, 3: 12}[workers]  # all drawn ahead
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        draw_log.clear()
+        got = stream_mean(values, samples, rng, workers, batch=1000)
+        assert_same_bits(got, want)
+        caller = draw_log.count(threading.current_thread().name)
+        assert caller == self.CALLER_DRAWS[kind, workers]
 
     def test_bits_hold_under_frequent_thread_switches(self):
-        # a fill that wrote into the buffer values is reading would change the
-        # bits; switching threads every 10 us makes such a race likely to show
+        # a fill that wrote into an array values is reading, or drew from the
+        # generator the caller draws from, would change the bits; switching
+        # threads every 10 us makes such a race likely to show
         def values(gen, b):
             x = gen.standard_normal((b, 64))
             return np.cumsum(x, axis=1)[:, ::16] * x[:, :4]
 
-        noise = lambda b: [("standard_normal", (b, 64))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            got = stream_mean(values, 60_001, RngStream(45), 3, batch=1024, noise=noise)
+            got = stream_mean(values, 60_001, RngStream(45), 3, batch=1024)
         finally:
             sys.setswitchinterval(interval)
-        want = serial_stream_mean(values, 60_001, RngStream(45), 3, batch=1024)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        assert_same_bits(got, serial_stream_mean(values, 60_001, RngStream(45), 3, batch=1024))
 
     @pytest.mark.parametrize("rows, ahead", [(1023, False), (1024, True), (1025, True)])
-    def test_size_gate(self, rows, ahead):
+    def test_size_gate(self, draw_log, rows, ahead):
         # 64 values per row: 1023 rows fall just below the gate, 1024 meet it
         assert (rows * 64 >= DRAW_AHEAD_MIN_VALUES) == ahead
 
         def values(gen, b):
             return gen.standard_normal((b, 64))[:, :2] ** 2
 
-        sources = []
-        got = stream_mean(self.recording(values, sources), 5 * rows + 3, RngStream(44),
-                          batch=rows, noise=lambda b: [("standard_normal", (b, 64))])
         want = serial_stream_mean(values, 5 * rows + 3, RngStream(44), batch=rows)
-        assert sources == [not ahead] * 6
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        draw_log.clear()
+        got = stream_mean(values, 5 * rows + 3, RngStream(44), batch=rows)
+        assert_same_bits(got, want)
+        # ahead: the first and the partial last batch are drawn in turn, and
+        # the five fills (the last one dropped) on the helper thread
+        caller = draw_log.count(threading.current_thread().name)
+        assert (caller, len(draw_log)) == ((2, 7) if ahead else (6, 6))
 
-    @pytest.mark.parametrize("where", ["helper", "values"])
-    def test_errors_reach_the_caller_and_no_thread_is_left(self, monkeypatch, where):
-        threads = []
+    def test_last_batch_starts_no_fill(self, draw_log):
+        def values(gen, b):
+            return gen.standard_normal((b, 70))[:, :3]
 
-        class FailingGenerator:
-            """Fills from a real generator; the second fill raises."""
+        want = serial_stream_mean(values, 3000, RngStream(46), batch=1000)
+        draw_log.clear()
+        got = stream_mean(values, 3000, RngStream(46), batch=1000)
+        assert_same_bits(got, want)
+        # batch 1 draws in turn; batches 2 and 3 take the fills after 1 and 2
+        caller = threading.current_thread().name
+        assert draw_log == [caller, "ocft-draw-ahead", "ocft-draw-ahead"]
 
-            def __init__(self):
-                self.gen, self.fills = np.random.default_rng(0), 0
-
-            def standard_normal(self, out):
-                threads.append(threading.current_thread())
-                self.fills += 1
-                if where == "helper" and self.fills == 2:
-                    raise FloatingPointError("draw failed")
-                return self.gen.standard_normal(out=out)
-
-        calls = []
+    @staticmethod
+    def changing_draws(change):
+        """Rows from 70-value draws whose pattern changes every third batch."""
 
         def values(gen, b):
             calls.append(b)
-            if where == "values" and len(calls) == 3:  # batch 4 is being drawn
-                raise ZeroDivisionError("values failed")
-            return gen.standard_normal((b, 70))[:, :1]
+            odd = len(calls) % 3 == 2
+            if change == "one-too-many":
+                draws = [gen.standard_normal((b, 70)) for _ in range(1 + odd)]
+            elif change == "one-too-few":
+                draws = [gen.standard_normal((b, 70)) for _ in range(2 - odd)]
+            elif change == "wrong-method":
+                draws = [gen.random((b, 70)) if odd else gen.standard_normal((b, 70))]
+            elif change == "wrong-shape":
+                draws = [gen.standard_normal((b, 35 if odd else 70))]
+            elif change == "other-method":
+                draws = [gen.standard_normal((b, 70))]
+                if odd:
+                    draws.append(gen.integers(2, size=(b, 70)))
+            elif change == "other-dtype":
+                x = gen.standard_normal((b, 70), dtype=np.float32) if odd else None
+                draws = [gen.standard_normal((b, 70)) if x is None else x]
+            return sum(x[:, :3] for x in draws)
 
-        monkeypatch.setattr(RngStream, "generator", lambda self: FailingGenerator())
+        calls = []
+        return values
+
+    # Draws the caller's thread makes itself, of 10 batches of 1000 rows.  A
+    # changed count of same-shape arrays keeps taking them from fills: only
+    # batch 1 draws in turn, and the last batch's second array, since the
+    # last batch starts no fill.  A changed method, shape or dtype also draws
+    # in turn in each changed batch (2, 5, 8) and the batch after it.
+    CHANGED_CALLER_DRAWS = {
+        "one-too-many": 1, "one-too-few": 2, "wrong-method": 7, "wrong-shape": 7,
+        "other-method": 7, "other-dtype": 7,
+    }
+
+    @pytest.mark.parametrize("change", CHANGED_CALLER_DRAWS)
+    def test_changed_draws_give_the_serial_bits(self, draw_log, change):
+        want = serial_stream_mean(self.changing_draws(change), 10_000, RngStream(0), batch=1000)
+        draw_log.clear()
+        got = stream_mean(self.changing_draws(change), 10_000, RngStream(0), batch=1000)
+        assert_same_bits(got, want)
+        caller = draw_log.count(threading.current_thread().name)
+        assert caller == self.CHANGED_CALLER_DRAWS[change]
+
+    @staticmethod
+    def failing_fills(monkeypatch, threads, fail=True):
+        """Log the thread of every fill (a draw into ``out``) of an RngStream
+        generator, and make it raise if ``fail``."""
+
+        class FailingFills:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size=None, out=None):
+                if out is not None:
+                    threads.append(threading.current_thread())
+                    if fail:
+                        raise FloatingPointError("fill failed")
+                return self.gen.standard_normal(size, out=out)
+
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: FailingFills(generator(self)))
+
+    @pytest.mark.parametrize("where", ["helper", "values"])
+    def test_errors_reach_the_caller_and_no_thread_is_left(self, monkeypatch, where):
+        threads, calls = [], []
+        self.failing_fills(monkeypatch, threads, fail=where == "helper")
+
+        def values(gen, b):
+            calls.append(b)
+            x = gen.standard_normal((b, 70))
+            if where == "values" and len(calls) == 3:  # batch 4's fill is in flight
+                raise ZeroDivisionError("values failed")
+            return x[:, :1]
+
         before = threading.active_count()
         error = FloatingPointError if where == "helper" else ZeroDivisionError
         with pytest.raises(error):
-            stream_mean(values, 10_000, RngStream(0), batch=1000,
-                        noise=lambda b: [("standard_normal", (b, 70))])
-        assert threading.main_thread() not in threads
+            stream_mean(values, 10_000, RngStream(0), batch=1000)
+        # helper: batch 1 draws in turn, and batch 2 raises the failed fill
+        assert len(calls) == {"helper": 2, "values": 3}[where]
+        assert threads and threading.main_thread() not in threads
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in threads)
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            lambda gen, b: gen.standard_normal((b, 70)) + gen.standard_normal((b, 70)),
-            lambda gen, b: gen.random((b, 70)),
-            lambda gen, b: gen.standard_normal((b, 35)),
-            lambda gen, b: gen.integers(2, size=(b, 70)),
-        ],
-        ids=["one-too-many", "wrong-method", "wrong-shape", "other-method"],
-    )
-    def test_undeclared_draw_raises(self, values):
-        before = threading.active_count()
-        with pytest.raises((RuntimeError, AttributeError)):
-            stream_mean(values, 5_000, RngStream(0), batch=1000,
-                        noise=lambda b: [("standard_normal", (b, 70))])
-        assert threading.active_count() == before
-
-    def test_unused_declared_draw_raises(self):
+    def test_error_of_an_unused_fill_is_dropped(self, monkeypatch):
         def values(gen, b):
-            return gen.standard_normal((b, 70))
+            # the (b, 35) draw drops the fill that follows (b, 70)
+            return gen.standard_normal((b, 70))[:, :2] + gen.standard_normal((b, 35))[:, :2]
 
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="1 of the 2 declared"):
-            stream_mean(values, 5_000, RngStream(0), batch=1000,
-                        noise=lambda b: [("standard_normal", (b, 70))] * 2)
-        assert threading.active_count() == before
+        want = serial_stream_mean(values, 5_000, RngStream(0), batch=1000)
+        threads = []
+        self.failing_fills(monkeypatch, threads)
+        got = stream_mean(values, 5_000, RngStream(0), batch=1000)
+        assert_same_bits(got, want)
+        assert len(threads) == 4  # the fill of every batch but the last failed, unused
