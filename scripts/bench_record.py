@@ -15,10 +15,11 @@ checkout's commit (``git describe --always --dirty``, where it is a git
 checkout), and each workload the failed-op share and whether every run was
 correct.  From the run records of the ``--trace 0`` runs, which give the
 end-to-end metrics, each column also keeps the median number of untraced
-passes and the median ``peak_rss_mb`` of the first pass: a pass's
-``ru_maxrss`` includes the memory of the runner that spawned it, which grows
-with the passes it holds, so a faster checkout can report a higher
-``peak_rss_mb`` for no change in its own memory.  They also give each
+passes and the median ``peak_rss_mb`` of the first and of the last pass: a
+pass's ``ru_maxrss`` includes the memory of the runner that spawned it, which
+grows with the passes it holds, so a faster checkout can report a higher
+``peak_rss_mb`` for no change in its own memory, and the gap between the two
+shows how much of it is the runner's.  They also give each
 column's ``ops_sha256`` per seed, the digest of every op's stdout; with two
 columns, each workload gets a ``same_stdout`` flag, true when the two
 columns' digests agree at every seed.
@@ -77,8 +78,8 @@ def commit_of(checkout: Path) -> str | None:
 
 def summarise(runs: list[tuple[dict, dict]]) -> dict:
     """Per-metric medians, the failed-op share and correctness of a run list,
-    and the untraced pass count, first-pass peak RSS and per-seed stdout
-    digest of its untraced runs."""
+    and the untraced pass count, first- and last-pass peak RSS and per-seed
+    stdout digest of its untraced runs."""
     summaries = [summary for _, summary in runs]
     untraced = [record["passes"] for record, _ in runs if record["trace"] == 0]
     values: dict[str, list[float]] = {}
@@ -95,6 +96,9 @@ def summarise(runs: list[tuple[dict, dict]]) -> dict:
         ),
         "first_pass_peak_rss_mb": statistics.median(
             passes[0]["peak_rss_mb"] for passes in untraced
+        ),
+        "last_pass_peak_rss_mb": statistics.median(
+            passes[-1]["peak_rss_mb"] for passes in untraced
         ),
         "ops_sha256": {
             str(record["seed"]): record["ops_sha256"]

@@ -15,7 +15,9 @@ weighted integral over a small space of flavour matrices:
 
 Verification is coefficient-wise for the Grassmann variants: the left side
 expands each monomial coefficient into products of minors of O (estimated
-by Haar Monte Carlo), the right side into powers of the flavour parameter
+by Haar Monte Carlo, with every minor of a draw built from the smaller ones
+by Laplace expansion and the sums over a batch taken as one Gram product),
+the right side into powers of the flavour parameter
 with exactly computable radial moments.  All normalisations are fixed
 self-consistently by matching the constant term to the group volume 1;
 the closed-form constants quoted alongside are reported, never assumed.
@@ -40,6 +42,7 @@ from .grassmann import (
     universe_size,
 )
 from .haar import (
+    DEFAULT_BATCH,
     RngStream,
     sample_orthogonal_batch,
     sample_special_orthogonal_batch,
@@ -69,8 +72,10 @@ DEFAULT_THRESHOLD = 4.0
 # O(64) draws peaks at 1.9 GB (2.5 GB with the next batch drawn ahead) and
 # takes about 20 s, and both grow as N^2 to N^3
 MAX_BOSONIC_N = 64
-# entries of one (rows, monomials) batch of colour-side products; the row
-# count of a batch is derived from this and the monomial table's width
+# entries of the largest array of one colour-side batch, the (rows, P^(n-1))
+# Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1);
+# the row count of a batch is derived from this and that width, and capped at
+# haar.DEFAULT_BATCH
 BATCH_ENTRIES = 2**18
 
 
@@ -174,27 +179,48 @@ def _minor_pairs(n_colour: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _minor_index(n_colour: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per size k = 1..N: (P_k, k) row and column sets of the pairs of that size."""
+def _minor_recursion(n_colour: int) -> tuple[int, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
+    """The pair count P and, per size k = 1..N, a Laplace expansion table.
+
+    The size-k pairs take the ``_minor_pairs`` positions start..start+P_k-1.
+    Expanding det O[S, T] along its first row s_0 gives the terms
+    (-1)^j O[s_0, t_j] det O[S - s_0, T - t_j], j < k; the (k, P_k) tables hold
+    the flat index s_0 * N + t_j of the entry and the position of the
+    size-(k-1) minor.
+    """
     pairs = _minor_pairs(n_colour)
-    return tuple(
-        tuple(np.array([p[side] for p in pairs if len(p[0]) == k]) for side in (0, 1))
-        for k in range(1, n_colour + 1)
-    )
+    position = {pair: p for p, pair in enumerate(pairs)}
+    steps = []
+    for k in range(1, n_colour + 1):
+        sized = [(s, t) for s, t in pairs if len(s) == k]
+        entries = [[s[0] * n_colour + tj for tj in t] for s, t in sized]
+        smaller = [[position[s[1:], t[:j] + t[j + 1:]] for j in range(k)] for s, t in sized]
+        steps.append((position[sized[0]], np.array(entries).T, np.array(smaller).T))
+    return len(pairs), tuple(steps)
 
 
 def _minor_dets(o_batch: np.ndarray) -> np.ndarray:
     """(B, P) minors det(O[S, T]) in ``_minor_pairs`` order.
 
-    The minors of each size k >= 2 are gathered into one (B, P_k, k, k) stack
-    and taken in a single determinant call; sizes 0 and 1 are ones and entries.
+    The size-0 minor is 1, and the minors of each size k >= 1 are summed from
+    the size-(k - 1) minors by Laplace expansion along their first row
+    (:func:`_minor_recursion`), vectorised over the batch and the pairs.
     """
     b, n_colour = o_batch.shape[:2]
-    (rows, cols), *larger = _minor_index(n_colour)
-    blocks = [np.ones((b, 1)), o_batch[:, rows[:, 0], cols[:, 0]]]
-    for r, c in larger:
-        blocks.append(np.linalg.det(o_batch[:, r[:, :, None], c[:, None, :]]))
-    return np.concatenate(blocks, axis=1)
+    count, steps = _minor_recursion(n_colour)
+    entries = np.ascontiguousarray(o_batch.reshape(b, -1).T)
+    minors = np.empty((count, b))
+    minors[0] = 1.0
+    for start, entry, smaller in steps:
+        block = minors[start:start + entry.shape[1]]
+        np.multiply(entries[entry[0]], minors[smaller[0]], out=block)
+        for j in range(1, len(entry)):
+            term = entries[entry[j]] * minors[smaller[j]]
+            if j % 2:
+                block -= term
+            else:
+                block += term
+    return minors.T
 
 
 def _mask_for(pair_choice, n_colour: int, n_flavour: int, pairs) -> int:
@@ -231,19 +257,10 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     return pairs, table
 
 
-def _colour_coefficients(table):
-    """Map a (B, N, N) stack to the (B, len(table)) colour-side coefficients.
-
-    Column t is sign_t * prod_a det(O[S_a, T_a]) over row t's flavour choices.
-    """
-    signs = np.array([sign for _, sign, _ in table], dtype=float)
-    choices = np.array([choice for _, _, choice in table], dtype=int)
-    return lambda mats: signs * np.prod(_minor_dets(mats)[:, choices], axis=2)
-
-
 def _batch_rows(width: int) -> int:
-    """Rows per Monte-Carlo batch, so that one batch holds <= BATCH_ENTRIES values."""
-    return max(1, BATCH_ENTRIES // width)
+    """Rows per Monte-Carlo batch: a (rows, width) array of at most BATCH_ENTRIES
+    values, and at most DEFAULT_BATCH rows."""
+    return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // width))
 
 
 def mask_label(mask: int, n_colour: int, n_flavour: int) -> str:
@@ -272,20 +289,36 @@ def lhs_coefficient_means(
 
     Returns {mask: (mean, std_error)}; masks that cannot appear carry exact
     zeros and are omitted.
+
+    The coefficient of table row (c_1, ..., c_n) is sign * prod_a m_{c_a},
+    with m the (B, P) minors of a batch of draws.  So the batch's sums over
+    all rows are one product K^T m, reshaped in table order, where K is the
+    row-wise Khatri-Rao product of n - 1 copies of m (a column of ones for
+    n = 1); the sums of squares are (K * K)^T (m * m).  ``stream_mean`` adds
+    these per-batch sums, so no (B, P^n) row array is formed, and a batch
+    holds at most BATCH_ENTRIES entries of K (of m for n = 1).
     """
     if group not in ("O", "SO"):
         raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
-    _, table = _lhs_structure(n_colour, n_flavour)
+    pairs, table = _lhs_structure(n_colour, n_flavour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
     )
-    coefficients = _colour_coefficients(table)
+    signs = np.array([sign for _, sign, _ in table], dtype=float)
+
+    def sums(gen, b):
+        minors = _minor_dets(sampler(n_colour, b, gen))
+        k = np.ones((b, 1))
+        for _ in range(n_flavour - 1):
+            k = (k[:, :, None] * minors[:, None, :]).reshape(b, -1)
+        return signs * (k.T @ minors).ravel(), ((k * k).T @ (minors * minors)).ravel()
+
     mean, se = stream_mean(
-        lambda gen, b: coefficients(sampler(n_colour, b, gen)),
+        sums,
         samples,
         rng,
         workers,
-        batch=_batch_rows(len(table)),
+        batch=_batch_rows(len(pairs) ** max(1, n_flavour - 1)),
     )
     out = {mask: (float(m), float(e)) for (mask, _, _), m, e in zip(table, mean, se)}
     if len(out) != len(table):  # distinct flavour assignments, same monomial

@@ -50,7 +50,8 @@ from .moments import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
-# haar-moment's range, a memory and time cap: one 20,000-draw batch at N = 64
+# the range of haar-moment and moment --method mc, which draw the same Haar
+# O(N) batches: a memory and time cap, since one 20,000-draw batch at N = 64
 # peaks at 1.9 GB (2.5 GB with the next batch drawn ahead) and takes about
 # 20 s, and both grow as N^2 to N^3
 MAX_HAAR_MOMENT_N = 64
@@ -305,6 +306,8 @@ def _run_moment(args) -> tuple[dict, int]:
     g = tuple(float(x) for x in args.g.split(","))
     if len(g) != args.n:
         raise OcftError(f"--g lists {len(g)} values but --n is {args.n}")
+    if args.method == "mc" and args.n > MAX_HAAR_MOMENT_N:
+        raise ConfigError(f"moment --method mc capped at N = {MAX_HAAR_MOMENT_N}")
     query = MomentQuery(z=parse_complex(args.z), g=g, m=args.m)
     record = {
         "command": "moment",

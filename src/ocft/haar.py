@@ -18,11 +18,14 @@ rounding, so any accurate determinant picks the same draws.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
-moduli, and returns the means and Bessel-corrected standard errors.  Runs
-are reproducible: an :class:`RngStream` names a stream by (seed,
-stream_index), worker shard w reads ``rng.substream(w)``, and shards are
-reduced in order, so a fixed (seed, workers) configuration gives
-bit-identical results.
+moduli, and returns the means and Bessel-corrected standard errors.  A
+caller whose rows are products of fewer numbers may return each batch's two
+sums in place of its rows, as the colour side of the fermionic identity does
+with one Gram product per batch; the loop, the shards and the reduction are
+the same either way.  Runs are reproducible: an :class:`RngStream` names a
+stream by (seed, stream_index), worker shard w reads ``rng.substream(w)``,
+and shards are reduced in order, so a fixed (seed, workers) configuration
+gives bit-identical results.
 
 Large arrays of random numbers are drawn one array ahead.  Each shard's
 generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
@@ -262,10 +265,13 @@ def stream_mean(
     """Per-column sample mean and standard error of ``values`` rows.
 
     ``values(gen, b)`` draws ``b`` rows from the generator ``gen`` and
-    returns a (b, width) array, real or complex.  The samples are split into
-    ``workers`` shards of near-equal size; shard w draws from
-    ``rng.substream(w)`` in batches of at most ``batch`` rows, and the
-    shards run one after another.  The standard error is
+    returns them as a (b, width) array, real or complex, which is summed
+    here; or it returns the tuple (sum, sum_abs2) of their column sums and
+    column sums of squared moduli, each of length width, when it can sum
+    the rows without forming them.  The samples are split into ``workers``
+    shards of near-equal size; shard w draws from ``rng.substream(w)`` in
+    batches of at most ``batch`` rows, and the shards run one after
+    another.  The standard error is
     sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
     moduli about the mean.
 
@@ -294,8 +300,12 @@ def stream_mean(
                 b = min(batch, shard - done)
                 gen.last_batch = done + b == shard
                 vals = values(gen, b)
-                total = total + vals.sum(axis=0)
-                total_abs2 = total_abs2 + (np.abs(vals) ** 2).sum(axis=0)
+                if isinstance(vals, tuple):
+                    batch_sum, batch_abs2 = vals
+                else:
+                    batch_sum, batch_abs2 = vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+                total = total + batch_sum
+                total_abs2 = total_abs2 + batch_abs2
         finally:
             gen.close()
     mean = total / samples

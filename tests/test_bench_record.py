@@ -72,10 +72,13 @@ def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
     assert moments["change"]["runs"] == 6 and moments["change"]["correct"]
     assert moments["parent"]["fail_ratio"] == 0.0
     assert result["workloads"]["jacobi"]["parent"]["fail_ratio"] == pytest.approx(1 / 3)
-    # pass counts and first-pass RSS come from the --trace 0 runs only
+    # pass counts and first- and last-pass RSS come from the --trace 0 runs
+    # only: seed s makes s - 38 passes, whose peaks climb from s + 10 MB
     assert moments["parent"]["untraced_passes"] == 4
     assert moments["parent"]["first_pass_peak_rss_mb"] == 52.0
     assert moments["change"]["first_pass_peak_rss_mb"] == 52.5
+    assert moments["parent"]["last_pass_peak_rss_mb"] == 55.0
+    assert moments["change"]["last_pass_peak_rss_mb"] == 55.5
     # the stdout digest of every seed, and one flag for the pair of columns
     assert moments["parent"]["ops_sha256"] == {
         str(seed): f"moments-{seed}-same" for seed in (41, 42, 43)

@@ -8,8 +8,8 @@ from scipy import integrate
 from grassmann_oracles import lhs_integrand
 from ocft import cft
 from ocft.cft import (
-    BosonicMeasure, MonomialRow, VerificationReport, _batch_rows, _colour_coefficients,
-    _det_m0_terms, _lhs_structure, _minor_dets, _minor_pairs, _rhs_structure, _z_score,
+    BosonicMeasure, MonomialRow, VerificationReport, _batch_rows, _det_m0_terms,
+    _lhs_structure, _minor_dets, _minor_pairs, _rhs_structure, _z_score,
     c0_fermionic_closed_form, c0_fermionic_selfconsistent, lhs_coefficient_means,
     mask_label, normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
     sidak_row_bound, verify_bosonic_cft, verify_fermionic_cft, verify_son_cft,
@@ -66,6 +66,17 @@ def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
     return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
+def colour_coefficients(table):
+    """Map a (B, N, N) stack to the (B, len(table)) colour-side coefficients.
+
+    Column t is sign_t * prod_a det(O[S_a, T_a]) over row t's flavour choices:
+    the row-wise oracle for the per-batch Gram sums of ``lhs_coefficient_means``.
+    """
+    signs = np.array([sign for _, sign, _ in table], dtype=float)
+    choices = np.array([choice for _, _, choice in table], dtype=int)
+    return lambda mats: signs * np.prod(_minor_dets(mats)[:, choices], axis=2)
+
+
 def reflection_split_check(n_colour, n_flavour, samples, rng):
     """Check E_{O(N)} = (E_{SO(N)} + E_{R SO(N)})/2 coefficient-wise.
 
@@ -76,7 +87,7 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     """
     _, table = _lhs_structure(n_colour, n_flavour)
     width = len(table)
-    coefficients = _colour_coefficients(table)
+    coefficients = colour_coefficients(table)
 
     def components(gen, b):
         so = sample_special_orthogonal_batch(n_colour, b, gen)
@@ -104,16 +115,24 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
 
 
 def per_pair_minor_dets(o_batch, pairs):
-    """The minors one (S, T) pair and one determinant call at a time."""
-    out = np.empty((o_batch.shape[0], len(pairs)))
+    """The minors one (S, T) pair and one determinant call at a time, and
+    each minor's Hadamard bound, the product of the row norms of O[S, T]."""
+    out = np.ones((o_batch.shape[0], len(pairs)))
+    bound = np.ones_like(out)
     for idx, (s, t) in enumerate(pairs):
-        if len(s) == 0:
-            out[:, idx] = 1.0
-        elif len(s) == 1:
-            out[:, idx] = o_batch[:, s[0], t[0]]
-        else:
-            out[:, idx] = np.linalg.det(o_batch[:, np.ix_(s, t)[0], np.ix_(s, t)[1]])
-    return out
+        if s:
+            sub = o_batch[:, np.ix_(s, t)[0], np.ix_(s, t)[1]]
+            out[:, idx] = np.linalg.det(sub)
+            bound[:, idx] = np.prod(np.linalg.norm(sub, axis=2), axis=1)
+    return out, bound
+
+
+def signed_permutations(n_colour, count, seed):
+    """(count, N, N) random signed permutation matrices."""
+    gen = np.random.default_rng(seed)
+    eye = np.eye(n_colour)
+    return np.stack([eye[gen.permutation(n_colour)] * gen.choice([-1.0, 1.0], n_colour)
+                     for _ in range(count)])
 
 
 def leibniz_det_m0(n_colour, n_flavour):
@@ -318,22 +337,70 @@ class TestColourSideStructure:
 
     @pytest.mark.parametrize("n_colour", [1, 2, 3, 4, 8])
     def test_batched_minors_match_per_pair_loop(self, n_colour):
+        # Laplace recursion against LAPACK: both are backward stable, so they
+        # agree to rounding relative to each minor's Hadamard bound (a minor
+        # near 0 has no elementwise relative accuracy in either route)
         o = np.random.default_rng(n_colour).standard_normal((6, n_colour, n_colour))
-        pairs = _minor_pairs(n_colour)
-        np.testing.assert_array_equal(_minor_dets(o), per_pair_minor_dets(o, pairs))
+        want, bound = per_pair_minor_dets(o, _minor_pairs(n_colour))
+        assert np.all(np.abs(_minor_dets(o) - want) <= 1e-13 * bound)
+
+    @pytest.mark.parametrize("n_colour", range(1, 9))
+    def test_recursive_minors_of_signed_permutations_are_exact(self, n_colour):
+        # every minor of a signed permutation matrix is 0 or +-1
+        o = signed_permutations(n_colour, 5, n_colour)
+        want, _ = per_pair_minor_dets(o, _minor_pairs(n_colour))
+        assert set(np.unique(want)) <= {-1.0, 0.0, 1.0}
+        np.testing.assert_array_equal(_minor_dets(o), want)
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_gram_sums_match_row_oracle(self, shape, group):
+        n_colour, n_flavour = shape
+        _, table = _lhs_structure(n_colour, n_flavour)
+        sampler = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}[group]
+        coefficients = colour_coefficients(table)
+        rng = RngStream(40 + n_colour * n_flavour)
+        # the same draws: the stream of normals does not depend on the batching
+        mean, se = stream_mean(lambda gen, b: coefficients(sampler(n_colour, b, gen)),
+                               3_000, rng, workers=2, batch=500)
+        got = lhs_coefficient_means(n_colour, n_flavour, 3_000, rng, group, workers=2)
+        assert list(got) == [mask for mask, _, _ in table]
+        np.testing.assert_allclose([m for m, _ in got.values()], mean, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose([e for _, e in got.values()], se, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("group", ["O", "SO"])
     def test_lhs_means_do_not_depend_on_the_row_cap(self, group, monkeypatch):
         args = (3, 2, 2_000, RngStream(35), group)
         default = lhs_coefficient_means(*args, workers=2)
-        _, table = _lhs_structure(3, 2)
-        monkeypatch.setattr(cft, "BATCH_ENTRIES", 7 * len(table))
-        assert cft._batch_rows(len(table)) == 7
+        # a batch holds BATCH_ENTRIES entries of the (rows, P^(n-1)) Khatri-Rao
+        # factor, here P = 20 minors wide
+        width = len(_minor_pairs(3))
+        assert cft._batch_rows(width) == 13_107
+        monkeypatch.setattr(cft, "BATCH_ENTRIES", 7 * width)
+        assert cft._batch_rows(width) == 7
         capped = lhs_coefficient_means(*args, workers=2)
         assert capped.keys() == default.keys()
         for mask, (mean, se) in default.items():
             assert capped[mask][0] == pytest.approx(mean, rel=1e-13, abs=1e-13)
             assert capped[mask][1] == pytest.approx(se, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("shape, rows", [((2, 2), 20_000), ((3, 2), 13_107),
+                                             ((2, 3), 7_281), ((8, 1), 20)])
+    def test_lhs_batches_are_sized_by_the_khatri_rao_width(self, shape, rows, monkeypatch):
+        # P^max(1, n - 1) entries per row: P = 6, 20, 6 and 12,870 minors
+        batches = []
+
+        def spy(*args, batch, **kwargs):
+            batches.append(batch)
+            return stream_mean(*args, batch=batch, **kwargs)
+
+        monkeypatch.setattr(cft, "stream_mean", spy)
+        lhs_coefficient_means(*shape, 2, RngStream(0))
+        assert batches == [rows]
+
+    def test_batch_rows_are_capped(self):
+        assert _batch_rows(1) == cft.DEFAULT_BATCH
+        assert _batch_rows(cft.BATCH_ENTRIES + 1) == 1
 
     def test_second_moment_of_minors(self):
         # E[det(O[S,T])^2] = 1/binom(N,k) over O(N)

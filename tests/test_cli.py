@@ -145,6 +145,23 @@ class TestMoment:
         assert one["value"] != two["value"]
 
 
+    def test_mc_size_cap(self):
+        from ocft.cli import MAX_HAAR_MOMENT_N
+
+        def argv(n):
+            return ["moment", "--n", str(n), "--m", "1", "--z", "1.3", "--g",
+                    ",".join(["1"] * n), "--method", "mc", "--samples", "50"]
+
+        code, out, _ = invoke(argv(MAX_HAAR_MOMENT_N))
+        assert code == 0 and json.loads(out)["n"] == MAX_HAAR_MOMENT_N
+        code, out, err = invoke(argv(MAX_HAAR_MOMENT_N + 1))
+        assert code == 2 and out == ""
+        assert f"capped at N = {MAX_HAAR_MOMENT_N}" in err
+        # the cap is the Monte Carlo's: the exact routes keep their own ranges
+        code, _, _ = invoke(argv(MAX_HAAR_MOMENT_N + 1)[:-4] + ["--method", "closed"])
+        assert code == 0
+
+
 class TestHaarMoment:
     def test_second_moment(self):
         code, out, _ = invoke(

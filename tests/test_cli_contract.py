@@ -49,6 +49,11 @@ SWEEPS = {
         for method, extra in (("closed", {}), ("pfaffian", {}), ("pfaffian", {"--m": "2"}),
                               ("mc", {"--samples": "50"}),
                               ("mc", {"--samples": "50", "--m": "2"}))
+    ] + [
+        # the Monte Carlo's N cap and one past it, with a --g of matching length
+        ({**MOMENT, "--method": "mc", "--samples": "50", "--n": str(n),
+          "--g": ",".join(["1"] * n)}, {})
+        for n in (MAX_HAAR_MOMENT_N, MAX_HAAR_MOMENT_N + 1)
     ],
     "jacobi": [
         ({**JACOBI, "--method": method},
@@ -76,6 +81,8 @@ REFUSED = [
     *(["pfaffian", f"--matrix={m}"] for m in ("5", "[1]", "[[null]]", "[[[1]]]",
                                               "[[0,1e300],[-1e300,0]]")),
     ["ginibre-check", "--n=4", "--lambda=1e100", "--gamma=1e-100", "--samples=2000"],
+    ["moment", "--method=mc", "--samples=50", "--z=1.3", f"--n={MAX_HAAR_MOMENT_N + 1}",
+     f"--g={','.join(['1'] * (MAX_HAAR_MOMENT_N + 1))}"],
     *([*argv, f"--threshold={value}"]
       for argv in (["verify-cft", "--variant=fermionic", "--colors=2", "--flavors=1"],
                    ["ginibre-check", *(f"{k}={v}" for k, v in GINIBRE.items())])

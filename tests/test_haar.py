@@ -268,6 +268,20 @@ class TestStreamMean:
         ref_se = rows.std(axis=0, ddof=1) / np.sqrt(samples)
         np.testing.assert_allclose(se, ref_se, rtol=1e-12)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_batch_sums_give_the_bits_of_their_rows(self, workers, kind):
+        values = self.draws if kind == "real" else self.complex_draws
+
+        def sums(gen, b):
+            rows = values(gen, b)
+            return rows.sum(axis=0), (np.abs(rows) ** 2).sum(axis=0)
+
+        got = stream_mean(sums, 10_001, RngStream(43), workers, batch=700)
+        want = stream_mean(values, 10_001, RngStream(43), workers, batch=700)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
     def test_batch_size_does_not_change_the_draws(self):
         a = stream_mean(self.draws, 5_000, RngStream(42), batch=7)
         b = stream_mean(self.draws, 5_000, RngStream(42))
