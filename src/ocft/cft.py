@@ -179,7 +179,7 @@ def _minor_pairs(n_colour: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _minor_recursion(n_colour: int) -> tuple[int, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
+def _minor_recursion(n_colour: int) -> tuple[int, tuple]:
     """The pair count P and, per size k = 1..N, a Laplace expansion table.
 
     The size-k pairs take the ``_minor_pairs`` positions start..start+P_k-1.
@@ -258,8 +258,11 @@ def _lhs_structure(n_colour: int, n_flavour: int):
 
 
 def _batch_rows(width: int) -> int:
-    """Rows per Monte-Carlo batch: a (rows, width) array of at most BATCH_ENTRIES
-    values, and at most DEFAULT_BATCH rows."""
+    """Rows per Monte-Carlo batch, so that one batch holds <= BATCH_ENTRIES values.
+
+    ``width`` is the value count of one row; a batch has at most
+    DEFAULT_BATCH rows, however narrow.
+    """
     return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // width))
 
 

@@ -19,10 +19,10 @@ rounding, so any accurate determinant picks the same draws.
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
 moduli, and returns the means and Bessel-corrected standard errors.  A
-caller whose rows are products of fewer numbers may return each batch's two
-sums in place of its rows, as the colour side of the fermionic identity does
-with one Gram product per batch; the loop, the shards and the reduction are
-the same either way.  Runs are reproducible: an :class:`RngStream` names a
+caller that can sum a batch's rows without forming them returns the two
+sums in place of the rows, as the colour side of the fermionic and SO(N)
+identities does with one Gram product per batch; the loop, the shards and
+the reduction are the same either way.  Runs are reproducible: an :class:`RngStream` names a
 stream by (seed, stream_index), worker shard w reads ``rng.substream(w)``,
 and shards are reduced in order, so a fixed (seed, workers) configuration
 gives bit-identical results.
