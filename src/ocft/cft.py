@@ -234,6 +234,7 @@ def _mask_for(pair_choice, n_colour: int, n_flavour: int, pairs) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
 def _lhs_structure(n_colour: int, n_flavour: int):
     """Monomial table: every flavour assignment of minor pairs.
 
@@ -245,16 +246,18 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     K = sum_a |S_a|: the parity of moving the K psi generators of the
     product of bar/unbar pairs behind the K psibar generators, into
     canonical order.  Cross-checked against the exact exterior-algebra
-    expansion in tests.
+    expansion in tests.  Built once per (N, n) and returned as the tuples
+    ``pairs`` and ``table`` of (mask, sign, choice) rows, which callers
+    share and must not change.
     """
     universe_size(n_colour, n_flavour)
-    pairs = _minor_pairs(n_colour)
+    pairs = tuple(_minor_pairs(n_colour))
     table = []
     for choice in product(range(len(pairs)), repeat=n_flavour):
         k = sum(len(pairs[p][0]) for p in choice)
         sign = -1 if k * (k - 1) // 2 % 2 else 1
         table.append((_mask_for(choice, n_colour, n_flavour, pairs), sign, choice))
-    return pairs, table
+    return pairs, tuple(table)
 
 
 def _batch_rows(width: int) -> int:

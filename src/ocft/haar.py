@@ -8,13 +8,14 @@ complex Gaussian gives the first n columns of a Haar U(M) matrix.  It is
 the Q of LAPACK's QR with each column multiplied by the sign (for complex
 Gaussians, the phase) of the matching diagonal entry of R.  The samplers
 form it instead by Gram-Schmidt with one reorthogonalisation pass,
-vectorised over the batch (:func:`_orthonormal_columns`): its R has a
-positive diagonal by construction, so it is the same Q to rounding, from
-the same Gaussian draws, at several times LAPACK's rate for the small
-matrices drawn here.  An SO(N) draw is an O(N) draw whose last row is
-negated when its determinant, read off the batched cofactor formulas of
-:func:`linalg.det_stack` (LAPACK above 4 x 4), is negative: det = +-1 to
-rounding, so any accurate determinant picks the same draws.
+vectorised over the draws of one cache-sized tile at a time
+(:func:`_orthonormal_columns`), and write Q over the Gaussian array they
+drew: its R has a positive diagonal by construction, so it is the same Q
+to rounding, from the same Gaussian draws, at several times LAPACK's rate
+for the small matrices drawn here.  An SO(N) draw is an O(N) draw whose
+last row is negated when its determinant, read off the batched cofactor
+formulas of :func:`linalg.det_stack` (LAPACK above 4 x 4), is negative:
+det = +-1 to rounding, so any accurate determinant picks the same draws.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
@@ -22,10 +23,14 @@ moduli, and returns the means and Bessel-corrected standard errors.  A
 caller that can sum a batch's rows without forming them returns the two
 sums in place of the rows, as the colour side of the fermionic and SO(N)
 identities does with one Gram product per batch; the loop, the shards and
-the reduction are the same either way.  Runs are reproducible: an :class:`RngStream` names a
-stream by (seed, stream_index), worker shard w reads ``rng.substream(w)``,
-and shards are reduced in order, so a fixed (seed, workers) configuration
-gives bit-identical results.
+the reduction are the same either way.  :func:`mc_expectation` draws each
+batch in one sampler call and applies its per-draw function to one tile of
+the batch at a time, into the batch's one row array, so it sums the rows
+that one call per batch would give.  Runs are reproducible: an
+:class:`RngStream` names a stream by (seed, stream_index), worker shard w
+reads ``rng.substream(w)``, and shards are reduced in order, so a fixed
+(seed, workers) configuration gives bit-identical results, and the tiled
+kernels give each draw the same operations whatever the tiling.
 
 Large arrays of random numbers are drawn one array ahead.  Each shard's
 generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .linalg import det_stack
+from .linalg import det_stack, tile_slices
 
 __all__ = [
     "Estimate",
@@ -122,32 +127,40 @@ def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
     Classical Gram-Schmidt with one reorthogonalisation pass, which keeps Q
     orthogonal to machine precision for any numerically nonsingular
     column set (Giraud, Langou, Rozloznik and van den Eshof, Numer. Math.
-    101 (2005) 87).  The stack is transposed once to (n, m, B), so every
-    step is a product over m or over the earlier columns, vectorised over
-    the batch.  A draw with an exactly zero (or non-finite) Gram-Schmidt
-    column is redone by LAPACK's QR with the sign rule, whose Q stays
-    orthogonal where Gram-Schmidt has no direction to normalise.  Returns a
-    C-contiguous (B, m, n) array.
+    101 (2005) 87).  The stack is taken in tiles (:func:`linalg.tile_slices`),
+    each transposed to an (n, m, t) copy, so every step is a product over m
+    or over the earlier columns, vectorised over the tile's draws, on
+    temporaries that stay in cache; each draw's Q takes the same operations
+    whatever the tiling.  A draw with an exactly zero (or non-finite)
+    Gram-Schmidt column is redone by LAPACK's QR with the sign rule, whose Q
+    stays orthogonal where Gram-Schmidt has no direction to normalise.
+
+    Overwrites ``a`` with Q, tile by tile (a tile's degenerate draws are
+    read before the tile is written), and returns it, so a C-contiguous
+    ``a`` gives a C-contiguous (B, m, n) result.  Pass a copy to keep the
+    input.
     """
-    cols = np.ascontiguousarray(np.transpose(a, (2, 1, 0)))
-    degenerate = np.zeros(a.shape[0], dtype=bool)
-    for j, v in enumerate(cols):
-        if j:
-            prev, prev_conj = cols[:j], cols[:j].conj()
-            for _ in range(2):
-                v -= np.einsum("jmb,jb->mb", prev, np.einsum("jmb,mb->jb", prev_conj, v))
-        norm = np.einsum("mb,mb->b", v.real, v.real)
-        if np.iscomplexobj(v):
-            norm += np.einsum("mb,mb->b", v.imag, v.imag)
-        norm = np.sqrt(norm)
-        bad = ~(np.isfinite(norm) & (norm > 0.0))
-        norm[bad] = 1.0
-        degenerate |= bad
-        v /= norm
-    q = np.ascontiguousarray(np.transpose(cols, (2, 1, 0)))
-    if degenerate.any():
-        q[degenerate] = _sign_corrected_qr(a[degenerate])
-    return q
+    for tile in tile_slices(len(a), a.shape[1] * a.shape[2]):
+        cols = np.ascontiguousarray(np.transpose(a[tile], (2, 1, 0)))
+        degenerate = np.zeros(cols.shape[2], dtype=bool)
+        for j, v in enumerate(cols):
+            if j:
+                prev, prev_conj = cols[:j], cols[:j].conj()
+                for _ in range(2):
+                    v -= np.einsum("jmb,jb->mb", prev, np.einsum("jmb,mb->jb", prev_conj, v))
+            norm = np.einsum("mb,mb->b", v.real, v.real)
+            if np.iscomplexobj(v):
+                norm += np.einsum("mb,mb->b", v.imag, v.imag)
+            norm = np.sqrt(norm)
+            bad = ~(np.isfinite(norm) & (norm > 0.0))
+            norm[bad] = 1.0
+            degenerate |= bad
+            v /= norm
+        redone = _sign_corrected_qr(a[tile][degenerate]) if degenerate.any() else None
+        a[tile] = np.transpose(cols, (2, 1, 0))
+        if redone is not None:
+            a[tile][degenerate] = redone
+    return a
 
 
 def _sign_corrected_qr(a: np.ndarray) -> np.ndarray:
@@ -323,15 +336,24 @@ def mc_expectation(
 ) -> Estimate:
     """Sample mean and standard error of f over Haar draws.
 
-    ``f`` maps a (B, n, n) stack of draws to a length-B vector.  Worker w
-    consumes ``rng.substream(w)`` (see :func:`stream_mean`).
+    ``f`` maps a (B, n, n) stack of draws to a length-B vector, and each
+    draw's value must depend on that draw alone: each batch is drawn in one
+    sampler call, and ``f`` is then applied to one cache-sized tile of it
+    at a time (:func:`linalg.tile_slices`), its values written into the
+    batch's one (B, 1) row array.  So ``stream_mean`` sums the same rows as
+    for one ``f`` call per batch, and the estimate has the same bits.
+    Worker w consumes ``rng.substream(w)`` (see :func:`stream_mean`).
     """
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
     sampler = _SAMPLERS[group]
 
     def values(gen, b):
-        return np.asarray(f(sampler(n, b, gen)), dtype=complex)[:, None]
+        o = sampler(n, b, gen)
+        rows = np.empty((b, 1), dtype=complex)
+        for tile in tile_slices(b, n * n):
+            rows[tile, 0] = f(o[tile])
+        return rows
 
     mean, se = stream_mean(values, samples, rng, workers)
     return Estimate(complex(mean[0]), float(se[0]), samples)

@@ -6,8 +6,11 @@ of routines in this module:
 
 * ``pfaffian``          -- skew-symmetric elimination with partial pivoting
 * ``det_stack``         -- batched determinants in the input's dtype:
-                           cofactor / Laplace formulas up to 4 x 4, LAPACK's
-                           LU above; ``determinant`` is its one-matrix form
+                           cofactor / Laplace formulas up to 4 x 4, on
+                           cache-sized tiles, LAPACK's LU above;
+                           ``determinant`` is its one-matrix form
+* ``tile_slices``       -- the cache-sized tiles that the batched kernels
+                           here and in ``haar`` work through
 * ``elementary_symmetric_all`` -- every e_k of each row, by the stable
                            product-polynomial scheme
 * ``log_gamma`` / ``log_beta`` -- log-domain special functions
@@ -32,7 +35,13 @@ __all__ = [
     "log_beta",
     "log_gamma",
     "pfaffian",
+    "tile_slices",
 ]
+
+# Batched kernels take their stacks in tiles of about this many matrix entries
+# (1 MiB of float64), so that a tile's copies and temporaries stay in the
+# per-core cache and are reused by the next tile, not made afresh batch-sized
+TILE_ENTRIES = 1 << 17
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -104,6 +113,22 @@ def pfaffian(a, tol: float | None = None):
     return val if exact else complex(val)
 
 
+def tile_slices(count: int, entries: int) -> list[slice]:
+    """Consecutive slices over ``count`` items of ``entries`` matrix entries each.
+
+    Each slice holds TILE_ENTRIES // entries items, at least two, and the
+    last holds the rest.  A rest of one item joins the slice before it, so
+    no slice holds a single item unless ``count`` is 1: numpy's ``einsum``
+    sums a product over one draw in another order than over several, which
+    would change the rounding of that draw's Gram-Schmidt Q.
+    """
+    step = max(2, TILE_ENTRIES // max(1, entries))
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
+
+
 def det_stack(m) -> np.ndarray:
     """Determinants of a real or complex (..., n, n) stack, shape (...).
 
@@ -112,8 +137,14 @@ def det_stack(m) -> np.ndarray:
     is a fixed polynomial in the entries, with no pivoting, division or
     log/exp: the entry, ad - bc, the cofactor expansion along the first row,
     and at n = 4 the Laplace expansion over the six 2 x 2 minors of rows
-    {0, 1} and their complements in rows {2, 3}.  Larger matrices go through
-    LAPACK's partially pivoted LU (``numpy.linalg.det``).
+    {0, 1} and their complements in rows {2, 3}.  On a stack with n >= 2
+    the polynomial runs on one tile of the stack at a time
+    (:func:`tile_slices`), copied to an (n, n, t) array whose entries are
+    contiguous rows of t values, so its temporaries are tile-sized; each
+    determinant takes the same elementwise operations in the same order as
+    on strided views of the whole stack, so the bits do not depend on the
+    tiling.  Larger matrices go through LAPACK's partially pivoted LU
+    (``numpy.linalg.det``).
     """
     a = np.asarray(m)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -125,9 +156,22 @@ def det_stack(m) -> np.ndarray:
         return np.linalg.det(a)
     if n == 0:
         return np.ones(a.shape[:-2], dtype=a.dtype)
-    e = [[a[..., i, j] for j in range(n)] for i in range(n)]
     if n == 1:
-        return e[0][0].copy()
+        return a[..., 0, 0].copy()
+    if a.ndim == 2:
+        # one matrix: the formula on its entries, which numpy takes as scalars
+        return _det_polynomial([[a[..., i, j] for j in range(n)] for i in range(n)])
+    flat = a.reshape(-1, n, n)
+    out = np.empty(len(flat), dtype=a.dtype)
+    for tile in tile_slices(len(flat), n * n):
+        out[tile] = _det_polynomial(np.ascontiguousarray(np.transpose(flat[tile], (1, 2, 0))))
+    return out.reshape(a.shape[:-2])
+
+
+def _det_polynomial(e) -> np.ndarray:
+    """Determinants from the entries e[i][j] of n x n matrices, 2 <= n <= 4:
+    arrays of one entry of every matrix, or one matrix's scalars."""
+    n = len(e)
     if n == 2:
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
     if n == 3:

@@ -114,6 +114,18 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     )
 
 
+def rebuilt_lhs_table(n_colour, n_flavour):
+    """The monomial table rebuilt from scratch, as ``_lhs_structure`` did on
+    every call before it was cached: the oracle for the cached rows."""
+    pairs = _minor_pairs(n_colour)
+    table = []
+    for choice in itertools.product(range(len(pairs)), repeat=n_flavour):
+        k = sum(len(pairs[p][0]) for p in choice)
+        sign = -1 if k * (k - 1) // 2 % 2 else 1
+        table.append((cft._mask_for(choice, n_colour, n_flavour, pairs), sign, choice))
+    return pairs, table
+
+
 def per_pair_minor_dets(o_batch, pairs):
     """The minors one (S, T) pair and one determinant call at a time, and
     each minor's Hadamard bound, the product of the row norms of O[S, T]."""
@@ -325,6 +337,16 @@ class TestColourSideStructure:
                 exact.coefficient(mask).real, abs=1e-12
             )
         assert set(exact.terms) <= {m for m, _, _ in table}
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (8, 1)])
+    def test_monomial_table_is_built_once(self, shape):
+        structure = _lhs_structure(*shape)
+        assert _lhs_structure(*shape) is structure
+        pairs, table = structure
+        assert isinstance(pairs, tuple) and isinstance(table, tuple)
+        want_pairs, want_table = rebuilt_lhs_table(*shape)
+        assert list(pairs) == want_pairs
+        assert list(table) == want_table
 
     def test_balanced_grades_only(self):
         n_colour, n_flavour = 2, 2

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from ocft import linalg
 from ocft.errors import ConfigError, DimensionError
 from ocft.haar import (
     DRAW_AHEAD_MIN_VALUES,
@@ -139,13 +140,13 @@ class TestOrthonormalColumns:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_real_matches_sign_corrected_qr(self, n):
         a = RngStream(50 + n).generator().standard_normal((300, n, n))
-        np.testing.assert_allclose(_orthonormal_columns(a), _lapack_q(a), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(_orthonormal_columns(a.copy()), _lapack_q(a), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("m, n", [(4, 4), (5, 2), (7, 3), (13, 4)])
     def test_complex_matches_phase_corrected_qr(self, m, n):
         g = RngStream(60 + m).generator().standard_normal((2, 300, m, n))
         a = g[0] + 1j * g[1]
-        np.testing.assert_allclose(_orthonormal_columns(a), _lapack_q(a), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(_orthonormal_columns(a.copy()), _lapack_q(a), rtol=0, atol=1e-11)
 
     def test_ill_conditioned_stack_stays_orthogonal(self):
         # condition number 1e10: a single classical Gram-Schmidt pass loses all
@@ -163,7 +164,7 @@ class TestOrthonormalColumns:
         g = RngStream(71).generator().standard_normal((2, 5, 4, 3))
         a = g[0] + 1j * g[1] if kind == "complex" else g[0]
         a[2, :, 1] = 0.0
-        q = _orthonormal_columns(a)
+        q = _orthonormal_columns(a.copy())
         assert np.isfinite(q).all()
         assert _gram_error(q) <= 1e-14
         # the other draws keep their Gram-Schmidt Q
@@ -174,6 +175,20 @@ class TestOrthonormalColumns:
         d = np.diag(r)[[0, 2]]
         ref[:, [0, 2]] *= d / np.abs(d)
         np.testing.assert_allclose(q[2], ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("m, n", [(6, 6), (7, 3)])
+    def test_tiles_give_the_one_tile_bits(self, monkeypatch, kind, m, n):
+        g = RngStream(73).generator().standard_normal((2, 43, m, n))
+        a = g[0] + 1j * g[1] if kind == "complex" else g[0]
+        a[30, :, 1] = 0.0  # LAPACK redoes this draw, in the fifth tile
+        whole = _orthonormal_columns(a.copy())
+        # tiles of 7 draws; the one draw left over joins the last tile
+        monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * m * n)
+        assert [t.stop - t.start for t in linalg.tile_slices(43, m * n)] == [7] * 5 + [8]
+        tiled = _orthonormal_columns(a.copy())
+        np.testing.assert_array_equal(tiled, whole)
+        assert np.isfinite(tiled).all() and _gram_error(tiled) <= 1e-14
 
     def test_samplers_return_c_contiguous_stacks(self):
         gen = RngStream(72).generator()
@@ -220,6 +235,38 @@ class TestMcExpectation:
         a = mc_expectation(f_plain, 3, 300_000, RngStream(23))
         b = mc_expectation(f_perm, 3, 300_000, RngStream(24))
         assert abs(a.mean - b.mean) <= 3 * np.hypot(a.std_error, b.std_error)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tiles_give_the_one_call_bits(self, monkeypatch, n, group, kind):
+        eye, g = np.eye(n), np.linspace(0.5, 1.4, n)[:, None]
+        if kind == "real":
+            def f(o):
+                return linalg.det_stack(1.3 * eye - g * o) ** 2
+        else:
+            def f(o):
+                return linalg.det_stack(o + 0.4j * eye) * np.exp(1j * o[:, 0, -1])
+
+        def run(tile_draws):
+            monkeypatch.setattr(linalg, "TILE_ENTRIES", tile_draws * n * n)
+            calls = []
+
+            def logged(o):
+                calls.append(o.copy())
+                return f(o)
+
+            est = mc_expectation(logged, n, 100, RngStream(74), group=group, workers=2)
+            return est, calls
+
+        # tiles of 7 draws, which do not divide the two 50-draw batches, in
+        # the sampler and in f, against one call per batch
+        tiled, tiles = run(7)
+        whole, batches = run(50)
+        assert [len(o) for o in tiles] == 2 * ([7] * 6 + [8])
+        assert [len(o) for o in batches] == [50, 50]
+        np.testing.assert_array_equal(np.concatenate(tiles), np.concatenate(batches))
+        assert (tiled.mean, tiled.std_error) == (whole.mean, whole.std_error)
 
     def test_sample_count_validation(self):
         with pytest.raises(ConfigError):

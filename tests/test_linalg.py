@@ -122,6 +122,19 @@ class TestDetStack:
         assert linalg.det_stack(real.astype(int)).dtype == np.float64
 
     @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("shape", [(), (23,), (4, 9), (2, 3, 5)])
+    def test_tiles_give_the_strided_formula_bits(self, monkeypatch, n, complex_entries,
+                                                 shape):
+        a = self.well_conditioned(shape, n, np.random.default_rng(70 + n), complex_entries)
+        # tiles of 7 matrices, which divide none of the stacks
+        monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * n * n)
+        for stack in (a, np.swapaxes(a, -1, -2)):
+            det = linalg.det_stack(stack)
+            assert np.shape(det) == shape
+            np.testing.assert_array_equal(det, strided_det_polynomial(stack))
+
+    @pytest.mark.parametrize("n", range(1, 5))
     def test_exact_on_integer_matrices(self, n):
         # the cofactor and Laplace formulas of small integers are exact in float64
         rng = np.random.default_rng(60 + n)
@@ -150,6 +163,21 @@ class TestDetStack:
             linalg.det_stack(np.zeros(3))
 
 
+class TestTileSlices:
+    @pytest.mark.parametrize("count, sizes", [(0, []), (1, [1]), (2, [2]), (14, [7, 7]),
+                                              (15, [7, 8]), (16, [7, 7, 2])])
+    def test_tiles_cover_the_stack_with_no_single_item_tile(self, monkeypatch, count, sizes):
+        monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * 36)
+        tiles = linalg.tile_slices(count, 36)
+        assert [t.stop - t.start for t in tiles] == sizes
+        assert [i for t in tiles for i in range(count)[t]] == list(range(count))
+
+    def test_tiles_hold_at_least_two_items(self):
+        sizes = [t.stop - t.start for t in linalg.tile_slices(5, linalg.TILE_ENTRIES + 1)]
+        assert sizes == [2, 3]
+        assert len(linalg.tile_slices(20_000, 36)) == 6  # 3,640 draws of 6 x 6
+
+
 def _leibniz(m):
     """Determinant of a list-of-lists integer matrix by permutation sum."""
     n = len(m)
@@ -161,6 +189,33 @@ def _leibniz(m):
             term *= m[i][j]
         total += term
     return total
+
+
+def strided_det_polynomial(a):
+    """det_stack's formulas for n <= 4 on strided views of the whole (..., n, n)
+    stack, as it evaluated them before it took tiles: the oracle for the bits
+    of the tiled evaluation."""
+    n = a.shape[-1]
+    e = [[a[..., i, j] for j in range(n)] for i in range(n)]
+    if n == 1:
+        return e[0][0].copy()
+    if n == 2:
+        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = e
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+    def minor(r, j, k):
+        return e[r][j] * e[r + 1][k] - e[r][k] * e[r + 1][j]
+
+    return (
+        minor(0, 0, 1) * minor(2, 2, 3)
+        - minor(0, 0, 2) * minor(2, 1, 3)
+        + minor(0, 0, 3) * minor(2, 1, 2)
+        + minor(0, 1, 2) * minor(2, 0, 3)
+        - minor(0, 1, 3) * minor(2, 0, 2)
+        + minor(0, 2, 3) * minor(2, 0, 1)
+    )
 
 
 class TestElementarySymmetric:
