@@ -22,7 +22,9 @@ grows with the passes it holds, so a faster checkout can report a higher
 shows how much of it is the runner's.  They also give each
 column's ``ops_sha256`` per seed, the digest of every op's stdout; with two
 columns, each workload gets a ``same_stdout`` flag, true when the two
-columns' digests agree at every seed.
+columns' digests agree at every seed, and ``differing_ops``, the names of
+the ops whose own stdout digest (from the run record's ``ops`` list)
+differs between the two columns at any seed.
 
 Each column compiles its sources afresh: its runs get their own temporary
 ``PYTHONPYCACHEPREFIX``, made outside the checkouts and removed at the end,
@@ -109,6 +111,16 @@ def summarise(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def op_digests(runs: list[tuple[dict, dict]]) -> dict[tuple[int, str], str]:
+    """(seed, op name) -> the op's stdout sha256, over the untraced runs."""
+    return {
+        (record["seed"], op["op"]): op["sha256"]
+        for record, _ in runs
+        if record["trace"] == 0
+        for op in record["ops"]
+    }
+
+
 def record(columns: dict[str, Path], pr: int) -> dict:
     names = list(columns)
     runs = {w: {name: [] for name in names} for w in WORKLOADS}
@@ -126,9 +138,14 @@ def record(columns: dict[str, Path], pr: int) -> dict:
                               file=sys.stderr, flush=True)
     workloads = {w: {name: summarise(runs[w][name]) for name in names} for w in WORKLOADS}
     if len(names) == 2:
-        for summaries in workloads.values():
+        for w, summaries in workloads.items():
             first, second = (summaries[name]["ops_sha256"] for name in names)
             summaries["same_stdout"] = first == second
+            first, second = (op_digests(runs[w][name]) for name in names)
+            summaries["differing_ops"] = sorted(
+                {op for seed, op in first.keys() | second.keys()
+                 if first.get((seed, op)) != second.get((seed, op))}
+            )
     return {
         "pr": pr,
         "seeds": list(SEEDS),

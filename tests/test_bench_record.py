@@ -17,8 +17,10 @@ spec.loader.exec_module(bench_record)
 # PYTHONDONTWRITEBYTECODE to pycache.log.  With --trace 0, seed s makes s - 38
 # passes whose peak RSS climbs from OFFSET + s + 10 MB; with --trace 1 it
 # makes s - 40 untraced passes, climbing from 1000 MB.  The stdout digest is
-# "<workload>-<seed>-SALT".  Each run takes well under a second, whatever
-# --seconds says.
+# "<workload>-<seed>-SALT"; of the two ops, "steady" has the digest "fixed"
+# and "salted" has "SALT" at seed 42 ("fixed" at the others) on --trace 0
+# runs, and "traced-OFFSET" on --trace 1 runs.  Each run takes well under a
+# second, whatever --seconds says.
 STUB = """
 import argparse, json, os
 p = argparse.ArgumentParser()
@@ -41,8 +43,12 @@ count = seed - (40 if traced else 38)
 passes = [{"traced": False, "peak_rss_mb": first + i} for i in range(count)]
 if traced:
     passes = [q for p in passes for q in (p, {"traced": True, "peak_rss_mb": 2000})]
+salted = "traced-OFFSET" if traced else "SALT" if seed == 42 else "fixed"
+ops = [{"op": "steady", "exit": 0, "sha256": "fixed"},
+       {"op": "salted", "exit": 0, "sha256": salted}]
 print(json.dumps({"workload": a.workload, "seed": seed, "trace": int(a.trace),
-                  "passes": passes, "ops_sha256": f"{a.workload}-{seed}-SALT"}))
+                  "passes": passes, "ops": ops,
+                  "ops_sha256": f"{a.workload}-{seed}-SALT"}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}))
 """
 
@@ -84,6 +90,8 @@ def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
         str(seed): f"moments-{seed}-same" for seed in (41, 42, 43)
     }
     assert all(result["workloads"][w]["same_stdout"] is True for w in result["workloads"])
+    # per-op digests come from the --trace 0 runs only
+    assert all(result["workloads"][w]["differing_ops"] == [] for w in result["workloads"])
     # both traces at every seed, at the benchmark's run length, in each checkout
     log = (parent / "runs.log").read_text().split("\n")[:-1]
     assert log[:6] == [f"identity {seed} {trace} 30" for seed in (41, 42, 43)
@@ -111,11 +119,14 @@ def test_same_stdout_flag(tmp_path):
     workloads = json.loads(out.read_text())["workloads"]
     assert [workloads[w]["same_stdout"] for w in workloads] == [False] * 3
     assert workloads["jacobi"]["change"]["ops_sha256"]["43"] == "jacobi-43-b"
-    # the flag compares a pair; three columns get none
+    # the op whose own digest differs at one seed of the untraced runs
+    assert [workloads[w]["differing_ops"] for w in workloads] == [["salted"]] * 3
+    # the flag and the op list compare a pair; three columns get neither
     assert bench_record.main([f"parent={parent}", f"change={change}", f"twin={twin}",
                               "--pr", "8", "--out", str(out)]) == 0
     workloads = json.loads(out.read_text())["workloads"]
     assert all("same_stdout" not in workloads[w] for w in workloads)
+    assert all("differing_ops" not in workloads[w] for w in workloads)
 
 
 def test_failed_run_raises(tmp_path):
