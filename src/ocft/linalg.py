@@ -122,7 +122,7 @@ def tile_slices(count: int, entries: int) -> list[slice]:
     sums a product over one draw in another order than over several, which
     would change the rounding of that draw's Gram-Schmidt Q.
     """
-    step = max(2, TILE_ENTRIES // max(1, entries))
+    step = max(2, TILE_ENTRIES // entries)
     starts = list(range(0, count, step))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
