@@ -340,8 +340,10 @@ def mc_expectation(
     draw's value must depend on that draw alone: each batch is drawn in one
     sampler call, and ``f`` is then applied to one cache-sized tile of it
     at a time (:func:`linalg.tile_slices`), its values written into the
-    batch's one (B, 1) row array.  So ``stream_mean`` sums the same rows as
-    for one ``f`` call per batch, and the estimate has the same bits.
+    batch's one (B, 1) row array.  So ``stream_mean`` sums the rows of one
+    ``f`` call per batch, to the bit wherever ``f`` rounds a draw alike at
+    any array length, as real elementwise arithmetic does (complex products
+    need not: see :func:`linalg.det_stack`).
     Worker w consumes ``rng.substream(w)`` (see :func:`stream_mean`).
     """
     if group not in _SAMPLERS:

@@ -139,12 +139,14 @@ def det_stack(m) -> np.ndarray:
     and at n = 4 the Laplace expansion over the six 2 x 2 minors of rows
     {0, 1} and their complements in rows {2, 3}.  On a stack with n >= 2
     the polynomial runs on one tile of the stack at a time
-    (:func:`tile_slices`), copied to an (n, n, t) array whose entries are
-    contiguous rows of t values, so its temporaries are tile-sized; each
-    determinant takes the same elementwise operations in the same order as
-    on strided views of the whole stack, so the bits do not depend on the
-    tiling.  Larger matrices go through LAPACK's partially pivoted LU
-    (``numpy.linalg.det``).
+    (:func:`tile_slices`), so its temporaries are tile-sized and stay in
+    cache; each determinant takes the same elementwise operations in the
+    same order as on the whole stack, so real determinants keep their bits
+    whatever the tiling.  Complex ones at n >= 3 can move in the last bit
+    on stacks of 2^14 matrices or more: numpy reuses a complex temporary of
+    256 KiB or more in place, and that product rounds differently from the
+    one on a smaller tile.  Larger matrices go through LAPACK's partially
+    pivoted LU (``numpy.linalg.det``).
     """
     a = np.asarray(m)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -158,20 +160,19 @@ def det_stack(m) -> np.ndarray:
         return np.ones(a.shape[:-2], dtype=a.dtype)
     if n == 1:
         return a[..., 0, 0].copy()
-    if a.ndim == 2:
-        # one matrix: the formula on its entries, which numpy takes as scalars
-        return _det_polynomial([[a[..., i, j] for j in range(n)] for i in range(n)])
+    if a.ndim == 2:  # one matrix, whose entries numpy takes as scalars
+        return _det_polynomial(a)
     flat = a.reshape(-1, n, n)
     out = np.empty(len(flat), dtype=a.dtype)
     for tile in tile_slices(len(flat), n * n):
-        out[tile] = _det_polynomial(np.ascontiguousarray(np.transpose(flat[tile], (1, 2, 0))))
+        out[tile] = _det_polynomial(flat[tile])
     return out.reshape(a.shape[:-2])
 
 
-def _det_polynomial(e) -> np.ndarray:
-    """Determinants from the entries e[i][j] of n x n matrices, 2 <= n <= 4:
-    arrays of one entry of every matrix, or one matrix's scalars."""
-    n = len(e)
+def _det_polynomial(a: np.ndarray) -> np.ndarray:
+    """det_stack's formula on views of the entries of an (..., n, n) stack, 2 <= n <= 4."""
+    n = a.shape[-1]
+    e = [[a[..., i, j] for j in range(n)] for i in range(n)]
     if n == 2:
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
     if n == 3:
