@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from ocft import linalg
+from ocft import haar, linalg
 from ocft.errors import ConfigError, DimensionError
 from ocft.haar import (
     DRAW_AHEAD_MIN_VALUES,
@@ -189,6 +189,9 @@ class TestOrthonormalColumns:
         tiled = _orthonormal_columns(a.copy())
         np.testing.assert_array_equal(tiled, whole)
         assert np.isfinite(tiled).all() and _gram_error(tiled) <= 1e-14
+        # the redone draw is LAPACK's Q of the draw itself, read before its
+        # tile was overwritten
+        np.testing.assert_array_equal(tiled[30], haar._sign_corrected_qr(a[30:31])[0])
 
     def test_samplers_return_c_contiguous_stacks(self):
         gen = RngStream(72).generator()
@@ -248,6 +251,14 @@ class TestMcExpectation:
             def f(o):
                 return linalg.det_stack(o + 0.4j * eye) * np.exp(1j * o[:, 0, -1])
 
+        sampler, drawn = haar._SAMPLERS[group], []
+
+        def counted(n, count, rng):
+            drawn.append(count)
+            return sampler(n, count, rng)
+
+        monkeypatch.setitem(haar._SAMPLERS, group, counted)
+
         def run(tile_draws):
             monkeypatch.setattr(linalg, "TILE_ENTRIES", tile_draws * n * n)
             calls = []
@@ -260,9 +271,11 @@ class TestMcExpectation:
             return est, calls
 
         # tiles of 7 draws, which do not divide the two 50-draw batches, in
-        # the sampler and in f, against one call per batch
+        # the sampler and in f, against one call per batch; either way each
+        # batch is drawn in one sampler call
         tiled, tiles = run(7)
         whole, batches = run(50)
+        assert drawn == [50, 50, 50, 50]
         assert [len(o) for o in tiles] == 2 * ([7] * 6 + [8])
         assert [len(o) for o in batches] == [50, 50]
         np.testing.assert_array_equal(np.concatenate(tiles), np.concatenate(batches))
