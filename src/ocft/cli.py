@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=200_000,
-        help="Haar draws for --method mc only (default 200000); the complex-z "
-        "m = 2 pfaffian route always averages over 1000 U(4) draws",
+        help="Haar draws for --method mc only (default 200000); the other "
+        "methods are deterministic",
     )
     _add_common(p)
 
@@ -325,7 +325,7 @@ def _run_moment(args) -> tuple[dict, int]:
         est = moment_mc(query, args.samples, RngStream(args.seed), args.workers)
         record.update(_estimate_fields(est))
     else:
-        est = moment_pfaffian_integral(query, RngStream(args.seed))
+        est = moment_pfaffian_integral(query)
         record.update(_estimate_fields(est))
     return record, EXIT_OK
 

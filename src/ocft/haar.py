@@ -342,8 +342,8 @@ def mc_expectation(
     at a time (:func:`linalg.tile_slices`), its values written into the
     batch's one (B, 1) row array.  So ``stream_mean`` sums the rows of one
     ``f`` call per batch, to the bit wherever ``f`` rounds a draw alike at
-    any array length, as real elementwise arithmetic does (complex products
-    need not: see :func:`linalg.det_stack`).
+    any array length, as real elementwise arithmetic and
+    :func:`linalg.det_stack`, complex stacks included, do.
     Worker w consumes ``rng.substream(w)`` (see :func:`stream_mean`).
     """
     if group not in _SAMPLERS:

@@ -141,11 +141,11 @@ def det_stack(m) -> np.ndarray:
     the polynomial runs on one tile of the stack at a time
     (:func:`tile_slices`), so its temporaries are tile-sized and stay in
     cache; each determinant takes the same elementwise operations in the
-    same order as on the whole stack, so real determinants keep their bits
-    whatever the tiling.  Complex ones at n >= 3 can move in the last bit
-    on stacks of 2^14 matrices or more: numpy reuses a complex temporary of
-    256 KiB or more in place, and that product rounds differently from the
-    one on a smaller tile.  Larger matrices go through LAPACK's partially
+    same order as on the whole stack.  So determinants keep their bits
+    whatever the tiling and the stack length, complex ones too: numpy
+    multiplies a complex temporary of 256 KiB or more in place, which
+    rounds differently, and a tile's temporaries that enter a product stay
+    below that size.  Larger matrices go through LAPACK's partially
     pivoted LU (``numpy.linalg.det``).
     """
     a = np.asarray(m)

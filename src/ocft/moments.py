@@ -7,8 +7,8 @@ Three routes to the same quantity, used to cross-check each other:
                                  sum_l binom(N, l)^{-1} |z|^{2(N-l)} S^l(G^2);
 * ``moment_pfaffian_integral``-- flavour-space integral of a product of
                                  Pfaffian kernels over the m squared block
-                                 radii of the skew flavour matrix (plus a
-                                 compact-group average at m = 2 for complex z);
+                                 radii of the skew flavour matrix (plus an
+                                 exact U(4) quadrature at m = 2 for complex z);
 * ``moment_mc``               -- brute-force Haar average of the determinant.
 
 m = 1 and m = 2 share one path: a tensor grid over the block radii
@@ -27,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import half_line_nodes
+from ._quad import gauss_legendre_01, half_line_nodes
 from .errors import ConfigError
-from .haar import (
-    Estimate,
-    RngStream,
-    mc_expectation,
-    sample_unitary_columns,
-    stream_mean,
-)
-from .linalg import det_stack, elementary_symmetric_all
+from .haar import Estimate, RngStream, mc_expectation
+from .linalg import det_stack, elementary_symmetric_all, tile_slices
 
 __all__ = [
     "MomentQuery",
@@ -240,79 +234,80 @@ def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex):
     return base + g2 * (np.conj(z) ** 2 - zz) * p + g2 * (z**2 - zz) * q
 
 
-# U(4) draws per batch of the complex-z m = 2 average; it fixes how the draws
-# interleave with the Gaussian stream, so changing it changes the estimate
-_U_CHUNK = 8
+# complex z at m = 2 is refused above this N: its exact U(4) average costs
+# about N^4 (N^2 / 8 Jacobi pairs x (N + 1) angles x the 32^2 radial nodes x
+# N kernel factors), measured at 0.12, 1.2 and 5.7 s at N = 16, 32 and 48 on
+# one core of a 2-vCPU Intel Xeon host, with a flat 41 MB peak
+MAX_M2_COMPLEX_N = 48
 
 
-def _block_minor_coefficients(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw coefficients of |Z_01|^2 and |Z_23|^2 in (t1, t2, 2 sqrt(t1 t2)).
+def _u4_block_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 3) nodes (a, b, c) and K weights of the Haar U(4) average at degree n.
 
-    For Z = U Sigma U^T with Sigma = s1 J (+) s2 J, J = [[0, 1], [-1, 0]],
-    Z_01 = s1 A + s2 B with A, B the 2x2 minors of U on rows {0, 1} and
-    columns {0, 1}, {2, 3}; Z_23 is the same on rows {2, 3}.  Hence
-    |Z_01|^2 = t1 |A|^2 + t2 |B|^2 + 2 s1 s2 Re(A conj(B)).
+    A and B are the 2x2 minors of U on rows {0, 1} and columns {0, 1} and
+    {2, 3}; a = |A|^2, b = |B|^2, c = Re(A conj(B)).  With l1, l2 the
+    squared singular values of U[0:2, 0:2], a = l1 l2 and
+    b = (1 - l1)(1 - l2), where (l1, l2) follow the beta = 2 Jacobi ensemble
+    with density ~ (l1 - l2)^2 on [0, 1]^2 (Collins, Probab. Theory Relat.
+    Fields 133 (2005) 315), and c = sqrt(ab) cos(phi) with phi uniform and
+    independent of them.  So n // 2 + 2 Gauss-Legendre nodes per l and
+    n + 1 equispaced phi average every polynomial of degree n in (a, b, c)
+    exactly.  The integrand is symmetric in l1 <-> l2 and the weight
+    vanishes at l1 = l2, so only the pairs l1 < l2 are kept.
     """
-
-    def minor(r0, c0):
-        return u[:, r0, c0] * u[:, r0 + 1, c0 + 1] - u[:, r0, c0 + 1] * u[:, r0 + 1, c0]
-
-    def coefficients(row):
-        a, b = minor(row, 0), minor(row, 2)
-        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2, (a * np.conj(b)).real], 1)
-
-    return coefficients(0), coefficients(2)
+    lam, w = gauss_legendre_01(n // 2 + 2)
+    i, j = np.triu_indices(lam.size, 1)
+    a, b = lam[i] * lam[j], (1.0 - lam[i]) * (1.0 - lam[j])
+    pair_w = w[i] * w[j] * (lam[i] - lam[j]) ** 2
+    cos_phi = np.cos(2.0 * np.pi * np.arange(n + 1) / (n + 1))
+    nodes = np.broadcast_arrays(a[:, None], b[:, None], np.sqrt(a * b)[:, None] * cos_phi)
+    weights = np.repeat(pair_w / (pair_w.sum() * (n + 1)), n + 1)
+    return np.stack(nodes, -1).reshape(-1, 3), weights
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def moment_pfaffian_integral(
-    query: MomentQuery,
-    rng: RngStream | None = None,
-    samples: int = 1000,
-) -> Estimate:
+def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     """Flavour-space Pfaffian-product integral for F_G(z), m <= 2.
 
     Uses the polar decomposition Z = U Sigma U^T of the skew flavour
     matrix: the m block radii are integrated by tensor Gauss-Legendre
     quadrature with the exact radial Jacobian (:func:`_radial_grid`).  At
     m = 1, and at m = 2 for real z, the kernel product is invariant under
-    the unitary factor, so the radial quadrature is the whole integral
-    (zero standard error); for complex z at m = 2 the compact factor is
-    averaged by Haar Monte Carlo over ``samples`` U(4) draws, which keeps
-    every random quantity bounded.
-    There each kernel Pfaffian is evaluated in closed form
-    (:func:`_m2_kernel_pfaffian`): it depends on U only through
-    |Z_01|^2 and |Z_23|^2, which are per-draw combinations of two 2x2
-    minors of U, so no 4x4 flavour matrix or 8x8 kernel is built.
+    the unitary factor, so the radial quadrature is the whole integral.
+    For complex z at m = 2 the U(4) factor is averaged exactly by the
+    quadrature of :func:`_u4_block_nodes`, and each kernel Pfaffian is
+    evaluated in closed form (:func:`_m2_kernel_pfaffian`): it depends on U
+    only through p = |Z_01|^2 = t1 a + t2 b + 2 sqrt(t1 t2) c and
+    q = |Z_23|^2, the same with a and b swapped (Jacobi's complementary
+    minors, |det U| = 1), so no 4x4 flavour matrix or 8x8 kernel is built.
+    Every route is deterministic: the standard error is 0.
 
     The overall constant is fixed by the G = 0 calibration,
     F_0(1) = 1, whose integral is evaluated exactly on the same grid.
     """
     if query.m > 2:
         raise ConfigError("flavour-space integral implemented for m <= 2 only")
+    if query.m == 2 and query.z.imag != 0 and query.n > MAX_M2_COMPLEX_N:
+        raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
     radii, t_weights = _radial_grid(query.n, query.m)
     sigma = _skew_sigma_blocks(radii)
     den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, query.m) @ t_weights)
 
-    z = query.z.real if abs(query.z.imag) < 1e-14 else query.z
-    if query.m == 1 or z.imag == 0.0:
+    z = query.z.real if query.z.imag == 0 else query.z
+    if query.m == 1 or z.imag == 0:
         num = complex(_pf_product(sigma, query.g, z, query.m) @ t_weights)
         return _finite(Estimate((num / den).real, 0.0, 0), query)
 
-    if rng is None:
-        raise ConfigError("complex z at m = 2 needs an RngStream for the U-average")
     t1, t2 = radii[:, 0], radii[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
     trace, pf_sq = t1 + t2, t1 * t2
-
-    def numerator(gen, b):
-        u = sample_unitary_columns(4, 4, b, gen)
-        coef_01, coef_23 = _block_minor_coefficients(u)
-        p, q = coef_01 @ radial_basis, coef_23 @ radial_basis
-        fg = np.ones((b, t_weights.size), dtype=complex)
+    u_nodes, u_weights = _u4_block_nodes(query.n)
+    num = 0j
+    for tile in tile_slices(len(u_nodes), t_weights.size):
+        # q is p with a and b swapped, i.e. with t1 and t2 swapped
+        p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
+        fg = np.ones(p.shape, dtype=complex)
         for gi in query.g:
-            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, query.z)
-        return (fg @ t_weights)[:, None]
-
-    mean, se = stream_mean(numerator, samples, rng, batch=_U_CHUNK)
-    return _finite(Estimate((mean[0] / den).real, float(se[0] / abs(den)), samples), query)
+            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z)
+        num += u_weights[tile] @ (fg @ t_weights)
+    return _finite(Estimate((num / den).real, 0.0, 0), query)

@@ -168,6 +168,9 @@ class TestCriterion4PfaffianIntegral:
         configs = [
             (2, MomentQuery(z=1.0, g=(1.0, 1.0), m=2), 405),
             (3, MomentQuery(z=1.2, g=(0.5, 1.0, 1.5), m=2), 406),
+            # complex z: the exact U(4) average against the independent Monte Carlo
+            (2, MomentQuery(z=0.9 + 0.4j, g=(0.6, 1.2), m=2), 407),
+            (3, MomentQuery(z=0.3 + 1.1j, g=(0.5, 1.0, 1.5), m=2), 408),
         ]
         worst = 0.0
         for n, q, seed in configs:
@@ -182,7 +185,8 @@ class TestCriterion4PfaffianIntegral:
         assert elapsed < 600.0
         report(
             "4b m=2 pfaffian integral",
-            f"N in 2,3 vs 1e6-sample MC, worst z {worst:.2f}, {elapsed:.0f}s",
+            f"N in 2,3, real and complex z, vs 1e6-sample MC, worst z {worst:.2f}, "
+            f"{elapsed:.0f}s",
         )
 
 

@@ -125,6 +125,15 @@ class TestMoment:
             json.loads(closed)["value"], rel=1e-8
         )
 
+    @pytest.mark.parametrize("z", ["1,0", "0.9,0.4"])
+    def test_pfaffian_method_ignores_the_seed(self, z):
+        argv = ["moment", "--n", "2", "--m", "2", "--z", z, "--g", "0.6,1.2",
+                "--method", "pfaffian", "--seed"]
+        one, two = (json.loads(invoke(argv + [seed])[1]) for seed in ("1", "2"))
+        assert (one["value"], one["std_error"], one["samples"]) == (
+            two["value"], two["std_error"], two["samples"])
+        assert (one["std_error"], one["samples"]) == (0.0, 0)
+
     def test_mc_method_reports_error_bars(self):
         code, out, _ = invoke(
             ["moment", "--n", "1", "--z", "2,0", "--g", "1", "--method", "mc",

@@ -15,6 +15,7 @@ import pytest
 from ocft.cft import MAX_BOSONIC_N
 from ocft.cli import MAX_HAAR_MOMENT_N, run
 from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N
+from ocft.moments import MAX_M2_COMPLEX_N
 
 # tried on every numeric option of a base command
 EXTREMES = ("0", "1", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "1,1")
@@ -47,6 +48,7 @@ SWEEPS = {
          {"--m": ("2", "3", "1000"),
           "--g": ("nan,1", "inf,1", "1e300,1", "1e-300,0", "-1,1", "1", "0,0", "")})
         for method, extra in (("closed", {}), ("pfaffian", {}), ("pfaffian", {"--m": "2"}),
+                              ("pfaffian", {"--m": "2", "--z": "0.9,0.4"}),
                               ("mc", {"--samples": "50"}),
                               ("mc", {"--samples": "50", "--m": "2"}))
     ] + [
@@ -83,6 +85,8 @@ REFUSED = [
     ["ginibre-check", "--n=4", "--lambda=1e100", "--gamma=1e-100", "--samples=2000"],
     ["moment", "--method=mc", "--samples=50", "--z=1.3", f"--n={MAX_HAAR_MOMENT_N + 1}",
      f"--g={','.join(['1'] * (MAX_HAAR_MOMENT_N + 1))}"],
+    ["moment", "--method=pfaffian", "--m=2", "--z=0.9,0.4", f"--n={MAX_M2_COMPLEX_N + 1}",
+     f"--g={','.join(['1'] * (MAX_M2_COMPLEX_N + 1))}"],
     *([*argv, f"--threshold={value}"]
       for argv in (["verify-cft", "--variant=fermionic", "--colors=2", "--flavors=1"],
                    ["ginibre-check", *(f"{k}={v}" for k, v in GINIBRE.items())])

@@ -134,6 +134,16 @@ class TestDetStack:
             assert np.shape(det) == shape
             np.testing.assert_array_equal(det, strided_det_polynomial(stack))
 
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_complex_bits_do_not_depend_on_the_stack_length(self, n):
+        # at the real tile size: numpy multiplies complex temporaries of
+        # 256 KiB or more in place, which rounds differently, and the strided
+        # formula on this stack moves thousands of determinants at n = 3
+        a = self.well_conditioned((40_000,), n, np.random.default_rng(80 + n), True)
+        cuts = [0, 7, 12_345, 12_346, 40_000]
+        split = [linalg.det_stack(a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(linalg.det_stack(a), np.concatenate(split))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_exact_on_integer_matrices(self, n):
         # the cofactor and Laplace formulas of small integers are exact in float64

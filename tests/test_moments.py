@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from ocft import moments
 from ocft.errors import ConfigError
-from ocft.haar import RngStream
+from ocft.haar import RngStream, sample_unitary_columns
 from ocft.linalg import determinant, pfaffian
 from ocft.moments import (
+    MAX_M2_COMPLEX_N,
     MomentQuery,
     moment_m1_closed,
     moment_mc,
@@ -192,11 +196,11 @@ class TestPfaffianIntegral:
         est = moment_pfaffian_integral(q)
         assert est.mean.real == pytest.approx(1.0, rel=1e-8)
 
-    def test_m2_complex_z_against_enumeration(self):
-        z = 1.1 * np.exp(0.7j)
-        q = MomentQuery(z=z, g=(0.9,), m=2)
-        est = moment_pfaffian_integral(q, RngStream(13), samples=300)
-        assert est.z_score(o1_enumeration(z, 0.9, 2)) <= 3.0
+    @pytest.mark.parametrize("z, g", [(1.1 * np.exp(0.7j), 0.9), (-0.4 + 2.3j, 1.6)])
+    def test_m2_complex_z_matches_enumeration(self, z, g):
+        est = moment_pfaffian_integral(MomentQuery(z=z, g=(g,), m=2))
+        assert est.mean.real == pytest.approx(o1_enumeration(z, g, 2), rel=1e-12)
+        assert (est.std_error, est.samples) == (0.0, 0)
 
     def test_m2_against_mc(self):
         q = MomentQuery(z=0.8, g=(0.3, 1.7), m=2)
@@ -223,16 +227,19 @@ class TestPfaffianIntegral:
         with pytest.raises(ConfigError):
             moment_pfaffian_integral(MomentQuery(z=1.0, g=(1.0,), m=3))
 
-    def test_complex_z_needs_rng(self):
-        with pytest.raises(ConfigError):
-            moment_pfaffian_integral(MomentQuery(z=1.0j, g=(1.0,), m=2))
+    def test_complex_z_m2_size_cap(self):
+        n = MAX_M2_COMPLEX_N + 1
+        with pytest.raises(ConfigError, match=f"capped at N = {MAX_M2_COMPLEX_N}"):
+            moment_pfaffian_integral(MomentQuery(z=0.9 + 0.4j, g=(1.0,) * n, m=2))
+        # the cap is the U(4) average's: real z and m = 1 keep their range
+        for z, m in ((0.9, 2), (0.9 + 0.4j, 1)):
+            assert moment_pfaffian_integral(MomentQuery(z=z, g=(0.1,) * n, m=m)).samples == 0
 
 
 def explicit_u_average(query, rng, samples, u_chunk=8):
-    """The complex-z m = 2 route with every Z = U Sigma U^T and 8x8 kernel built.
-
-    Same U(4) draws, in the same order, as ``moment_pfaffian_integral``;
-    kept as the oracle for its closed-form kernel Pfaffians.
+    """The complex-z m = 2 integral by Monte Carlo over Haar U(4) draws, with
+    every Z = U Sigma U^T and 8x8 kernel built: the oracle of the exact U(4)
+    average and the closed-form kernel Pfaffians of ``moment_pfaffian_integral``.
     """
     t_pairs, t_weights = _radial_grid(query.n, 2)
     sigma = _skew_sigma_blocks(t_pairs)
@@ -275,13 +282,82 @@ class TestClosedFormKernelPfaffian:
                 np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
-        "z, g",
-        [(0.9 + 0.4j, (0.6, 1.2)), (0.5 - 0.7j, (0.3, 1.0, 1.6))],
+        "z, g, seed",
+        [(0.9 + 0.4j, (0.6, 1.2), 32), (0.5 - 0.7j, (0.3, 1.0, 1.6), 33)],
     )
-    def test_u_average_matches_explicit_route(self, z, g):
+    def test_exact_u_average_against_explicit_route(self, z, g, seed):
         q = MomentQuery(z=z, g=g, m=2)
-        est = moment_pfaffian_integral(q, RngStream(32), samples=40)
-        mean, se = explicit_u_average(q, RngStream(32), samples=40)
-        assert est.samples == 40
-        assert est.mean.real == pytest.approx(mean, rel=1e-12)
-        assert est.std_error == pytest.approx(se, rel=1e-9)
+        est = moment_pfaffian_integral(q)
+        mean, se = explicit_u_average(q, RngStream(seed), samples=200)
+        assert (est.std_error, est.samples) == (0.0, 0)
+        assert abs(est.mean - mean) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "z, g",
+        [(0.9 + 0.4j, (0.6, 1.2)), (0.3 + 1.1j, (0.5, 1.0, 1.5)),
+         (1.5 - 0.7j, tuple(np.linspace(0.2, 1.8, 7)))],
+    )
+    def test_more_u_nodes_leave_the_value(self, monkeypatch, z, g):
+        q = MomentQuery(z=z, g=g, m=2)
+        exact = moment_pfaffian_integral(q).mean
+        nodes = moments._u4_block_nodes
+        # 4 more Legendre nodes per lambda and 8 more angles
+        monkeypatch.setattr(moments, "_u4_block_nodes", lambda n: nodes(n + 8))
+        assert moment_pfaffian_integral(q).mean == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_near_real_z_matches_the_real_route(self, n):
+        # the real-z route has no U average; at z.imag = 1e-300 the exact
+        # U(4) average of the same kernels must give the same value
+        g = (0.5, 0.8, 1.1, 1.4, 0.7, 1.0)[:n]
+        real = moment_pfaffian_integral(MomentQuery(z=1.3, g=g, m=2)).mean
+        cplx = moment_pfaffian_integral(MomentQuery(z=1.3 + 1e-300j, g=g, m=2)).mean
+        assert cplx == pytest.approx(real, rel=1e-12)
+
+
+def block_minor_coefficients(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw coefficients (a, b, c) of |Z_01|^2 and |Z_23|^2 in (t1, t2, 2 sqrt(t1 t2)).
+
+    For Z = U Sigma U^T with Sigma = s1 J (+) s2 J, J = [[0, 1], [-1, 0]],
+    Z_01 = s1 A + s2 B with A, B the 2x2 minors of U on rows {0, 1} and
+    columns {0, 1}, {2, 3}; Z_23 is the same on rows {2, 3}.  Hence
+    |Z_01|^2 = t1 |A|^2 + t2 |B|^2 + 2 s1 s2 Re(A conj(B)).  The Monte-Carlo
+    oracle of the node set of ``moments._u4_block_nodes``.
+    """
+
+    def minor(r0, c0):
+        return u[:, r0, c0] * u[:, r0 + 1, c0 + 1] - u[:, r0, c0 + 1] * u[:, r0 + 1, c0]
+
+    def coefficients(row):
+        a, b = minor(row, 0), minor(row, 2)
+        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2, (a * np.conj(b)).real], 1)
+
+    return coefficients(0), coefficients(2)
+
+
+class TestU4BlockNodes:
+    def test_coefficients_follow_the_block_singular_values(self):
+        u = sample_unitary_columns(4, 4, 2000, RngStream(35))
+        coef_01, coef_23 = block_minor_coefficients(u)
+        lam = np.linalg.svd(u[:, :2, :2], compute_uv=False) ** 2
+        a, b, c = coef_01.T
+        np.testing.assert_allclose(a, lam[:, 0] * lam[:, 1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b, (1 - lam[:, 0]) * (1 - lam[:, 1]), rtol=0, atol=1e-14)
+        assert np.all(np.abs(c) <= np.sqrt(a * b) + 1e-15)
+        # rows {2, 3}: a and b swap, by Jacobi's complementary minors
+        np.testing.assert_allclose(coef_23, coef_01[:, [1, 0, 2]], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nodes_average_moments_as_haar_draws_do(self, n):
+        # E[a^i b^j c^k] for i + j + k <= n: the nodes against 200,000 Haar draws
+        nodes, weights = moments._u4_block_nodes(n)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        draws, _ = block_minor_coefficients(sample_unitary_columns(4, 4, 200_000,
+                                                                   RngStream(36 + n)))
+        for i, j, k in itertools.product(range(n + 1), repeat=3):
+            if i + j + k <= n:
+                powers = np.array([i, j, k])
+                exact = weights @ np.prod(nodes**powers, axis=1)
+                mc = np.prod(draws**powers, axis=1)
+                se = mc.std(ddof=1) / np.sqrt(mc.size)
+                assert abs(exact - mc.mean()) <= max(4.0 * se, 1e-15)
