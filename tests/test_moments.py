@@ -196,11 +196,11 @@ class TestPfaffianIntegral:
         est = moment_pfaffian_integral(q)
         assert est.mean.real == pytest.approx(1.0, rel=1e-8)
 
-    @pytest.mark.parametrize("z, g", [(1.1 * np.exp(0.7j), 0.9), (-0.4 + 2.3j, 1.6)])
-    def test_m2_complex_z_matches_enumeration(self, z, g):
-        est = moment_pfaffian_integral(MomentQuery(z=z, g=(g,), m=2))
-        assert est.mean.real == pytest.approx(o1_enumeration(z, g, 2), rel=1e-12)
-        assert (est.std_error, est.samples) == (0.0, 0)
+    def test_m2_complex_z_against_enumeration(self):
+        for z, g in ((1.1 * np.exp(0.7j), 0.9), (-0.4 + 2.3j, 1.6)):
+            est = moment_pfaffian_integral(MomentQuery(z=z, g=(g,), m=2))
+            assert est.mean.real == pytest.approx(o1_enumeration(z, g, 2), rel=1e-12)
+            assert (est.std_error, est.samples) == (0.0, 0)
 
     def test_m2_against_mc(self):
         q = MomentQuery(z=0.8, g=(0.3, 1.7), m=2)
@@ -282,13 +282,13 @@ class TestClosedFormKernelPfaffian:
                 np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
-        "z, g, seed",
-        [(0.9 + 0.4j, (0.6, 1.2), 32), (0.5 - 0.7j, (0.3, 1.0, 1.6), 33)],
+        "z, g",
+        [(0.9 + 0.4j, (0.6, 1.2)), (0.5 - 0.7j, (0.3, 1.0, 1.6))],
     )
-    def test_exact_u_average_against_explicit_route(self, z, g, seed):
+    def test_u_average_matches_explicit_route(self, z, g):
         q = MomentQuery(z=z, g=g, m=2)
         est = moment_pfaffian_integral(q)
-        mean, se = explicit_u_average(q, RngStream(seed), samples=200)
+        mean, se = explicit_u_average(q, RngStream(32 + len(g)), samples=200)
         assert (est.std_error, est.samples) == (0.0, 0)
         assert abs(est.mean - mean) <= 4.0 * se
 
