@@ -287,8 +287,6 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     """
     if query.m > 2:
         raise ConfigError("flavour-space integral implemented for m <= 2 only")
-    if query.m == 2 and query.z.imag != 0 and query.n > MAX_M2_COMPLEX_N:
-        raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
     radii, t_weights = _radial_grid(query.n, query.m)
     sigma = _skew_sigma_blocks(radii)
     den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, query.m) @ t_weights)
@@ -297,6 +295,8 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     if query.m == 1 or z.imag == 0:
         num = complex(_pf_product(sigma, query.g, z, query.m) @ t_weights)
         return _finite(Estimate((num / den).real, 0.0, 0), query)
+    if query.n > MAX_M2_COMPLEX_N:
+        raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
 
     t1, t2 = radii[:, 0], radii[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
