@@ -347,7 +347,7 @@ class TestU4BlockNodes:
         # rows {2, 3}: a and b swap, by Jacobi's complementary minors
         np.testing.assert_allclose(coef_23, coef_01[:, [1, 0, 2]], rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n", [2, 5])
     def test_nodes_average_moments_as_haar_draws_do(self, n):
         # E[a^i b^j c^k] for i + j + k <= n: the nodes against 200,000 Haar draws
         nodes, weights = moments._u4_block_nodes(n)
