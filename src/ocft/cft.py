@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from statistics import NormalDist
 
 import numpy as np
@@ -186,7 +186,7 @@ def _minor_recursion(n_colour: int) -> tuple[int, tuple]:
     Expanding det O[S, T] along its first row s_0 gives the terms
     (-1)^j O[s_0, t_j] det O[S - s_0, T - t_j], j < k; the (k, P_k) tables hold
     the flat index s_0 * N + t_j of the entry and the position of the
-    size-(k-1) minor.
+    size-(k-1) minor.  The tables are read-only: callers share them.
     """
     pairs = _minor_pairs(n_colour)
     position = {pair: p for p, pair in enumerate(pairs)}
@@ -195,7 +195,10 @@ def _minor_recursion(n_colour: int) -> tuple[int, tuple]:
         sized = [(s, t) for s, t in pairs if len(s) == k]
         entries = [[s[0] * n_colour + tj for tj in t] for s, t in sized]
         smaller = [[position[s[1:], t[:j] + t[j + 1:]] for j in range(k)] for s, t in sized]
-        steps.append((position[sized[0]], np.array(entries).T, np.array(smaller).T))
+        tables = np.array(entries).T, np.array(smaller).T
+        for table in tables:
+            table.setflags(write=False)
+        steps.append((position[sized[0]], *tables))
     return len(pairs), tuple(steps)
 
 
@@ -223,17 +226,6 @@ def _minor_dets(o_batch: np.ndarray) -> np.ndarray:
     return minors.T
 
 
-def _mask_for(pair_choice, n_colour: int, n_flavour: int, pairs) -> int:
-    mask = 0
-    for a, p in enumerate(pair_choice):
-        s, t = pairs[p]
-        for i in s:
-            mask |= 1 << psibar_index(i, a, n_colour)
-        for i in t:
-            mask |= 1 << psi_index(i, a, n_colour, n_flavour)
-    return mask
-
-
 @lru_cache(maxsize=None)
 def _lhs_structure(n_colour: int, n_flavour: int):
     """Monomial table: every flavour assignment of minor pairs.
@@ -246,18 +238,41 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     K = sum_a |S_a|: the parity of moving the K psi generators of the
     product of bar/unbar pairs behind the K psibar generators, into
     canonical order.  Cross-checked against the exact exterior-algebra
-    expansion in tests.  Built once per (N, n) and returned as the tuples
-    ``pairs`` and ``table`` of (mask, sign, choice) rows, which callers
-    share and must not change.
+    expansion in tests.
+
+    Built once per (N, n) as ``(choices, signs, masks, labels)``, one row per
+    choice of minor pairs in ``itertools.product`` order: the (rows, n) pair
+    positions, the signs, the int64 masks and the names (b<i><a> for psibar,
+    p<i><a> for psi, "1" for the empty monomial).  Each flavour's psibar bits
+    of S_a and psi bits of T_a are precomputed fragments, one per pair; a
+    row's mask is the OR and its name the join of its fragments, psibar
+    fragments of flavours 1..n before psi fragments.  A mask fixes every S_a
+    and T_a, so no two rows share one.  The arrays are read-only and the
+    labels a tuple: callers share them.
     """
     universe_size(n_colour, n_flavour)
-    pairs = tuple(_minor_pairs(n_colour))
-    table = []
-    for choice in product(range(len(pairs)), repeat=n_flavour):
-        k = sum(len(pairs[p][0]) for p in choice)
-        sign = -1 if k * (k - 1) // 2 % 2 else 1
-        table.append((_mask_for(choice, n_colour, n_flavour, pairs), sign, choice))
-    return pairs, tuple(table)
+    pairs = _minor_pairs(n_colour)
+    choices = np.indices((len(pairs),) * n_flavour).reshape(n_flavour, -1).T
+    k = np.array([len(s) for s, _ in pairs])[choices].sum(axis=1)
+    signs = np.where(k * (k - 1) // 2 % 2, -1, 1)
+    colours = range(n_colour)
+    bits = (  # bits[half][a][i]: the psibar (half 0) or psi (half 1) bit of colour i
+        [[1 << psibar_index(i, a, n_colour) for i in colours] for a in range(n_flavour)],
+        [[1 << psi_index(i, a, n_colour, n_flavour) for i in colours] for a in range(n_flavour)],
+    )
+    masks = np.zeros(len(choices), dtype=np.int64)
+    labels = np.full(len(choices), "", dtype=object)
+    for half, letter in enumerate("bp"):
+        sets = [pair[half] for pair in pairs]
+        for a, bit in enumerate(bits[half]):
+            name = [f"{letter}{i + 1}{a + 1} " for i in colours]
+            fragment_masks = np.array([sum([bit[i] for i in s]) for s in sets])
+            fragment_labels = np.array(["".join([name[i] for i in s]) for s in sets], dtype=object)
+            masks |= fragment_masks[choices[:, a]]
+            labels += fragment_labels[choices[:, a]]
+    for array in (choices, signs, masks):
+        array.setflags(write=False)
+    return choices, signs, masks, tuple(label.rstrip() or "1" for label in labels)
 
 
 def _batch_rows(width: int) -> int:
@@ -267,20 +282,6 @@ def _batch_rows(width: int) -> int:
     DEFAULT_BATCH rows, however narrow.
     """
     return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // width))
-
-
-def mask_label(mask: int, n_colour: int, n_flavour: int) -> str:
-    """Readable monomial name: b<i><a> for psibar, p<i><a> for psi."""
-    if mask == 0:
-        return "1"
-    names = []
-    nn = n_colour * n_flavour
-    for bit in range(2 * nn):
-        if mask >> bit & 1:
-            block, local = divmod(bit, nn)
-            a, i = divmod(local, n_colour)
-            names.append(f"{'b' if block == 0 else 'p'}{i + 1}{a + 1}")
-    return " ".join(names)
 
 
 def lhs_coefficient_means(
@@ -293,8 +294,8 @@ def lhs_coefficient_means(
 ) -> dict[int, tuple[float, float]]:
     """Haar-Monte-Carlo means of every monomial coefficient of the colour side.
 
-    Returns {mask: (mean, std_error)}; masks that cannot appear carry exact
-    zeros and are omitted.
+    Returns {mask: (mean, std_error)} over the rows of ``_lhs_structure``, in
+    table order, with the masks as Python ints.
 
     The coefficient of table row (c_1, ..., c_n) is sign * prod_a m_{c_a},
     with m the (B, P) minors of a batch of draws.  So the batch's sums over
@@ -306,11 +307,11 @@ def lhs_coefficient_means(
     """
     if group not in ("O", "SO"):
         raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
-    pairs, table = _lhs_structure(n_colour, n_flavour)
+    _, signs, masks, _ = _lhs_structure(n_colour, n_flavour)
+    count, _ = _minor_recursion(n_colour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
     )
-    signs = np.array([sign for _, sign, _ in table], dtype=float)
 
     def sums(gen, b):
         minors = _minor_dets(sampler(n_colour, b, gen))
@@ -324,12 +325,9 @@ def lhs_coefficient_means(
         samples,
         rng,
         workers,
-        batch=_batch_rows(len(pairs) ** max(1, n_flavour - 1)),
+        batch=_batch_rows(count ** max(1, n_flavour - 1)),
     )
-    out = {mask: (float(m), float(e)) for (mask, _, _), m, e in zip(table, mean, se)}
-    if len(out) != len(table):  # distinct flavour assignments, same monomial
-        raise AssertionError("monomial masks must be unique")
-    return out
+    return {mask: (float(m), float(e)) for mask, m, e in zip(masks.tolist(), mean, se)}
 
 
 # -- flavour-side coefficients (exact radial reduction, n <= 2) -------------
@@ -494,15 +492,15 @@ def verify_fermionic_cft(
     lhs = lhs_coefficient_means(
         n_colour, n_flavour, samples, rng, group="O", workers=workers
     )
+    _, _, masks, labels = _lhs_structure(n_colour, n_flavour)
+    label = dict(zip(masks.tolist(), labels))
 
     rows = []
     for mask in sorted(set(lhs) | set(rhs)):
         lv, ls = lhs.get(mask, (0.0, 0.0))
         rv, rs = rhs.get(mask, (0.0, 0.0))
         z = _z_score(abs(lv - rv), float(np.hypot(ls, rs)))
-        rows.append(
-            MonomialRow(mask, mask_label(mask, n_colour, n_flavour), lv, ls, rv, rs, z)
-        )
+        rows.append(MonomialRow(mask, label[mask], lv, ls, rv, rs, z))
     report = VerificationReport(
         "fermionic", n_colour, n_flavour, samples, threshold, rows
     )
@@ -591,24 +589,28 @@ def verify_bosonic_cft(
 # -- SO(N) variant -----------------------------------------------------------
 
 
-def _det_m0_terms(n_colour: int, pairs, table) -> dict[int, int]:
+def _det_m0_terms(n_colour: int, n_flavour: int) -> dict[int, int]:
     """Monomial coefficients of det(M_0), M_0[i, j] = sum_a psibar_i^a psi_j^a.
 
-    A table row carries det(M_0) only if its row sets S_a and its column sets
-    T_a each partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|!
-    permutations pi with pi(S_a) = T_a, each the row's monomial times
-    sign * sgn(pi_0), where pi_0 maps each sorted S_a onto the sorted T_a.
+    Read off the rows of ``_lhs_structure`` with sum_a |S_a| = N.  Such a row
+    carries det(M_0) only if its row sets S_a and its column sets T_a each
+    partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|! permutations
+    pi with pi(S_a) = T_a, each the row's monomial times sign * sgn(pi_0),
+    where pi_0 maps each sorted S_a onto the sorted T_a.
     """
+    choices, signs, masks, _ = _lhs_structure(n_colour, n_flavour)
+    pairs = _minor_pairs(n_colour)
+    k = np.array([len(s) for s, _ in pairs])[choices].sum(axis=1)
     full = list(range(n_colour))
     out = {}
-    for mask, sign, choice in table:
-        rows = [i for p in choice for i in pairs[p][0]]
-        cols = [j for p in choice for j in pairs[p][1]]
+    for r in np.flatnonzero(k == n_colour):
+        rows = [i for p in choices[r] for i in pairs[p][0]]
+        cols = [j for p in choices[r] for j in pairs[p][1]]
         if sorted(rows) == full == sorted(cols):
             # pi_0 sends rows[x] to cols[x]: sgn(pi_0) = sgn(rows) * sgn(cols)
             flips = sum(x > y for seq in (rows, cols) for x, y in combinations(seq, 2))
-            count = math.prod(math.factorial(len(pairs[p][0])) for p in choice)
-            out[mask] = (-1) ** flips * sign * count
+            count = math.prod(math.factorial(len(pairs[p][0])) for p in choices[r])
+            out[int(masks[r])] = (-1) ** flips * int(signs[r]) * count
     return out
 
 
@@ -635,11 +637,10 @@ def verify_son_cft(
         raise DomainError("need N >= 1 and n >= 1")
     if n_flavour > 2:
         raise ConfigError("exact flavour-side reduction implemented for n <= 2")
-    pairs, table = _lhs_structure(n_colour, n_flavour)
+    _, _, table_masks, labels = _lhs_structure(n_colour, n_flavour)
+    label = dict(zip(table_masks.tolist(), labels))
     kappa = float(n_colour + 1) if n_flavour == 2 else 1.0
-    b_coeffs = {
-        m: kappa * c for m, c in _det_m0_terms(n_colour, pairs, table).items()
-    }
+    b_coeffs = {m: kappa * c for m, c in _det_m0_terms(n_colour, n_flavour).items()}
     lhs = lhs_coefficient_means(
         n_colour, n_flavour, samples, rng, group="SO", workers=workers
     )
@@ -667,11 +668,7 @@ def verify_son_cft(
         bv = b_coeffs.get(mask, 0.0)
         rv = av + k_fit * bv
         z = _z_score(abs(lv - rv), ls)
-        rows.append(
-            MonomialRow(
-                mask, mask_label(mask, n_colour, n_flavour), lv, ls, rv, 0.0, z
-            )
-        )
+        rows.append(MonomialRow(mask, label[mask], lv, ls, rv, 0.0, z))
     report = VerificationReport(
         "son", n_colour, n_flavour, samples, threshold, rows
     )

@@ -316,14 +316,13 @@ def _run_moment(args) -> tuple[dict, int]:
         "z": _cnum(query.z),
         "g": list(g),
         "method": args.method,
-        "seed": args.seed,
-        "workers": args.workers,
     }
     if args.method == "closed":
         record["value"] = moment_m1_closed(query)
     elif args.method == "mc":
+        # only the Monte Carlo reads the seed and the shard count
         est = moment_mc(query, args.samples, RngStream(args.seed), args.workers)
-        record.update(_estimate_fields(est))
+        record.update(seed=args.seed, workers=args.workers, **_estimate_fields(est))
     else:
         est = moment_pfaffian_integral(query)
         record.update(_estimate_fields(est))

@@ -11,7 +11,7 @@ from ocft.cft import (
     BosonicMeasure, MonomialRow, VerificationReport, _batch_rows, _det_m0_terms,
     _lhs_structure, _minor_dets, _minor_pairs, _rhs_structure, _z_score,
     c0_fermionic_closed_form, c0_fermionic_selfconsistent, lhs_coefficient_means,
-    mask_label, normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
+    normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
     sidak_row_bound, verify_bosonic_cft, verify_fermionic_cft, verify_son_cft,
 )
 from ocft.errors import ConfigError, DomainError
@@ -66,14 +66,14 @@ def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
     return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
-def colour_coefficients(table):
-    """Map a (B, N, N) stack to the (B, len(table)) colour-side coefficients.
+def colour_coefficients(n_colour, n_flavour):
+    """Map a (B, N, N) stack to the (B, rows) colour-side coefficients.
 
-    Column t is sign_t * prod_a det(O[S_a, T_a]) over row t's flavour choices:
-    the row-wise oracle for the per-batch Gram sums of ``lhs_coefficient_means``.
+    Column t is sign_t * prod_a det(O[S_a, T_a]) over row t's flavour choices
+    in the ``_lhs_structure`` table: the row-wise oracle for the per-batch
+    Gram sums of ``lhs_coefficient_means``.
     """
-    signs = np.array([sign for _, sign, _ in table], dtype=float)
-    choices = np.array([choice for _, _, choice in table], dtype=int)
+    choices, signs, _, _ = _lhs_structure(n_colour, n_flavour)
     return lambda mats: signs * np.prod(_minor_dets(mats)[:, choices], axis=2)
 
 
@@ -85,9 +85,9 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     its two components.  SO(N) draws come from substream 1, O(N) draws
     from substream 2.
     """
-    _, table = _lhs_structure(n_colour, n_flavour)
-    width = len(table)
-    coefficients = colour_coefficients(table)
+    _, _, masks, labels = _lhs_structure(n_colour, n_flavour)
+    width = len(masks)
+    coefficients = colour_coefficients(n_colour, n_flavour)
 
     def components(gen, b):
         so = sample_special_orthogonal_batch(n_colour, b, gen)
@@ -105,25 +105,55 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     half = 0.5 * (split[:width] + split[width:])
     half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
     rows = [
-        MonomialRow(mask, mask_label(mask, n_colour, n_flavour), lv, float(ls), rv, float(rs),
+        MonomialRow(mask, label, lv, float(ls), rv, float(rs),
                     _z_score(abs(lv - rv), float(np.hypot(ls, rs))))
-        for (mask, _, _), lv, ls, rv, rs in zip(table, full, full_se, half, half_se)
+        for mask, label, lv, ls, rv, rs in zip(masks.tolist(), labels, full, full_se,
+                                               half, half_se)
     ]
     return VerificationReport(
         "reflection-split", n_colour, n_flavour, samples, cft.DEFAULT_THRESHOLD, rows
     )
 
 
+def mask_for(pair_choice, n_colour, n_flavour, pairs):
+    """A row's mask set one generator bit at a time."""
+    mask = 0
+    for a, p in enumerate(pair_choice):
+        s, t = pairs[p]
+        for i in s:
+            mask |= 1 << psibar_index(i, a, n_colour)
+        for i in t:
+            mask |= 1 << psi_index(i, a, n_colour, n_flavour)
+    return mask
+
+
+def mask_label(mask, n_colour, n_flavour):
+    """A mask's name decoded one bit at a time: b<i><a> for psibar, p<i><a>
+    for psi, in generator order, or "1" for the empty monomial."""
+    if mask == 0:
+        return "1"
+    names = []
+    nn = n_colour * n_flavour
+    for bit in range(2 * nn):
+        if mask >> bit & 1:
+            block, local = divmod(bit, nn)
+            a, i = divmod(local, n_colour)
+            names.append(f"{'b' if block == 0 else 'p'}{i + 1}{a + 1}")
+    return " ".join(names)
+
+
 def rebuilt_lhs_table(n_colour, n_flavour):
-    """The monomial table rebuilt from scratch, as ``_lhs_structure`` did on
-    every call before it was cached: the oracle for the cached rows."""
+    """The monomial table row by row, each mask set and decoded bit by bit:
+    the oracle for the fragment-built arrays of ``_lhs_structure``.  Rows are
+    (mask, sign, choice, label) in ``itertools.product`` order."""
     pairs = _minor_pairs(n_colour)
     table = []
     for choice in itertools.product(range(len(pairs)), repeat=n_flavour):
         k = sum(len(pairs[p][0]) for p in choice)
         sign = -1 if k * (k - 1) // 2 % 2 else 1
-        table.append((cft._mask_for(choice, n_colour, n_flavour, pairs), sign, choice))
-    return pairs, table
+        mask = mask_for(choice, n_colour, n_flavour, pairs)
+        table.append((mask, sign, choice, mask_label(mask, n_colour, n_flavour)))
+    return table
 
 
 def per_pair_minor_dets(o_batch, pairs):
@@ -328,31 +358,53 @@ class TestColourSideStructure:
         n_colour, n_flavour = shape
         rng = np.random.default_rng(11)
         o = rng.standard_normal((n_colour, n_colour))
-        pairs, table = _lhs_structure(n_colour, n_flavour)
+        choices, signs, masks, _ = _lhs_structure(n_colour, n_flavour)
         minors = _minor_dets(o[None])[0]
         exact = lhs_integrand(o, n_colour, n_flavour)
-        for mask, sign, choice in table:
-            pred = sign * np.prod(minors[list(choice)])
+        for mask, sign, choice in zip(masks.tolist(), signs, choices):
+            pred = sign * np.prod(minors[choice])
             assert pred == pytest.approx(
                 exact.coefficient(mask).real, abs=1e-12
             )
-        assert set(exact.terms) <= {m for m, _, _ in table}
+        assert set(exact.terms) <= set(masks.tolist())
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (8, 1)])
     def test_monomial_table_is_built_once(self, shape):
         structure = _lhs_structure(*shape)
         assert _lhs_structure(*shape) is structure
-        pairs, table = structure
-        assert isinstance(pairs, tuple) and isinstance(table, tuple)
-        want_pairs, want_table = rebuilt_lhs_table(*shape)
-        assert list(pairs) == want_pairs
-        assert list(table) == want_table
+        _, _, masks, labels = structure
+        assert masks.dtype == np.int64 and isinstance(labels, tuple)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(n_colour, n_flavour) for n_colour in range(1, 9) for n_flavour in range(1, 9)
+         if n_colour * n_flavour <= 8],
+    )
+    def test_fragment_table_matches_bitwise_oracle(self, shape):
+        choices, signs, masks, labels = _lhs_structure(*shape)
+        want = rebuilt_lhs_table(*shape)
+        assert masks.tolist() == [mask for mask, _, _, _ in want]
+        assert signs.tolist() == [sign for _, sign, _, _ in want]
+        assert [tuple(c) for c in choices.tolist()] == [choice for _, _, choice, _ in want]
+        assert list(labels) == [label for _, _, _, label in want]
+        assert len(set(masks.tolist())) == len(masks)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 1)])
+    def test_shared_tables_are_read_only(self, shape):
+        for array in _lhs_structure(*shape)[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        _, steps = cft._minor_recursion(shape[0])
+        for _, entries, smaller in steps:
+            for array in (entries, smaller):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0
 
     def test_balanced_grades_only(self):
         n_colour, n_flavour = 2, 2
         nn = n_colour * n_flavour
-        _, table = _lhs_structure(n_colour, n_flavour)
-        for mask, _, _ in table:
+        _, _, masks, _ = _lhs_structure(n_colour, n_flavour)
+        for mask in masks.tolist():
             bar = (mask & ((1 << nn) - 1)).bit_count()
             unbar = (mask >> nn).bit_count()
             assert bar == unbar
@@ -378,15 +430,16 @@ class TestColourSideStructure:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
     def test_gram_sums_match_row_oracle(self, shape, group):
         n_colour, n_flavour = shape
-        _, table = _lhs_structure(n_colour, n_flavour)
+        _, _, masks, _ = _lhs_structure(n_colour, n_flavour)
         sampler = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}[group]
-        coefficients = colour_coefficients(table)
+        coefficients = colour_coefficients(n_colour, n_flavour)
         rng = RngStream(40 + n_colour * n_flavour)
         # the same draws: the stream of normals does not depend on the batching
         mean, se = stream_mean(lambda gen, b: coefficients(sampler(n_colour, b, gen)),
                                3_000, rng, workers=2, batch=500)
         got = lhs_coefficient_means(n_colour, n_flavour, 3_000, rng, group, workers=2)
-        assert list(got) == [mask for mask, _, _ in table]
+        assert list(got) == masks.tolist()
+        assert all(type(mask) is int for mask in got)
         np.testing.assert_allclose([m for m, _ in got.values()], mean, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose([e for _, e in got.values()], se, rtol=1e-13, atol=1e-13)
 
@@ -428,10 +481,9 @@ class TestColourSideStructure:
         # E[det(O[S,T])^2] = 1/binom(N,k) over O(N)
         n_colour = 3
         means = lhs_coefficient_means(n_colour, 1, 200_000, RngStream(12))
-        pairs, table = _lhs_structure(n_colour, 1)
-        # the full-set pair has deterministic minor det(O) = +-1
-        full_mask = [m for m, _, c in table if pairs[c[0]][0] == (0, 1, 2)
-                     and pairs[c[0]][1] == (0, 1, 2)][0]
+        # the full-set pair, the last one, has deterministic minor det(O) = +-1
+        assert _minor_pairs(n_colour)[-1] == ((0, 1, 2), (0, 1, 2))
+        full_mask = int(_lhs_structure(n_colour, 1)[2][-1])
         mean, se = means[full_mask]
         assert abs(mean) <= 3 * se  # the two components cancel
 
@@ -547,10 +599,9 @@ class TestSonVerification:
          if n_colour * n_flavour <= 8],
     )
     def test_det_correction_matches_exterior_algebra(self, n_colour, n_flavour):
-        pairs, table = _lhs_structure(n_colour, n_flavour)
         exact = leibniz_det_m0(n_colour, n_flavour)
         assert exact and {m: c.real for m, c in exact.items()} == _det_m0_terms(
-            n_colour, pairs, table
+            n_colour, n_flavour
         )
 
     @pytest.mark.parametrize(

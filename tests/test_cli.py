@@ -154,6 +154,22 @@ class TestMoment:
         assert one["value"] != two["value"]
 
 
+    @pytest.mark.parametrize("method, m, named", [("closed", "1", False),
+                                                  ("pfaffian", "1", False),
+                                                  ("pfaffian", "2", False),
+                                                  ("mc", "2", True)])
+    def test_only_the_mc_record_names_seed_and_workers(self, method, m, named):
+        code, out, _ = invoke(["moment", "--n", "2", "--m", m, "--z", "1.3", "--g",
+                               "0.5,0.8", "--method", method, "--samples", "2000",
+                               "--seed", "4", "--workers", "2"])
+        assert code == 0
+        keys = list(json.loads(out))
+        assert keys[:6] == ["command", "n", "m", "z", "g", "method"]
+        if named:
+            assert keys[6:8] == ["seed", "workers"]
+        else:
+            assert "seed" not in keys and "workers" not in keys
+
     def test_mc_size_cap(self):
         from ocft.cli import MAX_HAAR_MOMENT_N
 
@@ -339,6 +355,20 @@ class TestVerifyCft:
         assert code == 0
         rec = json.loads(out)
         assert rec["passed"] and rec["max_abs_z"] <= rec["threshold"]
+
+    @pytest.mark.parametrize("variant, colors, flavors", [("fermionic", "2", "2"),
+                                                          ("son", "2", "2"),
+                                                          ("fermionic", "8", "1")])
+    def test_record_masks_are_python_ints(self, variant, colors, flavors):
+        # json.dumps refuses numpy integers with a TypeError that run() does not catch
+        from ocft.cli import _RUNNERS
+
+        args = build_parser().parse_args(
+            ["verify-cft", "--variant", variant, "--colors", colors, "--flavors", flavors,
+             "--samples", "20"])
+        record, _ = _RUNNERS["verify-cft"](args)
+        assert record["rows"] and all(type(row["mask"]) is int for row in record["rows"])
+        json.dumps(record)
 
     def test_verification_failure_exit_code(self):
         # an absurdly tight threshold forces exit code 3
