@@ -53,7 +53,6 @@ from .linalg import log_beta, log_gamma
 
 __all__ = [
     "BosonicMeasure",
-    "MonomialRow",
     "VerificationReport",
     "c0_fermionic_closed_form",
     "c0_fermionic_selfconsistent",
@@ -291,11 +290,11 @@ def lhs_coefficient_means(
     rng: RngStream,
     group: str = "O",
     workers: int = 1,
-) -> dict[int, tuple[float, float]]:
+) -> np.ndarray:
     """Haar-Monte-Carlo means of every monomial coefficient of the colour side.
 
-    Returns {mask: (mean, std_error)} over the rows of ``_lhs_structure``, in
-    table order, with the masks as Python ints.
+    Returns a (rows, 2) array of the means and standard errors over the rows
+    of ``_lhs_structure``, in table order.
 
     The coefficient of table row (c_1, ..., c_n) is sign * prod_a m_{c_a},
     with m the (B, P) minors of a batch of draws.  So the batch's sums over
@@ -307,7 +306,7 @@ def lhs_coefficient_means(
     """
     if group not in ("O", "SO"):
         raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
-    _, signs, masks, _ = _lhs_structure(n_colour, n_flavour)
+    _, signs, _, _ = _lhs_structure(n_colour, n_flavour)
     count, _ = _minor_recursion(n_colour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
@@ -327,81 +326,48 @@ def lhs_coefficient_means(
         workers,
         batch=_batch_rows(count ** max(1, n_flavour - 1)),
     )
-    return {mask: (float(m), float(e)) for mask, m, e in zip(masks.tolist(), mean, se)}
+    return np.stack([mean, se], axis=1)
 
 
 # -- flavour-side coefficients (exact radial reduction, n <= 2) -------------
 
 
-def _rhs_structure(n_colour: int):
-    """Monomial table of the two-flavour Z-side expansion.
+def rhs_exact_coefficients(n_colour: int, n_flavour: int) -> np.ndarray:
+    """Exact flavour-side coefficient of every row of ``_lhs_structure``, n <= 2.
 
-    Each monomial is a choice of colour subsets U (bar pairs) and V (unbar
-    pairs); the integrand coefficient is sign * a^{|U|} (-conj(a))^{|V|}
-    with a the single flavour parameter.  Signs come from the exact
-    exterior algebra.
+    For n = 1 the flavour matrix is 0 and only the constant row is nonzero.
+    For n = 2 the flavour side expands into the monomials
+    prod_{i in U} psibar_i^1 psibar_i^2 prod_{j in V} psi_j^1 psi_j^2 with
+    coefficient a^{|U|} (-conj(a))^{|V|}, a the single flavour parameter.
+    The phase integral kills every term with |U| != |V|, and the radial
+    moments are E[r^u] = 1 / binom(N, u), leaving sign * (-1)^u / binom(N, u)
+    with the sign of the product in the exact exterior algebra.  (U, V) is
+    then a minor pair p, and its monomial the table row of the choice
+    (p, p), row p (P + 1).  The tests check these against Monte-Carlo draws
+    of the measure.
     """
-    ngen = universe_size(n_colour, 2)
-    table = []
-    colours = range(n_colour)
-    for usize in range(n_colour + 1):
-        for u in combinations(colours, usize):
-            for vsize in range(n_colour + 1):
-                for v in combinations(colours, vsize):
-                    mv = Multivector.scalar(ngen)
-                    for i in u:
-                        pair = gmul(
-                            Multivector.generator(ngen, psibar_index(i, 0, n_colour)),
-                            Multivector.generator(ngen, psibar_index(i, 1, n_colour)),
-                        )
-                        mv = gmul(mv, pair)
-                    for i in v:
-                        pair = gmul(
-                            Multivector.generator(
-                                ngen, psi_index(i, 0, n_colour, 2)
-                            ),
-                            Multivector.generator(
-                                ngen, psi_index(i, 1, n_colour, 2)
-                            ),
-                        )
-                        mv = gmul(mv, pair)
-                    ((mask, coeff),) = mv.terms.items()
-                    table.append((mask, int(round(coeff.real)), usize, vsize))
-    return table
-
-
-def rhs_exact_coefficients(n_colour: int, n_flavour: int) -> dict[int, float]:
-    """Exact flavour-side coefficient of every monomial, n <= 2.
-
-    The radial moments of the n = 2 measure are E[r^u] = 1 / binom(N, u),
-    and the phase integral kills all terms with unequal bar/unbar pair
-    counts, leaving sign * (-1)^u / binom(N, u) on the surviving masks.
-    The tests check these against Monte-Carlo draws of the measure.
-    """
-    if n_flavour == 1:
-        return {0: 1.0}
-    if n_flavour != 2:
+    if n_flavour not in (1, 2):
         raise ConfigError("exact flavour-side reduction implemented for n <= 2")
-    out: dict[int, float] = {}
-    for mask, sign, u, v in _rhs_structure(n_colour):
-        if u != v:
-            continue
-        out[mask] = sign * (-1.0) ** u / math.comb(n_colour, u)
+    out = np.zeros(len(_lhs_structure(n_colour, n_flavour)[0]))
+    if n_flavour == 1:
+        out[0] = 1.0
+        return out
+    ngen = universe_size(n_colour, 2)
+    pairs = _minor_pairs(n_colour)
+    for p, (u, v) in enumerate(pairs):
+        bilinears = [(psibar_index(i, 0, n_colour), psibar_index(i, 1, n_colour)) for i in u]
+        bilinears += [(psi_index(j, 0, n_colour, 2), psi_index(j, 1, n_colour, 2)) for j in v]
+        mv = Multivector.scalar(ngen)
+        for first, second in bilinears:
+            pair = gmul(Multivector.generator(ngen, first), Multivector.generator(ngen, second))
+            mv = gmul(mv, pair)
+        ((_, coeff),) = mv.terms.items()
+        sign = int(round(coeff.real))
+        out[p * (len(pairs) + 1)] = sign * (-1.0) ** len(u) / math.comb(n_colour, len(u))
     return out
 
 
 # -- reports ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonomialRow:
-    mask: int
-    label: str
-    lhs: complex
-    lhs_se: float
-    rhs: complex
-    rhs_se: float
-    z_score: float
 
 
 def sidak_row_bound(threshold: float, rows: int) -> float:
@@ -428,10 +394,12 @@ def sidak_row_bound(threshold: float, rows: int) -> float:
 class VerificationReport:
     """Rows of a verification run; ``threshold`` is the single-row |z| level.
 
-    The verdict is family-wise: every row is held to the Sidak-corrected
-    ``row_threshold`` over the ``rows_tested`` rows that carry a nonzero
-    standard error, so the chance of a false failure does not grow with the
-    number of monomials.
+    Row r compares ``lhs[r]`` (standard error ``lhs_se[r]``) with ``rhs[r]``
+    (``rhs_se[r]``) on the monomial ``masks[r]``, or on probe point r, named
+    ``labels[r]``.  The verdict is family-wise: every row is held to the
+    Sidak-corrected ``row_threshold`` over the ``rows_tested`` rows that
+    carry a nonzero standard error, so the chance of a false failure does
+    not grow with the number of monomials.
     """
 
     variant: str
@@ -439,16 +407,30 @@ class VerificationReport:
     n_flavour: int
     samples: int
     threshold: float
-    rows: list[MonomialRow] = field(default_factory=list)
+    masks: np.ndarray
+    labels: tuple[str, ...]
+    lhs: np.ndarray
+    lhs_se: np.ndarray
+    rhs: np.ndarray
+    rhs_se: np.ndarray
     extras: dict = field(default_factory=dict)
 
     @property
+    def z_scores(self) -> np.ndarray:
+        """|lhs - rhs| / max(hypot(lhs_se, rhs_se), Z_SE_FLOOR), row by row."""
+        # the modulus as a hypot: numpy's vectorised complex abs can differ
+        # from the scalar one in the last bit
+        delta = self.lhs - self.rhs
+        se = np.hypot(self.lhs_se, self.rhs_se)
+        return np.hypot(delta.real, delta.imag) / np.maximum(se, Z_SE_FLOOR)
+
+    @property
     def max_abs_z(self) -> float:
-        return float(max((r.z_score for r in self.rows), default=0.0))
+        return float(self.z_scores.max(initial=0.0))
 
     @property
     def rows_tested(self) -> int:
-        return sum(1 for r in self.rows if math.hypot(r.lhs_se, r.rhs_se) > 0.0)
+        return int(np.count_nonzero(np.hypot(self.lhs_se, self.rhs_se) > 0.0))
 
     @property
     def row_threshold(self) -> float:
@@ -458,15 +440,60 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.max_abs_z <= self.row_threshold
 
-    def row(self, mask: int) -> MonomialRow:
-        for r in self.rows:
-            if r.mask == mask:
-                return r
-        raise KeyError(f"no monomial with mask {mask:#x}")
 
+def _verify_table(
+    variant: str,
+    n_colour: int,
+    n_flavour: int,
+    samples: int,
+    rng: RngStream,
+    threshold: float,
+    workers: int,
+) -> VerificationReport:
+    """Both sides of the fermionic or the SO(N) identity on every monomial.
 
-def _z_score(delta: float, se: float) -> float:
-    return float(abs(delta)) / max(float(se), Z_SE_FLOOR)
+    The colour side is Haar Monte Carlo over O(N) ("fermionic") or SO(N)
+    ("son"), the flavour side the exact radial reduction
+    (:func:`rhs_exact_coefficients`); SO(N) adds K times the kappa det(M_0)
+    column (see :func:`verify_son_cft`).  Both sides are arrays over the
+    rows of ``_lhs_structure``; the report lists the rows sorted by mask.
+    """
+    if n_colour < 1 or n_flavour < 1:
+        raise DomainError("need N >= 1 and n >= 1")
+    # the flavour side rejects n >= 3, and the colour side's monomial table
+    # N*n > 8, before anything is sampled
+    rhs = rhs_exact_coefficients(n_colour, n_flavour)
+    _, _, masks, labels = _lhs_structure(n_colour, n_flavour)
+    order = np.argsort(masks)
+    group = "O" if variant == "fermionic" else "SO"
+    means = lhs_coefficient_means(n_colour, n_flavour, samples, rng, group, workers)
+    lhs, lhs_se = means[order].T
+    rhs = rhs[order]
+    extras = {}
+    if group == "SO":
+        kappa = float(n_colour + 1) if n_flavour == 2 else 1.0
+        correction = kappa * _det_m0_terms(n_colour, n_flavour)[order]
+        fit = np.flatnonzero(correction)
+        # weighted least squares, summed in mask order as Python floats
+        num = den = 0.0
+        for ls, b, d in zip(
+            lhs_se[fit].tolist(), correction[fit].tolist(), (lhs - rhs)[fit].tolist()
+        ):
+            w = 1.0 / max(ls, Z_SE_FLOOR) ** 2
+            num += w * b * d
+            den += w * b * b
+        if den == 0.0:
+            raise ConfigError("no monomial carries the det correction; cannot fit K")
+        k_fit = num / den
+        rhs = rhs + k_fit * correction
+        extras = {"fitted_k": k_fit, "kappa": kappa}
+    elif n_flavour == 2:
+        extras = {"normalization_ratio": normalization_audit(n_colour)["ratio"]}
+    return VerificationReport(
+        variant, n_colour, n_flavour, samples, threshold, masks[order],
+        tuple(labels[r] for r in order.tolist()), lhs, lhs_se, rhs, np.zeros_like(rhs),
+        extras,
+    )
 
 
 def verify_fermionic_cft(
@@ -480,33 +507,12 @@ def verify_fermionic_cft(
     """Coefficient-wise comparison of the two sides of the fermionic identity.
 
     The colour side is Haar Monte Carlo over O(N); the flavour side is the
-    exact radial reduction (:func:`rhs_exact_coefficients`).  Coefficients
-    absent from both sides are identically zero and not listed; the
-    constant monomial must match exactly.
+    exact radial reduction (:func:`rhs_exact_coefficients`).  Every monomial
+    of the colour side's table is a row; coefficients outside it are
+    identically zero on both sides.  The constant monomial must match
+    exactly.  N*n <= 8 and n <= 2.
     """
-    if n_colour < 1 or n_flavour < 1:
-        raise DomainError("need N >= 1 and n >= 1")
-    # the flavour side rejects n >= 3, and the colour side's monomial table
-    # N*n > 8, before anything is sampled
-    rhs = {m: (v, 0.0) for m, v in rhs_exact_coefficients(n_colour, n_flavour).items()}
-    lhs = lhs_coefficient_means(
-        n_colour, n_flavour, samples, rng, group="O", workers=workers
-    )
-    _, _, masks, labels = _lhs_structure(n_colour, n_flavour)
-    label = dict(zip(masks.tolist(), labels))
-
-    rows = []
-    for mask in sorted(set(lhs) | set(rhs)):
-        lv, ls = lhs.get(mask, (0.0, 0.0))
-        rv, rs = rhs.get(mask, (0.0, 0.0))
-        z = _z_score(abs(lv - rv), float(np.hypot(ls, rs)))
-        rows.append(MonomialRow(mask, label[mask], lv, ls, rv, rs, z))
-    report = VerificationReport(
-        "fermionic", n_colour, n_flavour, samples, threshold, rows
-    )
-    if n_flavour == 2:
-        report.extras["normalization_ratio"] = normalization_audit(n_colour)["ratio"]
-    return report
+    return _verify_table("fermionic", n_colour, n_flavour, samples, rng, threshold, workers)
 
 
 def _probe_pair(gen, n_colour: int, n_flavour: int, norm: float = 0.5):
@@ -572,37 +578,30 @@ def verify_bosonic_cft(
     lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers)
     rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers)
 
-    rows = []
-    for p in range(probes):
-        ls, rs = float(lhs_se[p]), float(rhs_se[p])
-        z = _z_score(abs(lhs[p] - rhs[p]), float(np.hypot(ls, rs)))
-        rows.append(
-            MonomialRow(p, f"probe{p + 1}", complex(lhs[p]), ls, complex(rhs[p]), rs, z)
-        )
-    report = VerificationReport(
-        "bosonic", n_colour, n_flavour, samples, threshold, rows
+    return VerificationReport(
+        "bosonic", n_colour, n_flavour, samples, threshold, np.arange(probes),
+        tuple(f"probe{p + 1}" for p in range(probes)), lhs, lhs_se, rhs, rhs_se,
+        {"probes": probes},
     )
-    report.extras["probes"] = probes
-    return report
 
 
 # -- SO(N) variant -----------------------------------------------------------
 
 
-def _det_m0_terms(n_colour: int, n_flavour: int) -> dict[int, int]:
+def _det_m0_terms(n_colour: int, n_flavour: int) -> np.ndarray:
     """Monomial coefficients of det(M_0), M_0[i, j] = sum_a psibar_i^a psi_j^a.
 
-    Read off the rows of ``_lhs_structure`` with sum_a |S_a| = N.  Such a row
+    One float per row of ``_lhs_structure``, read off the rows of ``_lhs_structure`` with sum_a |S_a| = N.  Such a row
     carries det(M_0) only if its row sets S_a and its column sets T_a each
     partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|! permutations
     pi with pi(S_a) = T_a, each the row's monomial times sign * sgn(pi_0),
     where pi_0 maps each sorted S_a onto the sorted T_a.
     """
-    choices, signs, masks, _ = _lhs_structure(n_colour, n_flavour)
+    choices, signs, _, _ = _lhs_structure(n_colour, n_flavour)
     pairs = _minor_pairs(n_colour)
     k = np.array([len(s) for s, _ in pairs])[choices].sum(axis=1)
     full = list(range(n_colour))
-    out = {}
+    out = np.zeros(len(choices))
     for r in np.flatnonzero(k == n_colour):
         rows = [i for p in choices[r] for i in pairs[p][0]]
         cols = [j for p in choices[r] for j in pairs[p][1]]
@@ -610,7 +609,7 @@ def _det_m0_terms(n_colour: int, n_flavour: int) -> dict[int, int]:
             # pi_0 sends rows[x] to cols[x]: sgn(pi_0) = sgn(rows) * sgn(cols)
             flips = sum(x > y for seq in (rows, cols) for x, y in combinations(seq, 2))
             count = math.prod(math.factorial(len(pairs[p][0])) for p in choices[r])
-            out[int(masks[r])] = (-1) ** flips * int(signs[r]) * count
+            out[r] = (-1) ** flips * int(signs[r]) * count
     return out
 
 
@@ -633,45 +632,4 @@ def verify_son_cft(
     reported; it comes out as 1/(kappa N!).  N*n <= 8, as in the fermionic
     variant.
     """
-    if n_colour < 1 or n_flavour < 1:
-        raise DomainError("need N >= 1 and n >= 1")
-    if n_flavour > 2:
-        raise ConfigError("exact flavour-side reduction implemented for n <= 2")
-    _, _, table_masks, labels = _lhs_structure(n_colour, n_flavour)
-    label = dict(zip(table_masks.tolist(), labels))
-    kappa = float(n_colour + 1) if n_flavour == 2 else 1.0
-    b_coeffs = {m: kappa * c for m, c in _det_m0_terms(n_colour, n_flavour).items()}
-    lhs = lhs_coefficient_means(
-        n_colour, n_flavour, samples, rng, group="SO", workers=workers
-    )
-    a_coeffs = rhs_exact_coefficients(n_colour, n_flavour)
-
-    masks = sorted(set(lhs) | set(a_coeffs) | set(b_coeffs))
-    num = den = 0.0
-    for mask in masks:
-        lv, ls = lhs.get(mask, (0.0, 0.0))
-        av = a_coeffs.get(mask, 0.0)
-        bv = b_coeffs.get(mask, 0.0)
-        if bv == 0.0:
-            continue
-        w = 1.0 / max(ls, Z_SE_FLOOR) ** 2
-        num += w * bv * (lv - av)
-        den += w * bv * bv
-    if den == 0.0:
-        raise ConfigError("no monomial carries the det correction; cannot fit K")
-    k_fit = num / den
-
-    rows = []
-    for mask in masks:
-        lv, ls = lhs.get(mask, (0.0, 0.0))
-        av = a_coeffs.get(mask, 0.0)
-        bv = b_coeffs.get(mask, 0.0)
-        rv = av + k_fit * bv
-        z = _z_score(abs(lv - rv), ls)
-        rows.append(MonomialRow(mask, label[mask], lv, ls, rv, 0.0, z))
-    report = VerificationReport(
-        "son", n_colour, n_flavour, samples, threshold, rows
-    )
-    report.extras["fitted_k"] = k_fit
-    report.extras["kappa"] = kappa
-    return report
+    return _verify_table("son", n_colour, n_flavour, samples, rng, threshold, workers)

@@ -383,45 +383,28 @@ def _run_ginibre(args) -> tuple[dict, int]:
 
 def _run_verify(args) -> tuple[dict, int]:
     rng = RngStream(args.seed)
-    if args.variant == "fermionic":
-        report = verify_fermionic_cft(
-            args.colors,
-            args.flavors,
-            args.samples,
-            rng,
-            threshold=args.threshold,
-            workers=args.workers,
-        )
-    elif args.variant == "bosonic":
+    options = {"threshold": args.threshold, "workers": args.workers}
+    if args.variant == "bosonic":
         report = verify_bosonic_cft(
-            args.colors,
-            args.flavors,
-            args.probes,
-            args.samples,
-            rng,
-            threshold=args.threshold,
-            workers=args.workers,
+            args.colors, args.flavors, args.probes, args.samples, rng, **options
         )
     else:
-        report = verify_son_cft(
-            args.colors,
-            args.flavors,
-            args.samples,
-            rng,
-            threshold=args.threshold,
-            workers=args.workers,
-        )
+        verify = verify_fermionic_cft if args.variant == "fermionic" else verify_son_cft
+        report = verify(args.colors, args.flavors, args.samples, rng, **options)
+    columns = (report.lhs, report.lhs_se, report.rhs, report.rhs_se, report.z_scores)
     rows = [
         {
-            "mask": r.mask,
-            "label": r.label,
-            "lhs": _cnum(r.lhs),
-            "lhs_se": r.lhs_se,
-            "rhs": _cnum(r.rhs),
-            "rhs_se": r.rhs_se,
-            "z_score": r.z_score if np.isfinite(r.z_score) else 1e308,
+            "mask": mask,
+            "label": label,
+            "lhs": _cnum(lhs),
+            "lhs_se": lhs_se,
+            "rhs": _cnum(rhs),
+            "rhs_se": rhs_se,
+            "z_score": z if math.isfinite(z) else 1e308,
         }
-        for r in report.rows
+        for mask, label, lhs, lhs_se, rhs, rhs_se, z in zip(
+            report.masks.tolist(), report.labels, *(c.tolist() for c in columns)
+        )
     ]
     record = {
         "command": "verify-cft",

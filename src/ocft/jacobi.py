@@ -284,12 +284,12 @@ def _s_ratio(moments, lg: complex, reference_lg: complex) -> complex:
     return num / den
 
 
-def jacobi_pfaffian(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
-    """Pfaffian-assembled Jacobi average, as the ratio S(lg) / S(reference).
+def jacobi_pfaffian(query: JacobiQuery) -> complex:
+    """Pfaffian-assembled Jacobi average, as the ratio S(lg) / S(1).
 
     The inner moments are the exact rational coefficients of the kernel
     Pfaffian pf[A(c)] in c (:func:`_pfaffian_moments`, N+1 Pfaffians) and
-    the r-integral is exact, so lg = 0 is a valid query and reference.
+    the r-integral is exact, so lg = 0 is a valid query.
     Above N = ``MAX_PFAFFIAN_N`` or a + b = ``MAX_PFAFFIAN_AB`` the exact
     arithmetic takes seconds and the route raises ``ConfigError``.
     """
@@ -299,18 +299,18 @@ def jacobi_pfaffian(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
             f"a + b = {MAX_PFAFFIAN_AB}"
         )
     moments = _pfaffian_moments(query.n, query.a, query.b)
-    return _s_ratio(moments, query.lg, reference_lg)
+    return _s_ratio(moments, query.lg, 1.0)
 
 
-def jacobi_quadrature(query: JacobiQuery, reference_lg: complex = 1.0) -> complex:
-    """Direct-quadrature Jacobi average, as the ratio S(lg) / S(reference).
+def jacobi_quadrature(query: JacobiQuery) -> complex:
+    """Direct-quadrature Jacobi average, as the ratio S(lg) / S(1).
 
     The inner moments are degree-sized nested quadrature of the unfactored
-    product prod_i (lg + r g_i^2), so lg = 0 is a valid query and reference;
-    the r-integral is exact.
+    product prod_i (lg + r g_i^2), so lg = 0 is a valid query; the
+    r-integral is exact.
     """
     moments = _inner_moments(query.n, query.a, query.b)
-    return _s_ratio(moments, query.lg, reference_lg)
+    return _s_ratio(moments, query.lg, 1.0)
 
 
 def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:

@@ -11,9 +11,12 @@ Three routes to the same quantity, used to cross-check each other:
                                  exact U(4) quadrature at m = 2 for complex z);
 * ``moment_mc``               -- brute-force Haar average of the determinant.
 
-m = 1 and m = 2 share one path: a tensor grid over the block radii
-(``_radial_grid``), the canonical skew matrices on it
-(``_skew_sigma_blocks``) and batched kernel Pfaffians (``_pf_product``).
+m = 1 and m = 2 share one tensor grid over the block radii
+(``_radial_grid``).  At m = 1, and at m = 2 for real z, the kernels are
+built on the canonical skew matrices of that grid (``_skew_sigma_blocks``)
+and their Pfaffians taken in batches (``_pf_product``); for complex z at
+m = 2 each kernel Pfaffian is a closed form (``_m2_kernel_pfaffian``)
+averaged over the U(4) factor, and no kernel is built.
 The flavour-space integral carries an overall constant that is fixed by
 the G = 0 calibration point F_0(1) = 1: the same integral is evaluated with
 G and with the calibration pair on identical nodes and only the ratio is
@@ -182,11 +185,14 @@ def _skew_sigma_blocks(t: np.ndarray) -> np.ndarray:
     return sig
 
 
-# Gauss-Legendre nodes per block radius of the m-th moment's grid
+# Gauss-Legendre nodes per block radius of the m-th moment's grid; in t = r/(1+r)
+# the integrand is a polynomial of degree N + 4m - 4 per radius, which the
+# grid integrates exactly while that degree is below 2 nodes, so the route is
+# capped at N = 2 nodes - 4m + 3: 255 at m = 1 and 59 at m = 2
 _GRID_NODES = {1: 128, 2: 32}
 
 
-def _radial_grid(query_n: int, m: int):
+def _radial_grid(m: int):
     """Tensor quadrature grid over the m squared block radii t_1..t_m.
 
     The flat measure on complex skew 2m x 2m matrices factorises under the
@@ -196,7 +202,10 @@ def _radial_grid(query_n: int, m: int):
 
     with t_i the squared block radii (det(1 + Z Z^dagger) = prod (1+t_i)^2),
     and the flavour density is prod_i (1+t_i)^{-(N+4m-2)}.  Returns the
-    (K, m) nodes and weights that fold in the Jacobian and the density.
+    (K, m) nodes and weights that fold in the Jacobian and the density's
+    prod_i (1+t_i)^{-(4m-2)}; the other prod_i (1+t_i)^{-N} is one factor
+    1 / prod_i (1+t_i) per kernel Pfaffian, which keeps the N-fold products
+    in float64 range where the density alone would underflow.
     """
     r, w = half_line_nodes(_GRID_NODES[m])
 
@@ -204,17 +213,18 @@ def _radial_grid(query_n: int, m: int):
         return np.stack([c.ravel() for c in np.meshgrid(*([x] * m), indexing="ij")], 1)
 
     t = tensor(r)
-    dens = np.prod(1.0 + t, axis=1) ** (-(query_n + 4.0 * m - 2.0))
+    dens = np.prod(1.0 + t, axis=1) ** (-(4.0 * m - 2.0))
     for i in range(m):
         for j in range(i + 1, m):
             dens = (t[:, i] - t[:, j]) ** 4 * dens
     return t, np.prod(tensor(w), axis=1) * dens
 
 
-def _pf_product(z_batch: np.ndarray, g_values, z: complex, m: int) -> np.ndarray:
+def _pf_product(z_batch: np.ndarray, scale: np.ndarray, g_values, z: complex, m: int):
+    """prod_i pf(kernel(g_i)) / scale over a (B, 2m, 2m) stack and its B scales."""
     out = np.ones(z_batch.shape[0], dtype=complex)
     for gi in g_values:
-        out *= pfaffian_batch(_kernel_batch(z_batch, float(gi), z, m))
+        out *= pfaffian_batch(_kernel_batch(z_batch, float(gi), z, m)) / scale
     return out
 
 
@@ -287,13 +297,21 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     """
     if query.m > 2:
         raise ConfigError("flavour-space integral implemented for m <= 2 only")
-    radii, t_weights = _radial_grid(query.n, query.m)
+    nodes = _GRID_NODES[query.m]
+    cap = 2 * nodes - 4 * query.m + 3
+    if query.n > cap:
+        raise ConfigError(
+            f"flavour-space integral at m = {query.m} capped at N = {cap}, "
+            f"where its {nodes}-node radial grid stops being exact"
+        )
+    radii, t_weights = _radial_grid(query.m)
+    scale = np.prod(1.0 + radii, axis=1)
     sigma = _skew_sigma_blocks(radii)
-    den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, query.m) @ t_weights)
+    den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0, query.m) @ t_weights)
 
     z = query.z.real if query.z.imag == 0 else query.z
     if query.m == 1 or z.imag == 0:
-        num = complex(_pf_product(sigma, query.g, z, query.m) @ t_weights)
+        num = complex(_pf_product(sigma, scale, query.g, z, query.m) @ t_weights)
         return _finite(Estimate((num / den).real, 0.0, 0), query)
     if query.n > MAX_M2_COMPLEX_N:
         raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
@@ -308,6 +326,6 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
         p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
         fg = np.ones(p.shape, dtype=complex)
         for gi in query.g:
-            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z)
+            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
         num += u_weights[tile] @ (fg @ t_weights)
     return _finite(Estimate((num / den).real, 0.0, 0), query)

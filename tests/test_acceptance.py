@@ -198,7 +198,7 @@ class TestCriterion5FermionicCft:
             rep = verify_fermionic_cft(n_colour, 2, MILLION, RngStream(seed))
             worst = max(worst, rep.max_abs_z)
             assert rep.passed, f"(N,n)=({n_colour},2): max|z| = {rep.max_abs_z:.2f}"
-            assert rep.row(0).lhs == 1.0 and rep.row(0).rhs == 1.0
+            assert rep.masks[0] == 0 and rep.lhs[0] == 1.0 and rep.rhs[0] == 1.0
         elapsed = time.perf_counter() - started
         assert elapsed < 900.0
         report(

@@ -8,8 +8,8 @@ from scipy import integrate
 from grassmann_oracles import lhs_integrand
 from ocft import cft
 from ocft.cft import (
-    BosonicMeasure, MonomialRow, VerificationReport, _batch_rows, _det_m0_terms,
-    _lhs_structure, _minor_dets, _minor_pairs, _rhs_structure, _z_score,
+    BosonicMeasure, VerificationReport, _batch_rows, _det_m0_terms,
+    _lhs_structure, _minor_dets, _minor_pairs,
     c0_fermionic_closed_form, c0_fermionic_selfconsistent, lhs_coefficient_means,
     normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
     sidak_row_bound, verify_bosonic_cft, verify_fermionic_cft, verify_son_cft,
@@ -44,18 +44,52 @@ def sample_fermionic_z(n_colour, n_flavour, rng, count=1):
     return z
 
 
+def rhs_structure(n_colour):
+    """Monomial table of the two-flavour Z-side expansion.
+
+    Each monomial is a choice of colour subsets U (bar pairs) and V (unbar
+    pairs), including |U| != |V|; the integrand coefficient is
+    sign * a^{|U|} (-conj(a))^{|V|} with a the single flavour parameter.
+    Rows are (mask, sign, |U|, |V|), the signs from the exact exterior
+    algebra, one product per pair.
+    """
+    ngen = universe_size(n_colour, 2)
+    table = []
+    colours = range(n_colour)
+    for usize in range(n_colour + 1):
+        for u in itertools.combinations(colours, usize):
+            for vsize in range(n_colour + 1):
+                for v in itertools.combinations(colours, vsize):
+                    mv = Multivector.scalar(ngen)
+                    for i in u:
+                        pair = gmul(
+                            Multivector.generator(ngen, psibar_index(i, 0, n_colour)),
+                            Multivector.generator(ngen, psibar_index(i, 1, n_colour)),
+                        )
+                        mv = gmul(mv, pair)
+                    for i in v:
+                        pair = gmul(
+                            Multivector.generator(ngen, psi_index(i, 0, n_colour, 2)),
+                            Multivector.generator(ngen, psi_index(i, 1, n_colour, 2)),
+                        )
+                        mv = gmul(mv, pair)
+                    ((mask, coeff),) = mv.terms.items()
+                    table.append((mask, int(round(coeff.real)), usize, vsize))
+    return table
+
+
 def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
     """Monte-Carlo estimate of the flavour-side coefficients, n <= 2.
 
-    The sampling oracle for ``rhs_exact_coefficients``; the top-coefficient
-    estimator has infinite variance at N = 1 (the measure is too
-    heavy-tailed there).
+    The sampling oracle for ``rhs_exact_coefficients``, as {mask: (mean,
+    std_error)} over every (U, V) monomial; the top-coefficient estimator
+    has infinite variance at N = 1 (the measure is too heavy-tailed there).
     """
     if n_flavour == 1:
         return {0: (1.0, 0.0)}
     if n_flavour != 2:
         raise ConfigError("flavour-side sampling implemented for n <= 2")
-    table = _rhs_structure(n_colour)
+    table = rhs_structure(n_colour)
     signs, u, v = (np.array([row[col] for row in table]) for col in (1, 2, 3))
 
     def values(gen, b):
@@ -64,6 +98,23 @@ def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
 
     mean, se = stream_mean(values, samples, rng, batch=_batch_rows(len(table)))
     return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
+
+
+def scalar_z_scores(report):
+    """A report's z-scores, tested-row count and largest |z|, one row at a
+    time in Python scalars: the oracle of the array arithmetic of
+    ``VerificationReport``."""
+    columns = [c.tolist() for c in (report.lhs, report.lhs_se, report.rhs, report.rhs_se)]
+    z = [abs(lv - rv) / max(float(np.hypot(ls, rs)), cft.Z_SE_FLOOR)
+         for lv, ls, rv, rs in zip(*columns)]
+    tested = sum(1 for _, ls, _, rs in zip(*columns) if math.hypot(ls, rs) > 0.0)
+    return z, tested, max(z, default=0.0)
+
+
+def table_dict(n_colour, n_flavour, values):
+    """{mask: value} over the nonzero entries of an array over the table rows."""
+    masks = _lhs_structure(n_colour, n_flavour)[2]
+    return {mask: v for mask, v in zip(masks.tolist(), values.tolist()) if v}
 
 
 def colour_coefficients(n_colour, n_flavour):
@@ -104,14 +155,9 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     full, full_se = stream_mean(full_group, samples, rng.substream(2), batch=_batch_rows(width))
     half = 0.5 * (split[:width] + split[width:])
     half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
-    rows = [
-        MonomialRow(mask, label, lv, float(ls), rv, float(rs),
-                    _z_score(abs(lv - rv), float(np.hypot(ls, rs))))
-        for mask, label, lv, ls, rv, rs in zip(masks.tolist(), labels, full, full_se,
-                                               half, half_se)
-    ]
     return VerificationReport(
-        "reflection-split", n_colour, n_flavour, samples, cft.DEFAULT_THRESHOLD, rows
+        "reflection-split", n_colour, n_flavour, samples, cft.DEFAULT_THRESHOLD, masks,
+        labels, full, full_se, half, half_se,
     )
 
 
@@ -438,10 +484,15 @@ class TestColourSideStructure:
         mean, se = stream_mean(lambda gen, b: coefficients(sampler(n_colour, b, gen)),
                                3_000, rng, workers=2, batch=500)
         got = lhs_coefficient_means(n_colour, n_flavour, 3_000, rng, group, workers=2)
-        assert list(got) == masks.tolist()
-        assert all(type(mask) is int for mask in got)
-        np.testing.assert_allclose([m for m, _ in got.values()], mean, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose([e for _, e in got.values()], se, rtol=1e-13, atol=1e-13)
+        assert got.shape == (len(masks), 2)
+        np.testing.assert_allclose(got[:, 0], mean, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got[:, 1], se, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 1)])
+    def test_lhs_means_have_one_row_per_monomial(self, shape):
+        # perfbench's cft.lhs.monomials counts the rows as len(result)
+        means = lhs_coefficient_means(*shape, 2, RngStream(0))
+        assert len(means) == len(_lhs_structure(*shape)[0])
 
     @pytest.mark.parametrize("group", ["O", "SO"])
     def test_lhs_means_do_not_depend_on_the_row_cap(self, group, monkeypatch):
@@ -454,10 +505,10 @@ class TestColourSideStructure:
         monkeypatch.setattr(cft, "BATCH_ENTRIES", 7 * width)
         assert cft._batch_rows(width) == 7
         capped = lhs_coefficient_means(*args, workers=2)
-        assert capped.keys() == default.keys()
-        for mask, (mean, se) in default.items():
-            assert capped[mask][0] == pytest.approx(mean, rel=1e-13, abs=1e-13)
-            assert capped[mask][1] == pytest.approx(se, rel=1e-12, abs=1e-15)
+        assert capped.shape == default.shape
+        for (mean, se), (capped_mean, capped_se) in zip(default, capped):
+            assert capped_mean == pytest.approx(mean, rel=1e-13, abs=1e-13)
+            assert capped_se == pytest.approx(se, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("shape, rows", [((2, 2), 20_000), ((3, 2), 13_107),
                                              ((2, 3), 7_281), ((8, 1), 20)])
@@ -483,17 +534,24 @@ class TestColourSideStructure:
         means = lhs_coefficient_means(n_colour, 1, 200_000, RngStream(12))
         # the full-set pair, the last one, has deterministic minor det(O) = +-1
         assert _minor_pairs(n_colour)[-1] == ((0, 1, 2), (0, 1, 2))
-        full_mask = int(_lhs_structure(n_colour, 1)[2][-1])
-        mean, se = means[full_mask]
+        mean, se = means[-1]
         assert abs(mean) <= 3 * se  # the two components cancel
 
 
 class TestFlavourSideCoefficients:
     def test_single_flavour_constant_only(self):
-        assert rhs_exact_coefficients(3, 1) == {0: 1.0}
+        rows = len(_lhs_structure(3, 1)[0])
+        assert rhs_exact_coefficients(3, 1).tolist() == [1.0] + [0.0] * (rows - 1)
+
+    @pytest.mark.parametrize("n_colour", [1, 2, 3, 4])
+    def test_exact_matches_structure_oracle(self, n_colour):
+        # the phase integral keeps |U| = |V|; the radial one gives (-1)^u / binom(N, u)
+        want = {mask: sign * (-1.0) ** u / math.comb(n_colour, u)
+                for mask, sign, u, v in rhs_structure(n_colour) if u == v}
+        assert table_dict(n_colour, 2, rhs_exact_coefficients(n_colour, 2)) == want
 
     def test_exact_matches_sampling(self):
-        exact = rhs_exact_coefficients(2, 2)
+        exact = table_dict(2, 2, rhs_exact_coefficients(2, 2))
         sampled = rhs_mc_coefficients(2, 2, 300_000, RngStream(13))
         for mask, (mean, se) in sampled.items():
             target = exact.get(mask, 0.0)
@@ -516,15 +574,15 @@ class TestFermionicVerification:
 
     def test_constant_term_exact(self):
         report = verify_fermionic_cft(2, 2, 1000, RngStream(15))
-        row = report.row(0)
-        assert row.lhs == 1.0 and row.rhs == 1.0 and row.z_score == 0.0
+        assert report.masks[0] == 0  # rows are sorted by mask
+        assert report.lhs[0] == 1.0 and report.rhs[0] == 1.0 and report.z_scores[0] == 0.0
 
     def test_one_colour_one_flavour(self):
         report = verify_fermionic_cft(1, 1, 10_000, RngStream(16))
         assert report.passed
         # the only non-constant monomial compares E[O] over O(1) with 0
-        other = [r for r in report.rows if r.mask != 0]
-        assert len(other) == 1 and other[0].rhs == 0.0
+        (other,) = np.flatnonzero(report.masks != 0)
+        assert report.rhs[other] == 0.0
 
     def test_size_cap(self):
         with pytest.raises(ConfigError):
@@ -549,7 +607,8 @@ class TestBosonicVerification:
     def test_worker_sharding_is_deterministic(self):
         a = verify_bosonic_cft(4, 1, 3, 40_000, RngStream(28), workers=2)
         b = verify_bosonic_cft(4, 1, 3, 40_000, RngStream(28), workers=2)
-        assert [(r.lhs, r.rhs) for r in a.rows] == [(r.lhs, r.rhs) for r in b.rows]
+        np.testing.assert_array_equal(a.lhs, b.lhs)
+        np.testing.assert_array_equal(a.rhs, b.rhs)
 
     def test_integrability_guard(self):
         with pytest.raises(DomainError):
@@ -600,8 +659,9 @@ class TestSonVerification:
     )
     def test_det_correction_matches_exterior_algebra(self, n_colour, n_flavour):
         exact = leibniz_det_m0(n_colour, n_flavour)
-        assert exact and {m: c.real for m, c in exact.items()} == _det_m0_terms(
-            n_colour, n_flavour
+        terms = _det_m0_terms(n_colour, n_flavour)
+        assert exact and {m: c.real for m, c in exact.items()} == table_dict(
+            n_colour, n_flavour, terms
         )
 
     @pytest.mark.parametrize(
@@ -655,15 +715,28 @@ class TestFamilyWiseVerdict:
         assert sidak_row_bound(-1.0, 100) == -1.0
 
     def test_rows_without_error_are_not_counted(self):
-        rows = [
-            MonomialRow(0, "1", 1.0, 0.0, 1.0, 0.0, 0.0),
-            MonomialRow(1, "a", 0.1, 0.01, 0.1, 0.0, 0.0),
-            MonomialRow(2, "b", 0.2, 0.0, 0.2, 0.02, 4.1),
-        ]
-        report = VerificationReport("fermionic", 2, 2, 100, 4.0, rows)
+        report = VerificationReport(
+            "fermionic", 2, 2, 100, 4.0, np.arange(3), ("1", "a", "b"),
+            lhs=np.array([1.0, 0.1, 0.25]), lhs_se=np.array([0.0, 0.01, 0.0]),
+            rhs=np.array([1.0, 0.1, 31 / 256]), rhs_se=np.array([0.0, 0.0, 1 / 32]),
+        )
         assert report.rows_tested == 2
         assert report.row_threshold == pytest.approx(sidak_row_bound(4.0, 2))
-        assert report.max_abs_z == 4.1 and report.passed  # over 4.0, under 4.16
+        assert report.z_scores.tolist() == [0.0, 0.0, 4.125]
+        assert report.max_abs_z == 4.125 and report.passed  # over 4.0, under 4.16
+
+    @pytest.mark.parametrize("verify, args", [
+        (verify_fermionic_cft, (3, 2, 2_000)),
+        (verify_son_cft, (3, 2, 2_000)),
+        (verify_bosonic_cft, (4, 1, 10, 20_000)),
+    ], ids=["fermionic", "son", "bosonic"])
+    def test_array_z_scores_match_scalar_oracle(self, verify, args):
+        # bit for bit: the CLI prints these numbers
+        report = verify(*args, RngStream(44))
+        z, tested, largest = scalar_z_scores(report)
+        assert report.z_scores.tolist() == z
+        assert report.rows_tested == tested
+        assert report.max_abs_z == largest
 
 
 class TestEstimatorContracts:
@@ -677,8 +750,8 @@ class TestEstimatorContracts:
         report = reflection_split_check(1, 1, samples, RngStream(34))
         o = RngStream(34).substream(2).generator().standard_normal(samples)
         signs = np.sign(o)
-        (row,) = [r for r in report.rows if r.mask != 0]
-        assert row.lhs == pytest.approx(signs.mean(), abs=1e-15)
-        assert row.lhs_se == pytest.approx(
+        (row,) = np.flatnonzero(report.masks != 0)
+        assert report.lhs[row] == pytest.approx(signs.mean(), abs=1e-15)
+        assert report.lhs_se[row] == pytest.approx(
             np.std(signs, ddof=1) / np.sqrt(samples), rel=1e-12
         )

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ocft import cft
@@ -396,12 +397,14 @@ class TestVerifyCft:
 
     def test_mutated_flavour_side_still_fails(self, monkeypatch):
         # dropping the (-1)^u of the exact flavour side must not pass
+        exact = cft.rhs_exact_coefficients
+
         def unsigned(n_colour, n_flavour):
-            return {
-                mask: sign / math.comb(n_colour, u)
-                for mask, sign, u, v in cft._rhs_structure(n_colour)
-                if u == v
-            }
+            # pair p = (U, V) of size u sits on table row p (P + 1)
+            sizes = np.array([len(u) for u, _ in cft._minor_pairs(n_colour)])
+            out = exact(n_colour, n_flavour)
+            out[np.arange(sizes.size) * (sizes.size + 1)] *= (-1.0) ** sizes
+            return out
 
         monkeypatch.setattr(cft, "rhs_exact_coefficients", unsigned)
         code, out, _ = invoke(

@@ -238,9 +238,11 @@ class TestPfaffianMoments:
     def test_ratios_hold_at_cap(self):
         q = JacobiQuery(1.08 * np.exp(0.4j), 1.0, 1, 2, MAX_PFAFFIAN_N)
         exact = aomoto_moments(MAX_PFAFFIAN_N, 1, 2)
-        assert jacobi_pfaffian(q, reference_lg=0.15) == pytest.approx(
+        moments = _pfaffian_moments(MAX_PFAFFIAN_N, 1, 2)
+        assert _s_ratio(moments, q.lg, 0.15) == pytest.approx(
             _s_ratio(exact, q.lg, 0.15), rel=1e-14
         )
+        assert jacobi_pfaffian(q) == pytest.approx(_s_ratio(exact, q.lg, 1.0), rel=1e-14)
 
     def test_one_pfaffian_per_coefficient(self, monkeypatch):
         import ocft.jacobi
@@ -254,7 +256,7 @@ class TestPfaffianMoments:
         monkeypatch.setattr(ocft.jacobi, "pfaffian", counted)
         for n in range(1, 9):
             calls.clear()
-            jacobi_pfaffian(JacobiQuery(1.5, 1.2, 1, 1, n), reference_lg=0.3)
+            jacobi_pfaffian(JacobiQuery(1.5, 1.2, 1, 1, n))
             assert len(calls) == n + 1
 
     def test_cap(self):
@@ -315,19 +317,17 @@ class TestFullRatios:
             assert complex(pf) == pytest.approx(complex(qd), rel=1e-14)
 
     def test_zero_product_paths(self):
-        q = JacobiQuery(0.0, 1.0, 0, 0, 2)
-        val = jacobi_quadrature(q, reference_lg=0.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
-        # lg = 0 as the query and as the reference: both routes take it
+        assert _s_ratio(_inner_moments(2, 0, 0), 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+        # lg = 0 as the query and as the reference: both routes' moments take it
         for n in (1, 2, 3, 4):
+            pfaffian_route, quadrature = _pfaffian_moments(n, 1, 2), _inner_moments(n, 1, 2)
             for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
-                zero, other = JacobiQuery(0.0, 1.0, 1, 2, n), JacobiQuery(lg, 1.0, 1, 2, n)
-                assert jacobi_pfaffian(zero, reference_lg=lg) == pytest.approx(
-                    jacobi_quadrature(zero, reference_lg=lg), rel=1e-13
-                )
-                assert jacobi_pfaffian(other, reference_lg=0.0) == pytest.approx(
-                    jacobi_quadrature(other, reference_lg=0.0), rel=1e-13
-                )
+                for query, reference in ((0.0, lg), (lg, 0.0)):
+                    assert _s_ratio(pfaffian_route, query, reference) == pytest.approx(
+                        _s_ratio(quadrature, query, reference), rel=1e-13
+                    )
+        zero = JacobiQuery(0.0, 1.0, 1, 2, 3)
+        assert jacobi_pfaffian(zero) == pytest.approx(jacobi_quadrature(zero), rel=1e-13)
 
     def test_quadrature_cap(self):
         with pytest.raises(ConfigError):

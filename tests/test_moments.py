@@ -174,6 +174,31 @@ class TestPfaffianIntegral:
             assert est.mean.real == pytest.approx(moment_m1_closed(q), rel=1e-12)
             assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("n", [76, 100, 200, 255])
+    def test_m1_stays_finite_up_to_the_grid_cap(self, n):
+        # the density (1+t)^-(N+2) underflows at the outer nodes; each kernel
+        # factor carries its share of it instead
+        q = MomentQuery(z=1.0, g=(1.0,) * n)
+        assert moment_pfaffian_integral(q).mean == pytest.approx(n + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [53, 56, 59])
+    def test_m2_stays_finite_up_to_the_grid_cap(self, n, monkeypatch):
+        q = MomentQuery(z=1.0, g=(1.0,) * n, m=2)
+        value = moment_pfaffian_integral(q).mean
+        monkeypatch.setitem(moments._GRID_NODES, 2, 48)
+        assert value == pytest.approx(moment_pfaffian_integral(q).mean, rel=1e-12)
+
+    @pytest.mark.parametrize("m, cap", [(1, 255), (2, 59)])
+    def test_grid_cap(self, m, cap, monkeypatch):
+        def no_kernels(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(moments, "_kernel_batch", no_kernels)
+        for z in (1.0, 0.9 + 0.4j):
+            q = MomentQuery(z=z, g=(1.0,) * (cap + 1), m=m)
+            with pytest.raises(ConfigError, match=f"m = {m} capped at N = {cap}"):
+                moment_pfaffian_integral(q)
+
     def test_m1_zero_z(self):
         q = MomentQuery(z=0.0, g=(0.5, 2.0))
         est = moment_pfaffian_integral(q)
@@ -241,9 +266,10 @@ def explicit_u_average(query, rng, samples, u_chunk=8):
     every Z = U Sigma U^T and 8x8 kernel built: the oracle of the exact U(4)
     average and the closed-form kernel Pfaffians of ``moment_pfaffian_integral``.
     """
-    t_pairs, t_weights = _radial_grid(query.n, 2)
+    t_pairs, t_weights = _radial_grid(2)
+    scale = np.prod(1.0 + t_pairs, axis=1)
     sigma = _skew_sigma_blocks(t_pairs)
-    den = complex(_pf_product(sigma, np.zeros(query.n), 1.0, 2) @ t_weights)
+    den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0, 2) @ t_weights)
     gen = rng.generator()
     q_num = []
     done = 0
@@ -254,7 +280,7 @@ def explicit_u_average(query, rng, samples, u_chunk=8):
         d = np.einsum("...ii->...i", r).copy()
         u *= (d / np.abs(d))[:, None, :]
         z_all = np.einsum("uij,kjl,uml->ukim", u, sigma, u).reshape(-1, 4, 4)
-        fg = _pf_product(z_all, query.g, query.z, 2).reshape(b, -1)
+        fg = _pf_product(z_all, np.tile(scale, b), query.g, query.z, 2).reshape(b, -1)
         q_num.extend(fg @ t_weights)
         done += b
     q_num = np.array(q_num)
