@@ -591,9 +591,9 @@ def verify_bosonic_cft(
 def _det_m0_terms(n_colour: int, n_flavour: int) -> np.ndarray:
     """Monomial coefficients of det(M_0), M_0[i, j] = sum_a psibar_i^a psi_j^a.
 
-    One float per row of ``_lhs_structure``, read off the rows of ``_lhs_structure`` with sum_a |S_a| = N.  Such a row
-    carries det(M_0) only if its row sets S_a and its column sets T_a each
-    partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|! permutations
+    One float per row of ``_lhs_structure``, nonzero only on rows with
+    sum_a |S_a| = N.  Such a row carries det(M_0) only if its row sets S_a
+    and its column sets T_a each partition 0..N-1.  Its Leibniz terms are the prod_a |S_a|! permutations
     pi with pi(S_a) = T_a, each the row's monomial times sign * sgn(pi_0),
     where pi_0 maps each sorted S_a onto the sorted T_a.
     """

@@ -88,8 +88,8 @@ REFUSED = [
     ["moment", "--method=pfaffian", "--m=2", "--z=0.9,0.4", f"--n={MAX_M2_COMPLEX_N + 1}",
      f"--g={','.join(['1'] * (MAX_M2_COMPLEX_N + 1))}"],
     # one past the radial grid's exact range: N = 2 nodes - 4m + 3
-    *(["moment", "--method=pfaffian", f"--m={m}", "--z=1", f"--n={n}", f"--g={','.join(['1'] * n)}"]
-      for m, n in ((1, 256), (2, 60))),
+    *(["moment", "--method=pfaffian", f"--m={m}", "--z=1", f"--n={n}",
+       f"--g={','.join(['1'] * n)}"] for m, n in ((1, 256), (2, 60))),
     *([*argv, f"--threshold={value}"]
       for argv in (["verify-cft", "--variant=fermionic", "--colors=2", "--flavors=1"],
                    ["ginibre-check", *(f"{k}={v}" for k, v in GINIBRE.items())])
