@@ -9,13 +9,18 @@ the Q of LAPACK's QR with each column multiplied by the sign (for complex
 Gaussians, the phase) of the matching diagonal entry of R.  The samplers
 form it instead by Gram-Schmidt with one reorthogonalisation pass,
 vectorised over the draws of one cache-sized tile at a time
-(:func:`_orthonormal_columns`), and write Q over the Gaussian array they
+(:func:`_orthonormal_tile`), and write Q over the Gaussian array they
 drew: its R has a positive diagonal by construction, so it is the same Q
 to rounding, from the same Gaussian draws, at several times LAPACK's rate
 for the small matrices drawn here.  An SO(N) draw is an O(N) draw whose
-last row is negated when its determinant, read off the batched cofactor
-formulas of :func:`linalg.det_stack` (LAPACK above 4 x 4), is negative:
-det = +-1 to rounding, so any accurate determinant picks the same draws.
+last row is negated when its determinant, read off the batched
+polynomial formulas of :func:`linalg.det_stack` (LAPACK above 6 x 6), is
+negative: det = +-1 to rounding, so any accurate determinant picks the
+same draws.  The public samplers return C-contiguous (count, n, n)
+stacks.  :func:`mc_expectation`'s samplers (``_SAMPLERS``) leave each
+tile's Q in the (n, n, t) column layout the Gram-Schmidt works in, in the
+tile's own block of the Gaussian array, and hand out strided views of it
+(:func:`_tile_views`): the same draws and bits, with no transpose back.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
@@ -25,8 +30,8 @@ sums in place of the rows, as the colour side of the fermionic and SO(N)
 identities does with one Gram product per batch; the loop, the shards and
 the reduction are the same either way.  :func:`mc_expectation` draws each
 batch in one sampler call and applies its per-draw function to one tile of
-the batch at a time, into the batch's one row array, so it sums the rows
-that one call per batch would give.  Runs are reproducible: an
+the batch at a time, as a view it may overwrite, into the batch's one row
+array, so it sums the rows that one call per batch would give.  Runs are reproducible: an
 :class:`RngStream` names a stream by (seed, stream_index), worker shard w
 reads ``rng.substream(w)``, and shards are reduced in order, so a fixed
 (seed, workers) configuration gives bit-identical results, and the tiled
@@ -121,45 +126,52 @@ def _as_generator(rng) -> np.random.Generator:
     raise ConfigError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Q of a = QR with diag(R) > 0, for a real or complex (B, m, n) stack.
+def _orthonormal_tile(a: np.ndarray) -> np.ndarray:
+    """Q of a = QR with diag(R) > 0 for one tile, as an (n, m, t) array.
 
-    Classical Gram-Schmidt with one reorthogonalisation pass, which keeps Q
-    orthogonal to machine precision for any numerically nonsingular
-    column set (Giraud, Langou, Rozloznik and van den Eshof, Numer. Math.
-    101 (2005) 87).  The stack is taken in tiles (:func:`linalg.tile_slices`),
-    each transposed to an (n, m, t) copy, so every step is a product over m
-    or over the earlier columns, vectorised over the tile's draws, on
-    temporaries that stay in cache; each draw's Q takes the same operations
-    whatever the tiling.  A draw with an exactly zero (or non-finite)
-    Gram-Schmidt column is redone by LAPACK's QR with the sign rule, whose Q
-    stays orthogonal where Gram-Schmidt has no direction to normalise.
-
-    Overwrites ``a`` with Q, tile by tile (a tile's degenerate draws are
-    read before the tile is written), and returns it, so a C-contiguous
-    ``a`` gives a C-contiguous (B, m, n) result.  Pass a copy to keep the
-    input.
+    ``a`` is a real or complex (t, m, n) tile; the result holds column j of
+    draw b's Q at [j, :, b].  Classical Gram-Schmidt with one
+    reorthogonalisation pass, which keeps Q orthogonal to machine precision
+    for any numerically nonsingular column set (Giraud, Langou, Rozloznik
+    and van den Eshof, Numer. Math. 101 (2005) 87).  The tile is copied to
+    that column layout, so every step is a product over m or over the
+    earlier columns, vectorised over the tile's draws, on temporaries that
+    stay in cache; each draw's Q takes the same operations whatever the
+    tiling.  A draw with an exactly zero Gram-Schmidt column divides by a
+    zero norm, and its non-finite values reach no other draw; such draws
+    are found once, at the end, and redone by LAPACK's QR with the sign
+    rule, whose Q stays orthogonal where Gram-Schmidt has no direction to
+    normalise.
     """
-    for tile in tile_slices(len(a), a.shape[1] * a.shape[2]):
-        cols = np.ascontiguousarray(np.transpose(a[tile], (2, 1, 0)))
-        degenerate = np.zeros(cols.shape[2], dtype=bool)
+    cols = np.ascontiguousarray(np.transpose(a, (2, 1, 0)))
+    conj = np.iscomplexobj(cols)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for j, v in enumerate(cols):
             if j:
-                prev, prev_conj = cols[:j], cols[:j].conj()
+                prev = cols[:j]
+                prev_conj = prev.conj() if conj else prev
                 for _ in range(2):
                     v -= np.einsum("jmb,jb->mb", prev, np.einsum("jmb,mb->jb", prev_conj, v))
             norm = np.einsum("mb,mb->b", v.real, v.real)
-            if np.iscomplexobj(v):
+            if conj:
                 norm += np.einsum("mb,mb->b", v.imag, v.imag)
-            norm = np.sqrt(norm)
-            bad = ~(np.isfinite(norm) & (norm > 0.0))
-            norm[bad] = 1.0
-            degenerate |= bad
-            v /= norm
-        redone = _sign_corrected_qr(a[tile][degenerate]) if degenerate.any() else None
-        a[tile] = np.transpose(cols, (2, 1, 0))
-        if redone is not None:
-            a[tile][degenerate] = redone
+            v /= np.sqrt(norm)
+        degenerate = ~np.isfinite(cols).all(axis=(0, 1))
+    if degenerate.any():
+        cols[:, :, degenerate] = np.transpose(_sign_corrected_qr(a[degenerate]), (2, 1, 0))
+    return cols
+
+
+def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """Q of a = QR with diag(R) > 0, for a real or complex (B, m, n) stack.
+
+    Takes the stack in tiles (:func:`linalg.tile_slices`) and overwrites
+    each with its Q from :func:`_orthonormal_tile`, so a C-contiguous ``a``
+    gives a C-contiguous (B, m, n) result, which is returned.  Pass a copy
+    to keep the input.
+    """
+    for tile in tile_slices(len(a), a.shape[1] * a.shape[2]):
+        a[tile] = np.transpose(_orthonormal_tile(a[tile]), (2, 1, 0))
     return a
 
 
@@ -172,12 +184,16 @@ def _sign_corrected_qr(a: np.ndarray) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
-    """(count, n, n) stack of Haar-distributed O(n) matrices."""
+def _square_gaussians(n: int, count: int, rng) -> np.ndarray:
+    """(count, n, n) iid standard Gaussians, the input of an O(n) draw."""
     if n < 1:
         raise DimensionError("group dimension must be >= 1")
-    gen = _as_generator(rng)
-    return _orthonormal_columns(gen.standard_normal((count, n, n)))
+    return _as_generator(rng).standard_normal((count, n, n))
+
+
+def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
+    """(count, n, n) stack of Haar-distributed O(n) matrices."""
+    return _orthonormal_columns(_square_gaussians(n, count, rng))
 
 
 def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
@@ -201,7 +217,46 @@ def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
     return _orthonormal_columns(gauss)
 
 
-_SAMPLERS = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}
+def _tile_views(a: np.ndarray):
+    """(slice, (t, n, n) view) of each tile of a tile-major stack.
+
+    ``a`` is a C-contiguous (count, n, n) array whose memory holds, tile
+    after tile (:func:`linalg.tile_slices`), each tile's (n, n, t) column
+    layout.  The view reads draw b's entry (i, j) at [b, i, j], so every
+    entry vector ``view[:, i, j]`` is contiguous.
+    """
+    count, n = a.shape[:2]
+    flat = a.reshape(-1)
+    for tile in tile_slices(count, n * n):
+        block = flat[tile.start * n * n:tile.stop * n * n]
+        yield tile, block.reshape(n, n, -1).transpose(2, 1, 0)
+
+
+def _orthogonal_tiles(n: int, count: int, rng) -> np.ndarray:
+    """The draws of :func:`sample_orthogonal_batch`, tile-major.
+
+    Each tile's block of the Gaussian array is overwritten by its Q in the
+    column layout of :func:`_orthonormal_tile`, a contiguous copy, so no
+    second batch-sized array is made; read the draws through
+    :func:`_tile_views`.
+    """
+    a = _square_gaussians(n, count, rng)
+    for tile, o in _tile_views(a):
+        o[...] = np.transpose(_orthonormal_tile(a[tile]), (2, 1, 0))
+    return a
+
+
+def _special_orthogonal_tiles(n: int, count: int, rng) -> np.ndarray:
+    """The draws of :func:`sample_special_orthogonal_batch`, tile-major."""
+    a = _orthogonal_tiles(n, count, rng)
+    for _, o in _tile_views(a):
+        o[det_stack(o) < 0, -1, :] *= -1.0
+    return a
+
+
+# mc_expectation's samplers; they do not call the public ones, nor these
+# the public ones, so each draw passes through one of them once
+_SAMPLERS = {"O": _orthogonal_tiles, "SO": _special_orthogonal_tiles}
 
 
 class _DrawAhead:
@@ -342,19 +397,22 @@ def mc_expectation(
     at a time (:func:`linalg.tile_slices`), its values written into the
     batch's one (B, 1) row array.  So ``stream_mean`` sums the rows of one
     ``f`` call per batch, to the bit wherever ``f`` rounds a draw alike at
-    any array length, as real elementwise arithmetic and
-    :func:`linalg.det_stack`, complex stacks included, do.
-    Worker w consumes ``rng.substream(w)`` (see :func:`stream_mean`).
+    any array length and memory layout, as elementwise arithmetic and
+    :func:`linalg.det_stack`, complex stacks included, do.  The tile ``f``
+    gets is a strided view of the sampler's buffer, in which each entry
+    vector ``o[:, i, j]`` is contiguous; ``f`` may overwrite it, since no
+    draw is read again.  Worker w consumes ``rng.substream(w)`` (see
+    :func:`stream_mean`).
     """
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
     sampler = _SAMPLERS[group]
 
     def values(gen, b):
-        o = sampler(n, b, gen)
+        draws = sampler(n, b, gen)
         rows = np.empty((b, 1), dtype=complex)
-        for tile in tile_slices(b, n * n):
-            rows[tile, 0] = f(o[tile])
+        for tile, o in _tile_views(draws):
+            rows[tile, 0] = f(o)
         return rows
 
     mean, se = stream_mean(values, samples, rng, workers)

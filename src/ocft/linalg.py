@@ -6,8 +6,9 @@ of routines in this module:
 
 * ``pfaffian``          -- skew-symmetric elimination with partial pivoting
 * ``det_stack``         -- batched determinants in the input's dtype:
-                           cofactor / Laplace formulas up to 4 x 4, on
-                           cache-sized tiles, LAPACK's LU above;
+                           cofactor / Laplace formulas up to 4 x 4, a
+                           row-prefix Laplace expansion at 5 x 5 and 6 x 6,
+                           both on cache-sized tiles, LAPACK's LU above;
                            ``determinant`` is its one-matrix form
 * ``tile_slices``       -- the cache-sized tiles that the batched kernels
                            here and in ``haar`` work through
@@ -21,6 +22,8 @@ All functions are pure; none keep state.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -133,20 +136,24 @@ def det_stack(m) -> np.ndarray:
     """Determinants of a real or complex (..., n, n) stack, shape (...).
 
     The result keeps the input's dtype (integer input is taken as float64),
-    so a real stack gives real determinants.  Up to n = 4 every determinant
+    so a real stack gives real determinants.  Up to n = 6 every determinant
     is a fixed polynomial in the entries, with no pivoting, division or
     log/exp: the entry, ad - bc, the cofactor expansion along the first row,
-    and at n = 4 the Laplace expansion over the six 2 x 2 minors of rows
-    {0, 1} and their complements in rows {2, 3}.  On a stack with n >= 2
-    the polynomial runs on one tile of the stack at a time
+    at n = 4 the Laplace expansion over the six 2 x 2 minors of rows
+    {0, 1} and their complements in rows {2, 3}, and at n = 5 and 6 the
+    row-prefix Laplace expansion of :func:`_det_laplace`.  On a stack with
+    n >= 2 the polynomial runs on one tile of the stack at a time
     (:func:`tile_slices`), so its temporaries are tile-sized and stay in
     cache; each determinant takes the same elementwise operations in the
     same order as on the whole stack.  So determinants keep their bits
     whatever the tiling and the stack length, complex ones too: numpy
     multiplies a complex temporary of 256 KiB or more in place, which
-    rounds differently, and a tile's temporaries that enter a product stay
-    below that size.  Larger matrices go through LAPACK's partially
-    pivoted LU (``numpy.linalg.det``).
+    rounds differently, and a tile's temporaries that enter a product at
+    n <= 4 stay below that size (n = 5 and 6 multiply in place throughout,
+    except for one-element products).  Larger matrices go through LAPACK's partially pivoted LU
+    (``numpy.linalg.det``).  A stack whose entry vectors ``m[..., i, j]``
+    are contiguous, as the Haar samplers' column-layout tiles give, is
+    read without a copy at n = 5 and 6.
     """
     a = np.asarray(m)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -154,18 +161,19 @@ def det_stack(m) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"det_stack needs a (..., n, n) stack, got {a.shape}")
     n = a.shape[-1]
-    if n > 4:
+    if n > 6:
         return np.linalg.det(a)
     if n == 0:
         return np.ones(a.shape[:-2], dtype=a.dtype)
     if n == 1:
         return a[..., 0, 0].copy()
-    if a.ndim == 2:  # one matrix, whose entries numpy takes as scalars
+    if a.ndim == 2 and n <= 4:  # one matrix, whose entries numpy takes as scalars
         return _det_polynomial(a)
+    kernel = _det_polynomial if n <= 4 else _det_laplace
     flat = a.reshape(-1, n, n)
     out = np.empty(len(flat), dtype=a.dtype)
     for tile in tile_slices(len(flat), n * n):
-        out[tile] = _det_polynomial(flat[tile])
+        out[tile] = kernel(flat[tile])
     return out.reshape(a.shape[:-2])
 
 
@@ -190,6 +198,69 @@ def _det_polynomial(a: np.ndarray) -> np.ndarray:
         - minor(0, 1, 3) * minor(2, 0, 2)
         + minor(0, 2, 3) * minor(2, 0, 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _laplace_steps(n: int) -> tuple:
+    """Index tables of :func:`_det_laplace` at size n, one per prefix size k = 2..n.
+
+    The size-k table lists every k-column set T in ``combinations`` order.
+    Its (k, C(n, k)) arrays hold, for term j of each set, the row
+    T[j] * n + k - 1 of the entry a[k - 1, T[j]] in the column-major entry
+    array, and the position of T - T[j] among the size-(k - 1) sets (the
+    size-1 sets are the columns).  The tables are read-only: callers share
+    them.
+    """
+    position = {(j,): j for j in range(n)}
+    steps = []
+    for k in range(2, n + 1):
+        sets = list(combinations(range(n), k))
+        entry = np.array([[t[j] * n + k - 1 for t in sets] for j in range(k)])
+        smaller = np.array([[position[t[:j] + t[j + 1:]] for t in sets] for j in range(k)])
+        for table in (entry, smaller):
+            table.setflags(write=False)
+        steps.append((entry, smaller))
+        position = {t: p for p, t in enumerate(sets)}
+    return tuple(steps)
+
+
+def _det_laplace(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (t, n, n) stack by row-prefix Laplace expansion.
+
+    The minors of rows 0..k-1 on each k-column set T are built from those
+    of rows 0..k-2 by expanding along row k - 1 (:func:`_laplace_steps`),
+    vectorised over the stack and the sets, with no determinant call.  Each
+    is summed as sum_j (-1)^j a[k-1, T[j]] M(T - T[j]); that alternating sum
+    is (-1)^(k(k-1)/2) times the minor, so only the sign of the last one is
+    fixed.  The two factors of each term are gathered into buffers of the
+    widest level and multiplied in place, so no temporary is allocated per
+    term.
+    """
+    t, n = a.shape[0], a.shape[-1]
+    # row j * n + i holds a[:, i, j]; a view when those vectors are contiguous
+    entries = np.transpose(a, (2, 1, 0)).reshape(n * n, t)
+    steps = _laplace_steps(n)
+    work = np.empty((4, max(e.shape[1] for e, _ in steps), t), dtype=a.dtype)
+    minors = entries[::n]
+    # the indices are in range; mode "clip" lets take write straight into out
+    for level, (entry, smaller) in enumerate(steps):
+        sets = entry.shape[1]
+        block, x, y = work[level % 2, :sets], work[2, :sets], work[3, :sets]
+        for j in range(len(entry)):
+            np.take(entries, entry[j], axis=0, out=x, mode="clip")
+            np.take(minors, smaller[j], axis=0, out=y, mode="clip")
+            if not j:
+                np.multiply(x, y, out=block)
+                continue
+            # numpy multiplies a one-element complex array in place with other
+            # rounding, so the last level of a lone matrix takes a new product
+            term = np.multiply(x, y, out=x if x.size > 1 else None)
+            if j % 2:
+                block -= term
+            else:
+                block += term
+        minors = block
+    return minors[0] if n * (n - 1) // 2 % 2 == 0 else -minors[0]
 
 
 def determinant(a) -> complex:

@@ -79,8 +79,14 @@ def moment_m1_closed(query: MomentQuery) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"closed form overflows float64 at |z| = {abs(query.z)}, g = {query.g}")
+        raise ConfigError(f"closed form overflows float64 at {_point(query)}")
     return value
+
+
+def _point(query: MomentQuery) -> str:
+    """The query in an error message: |z|, N and max |g|, not every g_i."""
+    g_max = max(map(abs, query.g), default=0.0)
+    return f"|z| = {abs(query.z)}, N = {query.n}, max |g| = {g_max}"
 
 
 def _finite(est: Estimate, query: MomentQuery) -> Estimate:
@@ -90,7 +96,7 @@ def _finite(est: Estimate, query: MomentQuery) -> Estimate:
     warnings off: an overflow anywhere reaches the estimate as inf or nan.
     """
     if not (np.isfinite(est.mean) and math.isfinite(est.std_error)):
-        raise ConfigError(f"estimate overflows float64 at |z| = {abs(query.z)}, g = {query.g}")
+        raise ConfigError(f"estimate overflows float64 at {_point(query)}")
     return est
 
 
@@ -102,13 +108,19 @@ def moment_mc(
     workers: int = 1,
 ) -> Estimate:
     """Haar Monte-Carlo estimate of E[det^m((z - GO)(z - GO)^dagger)]."""
-    g = np.asarray(query.g)
+    g = np.asarray(query.g)[:, None]
+    diag = np.arange(query.n)
     # a real z keeps z - GO, and so its dets, in float64
-    z = query.z.real if query.z.imag == 0 else query.z
+    real = query.z.imag == 0
+    z = query.z.real if real else query.z
     m = query.m
 
     def f(o):
-        mats = z * np.eye(g.size) - g[:, None] * o
+        # z - GO over the sampler's tile: -(g_i O_ij) then z on the diagonal,
+        # the bits of z I - G O
+        o *= -g
+        mats = o if real else o.astype(complex)
+        mats[:, diag, diag] += z
         dets = det_stack(mats)
         return (dets * dets.conj()).real ** m
 
@@ -304,17 +316,17 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
             f"flavour-space integral at m = {query.m} capped at N = {cap}, "
             f"where its {nodes}-node radial grid stops being exact"
         )
+    z = query.z.real if query.z.imag == 0 else query.z
+    if query.m == 2 and z.imag != 0 and query.n > MAX_M2_COMPLEX_N:
+        raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
     radii, t_weights = _radial_grid(query.m)
     scale = np.prod(1.0 + radii, axis=1)
     sigma = _skew_sigma_blocks(radii)
     den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0, query.m) @ t_weights)
 
-    z = query.z.real if query.z.imag == 0 else query.z
     if query.m == 1 or z.imag == 0:
         num = complex(_pf_product(sigma, scale, query.g, z, query.m) @ t_weights)
         return _finite(Estimate((num / den).real, 0.0, 0), query)
-    if query.n > MAX_M2_COMPLEX_N:
-        raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
 
     t1, t2 = radii[:, 0], radii[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])

@@ -88,6 +88,16 @@ class TestMoment:
         assert "overflow" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["closed", "pfaffian"])
+    def test_overflow_message_names_n_and_the_largest_g(self, method):
+        # not all 200 singular values, which made a 1.6 KB line
+        code, out, err = invoke(["moment", "--n", "200", "--m", "1", "--z", "1",
+                                 "--g", ",".join(["1e3"] * 200), "--method", method])
+        assert code == 2 and out == ""
+        assert "overflow" in err and "N = 200, max |g| = 1000.0" in err
+        assert len(err) < 100
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [

@@ -17,6 +17,7 @@ from ocft.haar import (
     sample_unitary_columns,
     stream_mean,
 )
+from haar_oracles import PUBLIC_SAMPLERS, public_route_expectation
 
 
 def sample_orthogonal(n: int, rng) -> np.ndarray:
@@ -198,6 +199,79 @@ class TestOrthonormalColumns:
         assert sample_orthogonal_batch(5, 10, gen).flags.c_contiguous
         assert sample_special_orthogonal_batch(5, 10, gen).flags.c_contiguous
         assert sample_unitary_columns(7, 3, 10, gen).flags.c_contiguous
+
+
+class TestColumnLayoutTiles:
+    """mc_expectation's samplers leave each tile's Q in column layout; the
+    public samplers and f per contiguous tile (tests/haar_oracles.py) are the
+    oracle for their bits."""
+
+    @staticmethod
+    def draw_a_zero_column(monkeypatch, n):
+        """43 fixed Gaussian draws for every sampler, in tiles of 7; draw 30,
+        in the fifth tile, has a zero column, which LAPACK's QR redoes."""
+        gauss = RngStream(75 + n).generator().standard_normal((43, n, n))
+        gauss[30, :, n // 2] = 0.0
+        monkeypatch.setattr(haar, "_square_gaussians",
+                            lambda n, count, rng: gauss[:count].copy())
+        monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * n * n)
+        return gauss
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tile_views_hold_the_public_draws(self, monkeypatch, n, group):
+        gauss = self.draw_a_zero_column(monkeypatch, n)
+        public = PUBLIC_SAMPLERS[group](n, 43, None)
+        draws = haar._SAMPLERS[group](n, 43, None)
+        views = list(haar._tile_views(draws))
+        assert [len(o) for _, o in views] == [7] * 5 + [8]
+        np.testing.assert_array_equal(np.concatenate([o for _, o in views]), public)
+        for _, o in views:
+            assert np.shares_memory(o, draws) and o[:, -1, 0].flags.c_contiguous
+        if group == "O":
+            # the first tile's block is the kernel's (n, n, t) column layout
+            first = haar._orthonormal_tile(gauss[:7])
+            np.testing.assert_array_equal(draws.reshape(-1)[:first.size], first.ravel())
+            np.testing.assert_array_equal(public[30], haar._sign_corrected_qr(gauss[30:31])[0])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_f_per_tile_gives_the_public_route_bits(self, monkeypatch, n, group, kind):
+        self.draw_a_zero_column(monkeypatch, n)
+        eye, g = np.eye(n), np.linspace(0.5, 1.4, n)[:, None]
+        if kind == "real":
+            def f(o):
+                return linalg.det_stack(1.3 * eye - g * o) ** 2 * o[:, 0, -1]
+        else:
+            def f(o):
+                return linalg.det_stack(o + 0.4j * eye) * np.exp(1j * o[:, -1, 0])
+
+        def logged(values):
+            def g(o):
+                values.append(f(o))
+                return values[-1]
+            return g
+
+        tiled, public = [], []
+        est = mc_expectation(logged(tiled), n, 43, RngStream(76), group=group)
+        ref = public_route_expectation(logged(public), n, 43, RngStream(76), group=group)
+        assert [len(v) for v in tiled] == [len(v) for v in public] == [7] * 5 + [8]
+        np.testing.assert_array_equal(np.concatenate(tiled), np.concatenate(public))
+        assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+    def test_public_and_tile_samplers_do_not_call_each_other(self, monkeypatch):
+        # so each draw passes through one sampler once, and is counted once
+        def refused(*args):
+            raise AssertionError("sampler called through the other kind")
+
+        for group in ("O", "SO"):
+            monkeypatch.setitem(haar._SAMPLERS, group, refused)
+        assert sample_special_orthogonal_batch(3, 10, RngStream(0)).shape == (10, 3, 3)
+        monkeypatch.undo()
+        for name in ("sample_orthogonal_batch", "sample_special_orthogonal_batch"):
+            monkeypatch.setattr(haar, name, refused)
+        assert mc_expectation(lambda o: o[:, 0, 0], 3, 10, RngStream(0), group="SO").samples == 10
 
 
 class TestMcExpectation:

@@ -384,8 +384,8 @@ class TestGinibre:
 
         def values(gen, b):
             mats = gen.standard_normal((b, n, n))
-            num = np.linalg.det(eye - mats) * np.linalg.det(2.0 * eye - mats)
-            return np.stack([num, np.linalg.det(mats) ** 2], axis=1)
+            num = det_stack(eye - mats) * det_stack(2.0 * eye - mats)
+            return np.stack([num, det_stack(mats) ** 2], axis=1)
 
         (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3))
         assert ginibre_mc(1.0, 2.0, n, samples, RngStream(3)).mean == mean_n / mean_d

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from ocft import linalg
+from ocft.haar import RngStream, sample_orthogonal_batch
 from ocft.errors import DimensionError, DomainError, ShapeError
 from random_inputs import random_skew
 
@@ -121,7 +122,7 @@ class TestDetStack:
         assert linalg.det_stack(real.astype(complex)).dtype == np.complex128
         assert linalg.det_stack(real.astype(int)).dtype == np.float64
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("shape", [(), (23,), (4, 9), (2, 3, 5)])
     def test_tiles_give_the_strided_formula_bits(self, monkeypatch, n, complex_entries,
@@ -134,7 +135,7 @@ class TestDetStack:
             assert np.shape(det) == shape
             np.testing.assert_array_equal(det, strided_det_polynomial(stack))
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_complex_bits_do_not_depend_on_the_stack_length(self, n):
         # at the real tile size: numpy multiplies complex temporaries of
         # 256 KiB or more in place, which rounds differently, and the strided
@@ -144,7 +145,7 @@ class TestDetStack:
         split = [linalg.det_stack(a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(linalg.det_stack(a), np.concatenate(split))
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_on_integer_matrices(self, n):
         # the cofactor and Laplace formulas of small integers are exact in float64
         rng = np.random.default_rng(60 + n)
@@ -156,6 +157,26 @@ class TestDetStack:
             a[:, -1] = a[:, 0]
             assert not linalg.det_stack(a).any()
             assert not linalg.det_stack(np.swapaxes(a, 1, 2)).any()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("z", [1.3, 0.9 + 0.4j])
+    def test_laplace_error_is_bounded_by_the_row_norms(self, n, z):
+        # z - GO as moment --method mc builds it: |Laplace - LU| is a few
+        # roundings of the largest term, at most 4 eps prod_i |row_i|
+        o = sample_orthogonal_batch(n, 20_000, RngStream(90 + n))
+        g = np.linspace(0.5, 1.4, n)[:, None]
+        mats = z * np.eye(n) - g * o
+        bound = 4 * np.finfo(float).eps * np.prod(np.linalg.norm(mats, axis=2), axis=1)
+        assert (np.abs(linalg.det_stack(mats) - np.linalg.det(mats)) <= bound).all()
+
+    def test_laplace_reads_column_layout_tiles_in_place(self):
+        # entry vectors a[:, i, j] contiguous: the layout the Haar tiles give
+        cols = np.random.default_rng(91).standard_normal((6, 6, 50))
+        a = cols.transpose(2, 1, 0)
+        entries = np.transpose(a, (2, 1, 0)).reshape(36, 50)
+        assert np.shares_memory(entries, cols)
+        np.testing.assert_array_equal(linalg.det_stack(a),
+                                      linalg.det_stack(np.ascontiguousarray(a)))
 
     @pytest.mark.parametrize("n", range(7))
     def test_leading_batch_axes(self, n):
@@ -202,10 +223,12 @@ def _leibniz(m):
 
 
 def strided_det_polynomial(a):
-    """det_stack's formulas for n <= 4 on strided views of the whole (..., n, n)
-    stack, as it evaluated them before it took tiles: the oracle for the bits
-    of the tiled evaluation."""
+    """det_stack's formulas on strided views of the whole (..., n, n) stack,
+    as it evaluated them before it took tiles: the oracle for the bits of the
+    tiled evaluation.  One 5 x 5 or 6 x 6 matrix is taken as a stack of one."""
     n = a.shape[-1]
+    if n >= 5:
+        return strided_laplace(a[None])[0] if a.ndim == 2 else strided_laplace(a)
     e = [[a[..., i, j] for j in range(n)] for i in range(n)]
     if n == 1:
         return e[0][0].copy()
@@ -226,6 +249,26 @@ def strided_det_polynomial(a):
         - minor(0, 1, 3) * minor(2, 0, 2)
         + minor(0, 2, 3) * minor(2, 0, 1)
     )
+
+
+def strided_laplace(a):
+    """The row-prefix Laplace expansion, one minor at a time: the minor of
+    rows 0..k-1 on columns T is the alternating sum over j of a[k-1, T[j]]
+    times the minor on T - T[j], summed left to right, which is
+    (-1)^(k(k-1)/2) times the minor."""
+    n = a.shape[-1]
+    minors = {(j,): a[..., 0, j] for j in range(n)}
+    for k in range(2, n + 1):
+        larger = {}
+        for t in combinations(range(n), k):
+            acc = a[..., k - 1, t[0]] * minors[t[1:]]
+            for j in range(1, k):
+                term = a[..., k - 1, t[j]] * minors[t[:j] + t[j + 1:]]
+                acc = acc - term if j % 2 else acc + term
+            larger[t] = acc
+        minors = larger
+    det = minors[tuple(range(n))]
+    return det if n * (n - 1) // 2 % 2 == 0 else -det
 
 
 class TestElementarySymmetric:

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ocft import moments
+from haar_oracles import public_route_expectation
+from ocft import haar, linalg, moments
 from ocft.errors import ConfigError
 from ocft.haar import RngStream, sample_unitary_columns
-from ocft.linalg import determinant, pfaffian
+from ocft.linalg import det_stack, determinant, pfaffian
 from ocft.moments import (
     MAX_M2_COMPLEX_N,
     MomentQuery,
@@ -28,6 +30,19 @@ from random_inputs import random_skew
 def o1_enumeration(z, g, m):
     """<|z - gO|^{2m}> over O(1) = {+1, -1}."""
     return 0.5 * (abs(z - g) ** (2 * m) + abs(z + g) ** (2 * m))
+
+
+def new_arrays_moment_f(query, det=det_stack):
+    """moment_mc's per-tile f as it was before it wrote z - GO over its tile:
+    z I - G O in new arrays, then ``det``."""
+    g = np.asarray(query.g)
+    z = query.z.real if query.z.imag == 0 else query.z
+
+    def f(o):
+        dets = det(z * np.eye(g.size) - g[:, None] * o)
+        return (dets * dets.conj()).real ** query.m
+
+    return f
 
 
 class TestClosedForm:
@@ -103,6 +118,52 @@ class TestMonteCarlo:
         cplx = moment_mc(MomentQuery(z=1.3 + 1e-300j, g=g, m=m), 3000, RngStream(30 + n))
         assert real.mean == pytest.approx(cplx.mean, rel=1e-12)
         assert real.std_error == pytest.approx(cplx.std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("z", [1.3, -0.8, 0.9 + 0.4j])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_in_place_tiles_give_the_public_route_bits(self, monkeypatch, n, z, m):
+        # z - GO written over the sampler's column-layout tiles, against the
+        # public sampler and z I - G O in new arrays, tiles of 7 draws
+        monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * n * n)
+        q = MomentQuery(z=z, g=tuple(np.linspace(0.5, 1.4, n)), m=m)
+        est = moment_mc(q, 300, RngStream(41 + n), workers=2)
+        ref = public_route_expectation(new_arrays_moment_f(q), n, 300, RngStream(41 + n),
+                                       workers=2)
+        assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("z", [1.3, 0.9 + 0.4j])
+    def test_laplace_dets_match_the_lapack_route(self, n, z):
+        # det_stack's Laplace expansion at N = 5, 6 rounds otherwise than LU
+        q = MomentQuery(z=z, g=(0.5, 0.8, 1.1, 1.4, 0.7, 1.0)[:n])
+        est = moment_mc(q, 40_000, RngStream(41_004))
+        ref = public_route_expectation(new_arrays_moment_f(q, np.linalg.det), n, 40_000,
+                                       RngStream(41_004))
+        assert est.mean == pytest.approx(ref.mean, rel=1e-14, abs=0)
+        assert est.std_error == pytest.approx(ref.std_error, rel=1e-14, abs=0)
+
+    def test_one_batch_of_draws_is_the_only_batch_sized_array(self, monkeypatch):
+        # N = 6 and one batch, so no batch is drawn ahead: the Gaussians the
+        # draws are written over, plus a few tiles of temporaries
+        n, b = 6, haar.DEFAULT_BATCH
+        q = MomentQuery(z=1.3, g=(0.5, 0.8, 1.1, 1.4, 0.7, 1.0))
+        bound = 8 * (b * n * n + 4 * linalg.TILE_ENTRIES)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                moment_mc(q, b, RngStream(40))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        moment_mc(q, b, RngStream(40))  # builds the cached Laplace tables
+        assert peak() < bound
+        # the guard itself: a second batch-sized array breaks the bound
+        sampler = haar._SAMPLERS["O"]
+        monkeypatch.setitem(haar._SAMPLERS, "O", lambda *args: sampler(*args).copy())
+        assert peak() > bound
 
     def test_matches_closed_form_random(self):
         rng = np.random.default_rng(6)
@@ -259,6 +320,15 @@ class TestPfaffianIntegral:
         # the cap is the U(4) average's: real z and m = 1 keep their range
         for z, m in ((0.9, 2), (0.9 + 0.4j, 1)):
             assert moment_pfaffian_integral(MomentQuery(z=z, g=(0.1,) * n, m=m)).samples == 0
+
+    def test_complex_z_m2_cap_comes_before_any_kernel(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("kernel built for a refused query")
+
+        monkeypatch.setattr(moments, "_kernel_batch", refused)
+        n = MAX_M2_COMPLEX_N + 1
+        with pytest.raises(ConfigError, match=f"capped at N = {MAX_M2_COMPLEX_N}"):
+            moment_pfaffian_integral(MomentQuery(z=0.9 + 0.4j, g=(1.0,) * n, m=2))
 
 
 def explicit_u_average(query, rng, samples, u_chunk=8):
