@@ -31,11 +31,12 @@ identities does with one Gram product per batch; the loop, the shards and
 the reduction are the same either way.  :func:`mc_expectation` draws each
 batch in one sampler call and applies its per-draw function to one tile of
 the batch at a time, as a view it may overwrite, into the batch's one row
-array, so it sums the rows that one call per batch would give.  Runs are reproducible: an
-:class:`RngStream` names a stream by (seed, stream_index), worker shard w
-reads ``rng.substream(w)``, and shards are reduced in order, so a fixed
-(seed, workers) configuration gives bit-identical results, and the tiled
-kernels give each draw the same operations whatever the tiling.
+array, so it sums the rows that one call per batch would give.  Runs are
+reproducible: an :class:`RngStream` names a stream by (seed,
+stream_index), worker shard w reads ``rng.substream(w)``, and shards are
+reduced in order, so a fixed (seed, workers) configuration gives
+bit-identical results, and the tiled kernels give each draw the same
+operations whatever the tiling.
 
 Large arrays of random numbers are drawn one array ahead.  Each shard's
 generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
@@ -410,6 +411,8 @@ def mc_expectation(
 
     def values(gen, b):
         draws = sampler(n, b, gen)
+        # allocated after the batch: the other order raised the peak resident
+        # set of the moments benchmark by about 3 MB, by heap layout alone
         rows = np.empty((b, 1), dtype=complex)
         for tile, o in _tile_views(draws):
             rows[tile, 0] = f(o)
