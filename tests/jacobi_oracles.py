@@ -11,9 +11,10 @@ import numpy as np
 
 from ocft.errors import DomainError
 from ocft.jacobi import (
-    JacobiQuery, _alpha_matrix_poly, _alpha_poly, _inner_moments, _peak, _slab_grid,
+    JacobiQuery, _abs_vandermonde, _alpha_matrix_poly, _alpha_poly, _inner_moments, _peak,
+    _slab_grid,
 )
-from ocft.linalg import det_stack, pfaffian
+from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
 
 
 def aomoto_moments(n, a, b):
@@ -123,3 +124,41 @@ def mehta_determinant(query: JacobiQuery, r):
         fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
         total += w_a * (wy @ det_stack(fcols))
     return complex(math.factorial(n) * total)
+
+
+def prod_inner_moments(n, a, b):
+    """``_inner_moments`` with each slab's weight formed by ``**`` and reduced
+    by ``np.prod``, as it was before the column products: the oracle for the
+    bits of the slab sum."""
+    s, ws, y, wy = _slab_grid(n, a, b)
+    x0 = _peak(a, b)
+    rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
+    powers = n * (n - 1) // 2 + np.arange(n + 1)
+    total = np.zeros(n + 1)
+    for s_a, w_a in zip(s, ws):
+        x = s_a * y
+        weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
+        total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
+    return math.factorial(n) * total
+
+
+def fancy_index_ginibre_rows(mats, lam, gam):
+    """``ginibre_mc``'s rows for one drawn (b, n, n) batch, with a real shift
+    put on the diagonal by fancy indexing and a complex one by x I - A, as it
+    was before the strided diagonal: the oracle for the bits of the rows.
+    ``mats`` is overwritten."""
+    n = mats.shape[-1]
+    scale = math.ldexp(1.0, -round(math.lgamma(n + 1) / math.log(4)))
+    den = (det_stack(mats) * scale) ** 2
+    if isinstance(lam, float) and isinstance(gam, float):
+        diag = np.arange(n)
+        d = mats[:, diag, diag]
+        mats[:, diag, diag] = d - lam
+        det_l = det_stack(mats)
+        mats[:, diag, diag] = d - gam
+        det_g = det_stack(mats)
+    else:
+        eye = np.eye(n)
+        det_l, det_g = (det_stack(x * eye - mats) for x in (lam, gam))
+    num = (det_l * scale) * (det_g * scale)
+    return np.stack([num, den, num * np.conj(den)], axis=1)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocft import cft
+from ocft import cft, cli
 from ocft.cli import build_parser, parse_complex, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(argv):
@@ -58,6 +60,58 @@ class TestParsing:
         code, out, err = invoke(argv + ["--workers", workers])
         assert code == 2 and out == ""
         assert "--workers" in err
+
+
+def fresh_process(argv):
+    """Exit code and stdout of ``argv`` run by a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ocft.cli", *argv], capture_output=True,
+                          text=True, check=False, env={**os.environ, "PYTHONPATH": path})
+    return done.returncode, done.stdout
+
+
+class TestSharedParser:
+    JACOBI = ["jacobi", "--n", "2", "--a", "1", "--b", "2", "--lambda", "1.5",
+              "--gamma", "1.2"]
+
+    def test_parser_is_built_once_across_runs(self, monkeypatch):
+        # every build gives each subcommand its common options once
+        built = []
+        add_common = cli._add_common
+        monkeypatch.setattr(cli, "_add_common", lambda p: built.append(p.prog) or add_common(p))
+        build_parser.cache_clear()
+        for seed in range(10):
+            assert invoke(self.JACOBI + ["--seed", str(seed)])[0] == 0
+            assert invoke(["jacobi", "--n", "two"])[0] == 2
+        assert sorted(built) == sorted(f"ocft {name}" for name in cli._RUNNERS)
+
+    @pytest.mark.parametrize(
+        "bad, argv, message",
+        [
+            (JACOBI + ["--method", "closed"], JACOBI, "invalid choice"),
+            (["ginibre-check", "--n", "2", "--lambda", "1", "--gamma", "1", "--samples",
+              "many"],
+             ["ginibre-check", "--n", "2", "--lambda", "1", "--gamma", "1", "--samples",
+              "3000", "--seed", "5"],
+             "invalid int value"),
+        ],
+        ids=["jacobi-default-method", "ginibre"],
+    )
+    def test_usage_error_leaves_the_next_run_as_a_fresh_process_runs_it(
+        self, bad, argv, message
+    ):
+        code, out, err = invoke(bad)
+        assert code == 2 and out == ""
+        assert message in err and err.startswith("usage: ocft ")
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert (code, out) == fresh_process(argv)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["jacobi", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(argv, err=io.StringIO()) == 0
+        assert capsys.readouterr().out.startswith("usage: ocft")
+        assert invoke(self.JACOBI)[0] == 0
 
 
 class TestPfaffian:

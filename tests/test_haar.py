@@ -416,6 +416,26 @@ class TestStreamMean:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_sums_give_the_bits_of_sum(self, width, kind, order):
+        # magnitudes over 16 decades, so that another order of addition shows
+        def values(gen, b):
+            rows = gen.standard_normal((b, width)) * 10.0 ** gen.integers(-8, 9, (b, width))
+            if kind == "complex":
+                rows = rows + 1j * gen.standard_normal((b, width))
+            return np.asarray(rows, order=order)
+
+        for batch, samples in [(1, 3), (2, 5), (777, 2 * 777 + 1), (20_000, 40_001)]:
+            rows = values(np.random.default_rng(batch), batch)
+            for block in (rows, np.abs(rows) ** 2):
+                np.testing.assert_array_equal(haar._column_sums(block), block.sum(axis=0))
+            got = stream_mean(values, samples, RngStream(47), batch=batch)
+            want = serial_stream_mean(values, samples, RngStream(47), batch=batch)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
     def test_batch_size_does_not_change_the_draws(self):
         a = stream_mean(self.draws, 5_000, RngStream(42), batch=7)
         b = stream_mean(self.draws, 5_000, RngStream(42))

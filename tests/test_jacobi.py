@@ -7,9 +7,10 @@ import pytest
 from scipy import integrate
 
 from jacobi_oracles import (
-    alpha_closed, alpha_entry_quadrature, aomoto_moments, h_closed, inner_pfaffian,
-    inner_symmetrized, mehta_determinant,
+    alpha_closed, alpha_entry_quadrature, aomoto_moments, fancy_index_ginibre_rows, h_closed,
+    inner_pfaffian, inner_symmetrized, mehta_determinant, prod_inner_moments,
 )
+from ocft import jacobi
 from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
@@ -185,6 +186,13 @@ class TestSlabGrid:
         full = full_grid_moments(n, lambda x: x**a * (1 - x) ** b, rule_nodes(n, a, b))
         slab = _inner_moments(n, a, b)
         np.testing.assert_allclose(slab / slab[0], full / full[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "n, a, b",
+        [(n, a, b) for n in range(1, 5) for a in range(3) for b in range(3)] + [(5, 0, 0)],
+    )
+    def test_column_products_give_the_prod_bits(self, n, a, b):
+        np.testing.assert_array_equal(_inner_moments(n, a, b), prod_inner_moments(n, a, b))
 
     def test_quadrature_memory_at_cap(self):
         # the full 32^4 grid peaked at 192 MiB
@@ -404,6 +412,24 @@ class TestGinibre:
 
         (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4))
         assert ginibre_mc(lam, gam, n, samples, RngStream(4)).mean == mean_n / mean_d
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("lam, gam", [(1.5, -0.7), (0.9 + 0.4j, 1.2)])
+    def test_strided_diagonal_gives_the_fancy_index_bits(self, monkeypatch, n, lam, gam):
+        # two batches, the second partial; the sums stream_mean hands back
+        samples, sums = 25_001, []
+
+        def recorded(values, samples, rng):
+            sums.append(stream_mean(values, samples, rng))
+            return sums[-1]
+
+        def oracle(gen, b):
+            return fancy_index_ginibre_rows(gen.standard_normal((b, n, n)), lam, gam)
+
+        monkeypatch.setattr(jacobi, "stream_mean", recorded)
+        ginibre_mc(lam, gam, n, samples, RngStream(60 + n))
+        for got, want in zip(sums[0], stream_mean(oracle, samples, RngStream(60 + n))):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_mc_real_shift_matches_complex_arithmetic(self, n):
