@@ -171,11 +171,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The ``ocft`` argument parser, built once per process and shared.
 
-    Building it takes about 0.8 ms (2.3 ms on the first call), as long as a
-    small query.  ``parse_args`` leaves the parser unchanged, and argparse
-    writes its usage errors to ``sys.stderr`` as it is when they happen, so
-    :func:`run`'s redirection still catches them.  Callers must not add
-    arguments to the shared parser.
+    Building it takes about 0.8 ms, and 2.1-2.2 ms on the first call (2
+    vCPUs), as long as a small query.  ``parse_args`` leaves the parser
+    unchanged, and argparse writes its usage errors to ``sys.stderr`` as it
+    is when they happen, so :func:`run`'s redirection still catches them.
+    Callers must not add arguments to the shared parser.
     """
     parser = argparse.ArgumentParser(
         prog="ocft",

@@ -419,9 +419,9 @@ def ginibre_mc(
             # A - x = -(x - A) entry by entry, exactly, so det(A - x) is
             # (-1)^N det(x - A) to the bit, for the cofactor formulas and for
             # LU alike, and the product of the two dets is the same; the
-            # drawn diagonal is shifted in place, through the strided view of
-            # every (n + 1)-th entry of the C-contiguous batch, so no shifted
-            # copy of the batch and no fancy-index gather or scatter is made
+            # drawn diagonal, every (n + 1)-th entry of the C-contiguous
+            # batch, is shifted in place through a strided view, so no
+            # shifted copy and no index array is made
             diag = mats.reshape(b, n * n)[:, :: n + 1]
             d = diag.copy()
             np.subtract(d, lam, out=diag)

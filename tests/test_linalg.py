@@ -147,6 +147,7 @@ class TestDetStack:
             mats = tile * -np.linspace(0.5, 1.4, n)[:, None]
             mats = mats.astype(complex) if isinstance(z, complex) else mats
             mats[:, range(n), range(n)] += z
+            assert mats.strides[0] == mats.itemsize
             routed = isinstance(z, complex) and n == 6
             want = np.linalg.det(np.ascontiguousarray(mats)) if routed else strided_laplace(mats)
             np.testing.assert_array_equal(linalg.det_stack(mats), want)
