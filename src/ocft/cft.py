@@ -16,7 +16,8 @@ weighted integral over a small space of flavour matrices:
 Verification is coefficient-wise for the Grassmann variants: the left side
 expands each monomial coefficient into products of minors of O (estimated
 by Haar Monte Carlo, with every minor of a draw built from the smaller ones
-by Laplace expansion and the sums over a batch taken as one Gram product),
+by the Laplace expansion that ``linalg.det_stack`` also uses, and the sums
+over a batch taken as one Gram product),
 the right side into powers of the flavour parameter
 with exactly computable radial moments.  All normalisations are fixed
 self-consistently by matching the constant term to the group volume 1;
@@ -49,7 +50,7 @@ from .haar import (
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import log_beta, log_gamma
+from .linalg import laplace_minors, log_beta, log_gamma
 
 __all__ = [
     "BosonicMeasure",
@@ -68,8 +69,9 @@ __all__ = [
 Z_SE_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 4.0
 # verify_bosonic_cft's range, a memory and time cap: one 20,000-draw batch of
-# O(64) draws peaks at 1.9 GB (2.5 GB with the next batch drawn ahead) and
-# takes about 20 s, and both grow as N^2 to N^3
+# O(64) draws peaks at 662 MiB and takes about 10 s, and two batches, the
+# second drawn ahead, 1,287 MiB and 16 s (haar-moment on 2 vCPUs, 1 BLAS
+# thread); both grow as N^2 to N^3
 MAX_BOSONIC_N = 64
 # entries of the largest array of one colour-side batch, the (rows, P^(n-1))
 # Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1);
@@ -177,52 +179,17 @@ def _minor_pairs(n_colour: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     return pairs
 
 
-@lru_cache(maxsize=None)
-def _minor_recursion(n_colour: int) -> tuple[int, tuple]:
-    """The pair count P and, per size k = 1..N, a Laplace expansion table.
-
-    The size-k pairs take the ``_minor_pairs`` positions start..start+P_k-1.
-    Expanding det O[S, T] along its first row s_0 gives the terms
-    (-1)^j O[s_0, t_j] det O[S - s_0, T - t_j], j < k; the (k, P_k) tables hold
-    the flat index s_0 * N + t_j of the entry and the position of the
-    size-(k-1) minor.  The tables are read-only: callers share them.
-    """
-    pairs = _minor_pairs(n_colour)
-    position = {pair: p for p, pair in enumerate(pairs)}
-    steps = []
-    for k in range(1, n_colour + 1):
-        sized = [(s, t) for s, t in pairs if len(s) == k]
-        entries = [[s[0] * n_colour + tj for tj in t] for s, t in sized]
-        smaller = [[position[s[1:], t[:j] + t[j + 1:]] for j in range(k)] for s, t in sized]
-        tables = np.array(entries).T, np.array(smaller).T
-        for table in tables:
-            table.setflags(write=False)
-        steps.append((position[sized[0]], *tables))
-    return len(pairs), tuple(steps)
-
-
 def _minor_dets(o_batch: np.ndarray) -> np.ndarray:
     """(B, P) minors det(O[S, T]) in ``_minor_pairs`` order.
 
-    The size-0 minor is 1, and the minors of each size k >= 1 are summed from
-    the size-(k - 1) minors by Laplace expansion along their first row
-    (:func:`_minor_recursion`), vectorised over the batch and the pairs.
+    :func:`linalg.laplace_minors` of every sorted row set, by size, read
+    through ``.T``: the size-0 minor is 1, and each size k >= 1 is summed
+    from the size-(k - 1) minors along its first row, vectorised over the
+    batch and the pairs.
     """
-    b, n_colour = o_batch.shape[:2]
-    count, steps = _minor_recursion(n_colour)
-    entries = np.ascontiguousarray(o_batch.reshape(b, -1).T)
-    minors = np.empty((count, b))
-    minors[0] = 1.0
-    for start, entry, smaller in steps:
-        block = minors[start:start + entry.shape[1]]
-        np.multiply(entries[entry[0]], minors[smaller[0]], out=block)
-        for j in range(1, len(entry)):
-            term = entries[entry[j]] * minors[smaller[j]]
-            if j % 2:
-                block -= term
-            else:
-                block += term
-    return minors.T
+    n_colour = o_batch.shape[-1]
+    rows = tuple(s for k in range(1, n_colour + 1) for s in combinations(range(n_colour), k))
+    return laplace_minors(o_batch, rows).T
 
 
 @lru_cache(maxsize=None)
@@ -307,10 +274,11 @@ def lhs_coefficient_means(
     if group not in ("O", "SO"):
         raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
     _, signs, _, _ = _lhs_structure(n_colour, n_flavour)
-    count, _ = _minor_recursion(n_colour)
     sampler = (
         sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
     )
+    # the Khatri-Rao width, with P = sum_k C(N, k)^2 = C(2N, N) minor pairs
+    width = math.comb(2 * n_colour, n_colour) ** max(1, n_flavour - 1)
 
     def sums(gen, b):
         minors = _minor_dets(sampler(n_colour, b, gen))
@@ -324,7 +292,7 @@ def lhs_coefficient_means(
         samples,
         rng,
         workers,
-        batch=_batch_rows(count ** max(1, n_flavour - 1)),
+        batch=_batch_rows(width),
     )
     return np.stack([mean, se], axis=1)
 

@@ -53,8 +53,8 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 # the range of haar-moment and moment --method mc, which draw the same Haar
 # O(N) batches: a memory and time cap, since one 20,000-draw batch at N = 64
-# peaks at 1.9 GB (2.5 GB with the next batch drawn ahead) and takes about
-# 20 s, and both grow as N^2 to N^3
+# peaks at 662 MiB and takes about 10 s, two batches, the second drawn ahead,
+# 1,287 MiB and 16 s (2 vCPUs, 1 BLAS thread), and both grow as N^2 to N^3
 MAX_HAAR_MOMENT_N = 64
 
 

@@ -359,7 +359,9 @@ def stream_mean(
     order of addition may differ.  The samples are split into ``workers``
     shards of near-equal size; shard w draws from ``rng.substream(w)`` in
     batches of at most ``batch`` rows, and the shards run one after
-    another.  The standard error is
+    another.  Only the first min(workers, samples) shards hold draws, and
+    only those make a generator, so any ``workers`` costs at most one
+    generator per sample.  The standard error is
     sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
     moduli about the mean.
 
@@ -380,7 +382,8 @@ def stream_mean(
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     total = total_abs2 = 0.0
-    for w in range(workers):
+    # a shard w >= samples holds no draw, so it builds no generator
+    for w in range(min(workers, samples)):
         gen = _DrawAhead(rng.substream(w).generator())
         shard = samples // workers + (1 if w < samples % workers else 0)
         try:

@@ -6,11 +6,14 @@ of routines in this module:
 
 * ``pfaffian``          -- skew-symmetric elimination with partial pivoting
 * ``det_stack``         -- batched determinants in the input's dtype:
-                           cofactor / Laplace formulas up to 4 x 4, a
-                           row-prefix Laplace expansion at 5 x 5 and real
-                           6 x 6, both on cache-sized tiles, LAPACK's LU
-                           above;
+                           cofactor / Laplace formulas up to 4 x 4, the
+                           Laplace minors below at 5 x 5 and real 6 x 6,
+                           both on cache-sized tiles, LAPACK's LU above;
                            ``determinant`` is its one-matrix form
+* ``laplace_minors``    -- batched minors of given row tuples on every
+                           column set, each expanded along its first row:
+                           the one Laplace engine, behind ``det_stack`` and
+                           the colour-side minors of ``cft``
 * ``tile_slices``       -- the cache-sized tiles that the batched kernels
                            here and in ``haar`` work through
 * ``elementary_symmetric_all`` -- every e_k of each row, by the stable
@@ -36,6 +39,7 @@ __all__ = [
     "determinant",
     "elementary_symmetric_all",
     "is_skew",
+    "laplace_minors",
     "log_beta",
     "log_gamma",
     "pfaffian",
@@ -142,9 +146,10 @@ def det_stack(m) -> np.ndarray:
     the entries, with no pivoting, division or log/exp: the entry, ad - bc,
     the cofactor expansion along the first row, at n = 4 the Laplace
     expansion over the six 2 x 2 minors of rows {0, 1} and their
-    complements in rows {2, 3}, and at n = 5 and 6 the row-prefix Laplace
-    expansion of :func:`_det_laplace`.  On a stack with
-    n >= 2 the polynomial runs on one tile of the stack at a time
+    complements in rows {2, 3}, and at n = 5 and 6 (-1)^(n(n-1)/2) times
+    the minor of the rows n - 1, ..., 0 by :func:`laplace_minors`, which
+    expands rows k - 1, ..., 0 along row k - 1 for k = 2..n.  On a stack
+    with n >= 2 the polynomial runs on one tile of the stack at a time
     (:func:`tile_slices`), so its temporaries are tile-sized and stay in
     cache; each determinant takes the same elementwise operations in the
     same order as on the whole stack.  So determinants keep their bits
@@ -176,11 +181,14 @@ def det_stack(m) -> np.ndarray:
         return a[..., 0, 0].copy()
     if a.ndim == 2 and n <= 4:  # one matrix, whose entries numpy takes as scalars
         return _det_polynomial(a)
-    kernel = _det_polynomial if n <= 4 else _det_laplace
     flat = a.reshape(-1, n, n)
     out = np.empty(len(flat), dtype=a.dtype)
+    prefixes = tuple(tuple(range(k - 1, -1, -1)) for k in range(1, n + 1))
     for tile in tile_slices(len(flat), n * n):
-        out[tile] = kernel(flat[tile])
+        out[tile] = (_det_polynomial(flat[tile]) if n <= 4
+                     else laplace_minors(flat[tile], prefixes)[-1])
+    if n > 4 and n * (n - 1) // 2 % 2:  # rows n - 1, ..., 0 are n(n-1)/2 swaps from 0..n-1
+        np.negative(out, out=out)
     return out.reshape(a.shape[:-2])
 
 
@@ -208,66 +216,75 @@ def _det_polynomial(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _laplace_steps(n: int) -> tuple:
-    """Index tables of :func:`_det_laplace` at size n, one per prefix size k = 2..n.
+def _laplace_tables(n: int, rows: tuple) -> tuple:
+    """The minor count and the index tables of :func:`laplace_minors`.
 
-    The size-k table lists every k-column set T in ``combinations`` order.
-    Its (k, C(n, k)) arrays hold, for term j of each set, the row
-    T[j] * n + k - 1 of the entry a[k - 1, T[j]] in the column-major entry
-    array, and the position of T - T[j] among the size-(k - 1) sets (the
-    size-1 sets are the columns).  The tables are read-only: callers share
-    them.
+    ``rows`` lists row tuples S in order of size, each with S[1:] among
+    them or empty.  Position 0 is the empty minor; then each S, in order,
+    is paired with every column set T of its size in ``combinations``
+    order.  M(S, T) is expanded along row S[0] as
+    sum_j (-1)^j a[S[0], T[j]] M(S[1:], T - T[j]).  One step per size k
+    gives the position of its first pair and two (k, P_k) arrays: for term
+    j of each pair, the row T[j] * n + S[0] of the entry in the
+    column-major entry array, and the position of M(S[1:], T - T[j]).  The
+    tables are read-only: callers share them.
     """
-    position = {(j,): j for j in range(n)}
+    position = {((), ()): 0}
     steps = []
-    for k in range(2, n + 1):
-        sets = list(combinations(range(n), k))
-        entry = np.array([[t[j] * n + k - 1 for t in sets] for j in range(k)])
-        smaller = np.array([[position[t[:j] + t[j + 1:]] for t in sets] for j in range(k)])
+    for k in range(1, len(rows[-1]) + 1):
+        pairs = [(s, t) for s in rows if len(s) == k for t in combinations(range(n), k)]
+        entry = np.array([[t[j] * n + s[0] for s, t in pairs] for j in range(k)])
+        smaller = np.array([[position[s[1:], t[:j] + t[j + 1:]] for s, t in pairs]
+                            for j in range(k)])
         for table in (entry, smaller):
             table.setflags(write=False)
-        steps.append((entry, smaller))
-        position = {t: p for p, t in enumerate(sets)}
-    return tuple(steps)
+        steps.append((len(position), entry, smaller))
+        position.update({pair: len(position) + p for p, pair in enumerate(pairs)})
+    return len(position), tuple(steps)
 
 
-def _det_laplace(a: np.ndarray) -> np.ndarray:
-    """Determinants of a (t, n, n) stack by row-prefix Laplace expansion.
+def laplace_minors(a: np.ndarray, rows: tuple) -> np.ndarray:
+    """(count, t) minors M(S, T) of a (t, n, n) stack, by Laplace expansion.
 
-    The minors of rows 0..k-1 on each k-column set T are built from those
-    of rows 0..k-2 by expanding along row k - 1 (:func:`_laplace_steps`),
-    vectorised over the stack and the sets, with no determinant call.  Each
-    is summed as sum_j (-1)^j a[k-1, T[j]] M(T - T[j]); that alternating sum
-    is (-1)^(k(k-1)/2) times the minor, so only the sign of the last one is
-    fixed.  The two factors of each term are gathered into buffers of the
-    widest level and multiplied in place, so no temporary is allocated per
-    term.
+    The minors are those of the row tuples ``rows`` (in order of size, each
+    S[1:] among them or empty) on every column set of their size, in the
+    order of :func:`_laplace_tables`, after the empty minor 1 at row 0.
+    Each size's minors are summed from the next smaller ones along their
+    first row, vectorised over the stack and the pairs, with no
+    determinant call: the two factors of each term are gathered into
+    buffers of the widest size and multiplied in place, so no temporary is
+    allocated per term, and the terms are subtracted and added left to
+    right.  The size-1 minors are the entries themselves.  A stack whose
+    entry vectors ``a[:, i, j]`` are contiguous is read without a copy.
     """
     t, n = a.shape[0], a.shape[-1]
     # row j * n + i holds a[:, i, j]; a view when those vectors are contiguous
     entries = np.transpose(a, (2, 1, 0)).reshape(n * n, t)
-    steps = _laplace_steps(n)
-    work = np.empty((4, max(e.shape[1] for e, _ in steps), t), dtype=a.dtype)
-    minors = entries[::n]
+    count, steps = _laplace_tables(n, rows)
+    minors = np.empty((count, t), dtype=a.dtype)
+    minors[0] = 1
+    x, y = np.empty((2, max(e.shape[1] for _, e, _ in steps), t), dtype=a.dtype)
     # the indices are in range; mode "clip" lets take write straight into out
-    for level, (entry, smaller) in enumerate(steps):
-        sets = entry.shape[1]
-        block, x, y = work[level % 2, :sets], work[2, :sets], work[3, :sets]
+    for start, entry, smaller in steps:
+        block = minors[start:start + entry.shape[1]]
+        if len(entry) == 1:  # a copy: a product with a complex 1 may flip a zero's sign
+            np.take(entries, entry[0], axis=0, out=block, mode="clip")
+            continue
+        xs, ys = x[:len(block)], y[:len(block)]
         for j in range(len(entry)):
-            np.take(entries, entry[j], axis=0, out=x, mode="clip")
-            np.take(minors, smaller[j], axis=0, out=y, mode="clip")
+            np.take(entries, entry[j], axis=0, out=xs, mode="clip")
+            np.take(minors, smaller[j], axis=0, out=ys, mode="clip")
             if not j:
-                np.multiply(x, y, out=block)
+                np.multiply(xs, ys, out=block)
                 continue
             # numpy multiplies a one-element complex array in place with other
-            # rounding, so the last level of a lone matrix takes a new product
-            term = np.multiply(x, y, out=x if x.size > 1 else None)
+            # rounding, so a lone matrix's last size takes a new product
+            term = np.multiply(xs, ys, out=xs if xs.size > 1 else None)
             if j % 2:
                 block -= term
             else:
                 block += term
-        minors = block
-    return minors[0] if n * (n - 1) // 2 % 2 == 0 else -minors[0]
+    return minors
 
 
 def determinant(a) -> complex:

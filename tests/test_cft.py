@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from grassmann_oracles import lhs_integrand
-from ocft import cft
+from ocft import cft, linalg
 from ocft.cft import (
     BosonicMeasure, VerificationReport, _batch_rows, _det_m0_terms,
     _lhs_structure, _minor_dets, _minor_pairs,
@@ -213,6 +213,33 @@ def per_pair_minor_dets(o_batch, pairs):
             out[:, idx] = np.linalg.det(sub)
             bound[:, idx] = np.prod(np.linalg.norm(sub, axis=2), axis=1)
     return out, bound
+
+
+def first_row_minor_dets(o_batch):
+    """(B, P) minors in ``_minor_pairs`` order by cft's former recursion: each
+    size-k minor expanded along its first row s_0 on the row-major entries
+    s_0 * N + t_j, from the size-(k - 1) minors, one new array per term.  The
+    bit oracle of the shared Laplace engine."""
+    b, n_colour = o_batch.shape[:2]
+    pairs = _minor_pairs(n_colour)
+    position = {pair: p for p, pair in enumerate(pairs)}
+    entries = np.ascontiguousarray(o_batch.reshape(b, -1).T)
+    minors = np.empty((len(pairs), b))
+    minors[0] = 1.0
+    for k in range(1, n_colour + 1):
+        sized = [(s, t) for s, t in pairs if len(s) == k]
+        start = position[sized[0]]
+        block = minors[start:start + len(sized)]
+        for j in range(k):
+            term = (entries[[s[0] * n_colour + t[j] for s, t in sized]]
+                    * minors[[position[s[1:], t[:j] + t[j + 1:]] for s, t in sized]])
+            if not j:
+                block[:] = term
+            elif j % 2:
+                block -= term
+            else:
+                block += term
+    return minors.T
 
 
 def signed_permutations(n_colour, count, seed):
@@ -440,7 +467,10 @@ class TestColourSideStructure:
         for array in _lhs_structure(*shape)[:3]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        _, steps = cft._minor_recursion(shape[0])
+        n_colour = shape[0]
+        rows = tuple(itertools.chain.from_iterable(
+            itertools.combinations(range(n_colour), k) for k in range(1, n_colour + 1)))
+        _, steps = linalg._laplace_tables(n_colour, rows)
         for _, entries, smaller in steps:
             for array in (entries, smaller):
                 with pytest.raises(ValueError, match="read-only"):
@@ -463,6 +493,15 @@ class TestColourSideStructure:
         o = np.random.default_rng(n_colour).standard_normal((6, n_colour, n_colour))
         want, bound = per_pair_minor_dets(o, _minor_pairs(n_colour))
         assert np.all(np.abs(_minor_dets(o) - want) <= 1e-13 * bound)
+
+    @pytest.mark.parametrize("n_colour", range(1, 9))
+    def test_minors_keep_the_first_row_recursion_bits(self, n_colour):
+        o = sample_orthogonal_batch(n_colour, 50, RngStream(60 + n_colour))
+        # C order, and the column layout of the Haar tiles, a strided view
+        strided = np.ascontiguousarray(o.transpose(2, 1, 0)).transpose(2, 1, 0)
+        want = first_row_minor_dets(o)
+        for batch in (o, strided):
+            np.testing.assert_array_equal(_minor_dets(batch), want)
 
     @pytest.mark.parametrize("n_colour", range(1, 9))
     def test_recursive_minors_of_signed_permutations_are_exact(self, n_colour):

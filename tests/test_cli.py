@@ -13,6 +13,7 @@ import pytest
 
 from ocft import cft, cli
 from ocft.cli import build_parser, parse_complex, run
+from ocft.haar import RngStream
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -271,6 +272,22 @@ class TestHaarMoment:
         code, out, _ = invoke(argv)
         assert code == 0 and out == unset[1]
         assert json.loads(out)["workers"] == 1
+
+    def test_shards_without_draws_build_no_generator(self, monkeypatch):
+        # 2 draws of 4 entries start no draw-ahead thread; a generator per
+        # shard would take about 25 s at a million shards
+        argv = ["haar-moment", "--n", "2", "--entries", "1,1", "--samples", "2",
+                "--seed", "4", "--workers"]
+        built, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self: built.append(self) or generator(self))
+        code, many, _ = invoke(argv + ["1000000"])
+        assert code == 0 and len(built) == 2
+        code, two, _ = invoke(argv + ["2"])
+        assert code == 0 and built[2:] == built[:2]
+        many, two = json.loads(many), json.loads(two)
+        assert (many["value"], many["std_error"]) == (two["value"], two["std_error"])
+        assert (many["workers"], two["workers"]) == (1_000_000, 2)
 
     def test_entry_bounds_checked(self):
         code, _, _ = invoke(

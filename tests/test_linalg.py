@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from ocft import linalg
+from ocft import cft, linalg
 from ocft.haar import RngStream, sample_orthogonal_batch
 from ocft.errors import DimensionError, DomainError, ShapeError
 from random_inputs import random_skew
@@ -209,6 +209,45 @@ class TestDetStack:
             linalg.det_stack(np.zeros((4, 2, 3)))
         with pytest.raises(DimensionError):
             linalg.det_stack(np.zeros(3))
+
+
+class TestLaplaceMinors:
+    def test_minors_of_row_tuples_in_any_order(self):
+        # M(S, T) is det a[S, T] with its rows in the order of S
+        rows = ((2,), (3,), (0, 2), (1, 3), (1, 0, 2))
+        a = np.random.default_rng(92).standard_normal((9, 4, 4))
+        minors = linalg.laplace_minors(a, rows)
+        want = [np.ones(9)] + [np.linalg.det(a[:, s][:, :, t]) for s in rows
+                               for t in combinations(range(4), len(s))]
+        assert minors.shape == (1 + 4 + 4 + 6 + 6 + 4, 9)
+        np.testing.assert_allclose(minors, want, rtol=0, atol=1e-13)
+
+    def test_det_stack_and_cft_tables_are_built_once_and_read_only(self, monkeypatch):
+        build, calls = linalg._laplace_tables, []
+
+        def spy(n, rows):
+            calls.append(((n, rows), build(n, rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(linalg, "_laplace_tables", spy)
+        build.cache_clear()
+        rng = np.random.default_rng(93)
+        for _ in range(2):
+            linalg.det_stack(rng.standard_normal((10, 6, 6)))
+            cft._minor_dets(rng.standard_normal((10, 3, 3)))
+        assert build.cache_info().misses == 2
+        (det_key, det_tables), (cft_key, cft_tables) = calls[:2]
+        assert det_key == (6, ((0,), (1, 0), (2, 1, 0), (3, 2, 1, 0), (4, 3, 2, 1, 0),
+                               (5, 4, 3, 2, 1, 0)))
+        assert cft_key == (3, ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)))
+        assert [key for key, _ in calls[2:]] == [det_key, cft_key]
+        assert calls[2][1] is det_tables and calls[3][1] is cft_tables
+        assert (det_tables[0], cft_tables[0]) == (2**6, math.comb(6, 3))
+        for _, steps in (det_tables, cft_tables):
+            for _, entry, smaller in steps:
+                for table in (entry, smaller):
+                    with pytest.raises(ValueError, match="read-only"):
+                        table[0, 0] = 0
 
 
 class TestTileSlices:
