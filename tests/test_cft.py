@@ -468,8 +468,8 @@ class TestColourSideStructure:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         n_colour = shape[0]
-        rows = tuple(itertools.chain.from_iterable(
-            itertools.combinations(range(n_colour), k) for k in range(1, n_colour + 1)))
+        rows = tuple(s for k in range(1, n_colour + 1)
+                     for s in itertools.combinations(range(n_colour), k))
         _, steps = linalg._laplace_tables(n_colour, rows)
         for _, entries, smaller in steps:
             for array in (entries, smaller):

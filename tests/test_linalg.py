@@ -162,6 +162,19 @@ class TestDetStack:
         split = [linalg.det_stack(a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(linalg.det_stack(a), np.concatenate(split))
 
+    @pytest.mark.parametrize("n, complex_entries", [(5, False), (5, True), (6, False)])
+    def test_signed_zeros_keep_the_strided_formula_bits(self, n, complex_entries):
+        # parts of +-0 and +-1 give many exact zeros, whose sign a product of
+        # the entries by a complex 1 would change
+        parts = np.random.default_rng(94 + n).choice(
+            [-0.0, 0.0, 1.0, -1.0], size=(2, 2_000, n, n), p=[0.35, 0.35, 0.15, 0.15])
+        a = parts[0].astype(complex) if complex_entries else parts[0]
+        if complex_entries:
+            a.imag = parts[1]
+        det, want = linalg.det_stack(a), strided_laplace(a)
+        np.testing.assert_array_equal(det.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(det.real[det == 0]).any()
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_on_integer_matrices(self, n):
         # the cofactor and Laplace formulas of small integers are exact in float64
