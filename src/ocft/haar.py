@@ -382,7 +382,6 @@ def stream_mean(
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     total = total_abs2 = 0.0
-    # a shard w >= samples holds no draw, so it builds no generator
     for w in range(min(workers, samples)):
         gen = _DrawAhead(rng.substream(w).generator())
         shard = samples // workers + (1 if w < samples % workers else 0)
