@@ -76,12 +76,6 @@ class Multivector:
         self.terms = {m: c for m, c in self.terms.items() if abs(c) > cut}
         return self
 
-    def coefficient(self, mask: int) -> complex:
-        return self.terms.get(mask, 0.0 + 0.0j)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
     # -- algebra ---------------------------------------------------------
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_universe(other)

@@ -40,10 +40,10 @@ operations whatever the tiling.
 
 Large arrays of random numbers are drawn one array ahead.  Each shard's
 generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
-after it serves a ``standard_normal`` or ``random`` array of at least
+after it serves a ``standard_normal`` array of at least
 DRAW_AHEAD_MIN_VALUES = 2^16 values, a helper thread fills the next array
-of the same method and shape from a copy of the generator, while the
-caller's thread turns the draws into rows.  numpy's ``Generator`` releases
+of the same shape from a copy of the generator, while the caller's thread
+turns the draws into rows.  numpy's ``Generator`` releases
 the interpreter lock while it fills an array, so the draw runs beside the
 Gram-Schmidt passes, determinants and sums.  A call that asks for that
 array gets it; any other call drops it and draws from the generator as it
@@ -107,10 +107,6 @@ class Estimate:
     mean: complex
     std_error: float
     samples: int
-
-    @property
-    def real(self) -> float:
-        return self.mean.real
 
     def z_score(self, reference: complex) -> float:
         """|mean - reference| in units of the standard error."""
@@ -263,26 +259,21 @@ _SAMPLERS = {"O": _orthogonal_tiles, "SO": _special_orthogonal_tiles}
 class _DrawAhead:
     """``Generator`` stand-in that draws the next large array on a helper thread.
 
-    After it serves a ``standard_normal`` or ``random`` array of at least
+    After it serves a ``standard_normal`` array of at least
     DRAW_AHEAD_MIN_VALUES values, a helper thread fills a fresh array of the
-    same method and shape from a copy of the generator.  If the next call
-    asks for that method and shape, it gets the filled array (or the error
-    the fill raised) and the copy becomes the generator.  Any other call,
-    and :meth:`close`, waits for the fill and drops it with its copy, so the
-    draw comes from the generator as it was.  Either way every call returns
+    same shape from a copy of the generator.  If the next call asks for a
+    ``standard_normal`` array of that shape, it gets the filled array (or
+    the error the fill raised) and the copy becomes the generator.  Any
+    other call, of this or of any other method, and :meth:`close`, waits for
+    the fill and drops it with its copy, so the draw comes from the
+    generator as it was.  Either way every call returns
     the numbers the generator itself would have returned.
     """
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._ahead = None  # (method, shape), thread, copy, array, errors
+        self._ahead = None  # shape, thread, copy, array, errors
         self.last_batch = False  # set: start no fill, since none would be used
-
-    def standard_normal(self, size=None, *args, **kwargs):
-        return self._draw("standard_normal", size, args, kwargs)
-
-    def random(self, size=None, *args, **kwargs):
-        return self._draw("random", size, args, kwargs)
 
     def __getattr__(self, name):
         self.close()
@@ -294,12 +285,12 @@ class _DrawAhead:
         if ahead is not None:
             ahead[1].join()
 
-    def _draw(self, method: str, size, args, kwargs) -> np.ndarray:
+    def standard_normal(self, size=None, *args, **kwargs) -> np.ndarray:
         # only a plain float64 draw of an integer shape is filled ahead
         dims = size if isinstance(size, (tuple, list)) else (size,)
         plain = not (args or kwargs) and all(isinstance(d, (int, np.integer)) for d in dims)
-        key = (method, tuple(int(d) for d in dims)) if plain else None
-        if self._ahead is not None and self._ahead[0] == key:
+        shape = tuple(int(d) for d in dims) if plain else None
+        if self._ahead is not None and self._ahead[0] == shape:
             _, thread, gen, array, errors = self._ahead
             self._ahead = None
             thread.join()
@@ -308,19 +299,19 @@ class _DrawAhead:
             self._gen = gen
         else:
             self.close()
-            array = getattr(self._gen, method)(size, *args, **kwargs)
-        if key and not self.last_batch and math.prod(key[1]) >= DRAW_AHEAD_MIN_VALUES:
-            gen, ahead, errors = copy.deepcopy(self._gen), np.empty(key[1]), []
+            array = self._gen.standard_normal(size, *args, **kwargs)
+        if plain and not self.last_batch and math.prod(shape) >= DRAW_AHEAD_MIN_VALUES:
+            gen, ahead, errors = copy.deepcopy(self._gen), np.empty(shape), []
 
             def fill():
                 try:
-                    getattr(gen, method)(out=ahead)
-                except BaseException as exc:  # raised on the caller's thread by _draw
+                    gen.standard_normal(out=ahead)
+                except BaseException as exc:  # raised on the caller's thread by the next draw
                     errors.append(exc)
 
             thread = threading.Thread(target=fill, name="ocft-draw-ahead")
             thread.start()
-            self._ahead = (key, thread, gen, ahead, errors)
+            self._ahead = (shape, thread, gen, ahead, errors)
         return array
 
 
@@ -366,10 +357,10 @@ def stream_mean(
     moduli about the mean.
 
     ``gen`` is a stand-in for the shard's generator that draws ahead: each
-    ``standard_normal`` or ``random`` array of at least
-    DRAW_AHEAD_MIN_VALUES values is followed, on a helper thread, by the
-    fill of the next array of the same method and shape, which the next
-    draw gets if it asks for that method and shape.  The shard's last batch
+    ``standard_normal`` array of at least DRAW_AHEAD_MIN_VALUES values is
+    followed, on a helper thread, by the fill of the next array of the same
+    shape, which the next draw gets if it asks for a ``standard_normal``
+    array of that shape.  The shard's last batch
     starts no fill, since nothing would use it.  Every draw returns the
     numbers the generator itself would have returned, whatever ``values``
     draws and in whatever order, so the result is the same bits as drawing

@@ -12,11 +12,12 @@ Three routes to the same quantity, used to cross-check each other:
 * ``moment_mc``               -- brute-force Haar average of the determinant.
 
 m = 1 and m = 2 share one tensor grid over the block radii
-(``_radial_grid``).  At m = 1, and at m = 2 for real z, the kernels are
-built on the canonical skew matrices of that grid (``_skew_sigma_blocks``)
-and their Pfaffians taken in batches (``_pf_product``); for complex z at
-m = 2 each kernel Pfaffian is a closed form (``_m2_kernel_pfaffian``)
-averaged over the U(4) factor, and no kernel is built.
+(``_radial_grid``), and each order has one kernel-Pfaffian evaluator.  At
+m = 1 the 4x4 kernels are built on the canonical skew matrices of that grid
+(``_skew_sigma_blocks``) and their Pfaffians taken in batches
+(``_pf_product``).  At m = 2 each kernel Pfaffian is a closed form
+(``_m2_kernel_pfaffian``), averaged over the U(4) factor for complex z and
+taken at U = I for real z, where it does not depend on U; no kernel is built.
 The flavour-space integral carries an overall constant that is fixed by
 the G = 0 calibration point F_0(1) = 1: the same integral is evaluated with
 G and with the calibration pair on identical nodes and only the ratio is
@@ -130,70 +131,35 @@ def moment_mc(
 # -- polar decomposition of the skew flavour matrix -------------------------
 
 
-def _perfect_matchings(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """All perfect matchings of {0..size-1} with their Pfaffian signs."""
-    pairs_out: list[list[tuple[int, int]]] = []
-    signs_out: list[int] = []
-
-    def rec(rest: list[int], acc: list[tuple[int, int]], sign: int):
-        if not rest:
-            pairs_out.append(list(acc))
-            signs_out.append(sign)
-            return
-        first, tail = rest[0], rest[1:]
-        for p, j in enumerate(tail):
-            acc.append((first, j))
-            rec(tail[:p] + tail[p + 1 :], acc, sign * (-1) ** p)
-            acc.pop()
-
-    rec(list(range(size)), [], 1)
-    return np.array(pairs_out, dtype=int), np.array(signs_out, dtype=float)
-
-
-_MATCH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def pfaffian_batch(k: np.ndarray) -> np.ndarray:
-    """Pfaffians of a (B, 2k, 2k) stack via the perfect-matching expansion.
-
-    Intended for small kernels (2k <= 8, i.e. 105 matchings); entries should
-    be pre-scaled to order one by the caller if they can overflow.
-    """
-    size = k.shape[-1]
-    if size not in _MATCH_CACHE:
-        _MATCH_CACHE[size] = _perfect_matchings(size)
-    pairs, signs = _MATCH_CACHE[size]
-    vals = k[:, pairs[:, :, 0], pairs[:, :, 1]]
-    return np.prod(vals, axis=2) @ signs
+    """Pfaffians of a (B, 4, 4) stack: the sum over the three perfect matchings."""
+    return k[:, 0, 1] * k[:, 2, 3] - k[:, 0, 2] * k[:, 1, 3] + k[:, 0, 3] * k[:, 1, 2]
 
 
-def _kernel_batch(z_batch: np.ndarray, g: float, z: complex, m: int) -> np.ndarray:
-    """(B, 4m, 4m) skew kernels [[g^2 Z, D], [-D, Z^dagger]] of a (B, 2m, 2m) stack.
+def _kernel_batch(z_batch: np.ndarray, g: float, z: complex) -> np.ndarray:
+    """(B, 4, 4) skew kernels [[g^2 Z, D], [-D, Z^dagger]] of a (B, 2, 2) stack.
 
-    Z is a complex skew flavour matrix and D = diag(z, zbar) (x) I_m couples
-    the two blocks.
+    Z is a complex skew flavour matrix and D = diag(z, zbar) couples the two
+    blocks.
     """
     try:
         g2 = g**2
     except OverflowError:  # inf, which the caller's finiteness check refuses
         g2 = math.inf
-    b = z_batch.shape[0]
-    d = np.kron(np.diag([z, np.conj(z)]), np.eye(m))
-    k = np.zeros((b, 4 * m, 4 * m), dtype=complex)
-    k[:, : 2 * m, : 2 * m] = g2 * z_batch
-    k[:, : 2 * m, 2 * m :] = d
-    k[:, 2 * m :, : 2 * m] = -d
-    k[:, 2 * m :, 2 * m :] = np.conj(np.transpose(z_batch, (0, 2, 1)))
+    d = np.diag([z, np.conj(z)])
+    k = np.zeros((z_batch.shape[0], 4, 4), dtype=complex)
+    k[:, :2, :2] = g2 * z_batch
+    k[:, :2, 2:] = d
+    k[:, 2:, :2] = -d
+    k[:, 2:, 2:] = np.conj(np.transpose(z_batch, (0, 2, 1)))
     return k
 
 
 def _skew_sigma_blocks(t: np.ndarray) -> np.ndarray:
-    """(K, 2m, 2m) canonical skew matrices with 2x2 blocks of radii sqrt(t)."""
-    k, m = t.shape
-    sig = np.zeros((k, 2 * m, 2 * m), dtype=complex)
+    """(K, 2, 2) canonical skew matrices [[0, sqrt(t)], [-sqrt(t), 0]] of K radii t."""
+    sig = np.zeros((t.size, 2, 2), dtype=complex)
     s = np.sqrt(t)
-    even = 2 * np.arange(m)
-    sig[:, even, even + 1], sig[:, even + 1, even] = s, -s
+    sig[:, 0, 1], sig[:, 1, 0] = s, -s
     return sig
 
 
@@ -232,11 +198,11 @@ def _radial_grid(m: int):
     return t, np.prod(tensor(w), axis=1) * dens
 
 
-def _pf_product(z_batch: np.ndarray, scale: np.ndarray, g_values, z: complex, m: int):
-    """prod_i pf(kernel(g_i)) / scale over a (B, 2m, 2m) stack and its B scales."""
-    out = np.ones(z_batch.shape[0], dtype=complex)
+def _pf_product(sigma: np.ndarray, scale: np.ndarray, g_values, z: complex) -> np.ndarray:
+    """prod_i pf(kernel(g_i)) / scale over a (B, 2, 2) stack and its B scales."""
+    out = np.ones(sigma.shape[0], dtype=complex)
     for gi in g_values:
-        out *= pfaffian_batch(_kernel_batch(z_batch, float(gi), z, m)) / scale
+        out *= pfaffian_batch(_kernel_batch(sigma, float(gi), z)) / scale
     return out
 
 
@@ -287,6 +253,10 @@ def _u4_block_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(nodes, -1).reshape(-1, 3), weights
 
 
+# the single node U = I: (a, b, c) = (1, 0, 0), so p = t1 and q = t2
+_U_IDENTITY = (np.array([[1.0, 0.0, 0.0]]), np.ones(1))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     """Flavour-space Pfaffian-product integral for F_G(z), m <= 2.
@@ -294,14 +264,16 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     Uses the polar decomposition Z = U Sigma U^T of the skew flavour
     matrix: the m block radii are integrated by tensor Gauss-Legendre
     quadrature with the exact radial Jacobian (:func:`_radial_grid`).  At
-    m = 1, and at m = 2 for real z, the kernel product is invariant under
-    the unitary factor, so the radial quadrature is the whole integral.
-    For complex z at m = 2 the U(4) factor is averaged exactly by the
-    quadrature of :func:`_u4_block_nodes`, and each kernel Pfaffian is
-    evaluated in closed form (:func:`_m2_kernel_pfaffian`): it depends on U
-    only through p = |Z_01|^2 = t1 a + t2 b + 2 sqrt(t1 t2) c and
-    q = |Z_23|^2, the same with a and b swapped (Jacobi's complementary
-    minors, |det U| = 1), so no 4x4 flavour matrix or 8x8 kernel is built.
+    m = 1 the kernel product is invariant under the unitary factor, so the
+    radial quadrature is the whole integral, and the 4x4 kernel Pfaffians
+    are taken in batches (:func:`_pf_product`).  At m = 2 every kernel
+    Pfaffian is evaluated in closed form (:func:`_m2_kernel_pfaffian`), so
+    no 4x4 flavour matrix or 8x8 kernel is built.  It depends on U only
+    through p = |Z_01|^2 = t1 a + t2 b + 2 sqrt(t1 t2) c and q = |Z_23|^2,
+    the same with a and b swapped (Jacobi's complementary minors,
+    |det U| = 1).  For complex z the U(4) factor is averaged exactly over
+    the nodes (a, b, c) of :func:`_u4_block_nodes`; for real z the
+    coefficients of p and q vanish, and the single node U = I is exact.
     Every route is deterministic: the standard error is 0.
 
     The overall constant is fixed by the G = 0 calibration,
@@ -316,28 +288,33 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
             f"flavour-space integral at m = {query.m} capped at N = {cap}, "
             f"where its {nodes}-node radial grid stops being exact"
         )
-    z = query.z.real if query.z.imag == 0 else query.z
+    # numpy scalars, whose overflow gives the inf that _finite refuses where
+    # Python's ** raises
+    z = np.float64(query.z.real) if query.z.imag == 0 else np.complex128(query.z)
     if query.m == 2 and z.imag != 0 and query.n > MAX_M2_COMPLEX_N:
         raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
     radii, t_weights = _radial_grid(query.m)
     scale = np.prod(1.0 + radii, axis=1)
-    sigma = _skew_sigma_blocks(radii)
-    den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0, query.m) @ t_weights)
+    if query.m == 1:
+        sigma = _skew_sigma_blocks(radii[:, 0])
+        den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0) @ t_weights)
+        num = complex(_pf_product(sigma, scale, query.g, z) @ t_weights)
+    else:
+        t1, t2 = radii[:, 0], radii[:, 1]
+        radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
+        trace, pf_sq = t1 + t2, t1 * t2
 
-    if query.m == 1 or z.imag == 0:
-        num = complex(_pf_product(sigma, scale, query.g, z, query.m) @ t_weights)
-        return _finite(Estimate((num / den).real, 0.0, 0), query)
+        def pf_sum(g_values, z, u_nodes, u_weights):
+            total = 0j
+            for tile in tile_slices(len(u_nodes), t_weights.size):
+                # q is p with a and b swapped, i.e. with t1 and t2 swapped
+                p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
+                fg = np.ones(p.shape, dtype=complex)
+                for gi in g_values:
+                    fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
+                total += u_weights[tile] @ (fg @ t_weights)
+            return total
 
-    t1, t2 = radii[:, 0], radii[:, 1]
-    radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
-    trace, pf_sq = t1 + t2, t1 * t2
-    u_nodes, u_weights = _u4_block_nodes(query.n)
-    num = 0j
-    for tile in tile_slices(len(u_nodes), t_weights.size):
-        # q is p with a and b swapped, i.e. with t1 and t2 swapped
-        p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
-        fg = np.ones(p.shape, dtype=complex)
-        for gi in query.g:
-            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
-        num += u_weights[tile] @ (fg @ t_weights)
+        den = pf_sum(np.zeros(query.n), 1.0, *_U_IDENTITY)
+        num = pf_sum(query.g, z, *(_U_IDENTITY if z.imag == 0 else _u4_block_nodes(query.n)))
     return _finite(Estimate((num / den).real, 0.0, 0), query)

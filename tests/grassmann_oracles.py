@@ -12,6 +12,16 @@ from ocft.grassmann import Multivector, _merge_sign, gmul, psi_index, psibar_ind
 from ocft.linalg import as_complex_matrix, is_skew
 
 
+def coefficient(x: Multivector, mask: int) -> complex:
+    """The coefficient of the monomial ``mask`` in x."""
+    return x.terms.get(mask, 0.0 + 0.0j)
+
+
+def is_zero(x: Multivector, tol: float = 0.0) -> bool:
+    """Whether every coefficient of x is at most ``tol`` in modulus."""
+    return all(abs(c) <= tol for c in x.terms.values())
+
+
 def gexp(x: Multivector) -> Multivector:
     """exp of an even nilpotent element: finite sum x^k / k!.
 

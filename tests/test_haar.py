@@ -524,12 +524,14 @@ class TestDrawAhead:
     # Draws the caller's thread makes itself in 11 (workers 1) or 12
     # (workers 3) batches of 1000 rows, each shard's last batch partial: each
     # shard's first array and the arrays of its last batch, too small to be
-    # drawn ahead, and in the complex rows g and u of every batch (g follows
-    # u, a different method).  Every other array comes from a fill.
+    # drawn ahead, and every ``random`` array, which the stand-in passes to
+    # the generator: u in every batch of the complex rows, and g after it
+    # (the fill that h started was dropped), and both arrays of every batch
+    # of the uniform rows.  Every other array comes from a fill.
     CALLER_DRAWS = {
         ("real", 1): 2, ("real", 3): 6,
         ("complex", 1): 23, ("complex", 3): 27,
-        ("uniform", 1): 3, ("uniform", 3): 9,
+        ("uniform", 1): 22, ("uniform", 3): 24,
     }
 
     @pytest.mark.parametrize("workers", [1, 3])

@@ -1,30 +1,53 @@
-"""Every top-level function and class of ``ocft`` is read by ``ocft`` itself.
+"""Every top-level function and class of ``ocft``, and every method and
+property of its classes, is read by ``ocft`` itself.
 
 Code that only tests call belongs in ``tests/``, beside the tests that use
 it; that holds for private helpers as for public names.  A name counts as
 read if a module of the package loads it, as a name or an attribute,
 outside its own definition; imports, ``__all__`` entries and docstrings do
-not count.  ``cli.main`` is the console entry point.
+not count.  Methods are matched by name alone, so a method counts as read
+wherever any object's attribute of that name is loaded.  Dunder methods,
+which Python calls itself, are not checked.  ``cli.main`` is the console
+entry point.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import ocft
 
 
+def _definitions(tree):
+    """The name of each top-level function and class, and of each method and
+    property of a top-level class but its dunders, as Class.method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{top.name}.{item.name}"
+
+
+def _loads(node, owners=frozenset()):
+    """Each name or attribute loaded under ``node``, outside the definitions
+    of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owners = owners | {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if name and name not in owners and not isinstance(getattr(node, "ctx", None), ast.Store):
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, owners)
+
+
 def _unused(modules, exempt=("cli.main",)):
     defined, read = set(), set()
     for module, tree in modules.items():
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((module, owner))
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name and name != owner and not isinstance(getattr(node, "ctx", None), ast.Store):
-                    read.add(name)
-    return sorted({f"{m}.{n}" for m, n in defined if n not in read} - set(exempt))
+        defined.update(f"{module}.{name}" for name in _definitions(tree))
+        read.update(_loads(tree))
+    return sorted({d for d in defined if d.rsplit(".", 1)[1] not in read} - set(exempt))
 
 
 def _package_unused():
@@ -32,17 +55,29 @@ def _package_unused():
     return _unused({path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")})
 
 
+def _private(name):
+    return any(part.startswith("_") for part in name.split(".")[1:])
+
+
 def test_no_public_definition_is_test_only():
-    unused = [name for name in _package_unused() if not name.split(".")[1].startswith("_")]
+    unused = [name for name in _package_unused() if not _private(name)]
     assert not unused, f"read nowhere in ocft outside their own definition: {unused}"
 
 
 def test_no_private_definition_is_test_only():
-    unused = [name for name in _package_unused() if name.split(".")[1].startswith("_")]
+    unused = [name for name in _package_unused() if _private(name)]
     assert not unused, f"read nowhere in ocft outside their own definition: {unused}"
 
 
 def test_the_check_finds_a_definition_only_it_reads():
     source = ("def used():\n    return 1\n\n\ndef unused():\n    return used() + unused()\n\n\n"
-              "def _private():\n    return _private()\n")
-    assert _unused({"probe": ast.parse(source)}) == ["probe._private", "probe.unused"]
+              "def _private():\n    return _private()\n\n\n"
+              "class Used:\n"
+              "    def __init__(self):\n        self.value = self.read()\n\n"
+              "    def read(self):\n        return self.size\n\n"
+              "    @property\n    def size(self):\n        return 1\n\n"
+              "    def unread(self):\n        return self.unread()\n\n"
+              "    def _unread(self):\n        return 0\n\n\n"
+              "Used()\n")
+    assert _unused({"probe": ast.parse(source)}) == [
+        "probe.Used._unread", "probe.Used.unread", "probe._private", "probe.unused"]

@@ -24,6 +24,14 @@ from ocft.moments import (
     _radial_grid,
     _skew_sigma_blocks,
 )
+from moments_oracles import (
+    expansion_integral,
+    explicit_u_average,
+    kernel_batch,
+    matching_pfaffians,
+    pf_product,
+    skew_sigma_blocks,
+)
 from random_inputs import random_skew
 
 
@@ -175,27 +183,33 @@ class TestMonteCarlo:
             assert est.z_score(moment_m1_closed(q)) <= 3.0
 
 
+def kernels(stack, g, z, m):
+    """The library's 4x4 kernels at m = 1, the oracle's 4m x 4m ones at any m."""
+    return _kernel_batch(stack, g, z) if m == 1 else kernel_batch(stack, g, z, m)
+
+
 class TestKernel:
     def test_explicit_m1_pfaffian(self):
         a = 0.8 - 0.3j
         zval = 1.1 + 0.2j
         g = 1.7
         zm = np.array([[0, a], [-a, 0]])
-        k = _kernel_batch(zm[None], g, zval, 1)[0]
+        k = _kernel_batch(zm[None], g, zval)[0]
         expected = -(abs(zval) ** 2 + g**2 * abs(a) ** 2)
         assert pfaffian(k) == pytest.approx(expected, rel=1e-12)
 
     def test_exactly_skew(self):
         rng = np.random.default_rng(8)
-        zm = random_skew(4, rng)
-        k = _kernel_batch(zm[None], 0.7, 0.5 + 0.2j, 2)[0]
-        assert np.abs(k + k.T).max() == 0.0
+        for m in (1, 2):
+            zm = random_skew(2 * m, rng)
+            k = kernels(zm[None], 0.7, 0.5 + 0.2j, m)[0]
+            assert np.abs(k + k.T).max() == 0.0
 
     def test_pf_squared_equals_det(self):
         rng = np.random.default_rng(9)
         for m in (1, 2):
             zm = random_skew(2 * m, rng)
-            k = _kernel_batch(zm[None], 1.3, 0.4 - 0.9j, m)[0]
+            k = kernels(zm[None], 1.3, 0.4 - 0.9j, m)[0]
             assert pfaffian(k) ** 2 == pytest.approx(determinant(k), rel=1e-10)
 
     def test_zero_z_block_factorisation(self):
@@ -203,7 +217,7 @@ class TestKernel:
         rng = np.random.default_rng(10)
         g = 1.2
         zm = random_skew(2, rng)
-        k = _kernel_batch(zm[None], g, 0.0, 1)[0]
+        k = _kernel_batch(zm[None], g, 0.0)[0]
         expected = pfaffian(g**2 * zm) * pfaffian(zm.conj().T)
         assert pfaffian(k) == pytest.approx(expected, rel=1e-12)
 
@@ -211,17 +225,25 @@ class TestKernel:
         rng = np.random.default_rng(34)
         for m in (1, 2):
             stack = np.array([random_skew(2 * m, rng) for _ in range(3)])
-            batch = _kernel_batch(stack, 0.7, 0.5 + 0.2j, m)
+            batch = kernels(stack, 0.7, 0.5 + 0.2j, m)
             for zm, row in zip(stack, batch):
-                assert np.array_equal(_kernel_batch(zm[None], 0.7, 0.5 + 0.2j, m)[0], row)
+                assert np.array_equal(kernels(zm[None], 0.7, 0.5 + 0.2j, m)[0], row)
 
     def test_batch_pfaffian_matches_elimination(self):
         rng = np.random.default_rng(11)
-        for size in (4, 8):
+        for size, pf in ((4, pfaffian_batch), (4, matching_pfaffians), (8, matching_pfaffians)):
             stack = np.array([random_skew(size, rng) for _ in range(6)])
-            batch = pfaffian_batch(stack)
             direct = [pfaffian(a) for a in stack]
-            np.testing.assert_allclose(batch, direct, rtol=1e-10)
+            np.testing.assert_allclose(pf(stack), direct, rtol=1e-10)
+
+    @pytest.mark.parametrize("z", [1.3, 0.0, 0.9 + 0.4j, -0.4j])
+    def test_m1_kernels_and_pfaffians_keep_the_expansion_bits(self, z):
+        rng = np.random.default_rng(37)
+        stack = np.array([random_skew(2, rng) for _ in range(50)])
+        for g in (0.0, 0.6, 1.7):
+            k = _kernel_batch(stack, g, z)
+            np.testing.assert_array_equal(k, kernel_batch(stack, g, z, 1))
+            np.testing.assert_array_equal(pfaffian_batch(k), matching_pfaffians(k))
 
 
 class TestPfaffianIntegral:
@@ -309,6 +331,12 @@ class TestPfaffianIntegral:
         hi = moment_m1_closed(MomentQuery(z=11.0, g=g))
         assert hi > lo > 0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("z", [1e300, 1e300 + 1j, 1e200 + 1e200j])
+    def test_overflow_is_config_error(self, m, z):
+        with pytest.raises(ConfigError, match="overflows float64"):
+            moment_pfaffian_integral(MomentQuery(z=z, g=(0.5, 1.0), m=m))
+
     def test_m3_rejected(self):
         with pytest.raises(ConfigError):
             moment_pfaffian_integral(MomentQuery(z=1.0, g=(1.0,), m=3))
@@ -330,32 +358,45 @@ class TestPfaffianIntegral:
         with pytest.raises(ConfigError, match=f"capped at N = {MAX_M2_COMPLEX_N}"):
             moment_pfaffian_integral(MomentQuery(z=0.9 + 0.4j, g=(1.0,) * n, m=2))
 
+    def test_complex_z_m2_cap_comes_before_any_grid(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("grid built for a refused query")
 
-def explicit_u_average(query, rng, samples, u_chunk=8):
-    """The complex-z m = 2 integral by Monte Carlo over Haar U(4) draws, with
-    every Z = U Sigma U^T and 8x8 kernel built: the oracle of the exact U(4)
-    average and the closed-form kernel Pfaffians of ``moment_pfaffian_integral``.
-    """
-    t_pairs, t_weights = _radial_grid(2)
-    scale = np.prod(1.0 + t_pairs, axis=1)
-    sigma = _skew_sigma_blocks(t_pairs)
-    den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0, 2) @ t_weights)
-    gen = rng.generator()
-    q_num = []
-    done = 0
-    while done < samples:
-        b = min(u_chunk, samples - done)
-        gauss = gen.standard_normal((b, 4, 4)) + 1j * gen.standard_normal((b, 4, 4))
-        u, r = np.linalg.qr(gauss)
-        d = np.einsum("...ii->...i", r).copy()
-        u *= (d / np.abs(d))[:, None, :]
-        z_all = np.einsum("uij,kjl,uml->ukim", u, sigma, u).reshape(-1, 4, 4)
-        fg = _pf_product(z_all, np.tile(scale, b), query.g, query.z, 2).reshape(b, -1)
-        q_num.extend(fg @ t_weights)
-        done += b
-    q_num = np.array(q_num)
-    se = np.std(q_num, ddof=1) / np.sqrt(samples) / abs(den)
-    return (q_num.mean() / den).real, se
+        for name in ("_radial_grid", "_u4_block_nodes"):
+            monkeypatch.setattr(moments, name, refused)
+        n = MAX_M2_COMPLEX_N + 1
+        with pytest.raises(ConfigError, match=f"capped at N = {MAX_M2_COMPLEX_N}"):
+            moment_pfaffian_integral(MomentQuery(z=0.9 + 0.4j, g=(1.0,) * n, m=2))
+
+    @pytest.mark.parametrize("z", [1.3, -0.8, 0.9 + 0.4j])
+    def test_m2_builds_no_kernel(self, monkeypatch, z):
+        def refused(*args):
+            raise AssertionError("m = 2 built a kernel or expanded a Pfaffian")
+
+        for name in ("_kernel_batch", "pfaffian_batch", "_skew_sigma_blocks", "_pf_product"):
+            monkeypatch.setattr(moments, name, refused)
+        q = MomentQuery(z=z, g=(0.5, 1.0, 1.5), m=2)
+        assert moment_pfaffian_integral(q).mean > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 20, 59])
+    @pytest.mark.parametrize("z", [1.3, -0.8, 0.0])
+    def test_m2_real_z_matches_the_matching_expansion(self, n, z):
+        # the closed form at U = I against the 105-term expansion of every 8x8
+        # kernel, the route real z took before the closed form
+        q = MomentQuery(z=z, g=tuple(np.linspace(0.3, 1.7, n)), m=2)
+        assert moment_pfaffian_integral(q).mean == pytest.approx(expansion_integral(q),
+                                                                 rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 20, 255])
+    @pytest.mark.parametrize("z", [1.3, 0.0, 0.9 + 0.4j])
+    def test_m1_keeps_the_matching_expansion_bits(self, n, z):
+        q = MomentQuery(z=z, g=tuple(np.linspace(0.3, 1.7, n)))
+        radii, _ = _radial_grid(1)
+        scale = np.prod(1.0 + radii, axis=1)
+        np.testing.assert_array_equal(
+            _pf_product(_skew_sigma_blocks(radii[:, 0]), scale, q.g, q.z),
+            pf_product(skew_sigma_blocks(radii), scale, q.g, q.z, 1))
+        assert moment_pfaffian_integral(q).mean == expansion_integral(q)
 
 
 class TestClosedFormKernelPfaffian:
@@ -371,10 +412,10 @@ class TestClosedFormKernelPfaffian:
             - stack[:, 0, 2] * stack[:, 1, 3]
             + stack[:, 0, 3] * stack[:, 1, 2]
         ) ** 2
-        for z in (0.9 + 0.4j, -1.3 + 2.1j, 0.2 - 0.7j):
+        for z in (0.9 + 0.4j, -1.3 + 2.1j, 0.2 - 0.7j, 1.3, -0.8):
             for g in (0.6, 1.7):
                 closed = _m2_kernel_pfaffian(p, q, trace, pf_sq, g, z)
-                ref = pfaffian_batch(_kernel_batch(stack, g, z, 2))
+                ref = matching_pfaffians(kernel_batch(stack, g, z, 2))
                 np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
@@ -403,8 +444,8 @@ class TestClosedFormKernelPfaffian:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_near_real_z_matches_the_real_route(self, n):
-        # the real-z route has no U average; at z.imag = 1e-300 the exact
-        # U(4) average of the same kernels must give the same value
+        # real z takes the closed form at the single node U = I; at
+        # z.imag = 1e-300 the exact U(4) average of it must give the same value
         g = (0.5, 0.8, 1.1, 1.4, 0.7, 1.0)[:n]
         real = moment_pfaffian_integral(MomentQuery(z=1.3, g=g, m=2)).mean
         cplx = moment_pfaffian_integral(MomentQuery(z=1.3 + 1e-300j, g=g, m=2)).mean
