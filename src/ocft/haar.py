@@ -43,9 +43,9 @@ generator reaches ``values`` through a stand-in (:class:`_DrawAhead`):
 after it serves a ``standard_normal`` array of at least
 DRAW_AHEAD_MIN_VALUES = 2^16 values, a helper thread fills the next array
 of the same shape from a copy of the generator, while the caller's thread
-turns the draws into rows.  numpy's ``Generator`` releases
-the interpreter lock while it fills an array, so the draw runs beside the
-Gram-Schmidt passes, determinants and sums.  A call that asks for that
+turns the draws into rows.  numpy's ``Generator`` releases the interpreter
+lock while it fills an array, so the draw runs beside the Gram-Schmidt
+passes, determinants and sums.  A call that asks for that
 array gets it; any other call drops it and draws from the generator as it
 was, so every call returns the same numbers as without the helper, and
 callers need not say what they draw.  Only the fills run on the helper
@@ -266,8 +266,8 @@ class _DrawAhead:
     the error the fill raised) and the copy becomes the generator.  Any
     other call, of this or of any other method, and :meth:`close`, waits for
     the fill and drops it with its copy, so the draw comes from the
-    generator as it was.  Either way every call returns
-    the numbers the generator itself would have returned.
+    generator as it was.  Either way every call returns the numbers the
+    generator itself would have returned.
     """
 
     def __init__(self, gen: np.random.Generator):
@@ -360,11 +360,10 @@ def stream_mean(
     ``standard_normal`` array of at least DRAW_AHEAD_MIN_VALUES values is
     followed, on a helper thread, by the fill of the next array of the same
     shape, which the next draw gets if it asks for a ``standard_normal``
-    array of that shape.  The shard's last batch
-    starts no fill, since nothing would use it.  Every draw returns the
-    numbers the generator itself would have returned, whatever ``values``
-    draws and in whatever order, so the result is the same bits as drawing
-    in turn.  A drawn array is ``values``'s own: it may change or keep it.
+    array of that shape.  The shard's last batch starts no fill, since
+    nothing would use it.  Every draw returns the numbers the generator
+    itself would have returned, whatever ``values`` draws and in whatever
+    order, so the result is the same bits as drawing in turn.  A drawn array is ``values``'s own: it may change or keep it.
     The helper thread is joined before the next different draw, and before
     this function returns or raises.
     """

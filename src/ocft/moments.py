@@ -253,10 +253,6 @@ def _u4_block_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(nodes, -1).reshape(-1, 3), weights
 
 
-# the single node U = I: (a, b, c) = (1, 0, 0), so p = t1 and q = t2
-_U_IDENTITY = (np.array([[1.0, 0.0, 0.0]]), np.ones(1))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     """Flavour-space Pfaffian-product integral for F_G(z), m <= 2.
@@ -276,8 +272,9 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     coefficients of p and q vanish, and the single node U = I is exact.
     Every route is deterministic: the standard error is 0.
 
-    The overall constant is fixed by the G = 0 calibration,
-    F_0(1) = 1, whose integral is evaluated exactly on the same grid.
+    The overall constant is fixed by the G = 0 calibration, F_0(1) = 1,
+    whose integral is evaluated exactly on the same grid: there every
+    kernel Pfaffian is (-1)^m, for both orders.
     """
     if query.m > 2:
         raise ConfigError("flavour-space integral implemented for m <= 2 only")
@@ -295,26 +292,28 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
         raise ConfigError(f"complex z at m = 2 capped at N = {MAX_M2_COMPLEX_N}")
     radii, t_weights = _radial_grid(query.m)
     scale = np.prod(1.0 + radii, axis=1)
+    den = np.ones(scale.size, dtype=complex)
+    for _ in range(query.n):
+        den *= (-1.0) ** query.m / scale
+    den = complex(den @ t_weights)
     if query.m == 1:
-        sigma = _skew_sigma_blocks(radii[:, 0])
-        den = complex(_pf_product(sigma, scale, np.zeros(query.n), 1.0) @ t_weights)
-        num = complex(_pf_product(sigma, scale, query.g, z) @ t_weights)
+        num = complex(_pf_product(_skew_sigma_blocks(radii[:, 0]), scale, query.g, z) @ t_weights)
+        return _finite(Estimate((num / den).real, 0.0, 0), query)
+
+    t1, t2 = radii[:, 0], radii[:, 1]
+    radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
+    trace, pf_sq = t1 + t2, t1 * t2
+    if z.imag == 0:
+        # p and q have zero coefficients: the node U = I, (a, b, c) = (1, 0, 0), is exact
+        u_nodes, u_weights = np.array([[1.0, 0.0, 0.0]]), np.ones(1)
     else:
-        t1, t2 = radii[:, 0], radii[:, 1]
-        radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
-        trace, pf_sq = t1 + t2, t1 * t2
-
-        def pf_sum(g_values, z, u_nodes, u_weights):
-            total = 0j
-            for tile in tile_slices(len(u_nodes), t_weights.size):
-                # q is p with a and b swapped, i.e. with t1 and t2 swapped
-                p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
-                fg = np.ones(p.shape, dtype=complex)
-                for gi in g_values:
-                    fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
-                total += u_weights[tile] @ (fg @ t_weights)
-            return total
-
-        den = pf_sum(np.zeros(query.n), 1.0, *_U_IDENTITY)
-        num = pf_sum(query.g, z, *(_U_IDENTITY if z.imag == 0 else _u4_block_nodes(query.n)))
+        u_nodes, u_weights = _u4_block_nodes(query.n)
+    num = 0j
+    for tile in tile_slices(len(u_nodes), t_weights.size):
+        # q is p with a and b swapped, i.e. with t1 and t2 swapped
+        p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
+        fg = np.ones(p.shape, dtype=complex)
+        for gi in query.g:
+            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
+        num += u_weights[tile] @ (fg @ t_weights)
     return _finite(Estimate((num / den).real, 0.0, 0), query)

@@ -381,8 +381,8 @@ class TestPfaffianIntegral:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 20, 59])
     @pytest.mark.parametrize("z", [1.3, -0.8, 0.0])
     def test_m2_real_z_matches_the_matching_expansion(self, n, z):
-        # the closed form at U = I against the 105-term expansion of every 8x8
-        # kernel, the route real z took before the closed form
+        # the closed form at U = I against the 105-term matching expansion of
+        # each 8x8 kernel at U = I
         q = MomentQuery(z=z, g=tuple(np.linspace(0.3, 1.7, n)), m=2)
         assert moment_pfaffian_integral(q).mean == pytest.approx(expansion_integral(q),
                                                                  rel=1e-13, abs=0)
