@@ -16,8 +16,8 @@ m = 1 and m = 2 share one tensor grid over the block radii
 m = 1 the 4x4 kernels are built on the canonical skew matrices of that grid
 (``_skew_sigma_blocks``) and their Pfaffians taken in batches
 (``_pf_product``).  At m = 2 each kernel Pfaffian is a closed form
-(``_m2_kernel_pfaffian``), averaged over the U(4) factor for complex z and
-taken at U = I for real z, where it does not depend on U; no kernel is built.
+(``_m2_kernel_pfaffian``) averaged over the U(4) factor, which takes a
+single node for real z, where it does not depend on U; no kernel is built.
 The flavour-space integral carries an overall constant that is fixed by
 the G = 0 calibration point F_0(1) = 1: the same integral is evaluated with
 G and with the calibration pair on identical nodes and only the ratio is
@@ -267,9 +267,9 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     no 4x4 flavour matrix or 8x8 kernel is built.  It depends on U only
     through p = |Z_01|^2 = t1 a + t2 b + 2 sqrt(t1 t2) c and q = |Z_23|^2,
     the same with a and b swapped (Jacobi's complementary minors,
-    |det U| = 1).  For complex z the U(4) factor is averaged exactly over
-    the nodes (a, b, c) of :func:`_u4_block_nodes`; for real z the
-    coefficients of p and q vanish, and the single node U = I is exact.
+    |det U| = 1).  The U(4) factor is averaged exactly over the nodes
+    (a, b, c) of :func:`_u4_block_nodes`; for real z the coefficients of p
+    and q vanish, so one node, the rule of degree 0, is exact.
     Every route is deterministic: the standard error is 0.
 
     The overall constant is fixed by the G = 0 calibration, F_0(1) = 1,
@@ -303,11 +303,8 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     t1, t2 = radii[:, 0], radii[:, 1]
     radial_basis = np.stack([t1, t2, 2.0 * np.sqrt(t1 * t2)])
     trace, pf_sq = t1 + t2, t1 * t2
-    if z.imag == 0:
-        # p and q have zero coefficients: the node U = I, (a, b, c) = (1, 0, 0), is exact
-        u_nodes, u_weights = np.array([[1.0, 0.0, 0.0]]), np.ones(1)
-    else:
-        u_nodes, u_weights = _u4_block_nodes(query.n)
+    # at real z p and q have zero coefficients: the integrand has degree 0 in (a, b, c)
+    u_nodes, u_weights = _u4_block_nodes(query.n if z.imag else 0)
     num = 0j
     for tile in tile_slices(len(u_nodes), t_weights.size):
         # q is p with a and b swapped, i.e. with t1 and t2 swapped

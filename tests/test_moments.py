@@ -381,8 +381,8 @@ class TestPfaffianIntegral:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 20, 59])
     @pytest.mark.parametrize("z", [1.3, -0.8, 0.0])
     def test_m2_real_z_matches_the_matching_expansion(self, n, z):
-        # the closed form at U = I against the 105-term matching expansion of
-        # each 8x8 kernel at U = I
+        # the closed form against the 105-term matching expansion of each 8x8
+        # kernel at U = I
         q = MomentQuery(z=z, g=tuple(np.linspace(0.3, 1.7, n)), m=2)
         assert moment_pfaffian_integral(q).mean == pytest.approx(expansion_integral(q),
                                                                  rel=1e-13, abs=0)
@@ -444,8 +444,8 @@ class TestClosedFormKernelPfaffian:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_near_real_z_matches_the_real_route(self, n):
-        # real z takes the closed form at the single node U = I; at
-        # z.imag = 1e-300 the exact U(4) average of it must give the same value
+        # real z averages the closed form over the one U(4) node of degree 0;
+        # at z.imag = 1e-300 the rule of degree N must give the same value
         g = (0.5, 0.8, 1.1, 1.4, 0.7, 1.0)[:n]
         real = moment_pfaffian_integral(MomentQuery(z=1.3, g=g, m=2)).mean
         cplx = moment_pfaffian_integral(MomentQuery(z=1.3 + 1e-300j, g=g, m=2)).mean
