@@ -8,7 +8,7 @@ Three routes to the same quantity, used to cross-check each other:
 * ``moment_pfaffian_integral``-- flavour-space integral of a product of
                                  Pfaffian kernels over the m squared block
                                  radii of the skew flavour matrix (plus an
-                                 exact U(4) quadrature at m = 2 for complex z);
+                                 exact U(4) quadrature at m = 2);
 * ``moment_mc``               -- brute-force Haar average of the determinant.
 
 m = 1 and m = 2 share one tensor grid over the block radii

@@ -3,9 +3,8 @@
 ``moments`` takes the m = 1 kernel Pfaffians as the three-matching sum of
 4x4 kernels, and the m = 2 ones in closed form.  These oracles build the
 4m x 4m kernels [[g^2 Z, D], [-D, Z^dagger]] at any m and expand their
-Pfaffians over all perfect matchings (105 terms at m = 2), the route
-``moments`` took before the closed form, so both evaluators can be checked
-against it.
+Pfaffians over all perfect matchings (105 terms at m = 2), so both
+evaluators can be checked against one general expansion.
 """
 
 import functools

@@ -45,7 +45,7 @@ SWEEPS = {
     )],
     "moment": [
         ({**MOMENT, "--method": method, **extra},
-         {"--m": ("2", "3", "1000"),
+         {"--m": ("2", "3", "1000"), "--z": ("1e300,1", "1e200,1e200", "1e-300,1e-300"),
           "--g": ("nan,1", "inf,1", "1e300,1", "1e-300,0", "-1,1", "1", "0,0", "")})
         for method, extra in (("closed", {}), ("pfaffian", {}), ("pfaffian", {"--m": "2"}),
                               ("pfaffian", {"--m": "2", "--z": "0.9,0.4"}),
