@@ -5,7 +5,7 @@ Subcommands map one-to-one onto the library modules:
     pfaffian      Pfaffian of a skew matrix given as JSON
     haar-moment   Monte-Carlo Haar moment of entry products
     moment        <|z - GO|^{2m}> by closed form, Pfaffian integral or MC
-    jacobi        Jacobi-ensemble average ratio (Pfaffian or quadrature)
+    jacobi        Jacobi-ensemble average ratio (Pfaffian, or Selberg closed form)
     ginibre-check Gaussian-weight consistency check (closed vs pipeline vs MC)
     verify-cft    coefficient/probe verification of a colour-flavour identity
 
@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="'re,im' or 'x'")
     p.add_argument("--gamma", dest="gam", required=True, help="'re,im' or 'x'")
-    p.add_argument(
-        "--method", choices=("pfaffian", "quadrature"), default="pfaffian"
-    )
+    p.add_argument("--method", choices=("pfaffian", "quadrature"), default="pfaffian",
+                   help="quadrature: the Selberg integral in closed form and the "
+                   "r-integral by its exact Beta rule")
     _add_common(p)
 
     p = sub.add_parser("ginibre-check", help="Gaussian-weight consistency check")

@@ -16,23 +16,15 @@ Expanding prod_i (lg + r g_i^2) = sum_k lg^{N-k} r^k e_k(g^2) turns S into
 sum_k M_k lg^{N-k} B_k, with M_k the inner moments and the exact
 B_k = integral r^k (1+r)^{-(N+2)} dr = 1 / ((N+1) binom(N, k))
 (``_quad.half_line_moments``).  Every route therefore computes one moment
-vector M_0..M_N and takes the r-integral exactly (``_s_ratio``):
-``ginibre_pipeline`` from closed moments, ``jacobi_quadrature`` from a
-Gauss-Legendre rule sized to the integrand's degree, and ``jacobi_pfaffian``
-from the values of the degree-N polynomial pf[A(c)] at c = 0..N, which for
-integer a and b are exact rationals (``Fraction``), as are its moments.
-The tests check both routes against Aomoto's closed form and against the
-determinant and symmetrised-quadrature oracles of ``tests/jacobi_oracles.py``.
-
-The quadrature route sums over one Gauss-Legendre product grid on the
-ordered sector g_1 > ... > g_N, mapped from the unit cube by
-g_i = u_1 u_2 ... u_i (``_slab_grid``).  The grid is taken in slabs of fixed
-u_1: with s = g_1^2 every node is x = g^2 = s * y, where
-y_i = (u_2 ... u_i)^2 ranges over the same nodes^{N-1} rows on every slab.
-Then prod_{i<j} |x_i - x_j| = s^{N(N-1)/2} prod_{i<j} |y_i - y_j| and
-e_k(x) = s^k e_k(y), so the Vandermonde and e_k(y) rows are built once and
-each slab costs one weight evaluation and one matrix-vector product; no
-array holds more than one slab, nodes^{N-1} points.
+vector M_0..M_N and takes the r-integral by this exact Beta rule
+(``_s_ratio``).  For the Jacobi weight the M_k are Selberg integrals, and
+``jacobi_quadrature`` evaluates them by Aomoto's closed form
+(``jacobi_inner_moments``); it keeps the name of the CLI's
+``--method quadrature``.  ``jacobi_pfaffian`` reads them off the values of
+the degree-N polynomial pf[A(c)] at c = 0..N.  For integer a and b both
+give the same exact rationals (``Fraction``), so the two routes agree to
+the bit.  The tests check both against the nested slab quadrature and the
+determinant and symmetrised-sum oracles of ``tests/jacobi_oracles.py``.
 
 Factoring lg^N out of prod_i (lg + r g_i^2) turns the inner weight into
 (1 + c g^2) with c = r / lg; the Pfaffian data (h, alpha_ij) is expressed
@@ -54,10 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gauss_legendre_01, half_line_moments
+from ._quad import half_line_moments
 from .errors import ConfigError, DomainError
 from .haar import Estimate, RngStream, stream_mean
-from .linalg import det_stack, elementary_symmetric_all, pfaffian
+from .linalg import det_stack, pfaffian
 
 __all__ = [
     "JacobiQuery",
@@ -66,6 +58,7 @@ __all__ = [
     "ginibre_closed",
     "ginibre_mc",
     "ginibre_pipeline",
+    "jacobi_inner_moments",
     "jacobi_pfaffian",
     "jacobi_quadrature",
 ]
@@ -74,9 +67,11 @@ __all__ = [
 # 0.3-0.7 s for a = b <= 50, and 6.4 s at a = b = 200
 MAX_PFAFFIAN_N = 16
 MAX_PFAFFIAN_AB = 100
-# nested quadrature's size budget on nodes^N grid points; gauss_legendre_01
-# solves a dense nodes x nodes eigenproblem, so N = 1 counts nodes^2
-_GRID_BUDGET = 2**21
+# jacobi_inner_moments' range: from N = 1020 the r-integral's (N+1) binom(N, N/2)
+# overflows float64, whatever a and b are; at N = 1019 the exact products take
+# 0.05 s at a + b = 1e6, 0.2 s at 1e18 and 19 s at 2e1000
+MAX_SELBERG_N = 1019
+MAX_SELBERG_AB = 10**18
 # ginibre_mc's range.  Its delta-method error understates the spread of the
 # heavy-tailed det ratios as N grows: in 2000-sample runs |z| > 3 came up in
 # 0.7% of runs at N <= 15, 5.5% at N = 30..50 and 6% at N = 70..94, against
@@ -95,7 +90,16 @@ class JacobiQuery:
     n: int
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a != int(self.a) or self.b != int(self.b):
+        # stored as Python ints, which the exact routes' Fractions take
+        for name in ("a", "b", "n"):
+            value = getattr(self, name)
+            try:
+                if int(value) != value:
+                    raise ValueError
+            except (OverflowError, TypeError, ValueError):  # inf, complex, nan, 1.5
+                raise DomainError(f"{name} = {value!r} is not a finite integer") from None
+            object.__setattr__(self, name, int(value))
+        if self.a < 0 or self.b < 0:
             raise DomainError("weight exponents a, b must be non-negative integers")
         if self.n < 1:
             raise DomainError("matrix dimension must be >= 1")
@@ -131,8 +135,7 @@ def _i_moment(p: int, q: int, b: int) -> Fraction:
 
 def _alpha_poly(i: int, j: int, a: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients (A0, A1, A2) of alpha_ij(c) = A0 + A1 c + A2 c^2."""
-    # Python ints: numpy ints would overflow inside Fraction
-    ai, aj, b = int(a + i), int(a + j), int(b)
+    ai, aj = a + i, a + j
 
     def anti(p, q):
         return _i_moment(p, q, b) - _i_moment(q, p, b)
@@ -159,7 +162,7 @@ def _alpha_matrix_poly(n: int, a: int, b: int) -> list[np.ndarray]:
     if n % 2 == 1:
         for i in range(n):
             for m, q in zip(mats, (a + i, a + i + 1)):
-                val = sum(_h_terms(int(q), int(b)))
+                val = sum(_h_terms(q, b))
                 m[i, n], m[n, i] = val, -val
     return mats
 
@@ -185,105 +188,6 @@ def _pfaffian_moments(n: int, a: int, b: int) -> list[Fraction]:
     for k in range(n, -1, -1):  # coeffs(c) <- coeffs(c) * (c - k) + table[k]
         coeffs = [table[k] - k * coeffs[0]] + [lo - k * hi for lo, hi in zip(coeffs, coeffs[1:])]
     return [m / coeffs[0] for m in coeffs]
-
-
-# -- degree-sized ordered-sector quadrature -------------------------------
-
-
-def _slab_grid(n: int, a: int, b: int):
-    """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
-
-    Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k.
-    With the Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}, the moment integrand
-    has degree d = n^2 + 2n - 1 + 2n(a+b) in u_1 and
-    less in every other u_k, so ceil((d+1)/2) Gauss-Legendre nodes per axis
-    are exact.  Above the size budget it raises ``ConfigError``.
-
-    Since g_i = g_1 (u_2 ... u_i), the squares factor as x = s * y with
-    s = g_1^2 the slab value and y_i = (u_2 ... u_i)^2 the same on every
-    slab.  Returns (s, ws, y, wy): the ``nodes`` slab values and weights,
-    ws folding in g_1^{n-1}, and the nodes^{n-1} rows y of shape
-    (nodes^{n-1}, n) with weights wy folding in prod_{k>=2} u_k^{n-k}.
-    The node s_a * y_b has weight ws_a * wy_b.
-    """
-    nodes = int((n + 1) ** 2 + 2 * n * (a + b)) // 2  # JacobiQuery admits a = 2.0
-    if nodes ** max(n, 2) > _GRID_BUDGET:
-        raise ConfigError(f"nested quadrature needs {nodes}^{n} nodes, over the budget of 2^21")
-    x, w = gauss_legendre_01(nodes)
-    # rows (1, u_2, u_2 u_3, ..., u_2 ... u_n) of the row-major product grid
-    ratios, wy = np.ones((1, 1)), np.ones(1)
-    for k in range(2, n + 1):
-        last = np.outer(ratios[:, -1], x).ravel()
-        ratios = np.hstack([np.repeat(ratios, nodes, axis=0), last[:, None]])
-        wy = np.outer(wy, w * x ** (n - k)).ravel()
-    return x**2, w * x ** (n - 1), ratios**2, wy
-
-
-def _abs_vandermonde(x: np.ndarray) -> np.ndarray:
-    """prod_{i<j} |x_i - x_j| for descending rows x (positive as written)."""
-    n = x.shape[1]
-    out = np.ones(x.shape[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= x[:, i] - x[:, j]
-    return np.abs(out)
-
-
-def _peak(a: int, b: int) -> float:
-    """x0 = (a + 1/2) / (a + b + 1) in (0, 1), near the peak of x^a (1-x)^b."""
-    return (a + 0.5) / (a + b + 1)
-
-
-def _inner_moments(n: int, a: int, b: int) -> np.ndarray:
-    """M_k / W(x0)^n, k = 0..n, with M_k the integral of
-    prod|g_i^2-g_j^2| e_k(g^2) prod W(g_i^2) for the Jacobi weight
-    W(x) = x^a (1-x)^b, and x0 = :func:`_peak`.
-
-    These moments reconstruct the inner integral for every coefficient at
-    once: J(lg; r) = sum_k M_k lg^{n-k} r^k, since
-    prod_i (lg + r g_i^2) = sum_k lg^{n-k} r^k e_k(g^2) pointwise.  The
-    factor W(x0)^{-n} cancels in every ratio of moments and keeps the sum in
-    float64 range: unscaled, the N = 2 sums turn subnormal from a = b = 260.
-
-    On a slab x = s * y of :func:`_slab_grid`, prod|x_i - x_j| =
-    s^{n(n-1)/2} prod|y_i - y_j| and e_k(x) = s^k e_k(y), so the rows
-    wy * prod|y_i - y_j| * e_k(y) are built once, and each slab costs one
-    evaluation of prod_i W(s y_i) / W(x0) and one matrix-vector product
-    with them.  That evaluation raises each ratio to its exponent, skipping
-    an exponent of 1 (:func:`_power`), and multiplies the n columns into
-    one (:func:`_row_products`): the bits of ``**`` and ``np.prod`` along
-    the rows, at a fraction of the per-slab overhead.
-    """
-    s, ws, y, wy = _slab_grid(n, a, b)
-    x0 = _peak(a, b)
-    rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
-    powers = n * (n - 1) // 2 + np.arange(n + 1)
-    total = np.zeros(n + 1)
-    for s_a, w_a in zip(s, ws):
-        x = s_a * y
-        weight = _power(x / x0, a) * _power((1.0 - x) / (1.0 - x0), b)
-        total += w_a * s_a**powers * (_row_products(weight) @ rows)
-    return math.factorial(n) * total
-
-
-def _power(t: np.ndarray, k) -> np.ndarray:
-    """t ** k, with t itself for k = 1: x ** 1 == x exactly, and numpy
-    evaluates ``t ** 1`` into a new array, at twice the time of ``t ** 2``."""
-    return t if k == 1 else t**k
-
-
-def _row_products(weight: np.ndarray) -> np.ndarray:
-    """``np.prod(weight, axis=1)`` to the bit, as a product of the columns.
-
-    numpy multiplies a row's entries left to right, and so does this, one
-    column into the running product at a time; that takes the (rows, n)
-    slab in n - 1 long multiplications instead of one short reduction per
-    row, several times as fast for the few columns of a slab.
-    """
-    out = weight[:, 0].copy()
-    for column in weight.T[1:]:
-        out *= column
-    return out
 
 
 # -- full averages ---------------------------------------------------------
@@ -325,15 +229,35 @@ def jacobi_pfaffian(query: JacobiQuery) -> complex:
     return _s_ratio(moments, query.lg, 1.0)
 
 
-def jacobi_quadrature(query: JacobiQuery) -> complex:
-    """Direct-quadrature Jacobi average, as the ratio S(lg) / S(1).
+def jacobi_inner_moments(n: int, a: int, b: int) -> list[Fraction]:
+    """Exact Jacobi-weight inner moments M_k / M_0, k = 0..N, as ``Fraction``s.
 
-    The inner moments are degree-sized nested quadrature of the unfactored
-    product prod_i (lg + r g_i^2), so lg = 0 is a valid query; the
-    r-integral is exact.
+    M_k (the g-integral with x = g^2) is Aomoto's Selberg integral with
+    alpha = a + 1/2, beta = b + 1, gamma = 1/2 (SIAM J. Math. Anal. 18, 1987):
+    M_k / M_0 = binom(N, k) prod_{i<=k} (alpha + (N-i) gamma)
+    / (alpha + beta + (2N-i-1) gamma).  Above N = ``MAX_SELBERG_N`` or
+    a + b = ``MAX_SELBERG_AB`` it raises ``ConfigError`` before any arithmetic.
     """
-    moments = _inner_moments(query.n, query.a, query.b)
-    return _s_ratio(moments, query.lg, 1.0)
+    if n > MAX_SELBERG_N or a + b > MAX_SELBERG_AB:
+        raise ConfigError(
+            f"Selberg closed form capped at N = {MAX_SELBERG_N} and a + b = {MAX_SELBERG_AB}"
+        )
+    out, ratio = [], Fraction(1)
+    for k in range(n + 1):
+        if k:
+            ratio *= Fraction(2 * a + 1 + n - k, 2 * a + 2 * b + 2 * n + 2 - k)
+        out.append(math.comb(n, k) * ratio)
+    return out
+
+
+def jacobi_quadrature(query: JacobiQuery) -> complex:
+    """Closed-form Jacobi average, as the ratio S(lg) / S(1).
+
+    The inner moments' Selberg integrals are taken in closed form
+    (:func:`jacobi_inner_moments`), the Pfaffian route's exact rationals, and
+    the r-integral by its exact Beta rule, so lg = 0 is a valid query.
+    """
+    return _s_ratio(jacobi_inner_moments(query.n, query.a, query.b), query.lg, 1.0)
 
 
 def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:

@@ -2,35 +2,91 @@
 
 They load SciPy, which the library itself does not import.  J_sym(c) is
 the inner integral at a fixed coefficient c.
+
+The inner moments have a numerical oracle in :func:`slab_inner_moments`, a
+Gauss-Legendre product grid on the ordered sector g_1 > ... > g_N, mapped
+from the unit cube by g_i = u_1 u_2 ... u_i (:func:`slab_grid`) and sized to
+the integrand's degree.  The grid is taken in slabs of fixed u_1: with
+s = g_1^2 every node is x = g^2 = s * y, where y_i = (u_2 ... u_i)^2 ranges
+over the same nodes^{N-1} rows on every slab.  Then
+prod_{i<j} |x_i - x_j| = s^{N(N-1)/2} prod_{i<j} |y_i - y_j| and
+e_k(x) = s^k e_k(y), so the Vandermonde and e_k(y) rows are built once and
+each slab costs one weight evaluation and one matrix-vector product; no
+array holds more than one slab, nodes^{N-1} points.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
+from ocft._quad import gauss_legendre_01
 from ocft.errors import DomainError
-from ocft.jacobi import (
-    JacobiQuery, _abs_vandermonde, _alpha_matrix_poly, _alpha_poly, _inner_moments, _peak,
-    _slab_grid,
-)
+from ocft.jacobi import JacobiQuery, _alpha_matrix_poly, _alpha_poly
 from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
 
 
-def aomoto_moments(n, a, b):
-    """Exact M_k / M_0 of the Jacobi weight x^a (1-x)^b, k = 0..n, as Fractions.
+def slab_grid(n, a, b):
+    """Nodes/weights for the descending-ordered sector g_1 > ... > g_n, in slabs.
 
-    Aomoto's Selberg integral with alpha = a + 1/2, beta = b + 1 and
-    gamma = 1/2 (SIAM J. Math. Anal. 18 (1987) 545; Forrester-Warnaar,
-    Bull. AMS 45 (2008) 489): M_k / M_0 = binom(n, k) prod_{i<=k}
-    (alpha + (n-i) gamma) / (alpha + beta + (2n-i-1) gamma).
+    Maps the unit cube through cumulative products g_i = prod_{k<=i} u_k.
+    With the Jacobian g_1^{n-1} prod_{k>=2} u_k^{n-k}, the moment integrand
+    has degree d = n^2 + 2n - 1 + 2n(a+b) in u_1 and less in every other
+    u_k, so ceil((d+1)/2) Gauss-Legendre nodes per axis are exact.  The
+    rows take nodes^{n-1} * n floats, so the caller keeps n and a + b small.
+
+    Since g_i = g_1 (u_2 ... u_i), the squares factor as x = s * y with
+    s = g_1^2 the slab value and y_i = (u_2 ... u_i)^2 the same on every
+    slab.  Returns (s, ws, y, wy): the ``nodes`` slab values and weights,
+    ws folding in g_1^{n-1}, and the nodes^{n-1} rows y of shape
+    (nodes^{n-1}, n) with weights wy folding in prod_{k>=2} u_k^{n-k}.
+    The node s_a * y_b has weight ws_a * wy_b.
     """
-    out, ratio = [], Fraction(1)
-    for k in range(n + 1):
-        if k:
-            ratio *= Fraction(2 * a + 1 + n - k, 2 * a + 2 * b + 2 * n + 2 - k)
-        out.append(math.comb(n, k) * ratio)
-    return out
+    nodes = ((n + 1) ** 2 + 2 * n * (a + b)) // 2
+    x, w = gauss_legendre_01(nodes)
+    # rows (1, u_2, u_2 u_3, ..., u_2 ... u_n) of the row-major product grid
+    ratios, wy = np.ones((1, 1)), np.ones(1)
+    for k in range(2, n + 1):
+        last = np.outer(ratios[:, -1], x).ravel()
+        ratios = np.hstack([np.repeat(ratios, nodes, axis=0), last[:, None]])
+        wy = np.outer(wy, w * x ** (n - k)).ravel()
+    return x**2, w * x ** (n - 1), ratios**2, wy
+
+
+def abs_vandermonde(x):
+    """prod_{i<j} |x_i - x_j| for descending rows x (positive as written)."""
+    n = x.shape[1]
+    out = np.ones(x.shape[0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= x[:, i] - x[:, j]
+    return np.abs(out)
+
+
+def peak(a, b):
+    """x0 = (a + 1/2) / (a + b + 1) in (0, 1), near the peak of x^a (1-x)^b."""
+    return (a + 0.5) / (a + b + 1)
+
+
+def slab_inner_moments(n, a, b):
+    """M_k / W(x0)^n, k = 0..n, by the nested slab quadrature, with M_k the
+    integral of prod|g_i^2-g_j^2| e_k(g^2) prod W(g_i^2) for the Jacobi weight
+    W(x) = x^a (1-x)^b, and x0 = :func:`peak`.
+
+    The factor W(x0)^{-n} cancels in every ratio of moments and keeps the sum
+    in float64 range: unscaled, the N = 2 sums turn subnormal from
+    a = b = 260.  Each slab's weight is formed by ``**`` and reduced by
+    ``np.prod``.
+    """
+    s, ws, y, wy = slab_grid(n, a, b)
+    x0 = peak(a, b)
+    rows = (wy * abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
+    powers = n * (n - 1) // 2 + np.arange(n + 1)
+    total = np.zeros(n + 1)
+    for s_a, w_a in zip(s, ws):
+        x = s_a * y
+        weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
+        total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
+    return math.factorial(n) * total
 
 
 def h_closed(a, b, x):
@@ -85,7 +141,8 @@ def alpha_entry_quadrature(i, j, a, b, r, lg):
 def alpha_closed(i, j, a, b, r, lg):
     """The library's exact alpha_ij(c) = A0 + A1 c + A2 c^2 at c = r / lg."""
     c = r / lg
-    a0, a1, a2 = _alpha_poly(i, j, a, b)
+    # Python ints: numpy ints would overflow inside Fraction
+    a0, a1, a2 = _alpha_poly(int(i), int(j), int(a), int(b))
     return a0 + a1 * c + a2 * c * c
 
 
@@ -99,9 +156,9 @@ def inner_pfaffian(n, a, b, c):
 
 def inner_symmetrized(n, a, b, c):
     """J_sym(c) = integral over [0,1]^N of prod_{i<j} |g_i^2 - g_j^2|
-    prod_i (1 + c g_i^2) W(g_i^2) dg, from the library's inner moments."""
-    x0 = _peak(a, b)
-    m = _inner_moments(n, a, b) * (x0**a * (1.0 - x0) ** b) ** n
+    prod_i (1 + c g_i^2) W(g_i^2) dg, from the slab quadrature's inner moments."""
+    x0 = peak(a, b)
+    m = slab_inner_moments(n, a, b) * (x0**a * (1.0 - x0) ** b) ** n
     return sum(m[k] * c**k for k in range(n + 1))
 
 
@@ -111,11 +168,11 @@ def mehta_determinant(query: JacobiQuery, r):
     Evaluates N! * integral over the ordered sector of
     det[ W(g_i^2) g_i^{2(j-1)} (1 + r g_i^2) ], which on ascending rows is
     prod_i W(g_i^2) (1 + r g_i^2) times the positive Vandermonde, one slab
-    of the library's grid at a time.  ``r`` is the literal coefficient of
+    of :func:`slab_grid` at a time.  ``r`` is the literal coefficient of
     the (1 + r g^2) factor; the full pipeline passes c = r / (lambda gamma).
     """
     n, a, b = query.n, query.a, query.b
-    s, ws, y, wy = _slab_grid(n, a, b)
+    s, ws, y, wy = slab_grid(n, a, b)
     y_asc = y[:, ::-1]  # ascending rows make the determinant positive
     total = 0.0 + 0.0j
     for s_a, w_a in zip(s, ws):
@@ -124,22 +181,6 @@ def mehta_determinant(query: JacobiQuery, r):
         fcols = np.stack([f * x_asc**p for p in range(n)], axis=2)
         total += w_a * (wy @ det_stack(fcols))
     return complex(math.factorial(n) * total)
-
-
-def prod_inner_moments(n, a, b):
-    """``_inner_moments`` with each slab's weight formed by ``**`` and reduced
-    by ``np.prod``, as it was before the column products: the oracle for the
-    bits of the slab sum."""
-    s, ws, y, wy = _slab_grid(n, a, b)
-    x0 = _peak(a, b)
-    rows = (wy * _abs_vandermonde(y))[:, None] * elementary_symmetric_all(y)
-    powers = n * (n - 1) // 2 + np.arange(n + 1)
-    total = np.zeros(n + 1)
-    for s_a, w_a in zip(s, ws):
-        x = s_a * y
-        weight = (x / x0) ** a * ((1.0 - x) / (1.0 - x0)) ** b
-        total += w_a * s_a**powers * (np.prod(weight, axis=1) @ rows)
-    return math.factorial(n) * total
 
 
 def fancy_index_ginibre_rows(mats, lam, gam):

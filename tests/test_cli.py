@@ -308,13 +308,33 @@ class TestHaarMoment:
 
 class TestJacobi:
     def test_methods_agree(self):
-        base = ["jacobi", "--n", "2", "--a", "1", "--b", "1",
-                "--lambda", "1.5", "--gamma", "1.2"]
-        _, out_pf, _ = invoke(base + ["--method", "pfaffian"])
-        _, out_qd, _ = invoke(base + ["--method", "quadrature"])
-        pf = json.loads(out_pf)["value"]["re"]
-        qd = json.loads(out_qd)["value"]["re"]
-        assert pf == pytest.approx(qd, rel=1e-5)
+        # the same record but for "method", across the Pfaffian route's range
+        from ocft.jacobi import MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N
+
+        half = MAX_PFAFFIAN_AB // 2
+        for n, a, b, lam in [(2, 1, 1, "1.5"), (1, 0, 0, "1.5"), (3, 1, 2, "0"),
+                             (6, 0, 0, "0.9,0.4"), (MAX_PFAFFIAN_N, 2, 3, "1.5"),
+                             (4, half, half, "-1.1"),
+                             (MAX_PFAFFIAN_N, half, MAX_PFAFFIAN_AB - half, "1.5")]:
+            argv = ["jacobi", "--n", str(n), "--a", str(a), "--b", str(b),
+                    "--lambda", lam, "--gamma", "1.2", "--method"]
+            code_pf, out_pf, _ = invoke(argv + ["pfaffian"])
+            code_qd, out_qd, _ = invoke(argv + ["quadrature"])
+            assert code_pf == code_qd == 0
+            assert out_qd == out_pf.replace('"method": "pfaffian"', '"method": "quadrature"')
+            assert '"method": "quadrature"' in out_qd
+
+    def test_quadrature_size_cap(self):
+        from ocft.jacobi import MAX_SELBERG_N
+
+        argv = ["jacobi", "--a", "1", "--b", "2", "--lambda", "1.5", "--gamma", "0.7",
+                "--method", "quadrature", "--n"]
+        for n in (1, 5, 6, 17, 100, MAX_SELBERG_N):
+            code, out, _ = invoke(argv + [str(n)])
+            assert code == 0 and math.isfinite(json.loads(out)["value"]["re"])
+        code, out, err = invoke(argv + [str(MAX_SELBERG_N + 1)])
+        assert code == 2 and out == ""
+        assert "capped" in err
 
     def test_pfaffian_zero_product(self):
         code, out, _ = invoke(["jacobi", "--n", "3", "--a", "1", "--b", "2", "--lambda", "0",
@@ -365,10 +385,12 @@ class TestJacobi:
 
     @pytest.mark.parametrize("method", ["pfaffian", "quadrature"])
     def test_large_exponents_exit_two(self, method):
-        code, out, err = invoke(["jacobi", "--n", "4", "--a", "200", "--b", "200",
+        # each route's a + b cap, MAX_PFAFFIAN_AB = 100 and MAX_SELBERG_AB = 1e18
+        a = {"pfaffian": "200", "quadrature": str(10**18)}[method]
+        code, out, err = invoke(["jacobi", "--n", "4", "--a", a, "--b", "200",
                                  "--lambda", "1.5", "--gamma", "1.2", "--method", method])
         assert code == 2 and out == ""
-        assert "capped" in err or "budget" in err
+        assert "capped" in err
 
 
 class TestGinibreCheck:

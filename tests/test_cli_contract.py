@@ -8,13 +8,14 @@ Values go in as ``--option=value``, so argparse reads -1e300 as a value.
 
 import io
 import json
+import time
 import warnings
 
 import pytest
 
 from ocft.cft import MAX_BOSONIC_N
 from ocft.cli import MAX_HAAR_MOMENT_N, run
-from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N
+from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N, MAX_SELBERG_N
 from ocft.moments import MAX_M2_COMPLEX_N
 
 # tried on every numeric option of a base command
@@ -149,3 +150,16 @@ def test_extreme_values_keep_the_contract(command):
 
 def test_unusable_input_exits_two():
     assert not (failures := _failures(REFUSED, exits=(2,))), failures
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--n", MAX_SELBERG_N), ("--n", MAX_SELBERG_N + 1), ("--n", 1_000_000),
+    ("--a", 1_000_000), ("--b", 1_000_000),
+])
+def test_closed_form_sizes_end_within_a_second(option, value):
+    # the Jacobi closed form refuses an N past float64 before its exact products
+    argv = ["jacobi", *(f"{k}={v}" for k, v in {**JACOBI, option: value}.items()),
+            "--method=quadrature"]
+    started = time.perf_counter()
+    assert (why := _violation(argv, exits=(0, 2))) is None, why
+    assert time.perf_counter() - started < 1.0

@@ -7,31 +7,36 @@ import pytest
 from scipy import integrate
 
 from jacobi_oracles import (
-    alpha_closed, alpha_entry_quadrature, aomoto_moments, fancy_index_ginibre_rows, h_closed,
-    inner_pfaffian, inner_symmetrized, mehta_determinant, prod_inner_moments,
+    abs_vandermonde, alpha_closed, alpha_entry_quadrature, fancy_index_ginibre_rows, h_closed,
+    inner_pfaffian, inner_symmetrized, mehta_determinant, slab_inner_moments,
 )
 from ocft import jacobi
 from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, stream_mean
-from ocft.jacobi import _GRID_BUDGET, _abs_vandermonde, _inner_moments
 from ocft.jacobi import _pfaffian_moments, _s_ratio
 from ocft.jacobi import (
     MAX_PFAFFIAN_AB,
     MAX_PFAFFIAN_N,
+    MAX_SELBERG_AB,
+    MAX_SELBERG_N,
     JacobiQuery,
     gaussian_inner_moments,
     ginibre_closed,
     ginibre_mc,
     ginibre_pipeline,
+    jacobi_inner_moments,
     jacobi_pfaffian,
     jacobi_quadrature,
 )
 from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
 
+# the slab oracle's size on nodes^N grid points, kept to seconds and tens of MiB
+SLAB_BUDGET = 2**21
 
-def aomoto_float(n, a, b):
-    return np.array(aomoto_moments(n, a, b), dtype=float)
+
+def closed_float(n, a, b):
+    return np.array(jacobi_inner_moments(n, a, b), dtype=float)
 
 
 def rule_nodes(n, a, b):
@@ -62,7 +67,7 @@ def full_grid_moments(n, weight, nodes, half_line=False):
     for k in range(2, n + 1):
         jac = jac * cube[:, k - 1] ** (n - k)
     xs = g**2
-    base = weights * jac * _abs_vandermonde(xs) * np.prod(weight(xs), axis=1)
+    base = weights * jac * abs_vandermonde(xs) * np.prod(weight(xs), axis=1)
     return math.factorial(n) * (base @ elementary_symmetric_all(xs))
 
 
@@ -147,56 +152,39 @@ class TestInnerOracles:
         )
         assert mehta_determinant(q, r) == pytest.approx(direct, rel=1e-10)
 
-    def test_dimension_cap(self):
-        # a = b = 0 fits the node budget up to N = 5 (18^5 nodes), not N = 6
-        with pytest.raises(ConfigError):
-            mehta_determinant(JacobiQuery(1, 1, 0, 0, 6), 0.1)
-
 
 class TestSlabGrid:
-    # n = 5 only fits the node budget at a = b = 0; its 18-node rule is exact
-    # for the degree-34 integrand, but float64 Gauss-Legendre nodes on [0, 1]
-    # integrate x^35 to 2.9e-14 relative, which sets the rounding floor there
+    # n = 5 only fits the oracle's budget at a = b = 0; its 18-node rule is
+    # exact for the degree-34 integrand, but float64 Gauss-Legendre nodes on
+    # [0, 1] integrate x^35 to 2.9e-14 relative, which sets the rounding
+    # floor there.  Past the budget the Pfaffian route is the reference.
     @pytest.mark.parametrize(
         "n, rtol", [(1, 1e-14), (2, 1e-14), (3, 2e-14), (4, 1e-14), (5, 3e-14)]
     )
     @pytest.mark.parametrize("a", [0, 1, 2, 3])
     @pytest.mark.parametrize("b", [0, 1, 2, 3])
     def test_inner_moments_match_aomoto(self, n, rtol, a, b):
-        if rule_nodes(n, a, b) ** max(n, 2) > _GRID_BUDGET:
-            with pytest.raises(ConfigError):
-                _inner_moments(n, a, b)
+        if rule_nodes(n, a, b) ** max(n, 2) > SLAB_BUDGET:
+            assert jacobi_inner_moments(n, a, b) == _pfaffian_moments(n, a, b)
             return
-        m = _inner_moments(n, a, b)
-        np.testing.assert_allclose(m / m[0], aomoto_float(n, a, b), rtol=rtol, atol=0)
+        m = slab_inner_moments(n, a, b)
+        np.testing.assert_allclose(m / m[0], closed_float(n, a, b), rtol=rtol, atol=0)
 
     def test_large_exponents_match_aomoto(self):
         # 128^3 = 2^21 nodes, the edge of the budget
-        m = _inner_moments(3, 20, 20)
-        np.testing.assert_allclose(m / m[0], aomoto_float(3, 20, 20), rtol=1e-14, atol=0)
-
-    def test_budget_refusals(self):
-        for n, a, b in [(4, 6, 6), (6, 0, 0), (2, 400, 400), (1, 800, 800)]:
-            with pytest.raises(ConfigError, match="budget"):
-                jacobi_quadrature(JacobiQuery(1.5, 1.2, a, b, n))
+        m = slab_inner_moments(3, 20, 20)
+        np.testing.assert_allclose(m / m[0], closed_float(3, 20, 20), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (2, 1)])
     def test_matches_full_grid_jacobi(self, n, a, b):
         full = full_grid_moments(n, lambda x: x**a * (1 - x) ** b, rule_nodes(n, a, b))
-        slab = _inner_moments(n, a, b)
+        slab = slab_inner_moments(n, a, b)
         np.testing.assert_allclose(slab / slab[0], full / full[0], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize(
-        "n, a, b",
-        [(n, a, b) for n in range(1, 5) for a in range(3) for b in range(3)] + [(5, 0, 0)],
-    )
-    def test_column_products_give_the_prod_bits(self, n, a, b):
-        np.testing.assert_array_equal(_inner_moments(n, a, b), prod_inner_moments(n, a, b))
-
     def test_quadrature_memory_at_cap(self):
-        # the full 32^4 grid peaked at 192 MiB
-        peak = traced_peak_mb(jacobi_quadrature, JacobiQuery(1.5, 1.2, 1, 2, 4))
+        # the full 32^4 grid of the old nested quadrature peaked at 192 MiB
+        peak = traced_peak_mb(jacobi_quadrature, JacobiQuery(1.5, 0.7, 1, 2, MAX_SELBERG_N))
         assert peak < 32.0
 
     def test_mehta_memory_at_cap(self):
@@ -220,24 +208,26 @@ class TestPfaffianMoments:
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0, 1, 2])
     def test_match_aomoto(self, n, float_rtol, a, b):
-        assert _pfaffian_moments(n, a, b) == aomoto_moments(n, a, b)
+        assert _pfaffian_moments(n, a, b) == jacobi_inner_moments(n, a, b)
 
     def test_exact_up_to_ten(self):
         for n in range(1, 11):
             for a in range(4):
                 for b in range(4):
-                    assert _pfaffian_moments(n, a, b) == aomoto_moments(n, a, b), (n, a, b)
+                    assert _pfaffian_moments(n, a, b) == jacobi_inner_moments(n, a, b), (n, a, b)
 
     def test_exact_at_cap(self):
         for a, b in [(2, 3), (MAX_PFAFFIAN_AB // 2, MAX_PFAFFIAN_AB // 2)]:
             moments = _pfaffian_moments(MAX_PFAFFIAN_N, a, b)
             assert all(isinstance(m, Fraction) for m in moments)
-            assert moments == aomoto_moments(MAX_PFAFFIAN_N, a, b)
+            assert moments == jacobi_inner_moments(MAX_PFAFFIAN_N, a, b)
+            q = JacobiQuery(1.5, 1.2, a, b, MAX_PFAFFIAN_N)
+            assert jacobi_quadrature(q) == jacobi_pfaffian(q)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_match_inner_quadrature(self, n):
         for a, b in [(0, 0), (1, 2), (2, 1), (2, 2)]:
-            quad = _inner_moments(n, a, b)
+            quad = slab_inner_moments(n, a, b)
             np.testing.assert_allclose(
                 np.array(_pfaffian_moments(n, a, b), dtype=float), quad / quad[0],
                 rtol=1e-14, atol=0,
@@ -245,7 +235,7 @@ class TestPfaffianMoments:
 
     def test_ratios_hold_at_cap(self):
         q = JacobiQuery(1.08 * np.exp(0.4j), 1.0, 1, 2, MAX_PFAFFIAN_N)
-        exact = aomoto_moments(MAX_PFAFFIAN_N, 1, 2)
+        exact = jacobi_inner_moments(MAX_PFAFFIAN_N, 1, 2)
         moments = _pfaffian_moments(MAX_PFAFFIAN_N, 1, 2)
         assert _s_ratio(moments, q.lg, 0.15) == pytest.approx(
             _s_ratio(exact, q.lg, 0.15), rel=1e-14
@@ -285,25 +275,26 @@ class TestFullRatios:
         assert jacobi_pfaffian(q) == pytest.approx(1.75, rel=1e-10)
         assert jacobi_quadrature(q) == pytest.approx(1.75, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_pfaffian_matches_quadrature(self, n):
-        for (a, b) in [(0, 0), (1, 2)]:
-            q = JacobiQuery(1.5, 1.2, a, b, n)
-            pf = jacobi_pfaffian(q)
-            qd = jacobi_quadrature(q)
-            assert pf == pytest.approx(qd, rel=1e-14)
+        # to the bit: the same exact moments through the same _s_ratio.  The
+        # nested quadrature that the closed form replaced refused N >= 6 and
+        # (4, 6, 6) over its 2^21-node budget
+        for a, b in [(a, b) for a in range(4) for b in range(4)] + [(6, 6)]:
+            q = JacobiQuery(1.08 * np.exp(0.4j), 1.2, a, b, n)
+            assert jacobi_pfaffian(q) == jacobi_quadrature(q), (a, b)
 
     def test_both_routes_match_aomoto(self):
-        # at (2, 260, 260) the unscaled weight product is subnormal in float64
-        for method, (n, a, b) in [
-            (jacobi_pfaffian, (4, 20, 20)),
-            (jacobi_quadrature, (4, 2, 3)),
-            (jacobi_quadrature, (3, 20, 20)),
-            (jacobi_quadrature, (2, 260, 260)),
-        ]:
+        # the Pfaffian route against the closed form, the closed form against
+        # the slab oracle; at (2, 260, 260) the oracle's unscaled weight
+        # product would be subnormal in float64
+        q = JacobiQuery(1.5, 1.2, 20, 20, 4)
+        exact = _s_ratio(jacobi_inner_moments(4, 20, 20), q.lg, 1.0)
+        assert jacobi_pfaffian(q) == pytest.approx(exact, rel=1e-14)
+        for n, a, b in [(4, 2, 3), (3, 20, 20), (2, 260, 260)]:
             q = JacobiQuery(1.5, 1.2, a, b, n)
-            exact = _s_ratio(aomoto_moments(n, a, b), q.lg, 1.0)
-            assert method(q) == pytest.approx(exact, rel=1e-14)
+            slab = _s_ratio(slab_inner_moments(n, a, b), q.lg, 1.0)
+            assert jacobi_quadrature(q) == pytest.approx(slab, rel=1e-14)
 
     def test_depends_on_product_only(self):
         a = jacobi_pfaffian(JacobiQuery(2.0, 0.9, 1, 1, 2))
@@ -325,10 +316,11 @@ class TestFullRatios:
             assert complex(pf) == pytest.approx(complex(qd), rel=1e-14)
 
     def test_zero_product_paths(self):
-        assert _s_ratio(_inner_moments(2, 0, 0), 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
-        # lg = 0 as the query and as the reference: both routes' moments take it
+        assert _s_ratio(slab_inner_moments(2, 0, 0), 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+        # lg = 0 as the query and as the reference: the exact moments and the
+        # slab oracle's take it alike
         for n in (1, 2, 3, 4):
-            pfaffian_route, quadrature = _pfaffian_moments(n, 1, 2), _inner_moments(n, 1, 2)
+            pfaffian_route, quadrature = _pfaffian_moments(n, 1, 2), slab_inner_moments(n, 1, 2)
             for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
                 for query, reference in ((0.0, lg), (lg, 0.0)):
                     assert _s_ratio(pfaffian_route, query, reference) == pytest.approx(
@@ -338,8 +330,16 @@ class TestFullRatios:
         assert jacobi_pfaffian(zero) == pytest.approx(jacobi_quadrature(zero), rel=1e-13)
 
     def test_quadrature_cap(self):
-        with pytest.raises(ConfigError):
-            jacobi_quadrature(JacobiQuery(1.0, 1.0, 0, 0, 6))
+        # (N+1) binom(N, N/2) overflows float64 one past the cap, whatever a, b are
+        for a, b in [(0, 0), (MAX_SELBERG_AB, 0), (0, MAX_SELBERG_AB)]:
+            value = jacobi_quadrature(JacobiQuery(1.5, 0.7, a, b, MAX_SELBERG_N))
+            assert math.isfinite(value.real) and value.imag == 0.0
+        for n, a, b in [(MAX_SELBERG_N + 1, 0, 0), (1, MAX_SELBERG_AB, 1)]:
+            with pytest.raises(ConfigError, match="capped"):
+                jacobi_quadrature(JacobiQuery(1.5, 0.7, a, b, n))
+        # refused before the exact products, which would take hours here
+        with pytest.raises(ConfigError, match="capped"):
+            jacobi_inner_moments(10**9, 0, 0)
 
     def test_unusable_reference_is_a_config_error(self):
         with pytest.raises(ConfigError):
@@ -359,6 +359,19 @@ class TestFullRatios:
             JacobiQuery(1.0, 1.0, -1, 0, 2)
         with pytest.raises(DomainError):
             JacobiQuery(1.0, 1.0, 0, 0, 0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1.5, 2 + 0j, "2"])
+    @pytest.mark.parametrize("field", ["a", "b", "n"])
+    def test_query_refuses_a_non_integer(self, field, value):
+        args = {"lam": 1.5, "gam": 1.2, "a": 1, "b": 2, "n": 3, field: value}
+        with pytest.raises(DomainError, match="finite integer"):
+            JacobiQuery(**args)
+
+    def test_query_stores_python_ints(self):
+        q = JacobiQuery(1.5, 1.2, 2.0, np.int64(1), np.float64(3.0))
+        assert (q.a, q.b, q.n) == (2, 1, 3)
+        assert all(type(v) is int for v in (q.a, q.b, q.n))
+        assert jacobi_quadrature(q) == jacobi_quadrature(JacobiQuery(1.5, 1.2, 2, 1, 3))
 
 
 class TestGinibre:
