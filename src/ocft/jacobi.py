@@ -94,11 +94,12 @@ class JacobiQuery:
         for name in ("a", "b", "n"):
             value = getattr(self, name)
             try:
-                if int(value) != value:
-                    raise ValueError
-            except (OverflowError, TypeError, ValueError):  # inf, complex, nan, 1.5
-                raise DomainError(f"{name} = {value!r} is not a finite integer") from None
-            object.__setattr__(self, name, int(value))
+                whole = int(value)
+            except (OverflowError, TypeError, ValueError):  # inf, complex, nan
+                whole = None
+            if whole is None or whole != value:
+                raise DomainError(f"{name} = {value!r} is not a finite integer")
+            object.__setattr__(self, name, whole)
         if self.a < 0 or self.b < 0:
             raise DomainError("weight exponents a, b must be non-negative integers")
         if self.n < 1:

@@ -320,11 +320,11 @@ class TestFullRatios:
         # lg = 0 as the query and as the reference: the exact moments and the
         # slab oracle's take it alike
         for n in (1, 2, 3, 4):
-            pfaffian_route, quadrature = _pfaffian_moments(n, 1, 2), slab_inner_moments(n, 1, 2)
+            pfaffian_route, slab = _pfaffian_moments(n, 1, 2), slab_inner_moments(n, 1, 2)
             for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
                 for query, reference in ((0.0, lg), (lg, 0.0)):
                     assert _s_ratio(pfaffian_route, query, reference) == pytest.approx(
-                        _s_ratio(quadrature, query, reference), rel=1e-13
+                        _s_ratio(slab, query, reference), rel=1e-13
                     )
         zero = JacobiQuery(0.0, 1.0, 1, 2, 3)
         assert jacobi_pfaffian(zero) == pytest.approx(jacobi_quadrature(zero), rel=1e-13)
