@@ -70,8 +70,8 @@ Z_SE_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 4.0
 # verify_bosonic_cft's range, a memory and time cap: one 20,000-draw batch of
 # O(64) draws peaks at 662 MiB and takes about 10 s, and two batches, the
-# second drawn ahead, 1,287 MiB and 16 s (haar-moment on 2 vCPUs, 1 BLAS
-# thread); both grow as N^2 to N^3
+# second drawn ahead, 1,287 MiB and 16 s (haar-moment with entries that read
+# every row and column, on 2 vCPUs, 1 BLAS thread); both grow as N^2 to N^3
 MAX_BOSONIC_N = 64
 # entries of the largest array of one colour-side batch, the (rows, P^(n-1))
 # Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1);

@@ -52,9 +52,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 # the range of haar-moment and moment --method mc, which draw the same Haar
-# O(N) batches: a memory and time cap, since one 20,000-draw batch at N = 64
-# peaks at 662 MiB and takes about 10 s, two batches, the second drawn ahead,
-# 1,287 MiB and 16 s (2 vCPUs, 1 BLAS thread), and both grow as N^2 to N^3
+# O(N) batches: a memory and time cap.  Whole draws, which moment --method mc
+# and haar-moment entries that read all N rows and columns take, cost most:
+# one 20,000-draw batch at N = 64 peaks at 662 MiB and takes about 10 s, two
+# batches, the second drawn ahead, 1,287 MiB and 16 s (2 vCPUs, 1 BLAS
+# thread), and both grow as N^2 to N^3.  haar-moment draws only the k columns
+# (or rows) its entries read, N k Gaussians per draw: --entries 1,1 at
+# --samples 40000 takes 0.06 s and peaks at 51 MiB
 MAX_HAAR_MOMENT_N = 64
 
 
@@ -285,6 +289,14 @@ def _run_haar_moment(args) -> tuple[dict, int]:
         if not (1 <= i <= args.n and 1 <= j <= args.n):
             raise OcftError(f"entry ({i},{j}) outside a {args.n}x{args.n} matrix")
         idx.append((i - 1, j - 1))
+    # draw only the columns read: Haar O(N) and SO(N) are invariant under
+    # transposition, so read rows where they are fewer, and any k < N
+    # distinct columns have the law of the first k
+    rows, cols = {i for i, _ in idx}, {j for _, j in idx}
+    if len(rows) < len(cols):
+        idx, cols = [(j, i) for i, j in idx], rows
+    column = {j: c for c, j in enumerate(sorted(cols))}
+    idx = [(i, column[j]) for i, j in idx]
 
     def f(o):
         out = np.ones(o.shape[0])
@@ -299,6 +311,7 @@ def _run_haar_moment(args) -> tuple[dict, int]:
         RngStream(args.seed),
         group=args.group,
         workers=args.workers,
+        columns=len(cols) if len(cols) < args.n else None,
     )
     record = {
         "command": "haar-moment",

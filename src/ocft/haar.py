@@ -21,6 +21,12 @@ stacks.  :func:`mc_expectation`'s samplers (``_SAMPLERS``) leave each
 tile's Q in the (n, n, t) column layout the Gram-Schmidt works in, in the
 tile's own block of the Gaussian array, and hand out strided views of it
 (:func:`_tile_views`): the same draws and bits, with no transpose back.
+Asked for k < n columns, they draw only an n x k Gaussian block per draw,
+whose Q is the first k columns of a Haar O(n) draw, uniform on the
+Stiefel manifold (the same Mezzadri construction as for U(M)), and of a
+Haar SO(n) draw alike, so SO(n) then takes no determinant.  A caller that
+reads only k < n columns of each draw, or only k < n rows (the transpose of
+a Haar draw is Haar), pays for n k Gaussians in place of n^2.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
@@ -181,16 +187,17 @@ def _sign_corrected_qr(a: np.ndarray) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def _square_gaussians(n: int, count: int, rng) -> np.ndarray:
-    """(count, n, n) iid standard Gaussians, the input of an O(n) draw."""
+def _gaussians(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
+    """(count, n, columns) iid standard Gaussians, the input of the first
+    ``columns`` columns of an O(n) draw (all n by default)."""
     if n < 1:
         raise DimensionError("group dimension must be >= 1")
-    return _as_generator(rng).standard_normal((count, n, n))
+    return _as_generator(rng).standard_normal((count, n, n if columns is None else columns))
 
 
 def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """(count, n, n) stack of Haar-distributed O(n) matrices."""
-    return _orthonormal_columns(_square_gaussians(n, count, rng))
+    return _orthonormal_columns(_gaussians(n, count, rng))
 
 
 def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
@@ -215,39 +222,51 @@ def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
 
 
 def _tile_views(a: np.ndarray):
-    """(slice, (t, n, n) view) of each tile of a tile-major stack.
+    """(slice, (t, n, k) view) of each tile of a tile-major stack.
 
-    ``a`` is a C-contiguous (count, n, n) array whose memory holds, tile
-    after tile (:func:`linalg.tile_slices`), each tile's (n, n, t) column
-    layout.  The view reads draw b's entry (i, j) at [b, i, j], so every
-    entry vector ``view[:, i, j]`` is contiguous.
+    ``a`` is a C-contiguous (count, n, k) array, k <= n the number of
+    columns drawn, whose memory holds, tile after tile
+    (:func:`linalg.tile_slices` over n k entries per draw), each tile's
+    (k, n, t) column layout.  The view reads draw b's entry (i, j) at
+    [b, i, j], so every entry vector ``view[:, i, j]`` is contiguous.
     """
-    count, n = a.shape[:2]
+    count, n, k = a.shape
     flat = a.reshape(-1)
-    for tile in tile_slices(count, n * n):
-        block = flat[tile.start * n * n:tile.stop * n * n]
-        yield tile, block.reshape(n, n, -1).transpose(2, 1, 0)
+    for tile in tile_slices(count, n * k):
+        block = flat[tile.start * n * k:tile.stop * n * k]
+        yield tile, block.reshape(k, n, -1).transpose(2, 1, 0)
 
 
-def _orthogonal_tiles(n: int, count: int, rng) -> np.ndarray:
-    """The draws of :func:`sample_orthogonal_batch`, tile-major.
+def _orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
+    """The draws of :func:`sample_orthogonal_batch`, tile-major, or their
+    first ``columns`` columns.
 
+    Only the (count, n, columns) Gaussians of the columns asked for are
+    drawn: for k < n, Gram-Schmidt of an n x k Gaussian block gives the
+    first k columns of a Haar O(n) draw, uniform on the Stiefel manifold.
     Each tile's block of the Gaussian array is overwritten by its Q in the
     column layout of :func:`_orthonormal_tile`, a contiguous copy, so no
     second batch-sized array is made; read the draws through
     :func:`_tile_views`.
     """
-    a = _square_gaussians(n, count, rng)
+    a = _gaussians(n, count, rng, columns)
     for tile, o in _tile_views(a):
         o[...] = np.transpose(_orthonormal_tile(a[tile]), (2, 1, 0))
     return a
 
 
-def _special_orthogonal_tiles(n: int, count: int, rng) -> np.ndarray:
-    """The draws of :func:`sample_special_orthogonal_batch`, tile-major."""
-    a = _orthogonal_tiles(n, count, rng)
-    for _, o in _tile_views(a):
-        o[det_stack(o) < 0, -1, :] *= -1.0
+def _special_orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
+    """The draws of :func:`sample_special_orthogonal_batch`, tile-major, or
+    their first ``columns`` columns.
+
+    For k < n columns the determinant fix is skipped: SO(n) acts
+    transitively on k-frames, so the first k columns of a Haar SO(n) draw
+    have the law of those of a Haar O(n) draw.
+    """
+    a = _orthogonal_tiles(n, count, rng, columns)
+    if a.shape[2] == n:
+        for _, o in _tile_views(a):
+            o[det_stack(o) < 0, -1, :] *= -1.0
     return a
 
 
@@ -400,10 +419,11 @@ def mc_expectation(
     rng: RngStream,
     group: str = "O",
     workers: int = 1,
+    columns: int | None = None,
 ) -> Estimate:
     """Sample mean and standard error of f over Haar draws.
 
-    ``f`` maps a (B, n, n) stack of draws to a length-B vector, and each
+    ``f`` maps a (B, n, k) stack of draws to a length-B vector, and each
     draw's value must depend on that draw alone: each batch is drawn in one
     sampler call, and ``f`` is then applied to one cache-sized tile of it
     at a time (:func:`linalg.tile_slices`), its values written into the
@@ -415,13 +435,20 @@ def mc_expectation(
     vector ``o[:, i, j]`` is contiguous; ``f`` may overwrite it, since no
     draw is read again.  Worker w consumes ``rng.substream(w)`` (see
     :func:`stream_mean`).
+
+    By default k = n and ``f`` gets whole draws.  ``columns = k < n`` draws
+    only the first k columns of each draw, from n k Gaussians in place of
+    n^2, with the law they have in a whole draw of either group: ``f`` must
+    then read only those columns, and gets other numbers than at k = n.
     """
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
+    if columns is not None and not 1 <= columns <= n:
+        raise ConfigError(f"columns must be in 1..{n}, got {columns}")
     sampler = _SAMPLERS[group]
 
     def values(gen, b):
-        draws = sampler(n, b, gen)
+        draws = sampler(n, b, gen, columns)
         # allocated after the batch: the other order raised the peak resident
         # set of the moments benchmark by about 3 MB, by heap layout alone
         rows = np.empty((b, 1), dtype=complex)

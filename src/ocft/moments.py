@@ -206,7 +206,7 @@ def _pf_product(sigma: np.ndarray, scale: np.ndarray, g_values, z: complex) -> n
     return out
 
 
-def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex):
+def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex, out=None, work=None):
     """Closed-form Pfaffian of the m = 2 kernel [[g^2 Z, D], [-D, Z^dagger]].
 
     With D = diag(z, z, zbar, zbar) the 105-term matching expansion collapses to
@@ -214,12 +214,16 @@ def _m2_kernel_pfaffian(p, q, trace, pf_sq, g: float, z: complex):
         |z|^4 + g^2 (zbar^2 p + z^2 q + |z|^2 (trace - p - q)) + g^4 pf_sq,
 
     where p = |Z_01|^2, q = |Z_23|^2, trace = sum_{i<j} |Z_ij|^2 = t1 + t2
-    and pf_sq = |pf Z|^2 = t1 t2.  Arguments broadcast against each other.
+    and pf_sq = |pf Z|^2 = t1 t2.  Arguments broadcast against each other,
+    to the shape of p.  ``out`` and ``work``, arrays of that shape and of
+    the result's dtype, take the result and the q term, so a loop over
+    factors allocates nothing; the bits are those of fresh arrays.
     """
     zz = abs(z) ** 2
     g2 = g * g
     base = zz * zz + g2 * zz * trace + g2 * g2 * pf_sq
-    return base + g2 * (np.conj(z) ** 2 - zz) * p + g2 * (z**2 - zz) * q
+    out = np.add(base, np.multiply(g2 * (np.conj(z) ** 2 - zz), p, out=out), out=out)
+    return np.add(out, np.multiply(g2 * (z**2 - zz), q, out=work), out=out)
 
 
 # complex z at m = 2 is refused above this N: its exact U(4) average costs
@@ -305,12 +309,18 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     trace, pf_sq = t1 + t2, t1 * t2
     # at real z p and q have zero coefficients: the integrand has degree 0 in (a, b, c)
     u_nodes, u_weights = _u4_block_nodes(query.n if z.imag else 0)
+    tiles = tile_slices(len(u_nodes), t_weights.size)
+    # every kernel factor is formed in these two tile-sized buffers, of z's dtype
+    rows = max(tile.stop - tile.start for tile in tiles)
+    factor, work = (np.empty((rows, t_weights.size), dtype=z.dtype) for _ in range(2))
     num = 0j
-    for tile in tile_slices(len(u_nodes), t_weights.size):
+    for tile in tiles:
         # q is p with a and b swapped, i.e. with t1 and t2 swapped
         p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
+        out, scratch = factor[:len(p)], work[:len(p)]
         fg = np.ones(p.shape, dtype=complex)
         for gi in query.g:
-            fg *= _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z) / scale
+            _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z, out, scratch)
+            fg *= np.divide(out, scale, out=out)
         num += u_weights[tile] @ (fg @ t_weights)
     return _finite(Estimate((num / den).real, 0.0, 0), query)

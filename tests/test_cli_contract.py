@@ -9,6 +9,7 @@ Values go in as ``--option=value``, so argparse reads -1e300 as a value.
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -163,3 +164,21 @@ def test_closed_form_sizes_end_within_a_second(option, value):
     started = time.perf_counter()
     assert (why := _violation(argv, exits=(0, 2))) is None, why
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("group", ["O", "SO"])
+def test_one_entry_at_the_haar_size_cap_is_quick_and_small(group):
+    # one column of O(64) is drawn, not all 64^2 Gaussians; numpy reports its
+    # arrays to tracemalloc
+    argv = ["haar-moment", f"--n={MAX_HAAR_MOMENT_N}", "--entries=1,1", f"--group={group}"]
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        why = _violation(argv, exits=(0,))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert why is None, why
+    assert elapsed < 2.0
+    assert peak < 64 * 2**20

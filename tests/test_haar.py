@@ -1,3 +1,5 @@
+import io
+import json
 import sys
 import threading
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from ocft import haar, linalg
+from ocft.cli import run
 from ocft.errors import ConfigError, DimensionError
 from ocft.haar import (
     DRAW_AHEAD_MIN_VALUES,
@@ -212,8 +215,8 @@ class TestColumnLayoutTiles:
         in the fifth tile, has a zero column, which LAPACK's QR redoes."""
         gauss = RngStream(75 + n).generator().standard_normal((43, n, n))
         gauss[30, :, n // 2] = 0.0
-        monkeypatch.setattr(haar, "_square_gaussians",
-                            lambda n, count, rng: gauss[:count].copy())
+        monkeypatch.setattr(haar, "_gaussians",
+                            lambda n, count, rng, columns=None: gauss[:count, :, :columns].copy())
         monkeypatch.setattr(linalg, "TILE_ENTRIES", 7 * n * n)
         return gauss
 
@@ -233,6 +236,20 @@ class TestColumnLayoutTiles:
             first = haar._orthonormal_tile(gauss[:7])
             np.testing.assert_array_equal(draws.reshape(-1)[:first.size], first.ravel())
             np.testing.assert_array_equal(public[30], haar._sign_corrected_qr(gauss[30:31])[0])
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_column_tiles_hold_the_q_of_the_column_block(self, monkeypatch, n, group):
+        # k < n columns: Gram-Schmidt of the n x k block alone, tiled over n k
+        # entries per draw, and no determinant fix for SO(n)
+        gauss = self.draw_a_zero_column(monkeypatch, n)
+        for k in range(1, n):
+            draws = haar._SAMPLERS[group](n, 43, None, k)
+            views = list(haar._tile_views(draws))
+            assert draws.shape == (43, n, k)
+            assert [tile for tile, _ in views] == linalg.tile_slices(43, n * k)
+            np.testing.assert_array_equal(np.concatenate([o for _, o in views]),
+                                          _orthonormal_columns(gauss[:, :, :k].copy()))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("group", ["O", "SO"])
@@ -327,9 +344,9 @@ class TestMcExpectation:
 
         sampler, drawn = haar._SAMPLERS[group], []
 
-        def counted(n, count, rng):
+        def counted(n, count, rng, columns=None):
             drawn.append(count)
-            return sampler(n, count, rng)
+            return sampler(n, count, rng, columns)
 
         monkeypatch.setitem(haar._SAMPLERS, group, counted)
 
@@ -368,6 +385,88 @@ class TestMcExpectation:
         est = Estimate(1.0 + 0j, 0.0, 10)
         assert est.z_score(1.0 + 0j) == 0.0
         assert est.z_score(2.0) == float("inf")
+
+
+def haar_moment(monkeypatch, n, entries, group="O", samples=200_000, seed=0, workers=1):
+    """The haar-moment record, and the ``columns`` its sampler was called with."""
+    sampler, columns = haar._SAMPLERS[group], set()
+
+    def spied(n, count, rng, k=None):
+        columns.add(k)
+        return sampler(n, count, rng, k)
+
+    monkeypatch.setitem(haar._SAMPLERS, group, spied)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["haar-moment", "--n", str(n), "--entries", entries, "--group", group,
+            "--samples", str(samples), "--seed", str(seed), "--workers", str(workers)]
+    assert run(argv, out=out, err=err) == 0, err.getvalue()
+    monkeypatch.setitem(haar._SAMPLERS, group, sampler)
+    return json.loads(out.getvalue()), columns
+
+
+class TestColumnRoute:
+    """haar-moment draws only the columns, or the rows, its entries read."""
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_entries_reading_every_row_and_column_keep_the_bits(self, monkeypatch, n, group):
+        # the diagonal and the next diagonal read all n rows and columns
+        idx = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
+        entries = ";".join(f"{i + 1},{j + 1}" for i, j in idx)
+
+        def f(o):
+            out = np.ones(o.shape[0])
+            for i, j in idx:
+                out = out * o[:, i, j]
+            return out
+
+        rec, columns = haar_moment(monkeypatch, n, entries, group, 3_001, seed=5, workers=2)
+        ref = public_route_expectation(f, n, 3_001, RngStream(5), group=group, workers=2)
+        est = mc_expectation(f, n, 3_001, RngStream(5), group=group, workers=2)
+        assert columns == {None}
+        assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+        assert (rec["value"]["re"], rec["value"]["im"]) == (ref.mean.real, ref.mean.imag)
+        assert rec["std_error"] == ref.std_error
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("n, entries, exact, k", [
+        (5, "1,1;1,1", 1 / 5, 1),  # E[O11^2] = 1/N
+        (5, "1,1;1,1;1,1;1,1", 3 / 35, 1),  # E[O11^4] = 3/(N(N+2))
+        (3, "1,1;1,2;2,1;2,2", -1 / 30, 2),  # -1/(N(N-1)(N+2))
+        (5, "1,1;1,1;1,2;1,2", 1 / 35, 1),  # one row: E[O11^2 O12^2] = 1/(N(N+2))
+        (4, "2,3;2,3;4,3;4,3", 1 / 24, 1),  # one column, not the first
+    ])
+    def test_column_route_has_the_haar_law(self, monkeypatch, group, n, entries, exact, k):
+        rec, columns = haar_moment(monkeypatch, n, entries, group, seed=61 + n)
+        assert columns == {k}
+        est = Estimate(complex(rec["value"]["re"], rec["value"]["im"]), rec["std_error"],
+                       rec["samples"])
+        assert est.z_score(exact) <= 4.0
+
+    @pytest.mark.parametrize("group, exact", [("SO", 0.5), ("O", 0.0)])
+    def test_so_keeps_the_determinant_fix_when_every_column_is_read(
+            self, monkeypatch, group, exact):
+        # O11 O22 is cos^2 on SO(2) and -cos^2 on its reflections
+        rec, columns = haar_moment(monkeypatch, 2, "1,1;2,2", group, seed=7)
+        assert columns == {None}
+        est = Estimate(complex(rec["value"]["re"]), rec["std_error"], rec["samples"])
+        assert est.z_score(exact) <= 4.0
+
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    def test_f_gets_the_columns_asked_for(self, group):
+        shapes = []
+
+        def f(o):
+            shapes.append(o.shape[1:])
+            return o[:, 0, -1]
+
+        mc_expectation(f, 7, 100, RngStream(3), group=group, columns=2)
+        assert set(shapes) == {(7, 2)}
+
+    @pytest.mark.parametrize("columns", [0, -1, 4])
+    def test_column_count_validation(self, columns):
+        with pytest.raises(ConfigError):
+            mc_expectation(lambda o: o[:, 0, 0], 3, 100, RngStream(0), columns=columns)
 
 
 class TestStreamMean:

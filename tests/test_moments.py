@@ -418,6 +418,42 @@ class TestClosedFormKernelPfaffian:
                 ref = matching_pfaffians(kernel_batch(stack, g, z, 2))
                 np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("z", [0.9 + 0.4j, np.complex128(2 - 1.1j), np.float64(1.3), -0.8])
+    def test_buffers_give_the_bits_of_fresh_arrays(self, z):
+        rng = np.random.default_rng(33)
+        p, q = rng.random((2, 5, 64))
+        trace, pf_sq = rng.random((2, 64))
+        zz, g2 = abs(z) ** 2, 0.7 * 0.7
+        # the closed form as one expression, as the m = 2 loop formed it
+        # before it wrote each factor into reused buffers
+        fresh = (zz * zz + g2 * zz * trace + g2 * g2 * pf_sq
+                 + g2 * (np.conj(z) ** 2 - zz) * p + g2 * (z**2 - zz) * q)
+        out, work = (np.full(p.shape, np.nan, dtype=fresh.dtype) for _ in range(2))
+        got = _m2_kernel_pfaffian(p, q, trace, pf_sq, 0.7, z, out, work)
+        assert got is out
+        for value in (got, _m2_kernel_pfaffian(p, q, trace, pf_sq, 0.7, z)):
+            assert value.dtype == fresh.dtype
+            assert value.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("z", [0.9 + 0.4j, 1.3])
+    def test_factors_reuse_two_buffers(self, monkeypatch, z):
+        closed, buffers = moments._m2_kernel_pfaffian, set()
+
+        def logged(p, q, trace, pf_sq, g, z, out=None, work=None):
+            buffers.add((out.ctypes.data, work.ctypes.data))
+            return closed(p, q, trace, pf_sq, g, z, out, work)
+
+        monkeypatch.setattr(moments, "_m2_kernel_pfaffian", logged)
+        moment_pfaffian_integral(MomentQuery(z=z, g=tuple(np.linspace(0.5, 1.4, 9)), m=2))
+        assert len(buffers) == 1
+
+    @pytest.mark.parametrize("g, value", [
+        ((0.6, 1.2), 16.24960627000001),  # the moments benchmark's m2-pfaffian-complex-2
+        (tuple(np.linspace(0.5, 1.4, 20)), 1787.5356404076144),
+    ])
+    def test_complex_z_values_keep_their_bits(self, g, value):
+        assert moment_pfaffian_integral(MomentQuery(z=0.9 + 0.4j, g=g, m=2)).mean == value
+
     @pytest.mark.parametrize(
         "z, g",
         [(0.9 + 0.4j, (0.6, 1.2)), (0.5 - 0.7j, (0.3, 1.0, 1.6))],
