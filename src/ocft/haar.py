@@ -239,11 +239,8 @@ def _tile_views(a: np.ndarray):
 
 def _orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
     """The draws of :func:`sample_orthogonal_batch`, tile-major, or their
-    first ``columns`` columns.
+    first ``columns`` columns, from a (count, n, columns) Gaussian array.
 
-    Only the (count, n, columns) Gaussians of the columns asked for are
-    drawn: for k < n, Gram-Schmidt of an n x k Gaussian block gives the
-    first k columns of a Haar O(n) draw, uniform on the Stiefel manifold.
     Each tile's block of the Gaussian array is overwritten by its Q in the
     column layout of :func:`_orthonormal_tile`, a contiguous copy, so no
     second batch-sized array is made; read the draws through
