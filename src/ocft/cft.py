@@ -17,7 +17,7 @@ Verification is coefficient-wise for the Grassmann variants: the left side
 expands each monomial coefficient into products of minors of O (estimated
 by Haar Monte Carlo, with every minor of a draw built from the smaller ones
 by the Laplace expansion that ``linalg.det_stack`` also uses, and the sums
-over a batch taken as one Gram product),
+over each tile of draws taken as Gram products, one tile per batch),
 the right side into powers of the flavour parameter
 with exactly computable radial moments.  All normalisations are fixed
 self-consistently by matching the constant term to the group volume 1;
@@ -44,9 +44,9 @@ from .grassmann import (
 )
 from .haar import (
     DEFAULT_BATCH,
+    _SAMPLERS,
     RngStream,
-    sample_orthogonal_batch,
-    sample_special_orthogonal_batch,
+    _tile_views,
     sample_unitary_columns,
     stream_mean,
 )
@@ -74,9 +74,9 @@ DEFAULT_THRESHOLD = 4.0
 # every row and column, on 2 vCPUs, 1 BLAS thread); both grow as N^2 to N^3
 MAX_BOSONIC_N = 64
 # entries of the largest array of one colour-side batch, the (rows, P^(n-1))
-# Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1);
-# the row count of a batch is derived from this and that width, and capped at
-# haar.DEFAULT_BATCH
+# Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1),
+# or each bosonic side's (rows, probes) values; the row count of a batch is
+# derived from this and that width, and capped at haar.DEFAULT_BATCH
 BATCH_ENTRIES = 2**18
 
 
@@ -264,28 +264,33 @@ def lhs_coefficient_means(
     of ``_lhs_structure``, in table order.
 
     The coefficient of table row (c_1, ..., c_n) is sign * prod_a m_{c_a},
-    with m the (B, P) minors of a batch of draws.  So the batch's sums over
-    all rows are one product K^T m, reshaped in table order, where K is the
-    row-wise Khatri-Rao product of n - 1 copies of m (a column of ones for
-    n = 1); the sums of squares are (K * K)^T (m * m).  ``stream_mean`` adds
-    these per-batch sums, so no (B, P^n) row array is formed, and a batch
-    holds at most BATCH_ENTRIES entries of K (of m for n = 1).
+    with m the (t, P) minors of one tile of draws (``haar._tile_views``).
+    So the tile's sums over all rows are one product K^T m, reshaped in
+    table order, where K is the row-wise Khatri-Rao product of n - 1 copies
+    of m (a column of ones for n = 1); the sums of squares are
+    (K * K)^T (m * m).  The tiles' sums are added into the batch's, and
+    ``stream_mean`` adds these, so no (B, P^n) row array is formed, and a
+    batch holds at most BATCH_ENTRIES entries of K (of m for n = 1).  At
+    N n <= 8 and n <= 2 every batch is one tile, so each batch's sums are
+    one Gram product.
     """
-    if group not in ("O", "SO"):
-        raise ConfigError(f"group must be 'O' or 'SO', got {group!r}")
+    if group not in _SAMPLERS:
+        raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
     _, signs, _, _ = _lhs_structure(n_colour, n_flavour)
-    sampler = (
-        sample_orthogonal_batch if group == "O" else sample_special_orthogonal_batch
-    )
+    sampler = _SAMPLERS[group]
     # the Khatri-Rao width, with P = sum_k C(N, k)^2 = C(2N, N) minor pairs
     width = math.comb(2 * n_colour, n_colour) ** max(1, n_flavour - 1)
 
     def sums(gen, b):
-        minors = _minor_dets(sampler(n_colour, b, gen))
-        k = np.ones((b, 1))
-        for _ in range(n_flavour - 1):
-            k = (k[:, :, None] * minors[:, None, :]).reshape(b, -1)
-        return signs * (k.T @ minors).ravel(), ((k * k).T @ (minors * minors)).ravel()
+        total = total_abs2 = 0.0
+        for _, o in _tile_views(sampler(n_colour, b, gen)):
+            minors = _minor_dets(o)
+            k = np.ones((len(minors), 1))
+            for _ in range(n_flavour - 1):
+                k = (k[:, :, None] * minors[:, None, :]).reshape(len(minors), -1)
+            total = total + signs * (k.T @ minors).ravel()
+            total_abs2 = total_abs2 + ((k * k).T @ (minors * minors)).ravel()
+        return total, total_abs2
 
     mean, se = stream_mean(
         sums,
@@ -511,7 +516,9 @@ def verify_bosonic_cft(
     exp((phibar Z phibar + phi Z^dagger phi)/2) over the bosonic measure;
     both sides share the constant-term normalisation 1.  The colour side's
     worker shards read substreams 1..workers, the flavour side's the
-    ``workers`` substreams after them.  N is capped at ``MAX_BOSONIC_N``.
+    ``workers`` substreams after them.  Each side draws batches of
+    ``_batch_rows(probes)`` rows, so a batch holds at most BATCH_ENTRIES
+    values whatever the probe count.  N is capped at ``MAX_BOSONIC_N``.
     """
     measure = BosonicMeasure(n_colour, n_flavour)  # validates N > 2n
     if n_colour > MAX_BOSONIC_N:
@@ -532,8 +539,11 @@ def verify_bosonic_cft(
     s = np.stack([phi.T @ phi for phi, _ in probe_list])
 
     def colour(o_gen, b):
-        o = sample_orthogonal_batch(n_colour, b, o_gen)
-        return np.exp(np.einsum("bij,pij->bp", o, mats))
+        draws = _SAMPLERS["O"](n_colour, b, o_gen)
+        rows = np.empty((b, probes), dtype=complex)
+        for tile, o in _tile_views(draws):
+            np.einsum("bij,pij->bp", o, mats, out=rows[tile])
+        return np.exp(rows, out=rows)
 
     def flavour(z_gen, b):
         z = sample_bosonic_z(measure, z_gen, b)
@@ -543,8 +553,9 @@ def verify_bosonic_cft(
             * (np.einsum("bxy,pxy->bp", z, sbar) + np.einsum("bxy,pxy->bp", zdag, s))
         )
 
-    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers)
-    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers)
+    batch = _batch_rows(probes)
+    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers, batch=batch)
+    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers, batch=batch)
 
     return VerificationReport(
         "bosonic", n_colour, n_flavour, samples, threshold, np.arange(probes),

@@ -16,24 +16,24 @@ for the small matrices drawn here.  An SO(N) draw is an O(N) draw whose
 last row is negated when its determinant, read off the batched
 polynomial formulas of :func:`linalg.det_stack` (LAPACK above 6 x 6), is
 negative: det = +-1 to rounding, so any accurate determinant picks the
-same draws.  The public samplers return C-contiguous (count, n, n)
-stacks.  :func:`mc_expectation`'s samplers (``_SAMPLERS``) leave each
-tile's Q in the (n, n, t) column layout the Gram-Schmidt works in, in the
-tile's own block of the Gaussian array, and hand out strided views of it
-(:func:`_tile_views`): the same draws and bits, with no transpose back.
-Asked for k < n columns, they draw only an n x k Gaussian block per draw,
-whose Q is the first k columns of a Haar O(n) draw, uniform on the
-Stiefel manifold (the same Mezzadri construction as for U(M)), and of a
-Haar SO(n) draw alike, so SO(n) then takes no determinant.  A caller that
-reads only k < n columns of each draw, or only k < n rows (the transpose of
-a Haar draw is Haar), pays for n k Gaussians in place of n^2.
+same draws.  Every O(n) and SO(n) draw of the package comes from the one
+sampler of its group in ``_SAMPLERS``.  It leaves each tile's Q in the
+(n, n, t) column layout the Gram-Schmidt works in, in the tile's own block
+of the Gaussian array, and callers read the draws through strided views of
+it (:func:`_tile_views`), with no transpose back.  Asked for k < n
+columns, the samplers draw only an n x k Gaussian block per draw, whose Q
+is the first k columns of a Haar O(n) draw, uniform on the Stiefel
+manifold (the same Mezzadri construction as for U(M)), and of a Haar SO(n)
+draw alike, so SO(n) then takes no determinant.  A caller that reads only
+k < n columns of each draw, or only k < n rows (the transpose of a Haar
+draw is Haar), pays for n k Gaussians in place of n^2.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
 moduli, and returns the means and Bessel-corrected standard errors.  A
 caller that can sum a batch's rows without forming them returns the two
 sums in place of the rows, as the colour side of the fermionic and SO(N)
-identities does with one Gram product per batch; the loop, the shards and
+identities does with Gram products over each tile; the loop, the shards and
 the reduction are the same either way.  :func:`mc_expectation` draws each
 batch in one sampler call and applies its per-draw function to one tile of
 the batch at a time, as a view it may overwrite, into the batch's one row
@@ -75,8 +75,6 @@ __all__ = [
     "Estimate",
     "RngStream",
     "mc_expectation",
-    "sample_orthogonal_batch",
-    "sample_special_orthogonal_batch",
     "sample_unitary_columns",
     "stream_mean",
 ]
@@ -195,23 +193,6 @@ def _gaussians(n: int, count: int, rng, columns: int | None = None) -> np.ndarra
     return _as_generator(rng).standard_normal((count, n, n if columns is None else columns))
 
 
-def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
-    """(count, n, n) stack of Haar-distributed O(n) matrices."""
-    return _orthonormal_columns(_gaussians(n, count, rng))
-
-
-def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
-    """(count, n, n) stack of Haar draws conditioned on det = +1.
-
-    An O(n) draw with det = -1 has the sign of its last row flipped, i.e. it
-    is mapped through the fixed reflection diag(1, ..., 1, -1).
-    """
-    o = sample_orthogonal_batch(n, count, rng)
-    neg = det_stack(o) < 0
-    o[neg, -1, :] *= -1.0
-    return o
-
-
 def sample_unitary_columns(m: int, n: int, count: int, rng) -> np.ndarray:
     """(count, m, n) stack: the first n columns of Haar U(m) draws."""
     if not 1 <= n <= m:
@@ -238,8 +219,8 @@ def _tile_views(a: np.ndarray):
 
 
 def _orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
-    """The draws of :func:`sample_orthogonal_batch`, tile-major, or their
-    first ``columns`` columns, from a (count, n, columns) Gaussian array.
+    """(count, n, n) Haar O(n) draws, tile-major, or their first
+    ``columns`` columns, from a (count, n, columns) Gaussian array.
 
     Each tile's block of the Gaussian array is overwritten by its Q in the
     column layout of :func:`_orthonormal_tile`, a contiguous copy, so no
@@ -253,12 +234,14 @@ def _orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np
 
 
 def _special_orthogonal_tiles(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
-    """The draws of :func:`sample_special_orthogonal_batch`, tile-major, or
-    their first ``columns`` columns.
+    """(count, n, n) Haar SO(n) draws, tile-major, or their first
+    ``columns`` columns.
 
-    For k < n columns the determinant fix is skipped: SO(n) acts
-    transitively on k-frames, so the first k columns of a Haar SO(n) draw
-    have the law of those of a Haar O(n) draw.
+    An O(n) draw with det = -1 has its last row negated, i.e. it is mapped
+    through the fixed reflection diag(1, ..., 1, -1).  For k < n columns
+    the determinant fix is skipped: SO(n) acts transitively on k-frames, so
+    the first k columns of a Haar SO(n) draw have the law of those of a
+    Haar O(n) draw.
     """
     a = _orthogonal_tiles(n, count, rng, columns)
     if a.shape[2] == n:
@@ -267,8 +250,8 @@ def _special_orthogonal_tiles(n: int, count: int, rng, columns: int | None = Non
     return a
 
 
-# mc_expectation's samplers; they do not call the public ones, nor these
-# the public ones, so each draw passes through one of them once
+# the one sampler of each group; callers look it up at call time, and every
+# draw passes through it once
 _SAMPLERS = {"O": _orthogonal_tiles, "SO": _special_orthogonal_tiles}
 
 

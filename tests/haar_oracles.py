@@ -1,26 +1,44 @@
-"""The Monte-Carlo route that ``mc_expectation`` replaced, used only by the tests.
+"""The C-layout Haar samplers and the Monte-Carlo route that ``mc_expectation``
+replaced, used only by the tests.
 
-It draws each batch with the public samplers, whose C-contiguous (B, n, n)
-output is Q scattered back from the Gram-Schmidt column layout, and applies
-``f`` to one contiguous tile of it at a time.  ``mc_expectation`` must give
-its bits.
+``sample_orthogonal_batch`` and ``sample_special_orthogonal_batch`` draw the
+same Gaussians as ``haar._SAMPLERS`` and return the same Q, scattered back
+from the Gram-Schmidt column layout into a C-contiguous (count, n, n)
+stack.  ``public_route_expectation`` draws each batch with them and applies
+``f`` to one contiguous tile of it at a time; it and ``PUBLIC_SAMPLERS`` are
+named for the public samplers of ``ocft.haar`` these once were.  The tile
+samplers, ``mc_expectation`` and the colour sides of ``ocft.cft`` must give
+their bits.
 """
 
 import numpy as np
 
-from ocft.haar import (
-    Estimate,
-    sample_orthogonal_batch,
-    sample_special_orthogonal_batch,
-    stream_mean,
-)
-from ocft.linalg import tile_slices
+from ocft import haar
+from ocft.haar import Estimate, stream_mean
+from ocft.linalg import det_stack, tile_slices
+
+
+def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
+    """(count, n, n) C-contiguous stack of Haar-distributed O(n) matrices."""
+    return haar._orthonormal_columns(haar._gaussians(n, count, rng))
+
+
+def sample_special_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
+    """(count, n, n) C-contiguous stack of Haar draws conditioned on det = +1.
+
+    An O(n) draw with det = -1 has the sign of its last row flipped, i.e. it
+    is mapped through the fixed reflection diag(1, ..., 1, -1).
+    """
+    o = sample_orthogonal_batch(n, count, rng)
+    o[det_stack(o) < 0, -1, :] *= -1.0
+    return o
+
 
 PUBLIC_SAMPLERS = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}
 
 
 def public_route_expectation(f, n, samples, rng, group="O", workers=1) -> Estimate:
-    """``mc_expectation`` through the public sampler, then ``f`` per tile."""
+    """``mc_expectation`` through the C-layout sampler, then ``f`` per tile."""
     sampler = PUBLIC_SAMPLERS[group]
 
     def values(gen, b):

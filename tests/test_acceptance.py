@@ -19,7 +19,8 @@ from jacobi_oracles import (
     alpha_closed, alpha_entry_quadrature, inner_pfaffian, inner_symmetrized,
     mehta_determinant,
 )
-from ocft.haar import RngStream, sample_orthogonal_batch
+from ocft.haar import RngStream
+from haar_oracles import sample_orthogonal_batch
 from ocft.jacobi import (
     JacobiQuery,
     ginibre_closed,

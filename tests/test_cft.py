@@ -16,9 +16,9 @@ from ocft.cft import (
 )
 from ocft.errors import ConfigError, DomainError
 from ocft.grassmann import Multivector, gmul, psi_index, psibar_index, universe_size
-from ocft.haar import (
-    RngStream, _as_generator, sample_orthogonal_batch, sample_special_orthogonal_batch,
-    stream_mean,
+from ocft.haar import RngStream, _as_generator, stream_mean
+from haar_oracles import (
+    PUBLIC_SAMPLERS, sample_orthogonal_batch, sample_special_orthogonal_batch,
 )
 
 
@@ -126,6 +126,48 @@ def colour_coefficients(n_colour, n_flavour):
     """
     choices, signs, _, _ = _lhs_structure(n_colour, n_flavour)
     return lambda mats: signs * np.prod(_minor_dets(mats)[:, choices], axis=2)
+
+
+def c_layout_lhs_means(n_colour, n_flavour, samples, rng, group, workers):
+    """``lhs_coefficient_means`` through the C-layout samplers: the minors of
+    a whole batch, then one Khatri-Rao product and one Gram product per
+    batch.  Where every batch is one tile, the tiled route keeps its bits."""
+    _, signs, _, _ = _lhs_structure(n_colour, n_flavour)
+    sampler = PUBLIC_SAMPLERS[group]
+
+    def sums(gen, b):
+        minors = _minor_dets(sampler(n_colour, b, gen))
+        k = np.ones((b, 1))
+        for _ in range(n_flavour - 1):
+            k = (k[:, :, None] * minors[:, None, :]).reshape(b, -1)
+        return signs * (k.T @ minors).ravel(), ((k * k).T @ (minors * minors)).ravel()
+
+    mean, se = stream_mean(sums, samples, rng, workers,
+                           batch=_batch_rows(khatri_rao_width(n_colour, n_flavour)))
+    return np.stack([mean, se], axis=1)
+
+
+def khatri_rao_width(n_colour, n_flavour):
+    """P^max(1, n - 1) entries per colour-side row, P = C(2N, N) minor pairs."""
+    return math.comb(2 * n_colour, n_colour) ** max(1, n_flavour - 1)
+
+
+def c_layout_bosonic_colour(n_colour, n_flavour, probes, samples, rng, workers):
+    """The bosonic colour side's means and standard errors through the
+    C-layout O(N) sampler, one ``einsum`` per batch."""
+    gen = rng.generator()
+    probe_list = [cft._probe_pair(gen, n_colour, n_flavour) for _ in range(probes)]
+    mats = np.stack([np.einsum("ia,ja->ij", phibar, phi) for phi, phibar in probe_list])
+
+    def colour(o_gen, b):
+        return np.exp(np.einsum("bij,pij->bp", sample_orthogonal_batch(n_colour, b, o_gen), mats))
+
+    return stream_mean(colour, samples, rng.substream(1), workers, batch=_batch_rows(probes))
+
+
+# every (N, n) the fermionic and SO(N) colour sides accept: N n <= 8, n <= 2
+REACHABLE_TABLES = [(n_colour, n_flavour) for n_flavour in (1, 2)
+                    for n_colour in range(1, 8 // n_flavour + 1)]
 
 
 def reflection_split_check(n_colour, n_flavour, samples, rng):
@@ -527,6 +569,25 @@ class TestColourSideStructure:
         np.testing.assert_allclose(got[:, 0], mean, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(got[:, 1], se, rtol=1e-13, atol=1e-13)
 
+    def test_every_reachable_colour_batch_is_one_tile(self):
+        # the per-tile Gram sums keep the bits of one Gram product per batch
+        # only while this holds
+        assert len(REACHABLE_TABLES) == 12
+        for n_colour, n_flavour in REACHABLE_TABLES:
+            rows = _batch_rows(khatri_rao_width(n_colour, n_flavour))
+            assert linalg.tile_slices(rows, n_colour**2) == [slice(0, rows)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("group", ["O", "SO"])
+    @pytest.mark.parametrize("shape", REACHABLE_TABLES)
+    def test_lhs_means_keep_the_c_layout_bits(self, shape, group, workers):
+        # three batches per shard at one worker, the last of 3 rows
+        samples = 2 * _batch_rows(khatri_rao_width(*shape)) + 3
+        rng = RngStream(80 + shape[0] * shape[1])
+        got = lhs_coefficient_means(*shape, samples, rng, group, workers)
+        want = c_layout_lhs_means(*shape, samples, rng, group, workers)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(2, 2), (8, 1)])
     def test_lhs_means_have_one_row_per_monomial(self, shape):
         # perfbench's cft.lhs.monomials counts the rows as len(result)
@@ -652,6 +713,36 @@ class TestBosonicVerification:
     def test_integrability_guard(self):
         with pytest.raises(DomainError):
             verify_bosonic_cft(2, 1, 5, 1000, RngStream(20))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_colour, n_flavour, probes, samples", [
+        (4, 1, 4, 5_000), (4, 1, 100, 7_000), (8, 3, 4, 5_000), (64, 1, 4, 301),
+    ])
+    def test_colour_side_keeps_the_c_layout_bits(self, n_colour, n_flavour, probes, samples,
+                                                  workers):
+        # tiles hold 32,768 O(4) draws, 2,048 O(8) draws and 32 O(64) draws, so
+        # a batch at N = 8 and 64 spans several tiles; 100 probes take batches
+        # of 2,621 rows
+        rng = RngStream(90 + n_colour)
+        report = verify_bosonic_cft(n_colour, n_flavour, probes, samples, rng, workers=workers)
+        mean, se = c_layout_bosonic_colour(n_colour, n_flavour, probes, samples, rng, workers)
+        assert report.lhs.tobytes() == mean.tobytes()
+        assert report.lhs_se.tobytes() == se.tobytes()
+
+    def test_batches_are_sized_by_the_probe_count(self, monkeypatch):
+        # each side's (rows, probes) values stay within BATCH_ENTRIES; up to 13
+        # probes a batch keeps haar.DEFAULT_BATCH rows
+        batches = []
+
+        def spy(*args, batch, **kwargs):
+            batches.append(batch)
+            return stream_mean(*args, batch=batch, **kwargs)
+
+        monkeypatch.setattr(cft, "stream_mean", spy)
+        for probes, rows in ((13, 20_000), (14, 18_724), (2_000, 131)):
+            batches.clear()
+            verify_bosonic_cft(3, 1, probes, 20, RngStream(29))
+            assert batches == [rows, rows] == [_batch_rows(probes)] * 2
 
     def test_zero_probe_gives_unit_on_both_sides(self):
         # with phi = phibar = 0 both integrands are exp(0); the identity is

@@ -182,3 +182,19 @@ def test_one_entry_at_the_haar_size_cap_is_quick_and_small(group):
     assert why is None, why
     assert elapsed < 2.0
     assert peak < 64 * 2**20
+
+
+def test_many_bosonic_probes_keep_the_batch_small():
+    # each side's batch holds _batch_rows(probes) rows, so its (rows, probes)
+    # values stay near cft.BATCH_ENTRIES whatever --probes is; 20,000 rows of
+    # 2,000 complex probes were 640 MB per side
+    argv = ["verify-cft", "--variant=bosonic", "--colors=3", "--flavors=1", "--probes=2000",
+            "--samples=20000", "--seed=0", "--workers=1"]
+    tracemalloc.start()
+    try:
+        why = _violation(argv, exits=(0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert why is None, why
+    assert peak < 64 * 2**20

@@ -15,12 +15,15 @@ from ocft.haar import (
     RngStream,
     _orthonormal_columns,
     mc_expectation,
-    sample_orthogonal_batch,
-    sample_special_orthogonal_batch,
     sample_unitary_columns,
     stream_mean,
 )
-from haar_oracles import PUBLIC_SAMPLERS, public_route_expectation
+from haar_oracles import (
+    PUBLIC_SAMPLERS,
+    public_route_expectation,
+    sample_orthogonal_batch,
+    sample_special_orthogonal_batch,
+)
 
 
 def sample_orthogonal(n: int, rng) -> np.ndarray:
@@ -205,9 +208,9 @@ class TestOrthonormalColumns:
 
 
 class TestColumnLayoutTiles:
-    """mc_expectation's samplers leave each tile's Q in column layout; the
-    public samplers and f per contiguous tile (tests/haar_oracles.py) are the
-    oracle for their bits."""
+    """The samplers of haar._SAMPLERS leave each tile's Q in column layout;
+    the C-layout samplers and f per contiguous tile (tests/haar_oracles.py)
+    are the oracle for their bits."""
 
     @staticmethod
     def draw_a_zero_column(monkeypatch, n):
@@ -277,18 +280,41 @@ class TestColumnLayoutTiles:
         np.testing.assert_array_equal(np.concatenate(tiled), np.concatenate(public))
         assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
 
-    def test_public_and_tile_samplers_do_not_call_each_other(self, monkeypatch):
-        # so each draw passes through one sampler once, and is counted once
-        def refused(*args):
-            raise AssertionError("sampler called through the other kind")
+    def test_verify_cft_draws_every_orthogonal_matrix_through_the_tile_samplers(
+            self, monkeypatch):
+        # perfbench's haar.sample span counts the draws of haar._SAMPLERS: each
+        # colour side makes --samples draws there, and every real Gaussian block
+        # and real Gram-Schmidt Q is made inside one of those calls
+        draws, inside = [], [0]
 
+        def spy(sampler):
+            def counted(n, count, rng, columns=None):
+                draws.append(count)
+                inside[0] += 1
+                try:
+                    return sampler(n, count, rng, columns)
+                finally:
+                    inside[0] -= 1
+            return counted
+
+        def only_inside(kernel, real=lambda *args: True):
+            def checked(*args, **kwargs):
+                assert inside[0] or not real(*args), "an O(N) draw outside haar._SAMPLERS"
+                return kernel(*args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(haar, "_gaussians", only_inside(haar._gaussians))
+        monkeypatch.setattr(haar, "_orthonormal_tile", only_inside(
+            haar._orthonormal_tile, real=lambda a: not np.iscomplexobj(a)))
         for group in ("O", "SO"):
-            monkeypatch.setitem(haar._SAMPLERS, group, refused)
-        assert sample_special_orthogonal_batch(3, 10, RngStream(0)).shape == (10, 3, 3)
-        monkeypatch.undo()
-        for name in ("sample_orthogonal_batch", "sample_special_orthogonal_batch"):
-            monkeypatch.setattr(haar, name, refused)
-        assert mc_expectation(lambda o: o[:, 0, 0], 3, 10, RngStream(0), group="SO").samples == 10
+            monkeypatch.setitem(haar._SAMPLERS, group, spy(haar._SAMPLERS[group]))
+        for variant, colours in (("fermionic", 3), ("son", 3), ("bosonic", 5)):
+            draws.clear()
+            argv = ["verify-cft", f"--variant={variant}", f"--colors={colours}",
+                    "--flavors=2", "--samples=30001", "--workers=2", "--seed=0"]
+            assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+            assert sum(draws) == 30_001, variant
+            assert len(draws) == (4 if variant != "bosonic" else 2), variant
 
 
 class TestMcExpectation:

@@ -9,6 +9,10 @@ not count.  Methods are matched by name alone, so a method counts as read
 wherever any object's attribute of that name is loaded.  Dunder methods,
 which Python calls itself, are not checked.  ``cli.main`` is the console
 entry point.
+
+Every name a module lists in ``__all__`` is bound at its top level, by a
+definition, an assignment or an import, so removing a name cannot leave a
+stale export behind.
 """
 
 import ast
@@ -50,9 +54,38 @@ def _unused(modules, exempt=("cli.main",)):
     return sorted({d for d in defined if d.rsplit(".", 1)[1] not in read} - set(exempt))
 
 
-def _package_unused():
+def _package_modules():
     package = Path(ocft.__file__).resolve().parent
-    return _unused({path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")})
+    return {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+
+def _package_unused():
+    return _unused(_package_modules())
+
+
+def _bound(tree):
+    """Each name bound at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _stale_exports(modules):
+    """Each module.name listed in a module's ``__all__`` but bound nowhere in it."""
+    stale = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                bound = set(_bound(tree))
+                stale += [f"{module}.{name}" for name in ast.literal_eval(node.value)
+                          if name not in bound]
+    return sorted(stale)
 
 
 def _private(name):
@@ -81,3 +114,15 @@ def test_the_check_finds_a_definition_only_it_reads():
               "Used()\n")
     assert _unused({"probe": ast.parse(source)}) == [
         "probe.Used._unread", "probe.Used.unread", "probe._private", "probe.unused"]
+
+
+def test_every_export_is_defined():
+    stale = _stale_exports(_package_modules())
+    assert not stale, f"listed in __all__ but not defined in their module: {stale}"
+
+
+def test_the_check_finds_a_stale_export():
+    source = ("import os.path\nfrom x import y as z\n"
+              "__all__ = ['f', 'C', 'K', 'T', 'os', 'z', 'gone']\n"
+              "K = 1\nT: int = 2\n\n\ndef f():\n    return gone\n\n\nclass C:\n    gone = 3\n")
+    assert _stale_exports({"probe": ast.parse(source)}) == ["probe.gone"]

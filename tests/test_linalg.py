@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ocft import cft, linalg
-from ocft.haar import RngStream, sample_orthogonal_batch
+from ocft.haar import RngStream
+from haar_oracles import sample_orthogonal_batch
 from ocft.errors import DimensionError, DomainError, ShapeError
 from random_inputs import random_skew
 
