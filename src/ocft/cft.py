@@ -43,9 +43,9 @@ from .grassmann import (
     universe_size,
 )
 from .haar import (
-    DEFAULT_BATCH,
     _SAMPLERS,
     RngStream,
+    _batch_rows,
     _tile_views,
     sample_unitary_columns,
     stream_mean,
@@ -68,16 +68,13 @@ __all__ = [
 
 Z_SE_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 4.0
-# verify_bosonic_cft's range, a memory and time cap: one 20,000-draw batch of
-# O(64) draws peaks at 662 MiB and takes about 10 s, and two batches, the
-# second drawn ahead, 1,287 MiB and 16 s (haar-moment with entries that read
-# every row and column, on 2 vCPUs, 1 BLAS thread); both grow as N^2 to N^3
+# verify_bosonic_cft's range, a memory and time cap.  Its colour batches count
+# the probe values of a row, not the N^2 Gaussians of its draw, so up to 13
+# probes a batch holds 20,000 whole O(N) draws: at N = 64 one batch peaks at
+# 662 MiB and takes about 10 s, and two batches, the second drawn ahead,
+# 1,287 MiB and 16 s (measured through haar-moment before its batches counted
+# the Gaussians, on 2 vCPUs, 1 BLAS thread); both grow as N^2 to N^3
 MAX_BOSONIC_N = 64
-# entries of the largest array of one colour-side batch, the (rows, P^(n-1))
-# Khatri-Rao factor of lhs_coefficient_means (the (rows, P) minors for n = 1),
-# or each bosonic side's (rows, probes) values; the row count of a batch is
-# derived from this and that width, and capped at haar.DEFAULT_BATCH
-BATCH_ENTRIES = 2**18
 
 
 # -- normalisation constants ----------------------------------------------
@@ -241,15 +238,6 @@ def _lhs_structure(n_colour: int, n_flavour: int):
     return choices, signs, masks, tuple(label.rstrip() or "1" for label in labels)
 
 
-def _batch_rows(width: int) -> int:
-    """Rows per Monte-Carlo batch, so that one batch holds <= BATCH_ENTRIES values.
-
-    ``width`` is the value count of one row; a batch has at most
-    DEFAULT_BATCH rows, however narrow.
-    """
-    return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // width))
-
-
 def lhs_coefficient_means(
     n_colour: int,
     n_flavour: int,
@@ -270,9 +258,9 @@ def lhs_coefficient_means(
     of m (a column of ones for n = 1); the sums of squares are
     (K * K)^T (m * m).  The tiles' sums are added into the batch's, and
     ``stream_mean`` adds these, so no (B, P^n) row array is formed, and a
-    batch holds at most BATCH_ENTRIES entries of K (of m for n = 1).  At
-    N n <= 8 and n <= 2 every batch is one tile, so each batch's sums are
-    one Gram product.
+    batch holds at most ``haar.BATCH_ENTRIES`` entries of K (of m for
+    n = 1).  At N n <= 8 and n <= 2 every batch is one tile, so each
+    batch's sums are one Gram product.
     """
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
@@ -517,8 +505,10 @@ def verify_bosonic_cft(
     both sides share the constant-term normalisation 1.  The colour side's
     worker shards read substreams 1..workers, the flavour side's the
     ``workers`` substreams after them.  Each side draws batches of
-    ``_batch_rows(probes)`` rows, so a batch holds at most BATCH_ENTRIES
-    values whatever the probe count.  N is capped at ``MAX_BOSONIC_N``.
+    ``_batch_rows(probes)`` rows, so a batch holds at most
+    ``haar.BATCH_ENTRIES`` values whatever the probe count; the colour
+    side's draws, N^2 Gaussians per row, are not counted.  N is capped at
+    ``MAX_BOSONIC_N``.
     """
     measure = BosonicMeasure(n_colour, n_flavour)  # validates N > 2n
     if n_colour > MAX_BOSONIC_N:

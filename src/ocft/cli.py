@@ -52,13 +52,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 # the range of haar-moment and moment --method mc, which draw the same Haar
-# O(N) batches: a memory and time cap.  Whole draws, which moment --method mc
-# and haar-moment entries that read all N rows and columns take, cost most:
-# one 20,000-draw batch at N = 64 peaks at 662 MiB and takes about 10 s, two
-# batches, the second drawn ahead, 1,287 MiB and 16 s (2 vCPUs, 1 BLAS
-# thread), and both grow as N^2 to N^3.  haar-moment draws only the k columns
-# (or rows) its entries read, N k Gaussians per draw: --entries 1,1 at
-# --samples 40000 takes 0.06 s and peaks at 51 MiB
+# O(N) batches: a time cap.  A batch holds at most haar.BATCH_ENTRIES = 2^18
+# Gaussians, 64 whole O(64) draws, so memory does not grow with N: at N = 64
+# and --samples 40000, moment --method mc takes 18.6 s and haar-moment entries
+# that read all N rows and columns 14.2 s, each peaking at 42 MiB (2 vCPUs,
+# 1 BLAS thread); time grows as N^2 to N^3.  haar-moment draws only the k
+# columns (or rows) its entries read, N k Gaussians per draw: --entries 1,1
+# at --samples 40000 takes 0.06 s
 MAX_HAAR_MOMENT_N = 64
 
 
@@ -375,8 +375,9 @@ def _run_jacobi(args) -> tuple[dict, int]:
 def _run_ginibre(args) -> tuple[dict, int]:
     lam, gam = parse_complex(args.lam), parse_complex(args.gam)
     # every check that can refuse the query without sampling runs before the
-    # Monte Carlo: the size cap first, since the closed form overflows from
-    # N = 171 whatever lg; the Monte Carlo refuses an estimate that overflows
+    # Monte Carlo: the size cap first, then the two exact routes, which refuse
+    # a value that overflows float64; the Monte Carlo refuses an estimate that
+    # overflows
     check_ginibre_n(args.n)
     closed = ginibre_closed(lam, gam, args.n)
     pipeline = ginibre_pipeline(lam, gam, args.n)

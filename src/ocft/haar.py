@@ -30,7 +30,10 @@ draw is Haar), pays for n k Gaussians in place of n^2.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
-moduli, and returns the means and Bessel-corrected standard errors.  A
+moduli, and returns the means and Bessel-corrected standard errors.  Every
+caller sizes its batches by one rule, :func:`_batch_rows`: a batch holds at
+most BATCH_ENTRIES = 2^18 values of its largest per-row array, and at most
+DEFAULT_BATCH = 20,000 rows, so no batch grows with the matrix size.  A
 caller that can sum a batch's rows without forming them returns the two
 sums in place of the rows, as the colour side of the fermionic and SO(N)
 identities does with Gram products over each tile; the loop, the shards and
@@ -79,7 +82,14 @@ __all__ = [
     "stream_mean",
 ]
 
+# the one batch rule of the package's Monte Carlos (_batch_rows): a batch holds
+# at most BATCH_ENTRIES values of its largest per-row array, the n k Gaussians
+# of a Haar draw in mc_expectation, the N^2 entries of a Ginibre matrix, the
+# Khatri-Rao factor of a colour-side row or a bosonic side's probe values in
+# cft, and at most DEFAULT_BATCH rows, however narrow.  In float64 a batch and
+# the batch drawn ahead of it then take at most 2 x 2 MiB at any N
 DEFAULT_BATCH = 20_000
+BATCH_ENTRIES = 2**18
 
 # stream_mean's generator draws the next array ahead only after an array of at
 # least this many values: below it, starting and joining the helper thread
@@ -329,6 +339,16 @@ def _column_sums(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0)
 
 
+def _batch_rows(entries: int) -> int:
+    """Rows per Monte-Carlo batch whose rows hold ``entries`` values each.
+
+    A batch holds at most BATCH_ENTRIES such values, so with the batch drawn
+    ahead of it at most 2 BATCH_ENTRIES, whatever the matrix size; and at
+    most DEFAULT_BATCH rows, however narrow.
+    """
+    return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // entries))
+
+
 def stream_mean(
     values,
     samples: int,
@@ -349,9 +369,11 @@ def stream_mean(
     order of addition may differ.  The samples are split into ``workers``
     shards of near-equal size; shard w draws from ``rng.substream(w)`` in
     batches of at most ``batch`` rows, and the shards run one after
-    another.  Only the first min(workers, samples) shards hold draws, and
-    only those make a generator, so any ``workers`` costs at most one
-    generator per sample.  The standard error is
+    another.  The package's callers pass ``batch = _batch_rows(entries)``
+    for the value count of one row's largest array; the draws do not
+    depend on ``batch``, only the grouping of the row sums does.  Only the
+    first min(workers, samples) shards hold draws, and only those make a
+    generator, so any ``workers`` costs at most one generator per sample.  The standard error is
     sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
     moduli about the mean.
 
@@ -404,8 +426,9 @@ def mc_expectation(
     """Sample mean and standard error of f over Haar draws.
 
     ``f`` maps a (B, n, k) stack of draws to a length-B vector, and each
-    draw's value must depend on that draw alone: each batch is drawn in one
-    sampler call, and ``f`` is then applied to one cache-sized tile of it
+    draw's value must depend on that draw alone: each batch of
+    ``_batch_rows(n k)`` draws, at most BATCH_ENTRIES Gaussians, is drawn in
+    one sampler call, and ``f`` is then applied to one cache-sized tile of it
     at a time (:func:`linalg.tile_slices`), its values written into the
     batch's one (B, 1) row array.  So ``stream_mean`` sums the rows of one
     ``f`` call per batch, to the bit wherever ``f`` rounds a draw alike at
@@ -436,5 +459,6 @@ def mc_expectation(
             rows[tile, 0] = f(o)
         return rows
 
-    mean, se = stream_mean(values, samples, rng, workers)
+    entries = n * (n if columns is None else columns)
+    mean, se = stream_mean(values, samples, rng, workers, batch=_batch_rows(entries))
     return Estimate(complex(mean[0]), float(se[0]), samples)

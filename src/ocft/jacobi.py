@@ -34,11 +34,14 @@ The Gaussian weight W(x) = exp(-x/2) reproduces the closed form
 sum_{k<=N} lg^k / k! (the real Ginibre average), which pins the r-domain
 [0, inf) end to end; see ``ginibre_closed`` / ``ginibre_mc``.  Its inner
 moments are Laguerre-Selberg integrals with an exact Aomoto closed form
-(``gaussian_inner_moments``), so that pipeline is exact end to end.
+(``gaussian_inner_moments``), so that pipeline is exact end to end.  Both
+Gaussian routes are evaluated in exact rationals and rounded once, so they
+agree to the bit; the Jacobi routes take the float ``_s_ratio``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ import numpy as np
 
 from ._quad import half_line_moments
 from .errors import ConfigError, DomainError
-from .haar import Estimate, RngStream, stream_mean
+from .haar import Estimate, RngStream, _batch_rows, stream_mean
 from .linalg import det_stack, pfaffian
 
 __all__ = [
@@ -261,34 +264,69 @@ def jacobi_quadrature(query: JacobiQuery) -> complex:
     return _s_ratio(jacobi_inner_moments(query.n, query.a, query.b), query.lg, 1.0)
 
 
+def _exact_lg(lam: complex, gam: complex) -> tuple[Fraction, Fraction]:
+    """lambda gamma as the exact pair (re, im) of ``Fraction``s.
+
+    A finite float is a dyadic rational, so the product is exact; a
+    non-finite lambda or gamma raises ``ConfigError``.
+    """
+    lam, gam = complex(lam), complex(gam)
+    if not (cmath.isfinite(lam) and cmath.isfinite(gam)):
+        raise ConfigError(f"lambda = {lam} and gamma = {gam} must be finite")
+    (a, b), (c, d) = ((Fraction(x.real), Fraction(x.imag)) for x in (lam, gam))
+    return a * c - b * d, a * d + b * c
+
+
+def _exact_horner(coeffs, x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """sum_k coeffs[k] x^(K-k), K = len(coeffs) - 1, for real rational
+    coefficients and a complex rational x = (re, im), exactly."""
+    xr, xi = x
+    re = im = Fraction(0)
+    for c in coeffs:
+        re, im = re * xr - im * xi + c, re * xi + im * xr
+    return re, im
+
+
+def _round_once(value: tuple[Fraction, Fraction], route: str, lam, gam, n: int) -> complex:
+    """The exact (re, im) pair as the nearest complex float; ``ConfigError``
+    if a part leaves float64."""
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        lg = complex(lam) * complex(gam)
+        raise ConfigError(f"{route} overflows float64 at lg = {lg}, N = {n}") from None
+
+
 def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:
     """Exact Gaussian-weight average ratio: sum_{k=0}^{N} (lg)^k / k!.
 
-    Normalised so that lg = 0 gives 1.
+    Normalised so that lg = 0 gives 1.  The sum is taken in exact rationals
+    (``Fraction``), as (sum_k lg^k N!/k!) / N!, and rounded once, so the
+    alternating sum at negative lg loses no digits to cancellation.
     """
-    lg = complex(lam) * complex(gam)
-    try:
-        return complex(sum(lg**k / math.factorial(k) for k in range(n + 1)))
-    except OverflowError:
-        raise ConfigError(f"closed form overflows float64 at lg = {lg}, N = {n}") from None
+    re, im = _exact_horner([math.perm(n, k) for k in range(n + 1)], _exact_lg(lam, gam))
+    scale = math.factorial(n)
+    return _round_once((re / scale, im / scale), "closed form", lam, gam, n)
 
 
-def gaussian_inner_moments(n: int) -> np.ndarray:
-    """Exact Gaussian-weight inner moments M_k / M_0, k = 0..N.
+def gaussian_inner_moments(n: int) -> list[int]:
+    """Exact Gaussian-weight inner moments M_k / M_0, k = 0..N, as ``int``s.
 
     M_k = integral over [0, inf)^N of prod_{i<j} |x_i - x_j| e_k(x)
     prod_i x_i^{-1/2} exp(-x_i / 2) dx (the g-integral with x = g^2) is a
     Laguerre-Selberg integral; Aomoto's extension (SIAM J. Math. Anal. 18,
-    1987) gives M_k / M_0 = binom(N, k) * N! / (N - k)!.
+    1987) gives M_k / M_0 = binom(N, k) * N! / (N - k)!.  From N = 167 the
+    largest no longer fits float64, and the moments are refused, so that a
+    caller may take them as floats.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
+    moments = [math.comb(n, k) * math.perm(n, k) for k in range(n + 1)]
     try:
-        return np.array(
-            [math.comb(n, k) * math.perm(n, k) for k in range(n + 1)], dtype=float
-        )
+        float(max(moments))
     except OverflowError:
         raise ConfigError(f"Gaussian inner moments overflow float64 at N = {n}") from None
+    return moments
 
 
 def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
@@ -296,12 +334,17 @@ def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
 
     Same reduction as the Jacobi route but with W(x) = exp(-x/2) on
     [0, inf), reported as the ratio to lg = 0.  The inner moments
-    (:func:`gaussian_inner_moments`) and the r-integral are both exact, and
-    agreement with :func:`ginibre_closed` pins the [0, inf) r-domain: a
-    finite r-domain breaks the N = 1 ratio 1 + lg.  The moments overflow
-    float64 from N = 167.
+    (:func:`gaussian_inner_moments`) and the r-integral's Beta weights
+    B_k = 1 / ((N+1) binom(N, k)) are exact, and S(lg) / S(0) is taken in
+    exact rationals and rounded once, so it equals :func:`ginibre_closed`
+    to the bit; that agreement pins the [0, inf) r-domain, since a finite
+    r-domain breaks the N = 1 ratio 1 + lg.  The moments are refused from
+    N = 167.
     """
-    return _s_ratio(gaussian_inner_moments(n), complex(lam) * complex(gam), 0.0)
+    moments = gaussian_inner_moments(n)
+    weights = [Fraction(m, (n + 1) * math.comb(n, k)) for k, m in enumerate(moments)]
+    re, im = _exact_horner(weights, _exact_lg(lam, gam))
+    return _round_once((re / weights[-1], im / weights[-1]), "pipeline", lam, gam, n)
 
 
 def check_ginibre_n(n: int) -> None:
@@ -322,8 +365,10 @@ def ginibre_mc(
 
     Samples real N x N matrices with iid standard normal entries and
     estimates E[det(lam - A) det(gam - A^T)] / E[det(A) det(A^T)] on common
-    draws (the denominator is the lg = 0 reference).  The standard error is
-    the delta-method one of the ratio of the two means.  It runs with
+    draws (the denominator is the lg = 0 reference), in batches of
+    ``haar._batch_rows(N^2)`` matrices, at most ``haar.BATCH_ENTRIES``
+    entries each.  The standard error is the delta-method one of the ratio
+    of the two means.  It runs with
     numpy's overflow and invalid-value warnings off: an overflow anywhere
     reaches the estimate as inf or nan, and a non-finite ratio or error
     raises ``ConfigError``.
@@ -359,7 +404,7 @@ def ginibre_mc(
         num = (det_l * scale) * (det_g * scale)
         return np.stack([num, den, num * np.conj(den)], axis=1)
 
-    (mean_n, mean_d, cross), se = stream_mean(values, samples, rng)
+    (mean_n, mean_d, cross), se = stream_mean(values, samples, rng, batch=_batch_rows(n * n))
     ratio = mean_n / mean_d
     # Bessel-corrected variances back from the standard errors, se^2 = var / n
     var_n, var_d = samples * se[:2] ** 2

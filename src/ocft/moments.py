@@ -310,15 +310,21 @@ def moment_pfaffian_integral(query: MomentQuery) -> Estimate:
     # at real z p and q have zero coefficients: the integrand has degree 0 in (a, b, c)
     u_nodes, u_weights = _u4_block_nodes(query.n if z.imag else 0)
     tiles = tile_slices(len(u_nodes), t_weights.size)
-    # every kernel factor is formed in these two tile-sized buffers, of z's dtype
-    rows = max(tile.stop - tile.start for tile in tiles)
-    factor, work = (np.empty((rows, t_weights.size), dtype=z.dtype) for _ in range(2))
+    # q is p with a and b swapped, i.e. with t1 and t2 swapped
+    swapped_basis = radial_basis[[1, 0, 2]]
+    # p, q, every kernel factor and their product are formed in tile-sized
+    # buffers made once per call: p and q real, the factors of z's dtype
+    shape = (max(tile.stop - tile.start for tile in tiles), t_weights.size)
+    p_buf, q_buf = np.empty(shape), np.empty(shape)
+    factor, work = np.empty(shape, dtype=z.dtype), np.empty(shape, dtype=z.dtype)
+    fg_buf = np.empty(shape, dtype=complex)
     num = 0j
     for tile in tiles:
-        # q is p with a and b swapped, i.e. with t1 and t2 swapped
-        p, q = u_nodes[tile] @ radial_basis, u_nodes[tile] @ radial_basis[[1, 0, 2]]
-        out, scratch = factor[:len(p)], work[:len(p)]
-        fg = np.ones(p.shape, dtype=complex)
+        rows = tile.stop - tile.start
+        p = np.matmul(u_nodes[tile], radial_basis, out=p_buf[:rows])
+        q = np.matmul(u_nodes[tile], swapped_basis, out=q_buf[:rows])
+        out, scratch, fg = factor[:rows], work[:rows], fg_buf[:rows]
+        fg.fill(1.0)
         for gi in query.g:
             _m2_kernel_pfaffian(p, q, trace, pf_sq, gi, z, out, scratch)
             fg *= np.divide(out, scale, out=out)

@@ -4,9 +4,10 @@ replaced, used only by the tests.
 ``sample_orthogonal_batch`` and ``sample_special_orthogonal_batch`` draw the
 same Gaussians as ``haar._SAMPLERS`` and return the same Q, scattered back
 from the Gram-Schmidt column layout into a C-contiguous (count, n, n)
-stack.  ``public_route_expectation`` draws each batch with them and applies
-``f`` to one contiguous tile of it at a time; it and ``PUBLIC_SAMPLERS`` are
-named for the public samplers of ``ocft.haar`` these once were.  The tile
+stack.  ``public_route_expectation`` draws ``mc_expectation``'s batches with
+them and applies ``f`` to one contiguous tile of a batch at a time; it and
+``PUBLIC_SAMPLERS`` are named for the public samplers of ``ocft.haar`` these
+once were.  The tile
 samplers, ``mc_expectation`` and the colour sides of ``ocft.cft`` must give
 their bits.
 """
@@ -48,5 +49,5 @@ def public_route_expectation(f, n, samples, rng, group="O", workers=1) -> Estima
             rows[tile, 0] = f(o[tile])
         return rows
 
-    mean, se = stream_mean(values, samples, rng, workers)
+    mean, se = stream_mean(values, samples, rng, workers, batch=haar._batch_rows(n * n))
     return Estimate(complex(mean[0]), float(se[0]), samples)

@@ -20,7 +20,9 @@ spec.loader.exec_module(bench_record)
 # "<workload>-<seed>-SALT"; of the two ops, "steady" has the digest "fixed"
 # and "salted" has "SALT" at seed 42 ("fixed" at the others) on --trace 0
 # runs, and "traced-OFFSET" on --trace 1 runs.  Each run takes well under a
-# second, whatever --seconds says.
+# second, whatever --seconds says.  Every run is also logged, as "<checkout
+# directory name> <seed>", to order.log in the directory that holds the
+# checkouts.
 STUB = """
 import argparse, json, os
 p = argparse.ArgumentParser()
@@ -29,6 +31,8 @@ for flag in ("--workload", "--seed", "--seconds", "--trace"):
 a = p.parse_args()
 with open("runs.log", "a") as log:
     log.write(f"{a.workload} {a.seed} {a.trace} {a.seconds}\\n")
+with open(os.path.join(os.path.dirname(os.getcwd()), "order.log"), "a") as log:
+    log.write(f"{os.path.basename(os.getcwd())} {a.seed}\\n")
 with open("pycache.log", "a") as log:
     log.write(f"{os.environ.get('PYTHONPYCACHEPREFIX')} "
               f"{os.environ.get('PYTHONDONTWRITEBYTECODE')}\\n")
@@ -53,10 +57,10 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": failed, "metrics": 
 """
 
 
-def make_checkout(root: Path, offset: float, salt: str = "same") -> Path:
+def make_checkout(root: Path, offset: float, salt: str = "same", stub: str = STUB) -> Path:
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        STUB.replace("OFFSET", repr(offset)).replace("SALT", salt)
+        stub.replace("OFFSET", repr(offset)).replace("SALT", salt)
     )
     return root
 
@@ -139,3 +143,94 @@ def test_failed_run_raises(tmp_path):
 def test_rejects_checkout_without_benchmark(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main([f"parent={tmp_path}", "--pr", "1"])
+
+
+# the claim's stub: wall_s = seed + OFFSET at even seeds and seed - OFFSET at
+# odd ones, min_digits = 15 - OFFSET, and a per-layer count the claim drops
+CLAIM_STUB = STUB.replace(
+    'metrics = {"wall_s": {"value": OFFSET + int(a.seed), "unit": "s"}}',
+    'metrics = {"wall_s": {"value": int(a.seed) + OFFSET * (-1) ** int(a.seed), "unit": "s"}, '
+    '"min_digits": {"value": 15 - OFFSET, "unit": "digits"}, '
+    '"haar.sample.calls": {"value": 1, "unit": "count"}}',
+)
+
+
+def test_claim_runs_alternating_pairs_and_counts_wins(tmp_path):
+    assert CLAIM_STUB != STUB
+    parent = make_checkout(tmp_path / "parent", 0.0, stub=CLAIM_STUB)
+    change = make_checkout(tmp_path / "change", 0.5, stub=CLAIM_STUB)
+    out = tmp_path / "BENCH_9.json"
+    out.write_text(json.dumps({"pr": 9, "workloads": "kept"}))
+    assert bench_record.main([f"parent={parent}", f"change={change}", "--pr", "9",
+                              "--out", str(out), "--claim", "moments",
+                              "--seeds", "44-46,50", "--seconds", "8"]) == 0
+    result = json.loads(out.read_text())
+    # the claim goes beside what the file held
+    assert result["pr"] == 9 and result["workloads"] == "kept"
+    claim = result["claim"]
+    assert (claim["workload"], claim["seeds"], claim["seconds"]) == ("moments",
+                                                                     [44, 45, 46, 50], 8)
+    assert set(claim["columns"]) == {"parent", "change"}
+    assert claim["correct"] and claim["failed_ops"] == 0 and claim["differing_ops"] == []
+    # one untraced run per seed and column, the pair's order flipping per seed
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == ["parent 44", "change 44", "change 45", "parent 45",
+                     "parent 46", "change 46", "change 50", "parent 50"]
+    assert (parent / "runs.log").read_text().split("\n")[:-1] == [
+        f"moments {seed} 0 8" for seed in (44, 45, 46, 50)
+    ]
+    # the end-to-end metrics of BENCHMARK.json and the first pass's peak RSS
+    metrics = claim["metrics"]
+    assert set(metrics) == {"wall_s", "min_digits", "first_pass_peak_rss_mb"}
+    wall = metrics["wall_s"]
+    assert wall["better"] == "lower"
+    assert wall["parent"] == {"values": [44, 45, 46, 50], "median": 45.5, "q1": 44.75,
+                              "q3": 47.0}
+    assert wall["change"]["values"] == [44.5, 44.5, 46.5, 50.5]
+    assert wall["wins"] == {"parent": 3, "change": 1}
+    assert metrics["min_digits"]["better"] == "higher"
+    assert metrics["min_digits"]["wins"] == {"parent": 4, "change": 0}
+    # seed s makes s - 38 passes, whose peaks climb from OFFSET + s + 10 MB
+    rss = metrics["first_pass_peak_rss_mb"]
+    assert rss["change"]["values"] == [54.5, 55.5, 56.5, 60.5]
+    assert rss["wins"] == {"parent": 4, "change": 0}
+
+
+def test_claim_names_the_ops_whose_stdout_differs(tmp_path):
+    parent = make_checkout(tmp_path / "parent", 0.0, salt="a")
+    change = make_checkout(tmp_path / "change", 0.0, salt="b")
+    out = tmp_path / "BENCH_9.json"
+    assert bench_record.main([f"parent={parent}", f"change={change}", "--pr", "9",
+                              "--out", str(out), "--claim", "jacobi", "--seeds", "41-42"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["differing_ops"] == ["salted"]
+    # one op of three fails on every jacobi run
+    assert claim["failed_ops"] == 4
+    assert claim["metrics"]["wall_s"]["wins"] == {"parent": 0, "change": 0}
+
+
+@pytest.mark.parametrize("twin, argv", [
+    (False, ["--claim", "moments"]),
+    (False, ["--seeds", "44-53"]),
+    (False, ["--claim", "moments", "--seeds", "44"]),
+    (True, ["--claim", "moments", "--seeds", "44-45"]),
+])
+def test_claim_refuses_incomplete_options(tmp_path, twin, argv):
+    # a claim needs both options, two seeds or more, and two columns
+    parent = make_checkout(tmp_path / "parent", 0.0)
+    change = make_checkout(tmp_path / "change", 0.5)
+    columns = [f"parent={parent}", f"change={change}"] + [f"twin={change}"] * twin
+    with pytest.raises(SystemExit):
+        bench_record.main([*columns, "--pr", "9", "--out", str(tmp_path / "out.json"), *argv])
+    assert not (tmp_path / "order.log").exists()
+
+
+def test_claim_refuses_another_changes_file(tmp_path):
+    parent = make_checkout(tmp_path / "parent", 0.0)
+    change = make_checkout(tmp_path / "change", 0.5)
+    out = tmp_path / "BENCH_8.json"
+    out.write_text(json.dumps({"pr": 8}))
+    with pytest.raises(SystemExit):
+        bench_record.main([f"parent={parent}", f"change={change}", "--pr", "9",
+                           "--out", str(out), "--claim", "moments", "--seeds", "44-45"])
+    assert json.loads(out.read_text()) == {"pr": 8}

@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 from grassmann_oracles import coefficient, lhs_integrand
-from ocft import cft, linalg
+from ocft import cft, haar, linalg
 from ocft.cft import (
-    BosonicMeasure, VerificationReport, _batch_rows, _det_m0_terms,
+    BosonicMeasure, VerificationReport, _det_m0_terms,
     _lhs_structure, _minor_dets, _minor_pairs,
     c0_fermionic_closed_form, c0_fermionic_selfconsistent, lhs_coefficient_means,
     normalization_audit, rhs_exact_coefficients, sample_bosonic_z,
@@ -16,7 +16,7 @@ from ocft.cft import (
 )
 from ocft.errors import ConfigError, DomainError
 from ocft.grassmann import Multivector, gmul, psi_index, psibar_index, universe_size
-from ocft.haar import RngStream, _as_generator, stream_mean
+from ocft.haar import RngStream, _as_generator, _batch_rows, stream_mean
 from haar_oracles import (
     PUBLIC_SAMPLERS, sample_orthogonal_batch, sample_special_orthogonal_batch,
 )
@@ -598,12 +598,12 @@ class TestColourSideStructure:
     def test_lhs_means_do_not_depend_on_the_row_cap(self, group, monkeypatch):
         args = (3, 2, 2_000, RngStream(35), group)
         default = lhs_coefficient_means(*args, workers=2)
-        # a batch holds BATCH_ENTRIES entries of the (rows, P^(n-1)) Khatri-Rao
-        # factor, here P = 20 minors wide
+        # a batch holds haar.BATCH_ENTRIES entries of the (rows, P^(n-1))
+        # Khatri-Rao factor, here P = 20 minors wide
         width = len(_minor_pairs(3))
-        assert cft._batch_rows(width) == 13_107
-        monkeypatch.setattr(cft, "BATCH_ENTRIES", 7 * width)
-        assert cft._batch_rows(width) == 7
+        assert _batch_rows(width) == 13_107
+        monkeypatch.setattr(haar, "BATCH_ENTRIES", 7 * width)
+        assert _batch_rows(width) == 7
         capped = lhs_coefficient_means(*args, workers=2)
         assert capped.shape == default.shape
         for (mean, se), (capped_mean, capped_se) in zip(default, capped):
@@ -625,8 +625,8 @@ class TestColourSideStructure:
         assert batches == [rows]
 
     def test_batch_rows_are_capped(self):
-        assert _batch_rows(1) == cft.DEFAULT_BATCH
-        assert _batch_rows(cft.BATCH_ENTRIES + 1) == 1
+        assert _batch_rows(1) == haar.DEFAULT_BATCH
+        assert _batch_rows(haar.BATCH_ENTRIES + 1) == 1
 
     def test_second_moment_of_minors(self):
         # E[det(O[S,T])^2] = 1/binom(N,k) over O(N)
@@ -730,8 +730,8 @@ class TestBosonicVerification:
         assert report.lhs_se.tobytes() == se.tobytes()
 
     def test_batches_are_sized_by_the_probe_count(self, monkeypatch):
-        # each side's (rows, probes) values stay within BATCH_ENTRIES; up to 13
-        # probes a batch keeps haar.DEFAULT_BATCH rows
+        # each side's (rows, probes) values stay within haar.BATCH_ENTRIES; up
+        # to 13 probes a batch keeps haar.DEFAULT_BATCH rows
         batches = []
 
         def spy(*args, batch, **kwargs):

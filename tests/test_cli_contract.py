@@ -184,9 +184,43 @@ def test_one_entry_at_the_haar_size_cap_is_quick_and_small(group):
     assert peak < 64 * 2**20
 
 
+def _traced_peak(argv):
+    """The violation of ``argv`` with exit 0 required, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        why = _violation(argv, exits=(0,))
+        return why, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WHOLE_DRAWS_AT_THE_CAP = {
+    # 2,500 draws of O(64) in batches of 64, each drawn ahead of its turn; one
+    # batch of all 2,500 was 82 MB, and at the default samples two batches of
+    # 20,000 draws were 1,287 MiB
+    "moment": ["moment", f"--n={MAX_HAAR_MOMENT_N}", "--z=1.3", "--method=mc",
+               "--g=" + ",".join(["0.1"] * MAX_HAAR_MOMENT_N), "--samples=2500"],
+    # entries that read every row and column take whole draws too
+    "haar-moment": ["haar-moment", f"--n={MAX_HAAR_MOMENT_N}", "--samples=2500",
+                    "--entries=" + ";".join(f"{i},{i}" for i in range(1, MAX_HAAR_MOMENT_N + 1))],
+    # 2,500 Gaussians per draw: 104 draws per batch, where all 4,000 were one
+    # batch of 80 MB
+    "ginibre-check": ["ginibre-check", f"--n={MAX_GINIBRE_N}", "--lambda=1", "--gamma=1",
+                      "--samples=4000", "--seed=0"],
+}
+
+
+@pytest.mark.parametrize("command", list(WHOLE_DRAWS_AT_THE_CAP))
+def test_whole_draws_at_the_size_cap_stay_within_the_batch_budget(command):
+    # a batch holds at most haar.BATCH_ENTRIES values whatever N is
+    why, peak = _traced_peak(WHOLE_DRAWS_AT_THE_CAP[command])
+    assert why is None, why
+    assert peak < 64 * 2**20
+
+
 def test_many_bosonic_probes_keep_the_batch_small():
     # each side's batch holds _batch_rows(probes) rows, so its (rows, probes)
-    # values stay near cft.BATCH_ENTRIES whatever --probes is; 20,000 rows of
+    # values stay near haar.BATCH_ENTRIES whatever --probes is; 20,000 rows of
     # 2,000 complex probes were 640 MB per side
     argv = ["verify-cft", "--variant=bosonic", "--colors=3", "--flavors=1", "--probes=2000",
             "--samples=20000", "--seed=0", "--workers=1"]

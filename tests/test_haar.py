@@ -413,6 +413,35 @@ class TestMcExpectation:
         assert est.z_score(2.0) == float("inf")
 
 
+class TestBatchRule:
+    @pytest.mark.parametrize("n, columns, rows", [
+        (1, None, 20_000), (2, None, 20_000), (3, None, 20_000), (4, None, 16_384),
+        (5, None, 10_485), (6, None, 7_281), (64, 1, 4_096), (64, None, 64),
+    ])
+    def test_mc_batches_hold_the_entry_budget(self, monkeypatch, n, columns, rows):
+        # n k Gaussians per draw, at most BATCH_ENTRIES per batch; N = 1..6 are
+        # the moments benchmark's m1-mc ops
+        batches = []
+
+        def spy(values, samples, rng, workers, batch):
+            batches.append(batch)
+            return stream_mean(values, samples, rng, workers, batch=batch)
+
+        monkeypatch.setattr(haar, "stream_mean", spy)
+        mc_expectation(lambda o: o[:, 0, 0], n, 2, RngStream(0), columns=columns)
+        assert batches == [rows] == [haar._batch_rows(n * (columns or n))]
+
+    def test_colour_batches_keep_their_rows(self):
+        # the Khatri-Rao widths of the identity benchmark's colour tables
+        assert [haar._batch_rows(w) for w in (20, 70, 12_870)] == [13_107, 3_744, 20]
+
+    def test_a_batch_holds_at_most_the_budget(self):
+        for entries in [*range(1, 5_000), 12_870, haar.BATCH_ENTRIES, haar.BATCH_ENTRIES + 1]:
+            rows = haar._batch_rows(entries)
+            assert 1 <= rows <= haar.DEFAULT_BATCH
+            assert rows * entries <= haar.BATCH_ENTRIES or rows == 1
+
+
 def haar_moment(monkeypatch, n, entries, group="O", samples=200_000, seed=0, workers=1):
     """The haar-moment record, and the ``columns`` its sampler was called with."""
     sampler, columns = haar._SAMPLERS[group], set()

@@ -13,7 +13,7 @@ from jacobi_oracles import (
 from ocft import jacobi
 from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
-from ocft.haar import RngStream, stream_mean
+from ocft.haar import RngStream, _batch_rows, stream_mean
 from ocft.jacobi import _pfaffian_moments, _s_ratio
 from ocft.jacobi import (
     MAX_PFAFFIAN_AB,
@@ -398,6 +398,53 @@ class TestGinibre:
         with pytest.raises(ConfigError):
             ginibre_pipeline(1.0, 1.0, 167)
 
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_routes_agree_exactly_on_a_negative_grid(self, n):
+        # the alternating sum at lg = -1, -1.5, ..., -44.5: both routes round
+        # the exact rational sum_k lg^k / k! once, so they are equal; in float
+        # arithmetic 8 of these 88 points missed 1e-6 at N = 50
+        for lg in np.arange(-1.0, -45.0, -0.5):
+            exact = sum(Fraction(lg) ** k / math.factorial(k) for k in range(n + 1))
+            closed = ginibre_closed(lg, 1.0, n)
+            assert closed == ginibre_pipeline(lg, 1.0, n) == complex(float(exact))
+
+    def test_complex_lg_is_rounded_once(self):
+        rng = np.random.default_rng(51)
+        for n in (1, 7, 50):
+            lam, gam = (complex(*rng.normal(0, 4, 2)) for _ in range(2))
+            lg = (Fraction(lam.real), Fraction(lam.imag))
+            lg = (lg[0] * Fraction(gam.real) - lg[1] * Fraction(gam.imag),
+                  lg[0] * Fraction(gam.imag) + lg[1] * Fraction(gam.real))
+            re = im = Fraction(0)
+            power = (Fraction(1), Fraction(0))
+            for k in range(n + 1):
+                re += power[0] / math.factorial(k)
+                im += power[1] / math.factorial(k)
+                power = (power[0] * lg[0] - power[1] * lg[1],
+                         power[0] * lg[1] + power[1] * lg[0])
+            want = complex(float(re), float(im))
+            assert ginibre_closed(lam, gam, n) == ginibre_pipeline(lam, gam, n) == want
+
+    def test_non_finite_input_is_config_error(self):
+        for lam in (math.inf, math.nan, complex(1.0, math.inf)):
+            for route in (ginibre_closed, ginibre_pipeline):
+                with pytest.raises(ConfigError, match="finite"):
+                    route(lam, 1.0, 3)
+
+    @pytest.mark.parametrize("n, rows", [(1, 20_000), (2, 20_000), (3, 20_000),
+                                         (4, 16_384), (50, 104)])
+    def test_mc_batches_hold_the_entry_budget(self, monkeypatch, n, rows):
+        # N^2 Gaussians per draw, at most haar.BATCH_ENTRIES per batch
+        batches = []
+
+        def spy(values, samples, rng, batch):
+            batches.append(batch)
+            return stream_mean(values, samples, rng, batch=batch)
+
+        monkeypatch.setattr(jacobi, "stream_mean", spy)
+        ginibre_mc(1.0, 1.0, n, 2, RngStream(0))
+        assert batches == [rows] == [_batch_rows(n * n)]
+
     def test_mc_det_scaling_is_exact(self):
         # dets scaled by a power of two give the unscaled ratio bit for bit
         n, samples = 6, 500
@@ -423,17 +470,22 @@ class TestGinibre:
             den = det_stack(mats) ** 2
             return np.stack([num, den], axis=1)
 
-        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4))
+        # in the route's batches, whose grouping of the row sums it shares
+        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4),
+                                          batch=_batch_rows(n * n))
         assert ginibre_mc(lam, gam, n, samples, RngStream(4)).mean == mean_n / mean_d
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("lam, gam", [(1.5, -0.7), (0.9 + 0.4j, 1.2)])
     def test_strided_diagonal_gives_the_fancy_index_bits(self, monkeypatch, n, lam, gam):
-        # two batches, the second partial; the sums stream_mean hands back
+        # two batches of the route's size or more, the last partial; the sums
+        # stream_mean hands back
+        rows = _batch_rows(n * n)
         samples, sums = 25_001, []
 
-        def recorded(values, samples, rng):
-            sums.append(stream_mean(values, samples, rng))
+        def recorded(values, samples, rng, batch):
+            assert batch == rows
+            sums.append(stream_mean(values, samples, rng, batch=batch))
             return sums[-1]
 
         def oracle(gen, b):
@@ -441,7 +493,8 @@ class TestGinibre:
 
         monkeypatch.setattr(jacobi, "stream_mean", recorded)
         ginibre_mc(lam, gam, n, samples, RngStream(60 + n))
-        for got, want in zip(sums[0], stream_mean(oracle, samples, RngStream(60 + n))):
+        want = stream_mean(oracle, samples, RngStream(60 + n), batch=rows)
+        for got, want in zip(sums[0], want):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(1, 7))

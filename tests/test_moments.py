@@ -151,26 +151,34 @@ class TestMonteCarlo:
         assert est.mean == pytest.approx(ref.mean, rel=1e-14, abs=0)
         assert est.std_error == pytest.approx(ref.std_error, rel=1e-14, abs=0)
 
-    def test_one_batch_of_draws_is_the_only_batch_sized_array(self, monkeypatch):
-        # N = 6 and one batch, so no batch is drawn ahead: the Gaussians the
-        # draws are written over, plus a few tiles of temporaries
-        n, b = 6, haar.DEFAULT_BATCH
+    def test_batches_stay_within_the_entry_budget(self, monkeypatch):
+        # N = 6 over three batches, so one is drawn ahead while the one before
+        # it is summed: two batches of at most BATCH_ENTRIES Gaussians, which
+        # the draws are written over, plus a few tiles of temporaries (8 MiB)
+        n = 6
+        samples = 3 * haar._batch_rows(n * n)
         q = MomentQuery(z=1.3, g=(0.5, 0.8, 1.1, 1.4, 0.7, 1.0))
-        bound = 8 * (b * n * n + 4 * linalg.TILE_ENTRIES)
+        bound = 8 * (2 * haar.BATCH_ENTRIES + 4 * linalg.TILE_ENTRIES)
 
         def peak():
             tracemalloc.start()
             try:
-                moment_mc(q, b, RngStream(40))
+                moment_mc(q, samples, RngStream(40))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        moment_mc(q, b, RngStream(40))  # builds the cached Laplace tables
+        moment_mc(q, samples, RngStream(40))  # builds the cached Laplace tables
         assert peak() < bound
-        # the guard itself: a second batch-sized array breaks the bound
-        sampler = haar._SAMPLERS["O"]
-        monkeypatch.setitem(haar._SAMPLERS, "O", lambda *args: sampler(*args).copy())
+        # the guard itself: a batch copied while its draws are still held
+        # breaks the bound
+        sampler, held = haar._SAMPLERS["O"], []
+
+        def copied(*args):
+            held[:] = [sampler(*args)]
+            return held[0].copy()
+
+        monkeypatch.setitem(haar._SAMPLERS, "O", copied)
         assert peak() > bound
 
     def test_matches_closed_form_random(self):
