@@ -41,7 +41,6 @@ agree to the bit; the Jacobi routes take the float ``_s_ratio``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,7 +270,7 @@ def _exact_lg(lam: complex, gam: complex) -> tuple[Fraction, Fraction]:
     non-finite lambda or gamma raises ``ConfigError``.
     """
     lam, gam = complex(lam), complex(gam)
-    if not (cmath.isfinite(lam) and cmath.isfinite(gam)):
+    if not all(map(math.isfinite, (lam.real, lam.imag, gam.real, gam.imag))):
         raise ConfigError(f"lambda = {lam} and gamma = {gam} must be finite")
     (a, b), (c, d) = ((Fraction(x.real), Fraction(x.imag)) for x in (lam, gam))
     return a * c - b * d, a * d + b * c
@@ -368,10 +367,9 @@ def ginibre_mc(
     draws (the denominator is the lg = 0 reference), in batches of
     ``haar._batch_rows(N^2)`` matrices, at most ``haar.BATCH_ENTRIES``
     entries each.  The standard error is the delta-method one of the ratio
-    of the two means.  It runs with
-    numpy's overflow and invalid-value warnings off: an overflow anywhere
-    reaches the estimate as inf or nan, and a non-finite ratio or error
-    raises ``ConfigError``.
+    of the two means.  It runs with numpy's overflow and invalid-value
+    warnings off: an overflow anywhere reaches the estimate as inf or nan,
+    and a non-finite ratio or error raises ``ConfigError``.
     """
     check_ginibre_n(n)
     # a real shift keeps the shifted matrices, and so their dets, in float64

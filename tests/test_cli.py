@@ -135,17 +135,6 @@ class TestMoment:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(5.0)
 
-    def test_negative_lg_at_the_cap_passes(self):
-        # the alternating sum at lg = -14.5 lost digits in float arithmetic:
-        # pipeline_rel_err read 1.7e-4 against the 1e-6 gate, and the run
-        # exited 3; both routes now round the exact rational once
-        code, out, _ = invoke(["ginibre-check", "--n", "50", "--lambda=-14.5", "--gamma", "1",
-                               "--samples", "2000", "--seed", "1"])
-        rec = json.loads(out)
-        assert code == 0 and rec["passed"]
-        assert rec["pipeline_rel_err"] == 0.0
-        assert rec["closed_ratio"] == rec["pipeline_ratio"]
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
         code, out, err = invoke(["moment", "--n", "2", "--m", "1", "--z", "1e200",
@@ -437,6 +426,17 @@ class TestGinibreCheck:
         assert rec["pipeline_rel_err"] <= 1e-12
         code, out, _ = invoke(argv + [str(MAX_GINIBRE_N + 1)])
         assert code == 2 and out == ""
+
+    def test_negative_lg_at_the_cap_passes(self):
+        # the alternating sum at lg = -14.5 lost digits in float arithmetic:
+        # pipeline_rel_err read 1.7e-4 against the 1e-6 gate, and the run
+        # exited 3; both routes now round the exact rational once
+        code, out, _ = invoke(["ginibre-check", "--n", "50", "--lambda=-14.5", "--gamma", "1",
+                               "--samples", "2000", "--seed", "1"])
+        rec = json.loads(out)
+        assert code == 0 and rec["passed"]
+        assert rec["pipeline_rel_err"] == 0.0
+        assert rec["closed_ratio"] == rec["pipeline_ratio"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
