@@ -27,11 +27,11 @@ the ops whose own stdout digest (from the run record's ``ops`` list)
 differs between the two columns at any seed.
 
 With ``--claim WORKLOAD --seeds 44-53`` it runs a claim instead: one
-``--trace 0`` run of the workload per seed in each of two checkouts, the
-order of the pair flipping from one seed to the next, and records, for every
-end-to-end metric of ``BENCHMARK.json`` and for the first pass's
-``peak_rss_mb``, each column's values, median and quartiles and the number
-of seeds at which each column was better.  The claim goes under the key
+``--trace 0`` run of the workload per seed in each of two checkouts, at the
+same run length, the order of the pair flipping from one seed to the next,
+and records, for every end-to-end metric of ``BENCHMARK.json`` and for the
+first pass's ``peak_rss_mb``, each column's values, median and quartiles and
+the number of seeds at which each column was better.  The claim goes under the key
 ``"claim"`` of the output file, beside whatever else the file holds:
 
     python3 scripts/bench_record.py --pr 9 --claim moments --seeds 44-53 \
@@ -63,11 +63,11 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, trace: int,
-                  pycache: Path, seconds: int = SECONDS) -> tuple[dict, dict]:
+                  pycache: Path) -> tuple[dict, dict]:
     """The last two stdout lines of one `perfbench/run.py` run, with its
     bytecode cached under ``pycache``: its run record and its summary record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
@@ -177,7 +177,7 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def claim(columns: dict[str, Path], workload: str, seeds: list[int], seconds: int) -> dict:
+def claim(columns: dict[str, Path], workload: str, seeds: list[int]) -> dict:
     """Alternating ``--trace 0`` runs of one workload in two checkouts, one
     pair per seed, the first column first at the 1st, 3rd, ... seed: each
     column's spread of every end-to-end metric and of the first pass's peak
@@ -192,7 +192,7 @@ def claim(columns: dict[str, Path], workload: str, seeds: list[int], seconds: in
         for i, seed in enumerate(seeds):
             for name in names if i % 2 == 0 else names[::-1]:
                 pycache = Path(tmp) / f"pycache-{names.index(name)}"
-                run, summary = run_benchmark(columns[name], workload, seed, 0, pycache, seconds)
+                run, summary = run_benchmark(columns[name], workload, seed, 0, pycache)
                 runs[name].append((run, summary))
                 correct &= summary["correct"]
                 failed += summary["failed"]
@@ -216,7 +216,7 @@ def claim(columns: dict[str, Path], workload: str, seeds: list[int], seconds: in
     return {
         "workload": workload,
         "seeds": seeds,
-        "seconds": seconds,
+        "seconds": SECONDS,
         "columns": {name: {"commit": commit_of(columns[name])} for name in names},
         "correct": correct,
         "failed_ops": failed,
@@ -255,8 +255,6 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", choices=WORKLOADS, metavar="WORKLOAD",
                         help="run alternating pairs of this workload, one per --seeds seed")
     parser.add_argument("--seeds", type=_seeds, help="the claim's seeds, e.g. 44-53")
-    parser.add_argument("--seconds", type=int, default=SECONDS,
-                        help=f"the claim's run length (default {SECONDS})")
     args = parser.parse_args(argv)
     columns = dict(args.columns)
     if len(columns) != len(args.columns):
@@ -271,7 +269,7 @@ def main(argv=None) -> int:
         parser.error(f"{out} records another change")
     if args.claim:
         result["pr"] = args.pr
-        result["claim"] = claim(columns, args.claim, args.seeds, args.seconds)
+        result["claim"] = claim(columns, args.claim, args.seeds)
     else:
         result.update(record(columns, args.pr))
     out.write_text(json.dumps(result, indent=2) + "\n")

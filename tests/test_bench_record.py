@@ -163,13 +163,13 @@ def test_claim_runs_alternating_pairs_and_counts_wins(tmp_path):
     out.write_text(json.dumps({"pr": 9, "workloads": "kept"}))
     assert bench_record.main([f"parent={parent}", f"change={change}", "--pr", "9",
                               "--out", str(out), "--claim", "moments",
-                              "--seeds", "44-46,50", "--seconds", "8"]) == 0
+                              "--seeds", "44-46,50"]) == 0
     result = json.loads(out.read_text())
     # the claim goes beside what the file held
     assert result["pr"] == 9 and result["workloads"] == "kept"
     claim = result["claim"]
     assert (claim["workload"], claim["seeds"], claim["seconds"]) == ("moments",
-                                                                     [44, 45, 46, 50], 8)
+                                                                     [44, 45, 46, 50], 30)
     assert set(claim["columns"]) == {"parent", "change"}
     assert claim["correct"] and claim["failed_ops"] == 0 and claim["differing_ops"] == []
     # one untraced run per seed and column, the pair's order flipping per seed
@@ -177,7 +177,7 @@ def test_claim_runs_alternating_pairs_and_counts_wins(tmp_path):
     assert order == ["parent 44", "change 44", "change 45", "parent 45",
                      "parent 46", "change 46", "change 50", "parent 50"]
     assert (parent / "runs.log").read_text().split("\n")[:-1] == [
-        f"moments {seed} 0 8" for seed in (44, 45, 46, 50)
+        f"moments {seed} 0 30" for seed in (44, 45, 46, 50)
     ]
     # the end-to-end metrics of BENCHMARK.json and the first pass's peak RSS
     metrics = claim["metrics"]
