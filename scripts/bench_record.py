@@ -24,7 +24,11 @@ column's ``ops_sha256`` per seed, the digest of every op's stdout; with two
 columns, each workload gets a ``same_stdout`` flag, true when the two
 columns' digests agree at every seed, and ``differing_ops``, the names of
 the ops whose own stdout digest (from the run record's ``ops`` list)
-differs between the two columns at any seed.
+differs between the two columns at any seed.  Each column also records one
+run of the tier-1 suite in its checkout, ``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``, under
+``"tier1"``: its wall time, its passed and failed counts (errors count as
+failed) and its ten slowest tests (``--durations=10``).
 
 With ``--claim WORKLOAD --seeds 44-53`` it runs a claim instead: one
 ``--trace 0`` run of the workload per seed in each of two checkouts, at the
@@ -50,16 +54,26 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 WORKLOADS = ("identity", "moments", "jacobi")
 SEEDS = (41, 42, 43)
 SECONDS = 30
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+
+
+def _environment(pycache: Path) -> dict:
+    """This process's environment with bytecode cached under ``pycache``."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, trace: int,
@@ -68,10 +82,8 @@ def run_benchmark(checkout: Path, workload: str, seed: int, trace: int,
     bytecode cached under ``pycache``: its run record and its summary record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
-                          check=False)
+    proc = subprocess.run(argv, cwd=checkout, env=_environment(pycache), capture_output=True,
+                          text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(
             f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
@@ -79,6 +91,33 @@ def run_benchmark(checkout: Path, workload: str, seed: int, trace: int,
         )
     record, summary = proc.stdout.strip().splitlines()[-2:]
     return json.loads(record), json.loads(summary)
+
+
+def run_tier1(checkout: Path, pycache: Path) -> dict:
+    """One run of the tier-1 suite in ``checkout``, with its bytecode cached
+    under ``pycache``: its wall time, passed and failed counts and ten
+    slowest tests, read off pytest's durations table and summary line."""
+    env = _environment(pycache)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
+    wall_s = time.perf_counter() - started
+    lines = proc.stdout.strip().splitlines()
+    summary = re.fullmatch(r"=* ?(.*\d+ \w+.*) in [\d.]+s.*", lines[-1] if lines else "")
+    if summary is None:
+        raise RuntimeError(f"{checkout}: tier-1 exited {proc.returncode} without a "
+                           f"summary: {(proc.stdout + proc.stderr)[-2000:]}")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary[1])}
+    table = proc.stdout.partition("slowest 10 durations")[2]
+    slowest = [{"test": test, "phase": phase, "s": float(s)}
+               for s, phase, test in re.findall(r"(?m)^([\d.]+)s (\w+) +(.+)$", table)]
+    return {
+        "wall_s": wall_s,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+        "slowest": slowest,
+    }
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -156,6 +195,7 @@ def record(columns: dict[str, Path], pr: int) -> dict:
                         )
                         print(f"bench_record: {w} seed {seed} trace {trace} {name} done",
                               file=sys.stderr, flush=True)
+        tier1 = {name: run_tier1(columns[name], pycaches[name]) for name in names}
     workloads = {w: {name: summarise(runs[w][name]) for name in names} for w in WORKLOADS}
     if len(names) == 2:
         for w, summaries in workloads.items():
@@ -166,7 +206,8 @@ def record(columns: dict[str, Path], pr: int) -> dict:
         "pr": pr,
         "seeds": list(SEEDS),
         "seconds": SECONDS,
-        "columns": {name: {"commit": commit_of(columns[name])} for name in names},
+        "columns": {name: {"commit": commit_of(columns[name]), "tier1": tier1[name]}
+                    for name in names},
         "workloads": workloads,
     }
 

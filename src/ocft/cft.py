@@ -45,8 +45,8 @@ from .grassmann import (
 from .haar import (
     _SAMPLERS,
     RngStream,
-    _batch_rows,
     _tile_views,
+    check_haar_n,
     sample_unitary_columns,
     stream_mean,
 )
@@ -68,13 +68,6 @@ __all__ = [
 
 Z_SE_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 4.0
-# verify_bosonic_cft's range, a memory and time cap.  Its colour batches count
-# the probe values of a row, not the N^2 Gaussians of its draw, so up to 13
-# probes a batch holds 20,000 whole O(N) draws: at N = 64 one batch peaks at
-# 662 MiB and takes about 10 s, and two batches, the second drawn ahead,
-# 1,287 MiB and 16 s (measured through haar-moment before its batches counted
-# the Gaussians, on 2 vCPUs, 1 BLAS thread); both grow as N^2 to N^3
-MAX_BOSONIC_N = 64
 
 
 # -- normalisation constants ----------------------------------------------
@@ -280,13 +273,7 @@ def lhs_coefficient_means(
             total_abs2 = total_abs2 + ((k * k).T @ (minors * minors)).ravel()
         return total, total_abs2
 
-    mean, se = stream_mean(
-        sums,
-        samples,
-        rng,
-        workers,
-        batch=_batch_rows(width),
-    )
+    mean, se = stream_mean(sums, samples, rng, workers, entries=width)
     return np.stack([mean, se], axis=1)
 
 
@@ -504,15 +491,13 @@ def verify_bosonic_cft(
     exp((phibar Z phibar + phi Z^dagger phi)/2) over the bosonic measure;
     both sides share the constant-term normalisation 1.  The colour side's
     worker shards read substreams 1..workers, the flavour side's the
-    ``workers`` substreams after them.  Each side draws batches of
-    ``_batch_rows(probes)`` rows, so a batch holds at most
-    ``haar.BATCH_ENTRIES`` values whatever the probe count; the colour
-    side's draws, N^2 Gaussians per row, are not counted.  N is capped at
-    ``MAX_BOSONIC_N``.
+    ``workers`` substreams after them.  Each side counts ``probes`` values
+    per row, so a batch holds at most ``haar.BATCH_ENTRIES`` values
+    whatever the probe count; the colour side's draws, N^2 Gaussians per
+    row, are not counted.  N is capped at ``haar.MAX_HAAR_MOMENT_N``.
     """
     measure = BosonicMeasure(n_colour, n_flavour)  # validates N > 2n
-    if n_colour > MAX_BOSONIC_N:
-        raise ConfigError(f"bosonic verification capped at N = {MAX_BOSONIC_N}")
+    check_haar_n(n_colour)
     if probes < 1:
         raise ConfigError("need at least one probe point")
     gen = rng.generator()
@@ -543,9 +528,9 @@ def verify_bosonic_cft(
             * (np.einsum("bxy,pxy->bp", z, sbar) + np.einsum("bxy,pxy->bp", zdag, s))
         )
 
-    batch = _batch_rows(probes)
-    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers, batch=batch)
-    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers, batch=batch)
+    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers, entries=probes)
+    rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers,
+                              entries=probes)
 
     return VerificationReport(
         "bosonic", n_colour, n_flavour, samples, threshold, np.arange(probes),

@@ -9,6 +9,11 @@ Subcommands map one-to-one onto the library modules:
     ginibre-check Gaussian-weight consistency check (closed vs pipeline vs MC)
     verify-cft    coefficient/probe verification of a colour-flavour identity
 
+``--method`` (``moment``, ``jacobi``) or ``--variant`` (``verify-cft``)
+selects a subcommand's route.  ``_RUNNERS`` has one row per (subcommand,
+route): the parser takes its choices from it, :func:`run` dispatches
+through it, and every route of a subcommand prints the same fields.
+
 Results are serialised to stdout as JSON (default) or CSV with stable field
 order, so identical run configurations produce byte-identical output;
 timing goes to stderr.  Exit codes: 0 success, 2 invalid configuration,
@@ -25,41 +30,36 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cft import verify_bosonic_cft, verify_fermionic_cft, verify_son_cft
+from . import cft, jacobi, moments
 from .errors import ConfigError, OcftError
 from .haar import Estimate, RngStream, mc_expectation
-from .jacobi import (
-    JacobiQuery,
-    check_ginibre_n,
-    ginibre_closed,
-    ginibre_mc,
-    ginibre_pipeline,
-    jacobi_pfaffian,
-    jacobi_quadrature,
-)
+from .jacobi import JacobiQuery, check_ginibre_n, ginibre_closed, ginibre_mc, ginibre_pipeline
 from .linalg import determinant, pfaffian
-from .moments import (
-    MomentQuery,
-    moment_m1_closed,
-    moment_mc,
-    moment_pfaffian_integral,
-)
+from .moments import MomentQuery
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
-# the range of haar-moment and moment --method mc, which draw the same Haar
-# O(N) batches: a time cap.  A batch holds at most haar.BATCH_ENTRIES = 2^18
-# Gaussians, 64 whole O(64) draws, so memory does not grow with N: at N = 64
-# and --samples 40000, moment --method mc takes 18.6 s and haar-moment entries
-# that read all N rows and columns 14.2 s, each peaking at 42 MiB (2 vCPUs,
-# 1 BLAS thread); time grows as N^2 to N^3.  haar-moment draws only the k
-# columns (or rows) its entries read, N k Gaussians per draw: --entries 1,1
-# at --samples 40000 takes 0.06 s
-MAX_HAAR_MOMENT_N = 64
+
+
+class Route(NamedTuple):
+    """One row of ``_RUNNERS``.  ``runner(args, route)`` returns the record and
+    exit code, and evaluates the route's value by ``call``, which looks its
+    library function up on the module when it runs.  ``draws`` marks a
+    Monte-Carlo route, the only kind whose output depends on ``--seed``."""
+
+    runner: Callable
+    call: Callable | None = None
+    draws: bool = False
+
+
+def _routes(command: str) -> list[str]:
+    """The routes of ``command``, in table order."""
+    return [route for name, route in _RUNNERS if name == command]
 
 
 def parse_complex(text: str) -> complex:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1, help="moment order")
     p.add_argument("--z", required=True, help="complex point 're,im' or 'x'")
     p.add_argument("--g", required=True, help="comma-separated singular values")
-    p.add_argument("--method", choices=("closed", "pfaffian", "mc"), default="closed")
+    p.add_argument("--method", dest="route", choices=_routes("moment"), default="closed")
     p.add_argument(
         "--samples",
         type=int,
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="'re,im' or 'x'")
     p.add_argument("--gamma", dest="gam", required=True, help="'re,im' or 'x'")
-    p.add_argument("--method", choices=("pfaffian", "quadrature"), default="pfaffian",
+    p.add_argument("--method", dest="route", choices=_routes("jacobi"), default="pfaffian",
                    help="quadrature: the Selberg integral in closed form and the "
                    "r-integral by its exact Beta rule")
     _add_common(p)
@@ -239,9 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify-cft", help="verify a colour-flavour identity")
-    p.add_argument(
-        "--variant", choices=("fermionic", "bosonic", "son"), required=True
-    )
+    p.add_argument("--variant", dest="route", choices=_routes("verify-cft"), required=True)
     p.add_argument("--colors", type=int, required=True, help="colour count N")
     p.add_argument("--flavors", type=int, required=True, help="flavour count n")
     p.add_argument("--samples", type=int, default=100_000)
@@ -249,16 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=_threshold,
-        default=4.0,
-        help="single-row |z| level (default 4); each row is held to its Sidak "
-        "correction over the rows with a nonzero standard error",
+        default=cft.DEFAULT_THRESHOLD,
+        help="single-row |z| level (default %(default)s); each row is held to its "
+        "Sidak correction over the rows with a nonzero standard error",
     )
     _add_common(p)
 
     return parser
 
 
-def _run_pfaffian(args) -> tuple[dict, int]:
+def _run_pfaffian(args, route: Route) -> tuple[dict, int]:
     matrix = _parse_matrix(args.matrix)
     # an overflow reaches the values as inf or nan, with numpy's warnings
     # off, or raises OverflowError in Python's complex arithmetic
@@ -280,9 +278,7 @@ def _run_pfaffian(args) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def _run_haar_moment(args) -> tuple[dict, int]:
-    if args.n > MAX_HAAR_MOMENT_N:
-        raise ConfigError(f"haar-moment capped at N = {MAX_HAAR_MOMENT_N}")
+def _run_haar_moment(args, route: Route) -> tuple[dict, int]:
     idx = []
     for chunk in args.entries.split(";"):
         i, j = (int(x) for x in chunk.split(","))
@@ -325,12 +321,10 @@ def _run_haar_moment(args) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def _run_moment(args) -> tuple[dict, int]:
+def _run_moment(args, route: Route) -> tuple[dict, int]:
     g = tuple(float(x) for x in args.g.split(","))
     if len(g) != args.n:
         raise OcftError(f"--g lists {len(g)} values but --n is {args.n}")
-    if args.method == "mc" and args.n > MAX_HAAR_MOMENT_N:
-        raise ConfigError(f"moment --method mc capped at N = {MAX_HAAR_MOMENT_N}")
     query = MomentQuery(z=parse_complex(args.z), g=g, m=args.m)
     record = {
         "command": "moment",
@@ -338,26 +332,19 @@ def _run_moment(args) -> tuple[dict, int]:
         "m": args.m,
         "z": _cnum(query.z),
         "g": list(g),
-        "method": args.method,
+        "method": args.route,
     }
-    if args.method == "closed":
-        record["value"] = moment_m1_closed(query)
-    elif args.method == "mc":
-        # only the Monte Carlo reads the seed and the shard count
-        est = moment_mc(query, args.samples, RngStream(args.seed), args.workers)
-        record.update(seed=args.seed, workers=args.workers, **_estimate_fields(est))
-    else:
-        est = moment_pfaffian_integral(query)
-        record.update(_estimate_fields(est))
+    if route.draws:  # only the Monte Carlo reads the seed and the shard count
+        record.update(seed=args.seed, workers=args.workers)
+    record.update(_estimate_fields(route.call(query, args)))
     return record, EXIT_OK
 
 
-def _run_jacobi(args) -> tuple[dict, int]:
+def _run_jacobi(args, route: Route) -> tuple[dict, int]:
     query = JacobiQuery(
         parse_complex(args.lam), parse_complex(args.gam), args.a, args.b, args.n
     )
-    fn = jacobi_pfaffian if args.method == "pfaffian" else jacobi_quadrature
-    value = fn(query)
+    value = route.call(query)
     record = {
         "command": "jacobi",
         "n": args.n,
@@ -365,14 +352,14 @@ def _run_jacobi(args) -> tuple[dict, int]:
         "b": args.b,
         "lambda": _cnum(query.lam),
         "gamma": _cnum(query.gam),
-        "method": args.method,
+        "method": args.route,
         "reference_lg": _cnum(1.0),
         "value": _cnum(value),
     }
     return record, EXIT_OK
 
 
-def _run_ginibre(args) -> tuple[dict, int]:
+def _run_ginibre(args, route: Route) -> tuple[dict, int]:
     lam, gam = parse_complex(args.lam), parse_complex(args.gam)
     # every check that can refuse the query without sampling runs before the
     # Monte Carlo: the size cap first, then the two exact routes, which refuse
@@ -383,9 +370,10 @@ def _run_ginibre(args) -> tuple[dict, int]:
     pipeline = ginibre_pipeline(lam, gam, args.n)
     est = ginibre_mc(lam, gam, args.n, args.samples, RngStream(args.seed))
     z_mc = est.z_score(closed)
+    # both exact routes round one rational once, so they agree to the bit;
     # relative error, or absolute where the closed form is 0 (N = 1, lg = -1)
     pipeline_err = abs(pipeline - closed) / (abs(closed) or 1.0)
-    passed = bool(z_mc <= args.threshold and pipeline_err <= 1e-6)
+    passed = bool(z_mc <= args.threshold and pipeline == closed)
     record = {
         "command": "ginibre-check",
         "n": args.n,
@@ -405,16 +393,8 @@ def _run_ginibre(args) -> tuple[dict, int]:
     return record, EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _run_verify(args) -> tuple[dict, int]:
-    rng = RngStream(args.seed)
-    options = {"threshold": args.threshold, "workers": args.workers}
-    if args.variant == "bosonic":
-        report = verify_bosonic_cft(
-            args.colors, args.flavors, args.probes, args.samples, rng, **options
-        )
-    else:
-        verify = verify_fermionic_cft if args.variant == "fermionic" else verify_son_cft
-        report = verify(args.colors, args.flavors, args.samples, rng, **options)
+def _run_verify(args, route: Route) -> tuple[dict, int]:
+    report = route.call(args, RngStream(args.seed), args.threshold, args.workers)
     columns = (report.lhs, report.lhs_se, report.rhs, report.rhs_se, report.z_scores)
     rows = [
         {
@@ -449,13 +429,24 @@ def _run_verify(args) -> tuple[dict, int]:
     return record, EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+# (subcommand, route) -> Route; the route is None for a subcommand with one
 _RUNNERS = {
-    "pfaffian": _run_pfaffian,
-    "haar-moment": _run_haar_moment,
-    "moment": _run_moment,
-    "jacobi": _run_jacobi,
-    "ginibre-check": _run_ginibre,
-    "verify-cft": _run_verify,
+    ("pfaffian", None): Route(_run_pfaffian),
+    ("haar-moment", None): Route(_run_haar_moment, draws=True),
+    ("moment", "closed"): Route(
+        _run_moment, lambda q, a: Estimate(moments.moment_m1_closed(q), 0.0, 0)),
+    ("moment", "pfaffian"): Route(_run_moment, lambda q, a: moments.moment_pfaffian_integral(q)),
+    ("moment", "mc"): Route(_run_moment, lambda q, a: moments.moment_mc(
+        q, a.samples, RngStream(a.seed), a.workers), draws=True),
+    ("jacobi", "pfaffian"): Route(_run_jacobi, lambda q: jacobi.jacobi_pfaffian(q)),
+    ("jacobi", "quadrature"): Route(_run_jacobi, lambda q: jacobi.jacobi_quadrature(q)),
+    ("ginibre-check", None): Route(_run_ginibre, draws=True),
+    ("verify-cft", "fermionic"): Route(_run_verify, lambda a, *rest: cft.verify_fermionic_cft(
+        a.colors, a.flavors, a.samples, *rest), draws=True),
+    ("verify-cft", "bosonic"): Route(_run_verify, lambda a, *rest: cft.verify_bosonic_cft(
+        a.colors, a.flavors, a.probes, a.samples, *rest), draws=True),
+    ("verify-cft", "son"): Route(_run_verify, lambda a, *rest: cft.verify_son_cft(
+        a.colors, a.flavors, a.samples, *rest), draws=True),
 }
 
 
@@ -471,7 +462,8 @@ def run(argv, out=None, err=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()
     try:
-        record, code = _RUNNERS[args.command](args)
+        route = _RUNNERS[args.command, getattr(args, "route", None)]
+        record, code = route.runner(args, route)
         _emit(record, args.format, out)
     except (OcftError, ValueError, json.JSONDecodeError) as exc:
         err.write(f"error: {exc}\n")

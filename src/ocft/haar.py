@@ -30,10 +30,12 @@ draw is Haar), pays for n k Gaussians in place of n^2.
 
 Every Monte-Carlo mean in the package is formed by :func:`stream_mean`: it
 draws batches of sample rows, keeps per-column sums and sums of squared
-moduli, and returns the means and Bessel-corrected standard errors.  Every
-caller sizes its batches by one rule, :func:`_batch_rows`: a batch holds at
-most BATCH_ENTRIES = 2^18 values of its largest per-row array, and at most
-DEFAULT_BATCH = 20,000 rows, so no batch grows with the matrix size.  A
+moduli, and returns the means and Bessel-corrected standard errors.  It
+sizes every batch by one rule, :func:`_batch_rows`, from the value count
+its caller gives for one row's largest array: a batch holds at most
+BATCH_ENTRIES = 2^18 such values, and at most DEFAULT_BATCH = 20,000 rows,
+so no batch grows with the matrix size.  Every Monte Carlo over Haar O(N)
+draws checks N against one time cap, MAX_HAAR_MOMENT_N.  A
 caller that can sum a batch's rows without forming them returns the two
 sums in place of the rows, as the colour side of the fermionic and SO(N)
 identities does with Gram products over each tile; the loop, the shards and
@@ -90,6 +92,15 @@ __all__ = [
 # the batch drawn ahead of it then take at most 2 x 2 MiB at any N
 DEFAULT_BATCH = 20_000
 BATCH_ENTRIES = 2**18
+
+# the range of every Monte Carlo over Haar O(N) draws (mc_expectation, and the
+# colour side of cft.verify_bosonic_cft): a time cap.  At N = 64 and 40,000
+# samples, moment --method mc takes 18.6 s and haar-moment entries that read
+# all N rows and columns 14.2 s, each peaking at 42 MiB (2 vCPUs, 1 BLAS
+# thread); time grows as N^2 to N^3.  The bosonic colour side counts the
+# probe values of a row, not the N^2 Gaussians of its draw, so up to 13
+# probes one of its batches holds 20,000 whole O(64) draws, 655 MB
+MAX_HAAR_MOMENT_N = 64
 
 # stream_mean's generator draws the next array ahead only after an array of at
 # least this many values: below it, starting and joining the helper thread
@@ -349,12 +360,19 @@ def _batch_rows(entries: int) -> int:
     return min(DEFAULT_BATCH, max(1, BATCH_ENTRIES // entries))
 
 
+def check_haar_n(n: int) -> None:
+    """Refuse a Monte Carlo over Haar O(n) or SO(n) draws above MAX_HAAR_MOMENT_N."""
+    if n > MAX_HAAR_MOMENT_N:
+        raise ConfigError(f"Haar Monte Carlo capped at N = {MAX_HAAR_MOMENT_N}")
+
+
 def stream_mean(
     values,
     samples: int,
     rng: RngStream,
     workers: int = 1,
-    batch: int = DEFAULT_BATCH,
+    *,
+    entries: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column sample mean and standard error of ``values`` rows.
 
@@ -368,10 +386,10 @@ def stream_mean(
     single column, which it adds pairwise, and for other layouts, whose
     order of addition may differ.  The samples are split into ``workers``
     shards of near-equal size; shard w draws from ``rng.substream(w)`` in
-    batches of at most ``batch`` rows, and the shards run one after
-    another.  The package's callers pass ``batch = _batch_rows(entries)``
-    for the value count of one row's largest array; the draws do not
-    depend on ``batch``, only the grouping of the row sums does.  Only the
+    batches, and the shards run one after another.  ``entries`` is the
+    value count of one row's largest array, and a batch holds
+    ``_batch_rows(entries)`` rows; the draws do not depend on the batch
+    size, only the grouping of the row sums does.  Only the
     first min(workers, samples) shards hold draws, and only those make a
     generator, so any ``workers`` costs at most one generator per sample.  The standard error is
     sqrt(s^2 / samples) with s^2 the n/(n-1)-corrected variance of the
@@ -392,6 +410,7 @@ def stream_mean(
         raise ConfigError("need at least 2 samples for a standard error")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    batch = _batch_rows(entries)
     total = total_abs2 = 0.0
     for w in range(min(workers, samples)):
         gen = _DrawAhead(rng.substream(w).generator())
@@ -443,7 +462,9 @@ def mc_expectation(
     only the first k columns of each draw, from n k Gaussians in place of
     n^2, with the law they have in a whole draw of either group: ``f`` must
     then read only those columns, and gets other numbers than at k = n.
+    Above n = ``MAX_HAAR_MOMENT_N`` it raises ``ConfigError`` before drawing.
     """
+    check_haar_n(n)
     if group not in _SAMPLERS:
         raise ConfigError(f"group must be one of {sorted(_SAMPLERS)}, got {group!r}")
     if columns is not None and not 1 <= columns <= n:
@@ -459,6 +480,5 @@ def mc_expectation(
             rows[tile, 0] = f(o)
         return rows
 
-    entries = n * (n if columns is None else columns)
-    mean, se = stream_mean(values, samples, rng, workers, batch=_batch_rows(entries))
+    mean, se = stream_mean(values, samples, rng, workers, entries=n * (columns or n))
     return Estimate(complex(mean[0]), float(se[0]), samples)

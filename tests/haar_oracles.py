@@ -49,5 +49,5 @@ def public_route_expectation(f, n, samples, rng, group="O", workers=1) -> Estima
             rows[tile, 0] = f(o[tile])
         return rows
 
-    mean, se = stream_mean(values, samples, rng, workers, batch=haar._batch_rows(n * n))
+    mean, se = stream_mean(values, samples, rng, workers, entries=n * n)
     return Estimate(complex(mean[0]), float(se[0]), samples)

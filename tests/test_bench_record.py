@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,25 @@ spec.loader.exec_module(bench_record)
 # runs, and "traced-OFFSET" on --trace 1 runs.  Each run takes well under a
 # second, whatever --seconds says.  Every run is also logged, as "<checkout
 # directory name> <seed>", to order.log in the directory that holds the
-# checkouts.
+# checkouts.  The checkout's pytest.py stands in for pytest, which the
+# tier-1 run starts with ``python -m pytest`` in the checkout: it logs its
+# arguments, PYTHONPATH and PYTHONPYCACHEPREFIX to tier1.log, prints a
+# durations table of two tests and reports one failed and OFFSET * 10 + 9
+# passed tests.
+PYTEST_STUB = """
+import os, sys
+with open("tier1.log", "a") as log:
+    log.write(f"{' '.join(sys.argv[1:])}|{os.environ.get('PYTHONPATH')}|"
+              f"{os.environ.get('PYTHONPYCACHEPREFIX')}\\n")
+print("....F..... [100%]")
+print("=========== slowest 10 durations ===========")
+print("2.50s call     tests/test_a.py::test_slow[a b]")
+print("0.30s setup    tests/test_b.py::test_fixture")
+print()
+print("(8 durations < 0.005s hidden.  Use -vv to show these durations.)")
+print(f"1 failed, {int(OFFSET * 10) + 9} passed in 2.80s")
+sys.exit(1)
+"""
 STUB = """
 import argparse, json, os
 p = argparse.ArgumentParser()
@@ -62,6 +81,7 @@ def make_checkout(root: Path, offset: float, salt: str = "same", stub: str = STU
     (root / "perfbench" / "run.py").write_text(
         stub.replace("OFFSET", repr(offset)).replace("SALT", salt)
     )
+    (root / "pytest.py").write_text(PYTEST_STUB.replace("OFFSET", repr(offset)))
     return root
 
 
@@ -111,6 +131,27 @@ def test_medians_per_column_and_interleaved_order(tmp_path, monkeypatch):
         path = Path(prefix)
         assert path.is_absolute() and not path.exists()
         assert not path.is_relative_to(parent) and not path.is_relative_to(change)
+    # one tier-1 run per column, in its checkout, with src on PYTHONPATH and
+    # the column's bytecode cache
+    for name, checkout, passed in (("parent", parent, 9), ("change", change, 14)):
+        tier1 = result["columns"][name]["tier1"]
+        assert tier1["wall_s"] > 0 and (tier1["passed"], tier1["failed"]) == (passed, 1)
+        assert tier1["slowest"] == [
+            {"test": "tests/test_a.py::test_slow[a b]", "phase": "call", "s": 2.5},
+            {"test": "tests/test_b.py::test_fixture", "phase": "setup", "s": 0.3},
+        ]
+        (line,) = (checkout / "tier1.log").read_text().split("\n")[:-1]
+        argv, pythonpath, prefix = line.split("|")
+        assert argv == "-q --continue-on-collection-errors --durations=10"
+        assert pythonpath.split(os.pathsep)[0] == "src"
+        assert {f"{prefix} None"} == set((checkout / "pycache.log").read_text().split("\n")[:-1])
+
+
+def test_tier1_without_a_summary_raises(tmp_path):
+    checkout = make_checkout(tmp_path / "broken", 0.0)
+    (checkout / "pytest.py").write_text("raise SystemExit(4)\n")
+    with pytest.raises(RuntimeError, match="tier-1 exited 4 without a summary"):
+        bench_record.run_tier1(checkout, tmp_path / "pycache")
 
 
 def test_same_stdout_flag(tmp_path):

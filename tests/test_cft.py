@@ -96,7 +96,7 @@ def rhs_mc_coefficients(n_colour, n_flavour, samples, rng):
         a = sample_fermionic_z(n_colour, n_flavour, gen, b)[:, 0, 1, None]
         return signs * a**u * (-np.conj(a)) ** v
 
-    mean, se = stream_mean(values, samples, rng, batch=_batch_rows(len(table)))
+    mean, se = stream_mean(values, samples, rng, entries=len(table))
     return {row[0]: (complex(m), float(e)) for row, m, e in zip(table, mean, se)}
 
 
@@ -143,7 +143,7 @@ def c_layout_lhs_means(n_colour, n_flavour, samples, rng, group, workers):
         return signs * (k.T @ minors).ravel(), ((k * k).T @ (minors * minors)).ravel()
 
     mean, se = stream_mean(sums, samples, rng, workers,
-                           batch=_batch_rows(khatri_rao_width(n_colour, n_flavour)))
+                           entries=khatri_rao_width(n_colour, n_flavour))
     return np.stack([mean, se], axis=1)
 
 
@@ -162,7 +162,7 @@ def c_layout_bosonic_colour(n_colour, n_flavour, probes, samples, rng, workers):
     def colour(o_gen, b):
         return np.exp(np.einsum("bij,pij->bp", sample_orthogonal_batch(n_colour, b, o_gen), mats))
 
-    return stream_mean(colour, samples, rng.substream(1), workers, batch=_batch_rows(probes))
+    return stream_mean(colour, samples, rng.substream(1), workers, entries=probes)
 
 
 # every (N, n) the fermionic and SO(N) colour sides accept: N n <= 8, n <= 2
@@ -191,10 +191,8 @@ def reflection_split_check(n_colour, n_flavour, samples, rng):
     def full_group(gen, b):
         return coefficients(sample_orthogonal_batch(n_colour, b, gen))
 
-    split, split_se = stream_mean(
-        components, samples, rng.substream(1), batch=_batch_rows(2 * width)
-    )
-    full, full_se = stream_mean(full_group, samples, rng.substream(2), batch=_batch_rows(width))
+    split, split_se = stream_mean(components, samples, rng.substream(1), entries=2 * width)
+    full, full_se = stream_mean(full_group, samples, rng.substream(2), entries=width)
     half = 0.5 * (split[:width] + split[width:])
     half_se = 0.5 * np.hypot(split_se[:width], split_se[width:])
     return VerificationReport(
@@ -555,16 +553,18 @@ class TestColourSideStructure:
 
     @pytest.mark.parametrize("group", ["O", "SO"])
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
-    def test_gram_sums_match_row_oracle(self, shape, group):
+    def test_gram_sums_match_row_oracle(self, shape, group, monkeypatch):
         n_colour, n_flavour = shape
         _, _, masks, _ = _lhs_structure(n_colour, n_flavour)
         sampler = {"O": sample_orthogonal_batch, "SO": sample_special_orthogonal_batch}[group]
         coefficients = colour_coefficients(n_colour, n_flavour)
         rng = RngStream(40 + n_colour * n_flavour)
-        # the same draws: the stream of normals does not depend on the batching
-        mean, se = stream_mean(lambda gen, b: coefficients(sampler(n_colour, b, gen)),
-                               3_000, rng, workers=2, batch=500)
         got = lhs_coefficient_means(n_colour, n_flavour, 3_000, rng, group, workers=2)
+        # the same draws in batches of 500 rows: the stream of normals does not
+        # depend on the batching
+        monkeypatch.setattr(haar, "BATCH_ENTRIES", 500)
+        mean, se = stream_mean(lambda gen, b: coefficients(sampler(n_colour, b, gen)),
+                               3_000, rng, workers=2, entries=1)
         assert got.shape == (len(masks), 2)
         np.testing.assert_allclose(got[:, 0], mean, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(got[:, 1], se, rtol=1e-13, atol=1e-13)
@@ -616,9 +616,9 @@ class TestColourSideStructure:
         # P^max(1, n - 1) entries per row: P = 6, 20, 6 and 12,870 minors
         batches = []
 
-        def spy(*args, batch, **kwargs):
-            batches.append(batch)
-            return stream_mean(*args, batch=batch, **kwargs)
+        def spy(*args, entries, **kwargs):
+            batches.append(_batch_rows(entries))
+            return stream_mean(*args, entries=entries, **kwargs)
 
         monkeypatch.setattr(cft, "stream_mean", spy)
         lhs_coefficient_means(*shape, 2, RngStream(0))
@@ -734,9 +734,9 @@ class TestBosonicVerification:
         # to 13 probes a batch keeps haar.DEFAULT_BATCH rows
         batches = []
 
-        def spy(*args, batch, **kwargs):
-            batches.append(batch)
-            return stream_mean(*args, batch=batch, **kwargs)
+        def spy(*args, entries, **kwargs):
+            batches.append(_batch_rows(entries))
+            return stream_mean(*args, entries=entries, **kwargs)
 
         monkeypatch.setattr(cft, "stream_mean", spy)
         for probes, rows in ((13, 20_000), (14, 18_724), (2_000, 131)):

@@ -13,7 +13,7 @@ import pytest
 
 from ocft import cft, cli
 from ocft.cli import build_parser, parse_complex, run
-from ocft.haar import RngStream
+from ocft.haar import MAX_HAAR_MOMENT_N, RngStream
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -84,7 +84,7 @@ class TestSharedParser:
         for seed in range(10):
             assert invoke(self.JACOBI + ["--seed", str(seed)])[0] == 0
             assert invoke(["jacobi", "--n", "two"])[0] == 2
-        assert sorted(built) == sorted(f"ocft {name}" for name in cli._RUNNERS)
+        assert sorted(built) == sorted(f"ocft {name}" for name in {c for c, _ in cli._RUNNERS})
 
     @pytest.mark.parametrize(
         "bad, argv, message",
@@ -128,12 +128,13 @@ class TestPfaffian:
 
 class TestMoment:
     def test_closed_value(self):
+        # the value schema of the other routes, with no error and no draws
         code, out, _ = invoke(
             ["moment", "--n", "1", "--m", "1", "--z", "2,0", "--g", "1",
              "--method", "closed"]
         )
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(5.0)
+        assert '"value": {"re": 5.0, "im": 0.0}, "std_error": 0.0, "samples": 0}' in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
@@ -168,9 +169,9 @@ class TestMoment:
         assert "overflow" in err
 
     def test_output_is_strict_json(self, monkeypatch):
-        from ocft import cli
+        from ocft import moments
 
-        monkeypatch.setattr(cli, "moment_m1_closed", lambda query: math.nan)
+        monkeypatch.setattr(moments, "moment_m1_closed", lambda query: math.nan)
         code, out, err = invoke(["moment", "--n", "1", "--z", "2", "--g", "1",
                                  "--method", "closed"])
         assert code == 2 and out == ""
@@ -188,7 +189,7 @@ class TestMoment:
              "--method", "closed"]
         )[1]
         assert rec["value"]["re"] == pytest.approx(
-            json.loads(closed)["value"], rel=1e-8
+            json.loads(closed)["value"]["re"], rel=1e-8
         )
 
     @pytest.mark.parametrize("z", ["1,0", "0.9,0.4"])
@@ -237,8 +238,6 @@ class TestMoment:
             assert "seed" not in keys and "workers" not in keys
 
     def test_mc_size_cap(self):
-        from ocft.cli import MAX_HAAR_MOMENT_N
-
         def argv(n):
             return ["moment", "--n", str(n), "--m", "1", "--z", "1.3", "--g",
                     ",".join(["1"] * n), "--method", "mc", "--samples", "50"]
@@ -296,8 +295,6 @@ class TestHaarMoment:
         assert code == 2
 
     def test_size_cap(self):
-        from ocft.cli import MAX_HAAR_MOMENT_N
-
         argv = ["haar-moment", "--entries", "1,1", "--samples", "50", "--n"]
         code, out, _ = invoke(argv + [str(MAX_HAAR_MOMENT_N)])
         assert code == 0 and json.loads(out)["n"] == MAX_HAAR_MOMENT_N
@@ -438,6 +435,18 @@ class TestGinibreCheck:
         assert rec["pipeline_rel_err"] == 0.0
         assert rec["closed_ratio"] == rec["pipeline_ratio"]
 
+    def test_pipeline_check_asks_for_equality(self, monkeypatch):
+        # the two exact routes round one rational once; a pipeline one part in
+        # 1e12 off, which the old 1e-6 gate passed, fails the check
+        pipeline = cli.ginibre_pipeline
+        monkeypatch.setattr(cli, "ginibre_pipeline",
+                            lambda *args: pipeline(*args) * (1 + 1e-12))
+        code, out, _ = invoke(["ginibre-check", "--n", "2", "--lambda", "1", "--gamma", "1",
+                               "--samples", "2000", "--seed", "5"])
+        rec = json.loads(out)
+        assert code == 3 and not rec["passed"]
+        assert 0.0 < rec["pipeline_rel_err"] < 1e-11 and rec["mc_z_score"] <= rec["threshold"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_closed_form_overflow_exits_two(self):
         code, out, err = invoke(["ginibre-check", "--n", "2", "--lambda", "1e200",
@@ -481,7 +490,8 @@ class TestVerifyCft:
         args = build_parser().parse_args(
             ["verify-cft", "--variant", variant, "--colors", colors, "--flavors", flavors,
              "--samples", "20"])
-        record, _ = _RUNNERS["verify-cft"](args)
+        route = _RUNNERS["verify-cft", args.route]
+        record, _ = route.runner(args, route)
         assert record["rows"] and all(type(row["mask"]) is int for row in record["rows"])
         json.dumps(record)
 
@@ -585,11 +595,11 @@ class TestVerifyCft:
     def test_bosonic_size_cap(self):
         argv = ["verify-cft", "--variant", "bosonic", "--flavors", "1", "--samples", "50",
                 "--colors"]
-        code, out, _ = invoke(argv + [str(cft.MAX_BOSONIC_N)])
-        assert code in (0, 3) and json.loads(out)["colors"] == cft.MAX_BOSONIC_N
-        code, out, err = invoke(argv + [str(cft.MAX_BOSONIC_N + 1)])
+        code, out, _ = invoke(argv + [str(MAX_HAAR_MOMENT_N)])
+        assert code in (0, 3) and json.loads(out)["colors"] == MAX_HAAR_MOMENT_N
+        code, out, err = invoke(argv + [str(MAX_HAAR_MOMENT_N + 1)])
         assert code == 2 and out == ""
-        assert f"capped at N = {cft.MAX_BOSONIC_N}" in err
+        assert f"capped at N = {MAX_HAAR_MOMENT_N}" in err
 
     def test_bosonic_variant_rejects_zero_flavours(self):
         done = subprocess.run(

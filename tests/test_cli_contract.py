@@ -3,7 +3,10 @@
 Every case runs in-process through ``cli.run`` with small sample counts.  It
 must end in exit 0, 2 or 3 without an exception out of ``run`` and without a
 ``RuntimeWarning``; exit 2 prints nothing on stdout, exit 0 or 3 strict JSON.
-Values go in as ``--option=value``, so argparse reads -1e300 as a value.
+Values go in as ``--option=value``, so argparse reads -1e300 as a value.  The
+subcommands and their routes are the keys of ``cli._RUNNERS``: every route
+must have a sweep, and a route that draws nothing must print the same bytes
+whatever ``--seed``, ``--workers`` and ``--samples`` say.
 """
 
 import io
@@ -14,8 +17,8 @@ import warnings
 
 import pytest
 
-from ocft.cft import MAX_BOSONIC_N
-from ocft.cli import MAX_HAAR_MOMENT_N, run
+from ocft.cli import _RUNNERS, build_parser, run
+from ocft.haar import MAX_HAAR_MOMENT_N
 from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N, MAX_SELBERG_N
 from ocft.moments import MAX_M2_COMPLEX_N
 
@@ -76,7 +79,7 @@ SWEEPS = {
         for variant in ("fermionic", "son")
     ] + [
         ({"--variant": "bosonic", **CFT, "--colors": "5", "--probes": "2", "--threshold": "4"},
-         {"--colors": ("4", "6", str(MAX_BOSONIC_N), str(MAX_BOSONIC_N + 1)),
+         {"--colors": ("4", "6", str(MAX_HAAR_MOMENT_N), str(MAX_HAAR_MOMENT_N + 1)),
           "--flavors": ("3",), "--workers": ("51",)}),
     ],
 }
@@ -104,7 +107,7 @@ def _cases(command):
     for base, extras in SWEEPS[command]:
         for option in dict.fromkeys([*base, *extras]):
             for value in (*(EXTREMES if option in NUMERIC else ()), *extras.get(option, ())):
-                argv = (command, *(f"{k}={v}" for k, v in {**base, option: value}.items()))
+                argv = tuple(_argv(command, {**base, option: value}))
                 if argv not in seen:
                     seen.add(argv)
                     yield list(argv)
@@ -143,10 +146,41 @@ def _failures(cases, **kwargs):
                      if (why := _violation(argv, **kwargs)))
 
 
+def _argv(command, options):
+    return [command, *(f"{k}={v}" for k, v in options.items())]
+
+
+def _route(command, base):
+    """The (subcommand, route) key that a sweep's base options select."""
+    return command, getattr(build_parser().parse_args(_argv(command, base)), "route", None)
+
+
 # one test per subcommand, looping over its cases, keeps the sweep to seconds
-@pytest.mark.parametrize("command", list(SWEEPS))
+@pytest.mark.parametrize("command", list(dict.fromkeys(command for command, _ in _RUNNERS)))
 def test_extreme_values_keep_the_contract(command):
     assert not (failures := _failures(_cases(command))), failures
+
+
+def test_every_route_has_a_sweep():
+    swept = {_route(command, base) for command, sweeps in SWEEPS.items() for base, _ in sweeps}
+    assert swept == set(_RUNNERS)
+
+
+@pytest.mark.parametrize("key", [key for key, route in _RUNNERS.items() if not route.draws],
+                         ids=lambda key: "-".join(filter(None, key)))
+def test_a_route_that_draws_nothing_ignores_seed_workers_and_samples(key):
+    command = key[0]
+    base = next(base for base, _ in SWEEPS[command] if _route(command, base) == key)
+    argv = _argv(command, {k: v for k, v in base.items()
+                           if k not in ("--seed", "--workers", "--samples")})
+    samples = hasattr(build_parser().parse_args(argv), "samples")
+    runs = []
+    for seed, workers, count in (("0", "1", "50"), ("7", "3", "2")):
+        out, err = io.StringIO(), io.StringIO()
+        extra = [f"--seed={seed}", f"--workers={workers}"] + [f"--samples={count}"] * samples
+        runs.append((run(argv + extra, out=out, err=err), out.getvalue()))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
 
 
 def test_unusable_input_exits_two():

@@ -423,9 +423,9 @@ class TestBatchRule:
         # the moments benchmark's m1-mc ops
         batches = []
 
-        def spy(values, samples, rng, workers, batch):
-            batches.append(batch)
-            return stream_mean(values, samples, rng, workers, batch=batch)
+        def spy(values, samples, rng, workers, *, entries):
+            batches.append(haar._batch_rows(entries))
+            return stream_mean(values, samples, rng, workers, entries=entries)
 
         monkeypatch.setattr(haar, "stream_mean", spy)
         mc_expectation(lambda o: o[:, 0, 0], n, 2, RngStream(0), columns=columns)
@@ -539,12 +539,13 @@ class TestStreamMean:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_numpy_mean_and_error(self, workers, kind):
+    def test_matches_numpy_mean_and_error(self, batch_rows, workers, kind):
         values = self.draws if kind == "real" else self.complex_draws
         samples, rng = 10_001, RngStream(41)
         extra = samples % workers
         # batches of 700 rows: shards of 3334 / 3334 / 3333 end on partial batches
-        mean, se = stream_mean(values, samples, rng, workers, batch=700)
+        batch_rows(700)
+        mean, se = stream_mean(values, samples, rng, workers, entries=1)
         rows = np.concatenate(
             [
                 values(rng.substream(w).generator(), samples // workers + (w < extra))
@@ -558,22 +559,23 @@ class TestStreamMean:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_batch_sums_give_the_bits_of_their_rows(self, workers, kind):
+    def test_batch_sums_give_the_bits_of_their_rows(self, batch_rows, workers, kind):
         values = self.draws if kind == "real" else self.complex_draws
 
         def sums(gen, b):
             rows = values(gen, b)
             return rows.sum(axis=0), (np.abs(rows) ** 2).sum(axis=0)
 
-        got = stream_mean(sums, 10_001, RngStream(43), workers, batch=700)
-        want = stream_mean(values, 10_001, RngStream(43), workers, batch=700)
+        batch_rows(700)
+        got = stream_mean(sums, 10_001, RngStream(43), workers, entries=1)
+        want = stream_mean(values, 10_001, RngStream(43), workers, entries=1)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("width", range(1, 9))
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_column_sums_give_the_bits_of_sum(self, width, kind, order):
+    def test_column_sums_give_the_bits_of_sum(self, batch_rows, width, kind, order):
         # magnitudes over 16 decades, so that another order of addition shows
         def values(gen, b):
             rows = gen.standard_normal((b, width)) * 10.0 ** gen.integers(-8, 9, (b, width))
@@ -585,14 +587,16 @@ class TestStreamMean:
             rows = values(np.random.default_rng(batch), batch)
             for block in (rows, np.abs(rows) ** 2):
                 np.testing.assert_array_equal(haar._column_sums(block), block.sum(axis=0))
-            got = stream_mean(values, samples, RngStream(47), batch=batch)
+            batch_rows(batch)
+            got = stream_mean(values, samples, RngStream(47), entries=1)
             want = serial_stream_mean(values, samples, RngStream(47), batch=batch)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
-    def test_batch_size_does_not_change_the_draws(self):
-        a = stream_mean(self.draws, 5_000, RngStream(42), batch=7)
-        b = stream_mean(self.draws, 5_000, RngStream(42))
+    def test_batch_size_does_not_change_the_draws(self, batch_rows):
+        b = stream_mean(self.draws, 5_000, RngStream(42), entries=1)
+        batch_rows(7)
+        a = stream_mean(self.draws, 5_000, RngStream(42), entries=1)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     @pytest.mark.parametrize("samples, workers", [(1, 1), (0, 1), (10, 0), (10, -3)])
@@ -601,7 +605,14 @@ class TestStreamMean:
             raise AssertionError("drew samples")
 
         with pytest.raises(ConfigError):
-            stream_mean(values, samples, RngStream(0), workers)
+            stream_mean(values, samples, RngStream(0), workers, entries=1)
+
+
+@pytest.fixture
+def batch_rows(monkeypatch):
+    """Set the rows of every batch of ``stream_mean(..., entries=1)``, up to
+    DEFAULT_BATCH: the budget is then that many one-value rows."""
+    return lambda rows: monkeypatch.setattr(haar, "BATCH_ENTRIES", rows)
 
 
 def serial_stream_mean(values, samples, rng, workers=1, batch=20_000):
@@ -690,17 +701,18 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["real", "complex", "uniform"])
-    def test_matches_serial_loop_bit_for_bit(self, draw_log, kind, workers):
+    def test_matches_serial_loop_bit_for_bit(self, draw_log, batch_rows, kind, workers):
         values = getattr(self, f"{kind}_rows")
         samples, rng = 10_001, RngStream(43)
         want = serial_stream_mean(values, samples, rng, workers, batch=1000)
         draw_log.clear()
-        got = stream_mean(values, samples, rng, workers, batch=1000)
+        batch_rows(1000)
+        got = stream_mean(values, samples, rng, workers, entries=1)
         assert_same_bits(got, want)
         caller = draw_log.count(threading.current_thread().name)
         assert caller == self.CALLER_DRAWS[kind, workers]
 
-    def test_bits_hold_under_frequent_thread_switches(self):
+    def test_bits_hold_under_frequent_thread_switches(self, batch_rows):
         # a fill that wrote into an array values is reading, or drew from the
         # generator the caller draws from, would change the bits; switching
         # threads every 10 us makes such a race likely to show
@@ -710,14 +722,15 @@ class TestDrawAhead:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        batch_rows(1024)
         try:
-            got = stream_mean(values, 60_001, RngStream(45), 3, batch=1024)
+            got = stream_mean(values, 60_001, RngStream(45), 3, entries=1)
         finally:
             sys.setswitchinterval(interval)
         assert_same_bits(got, serial_stream_mean(values, 60_001, RngStream(45), 3, batch=1024))
 
     @pytest.mark.parametrize("rows, ahead", [(1023, False), (1024, True), (1025, True)])
-    def test_size_gate(self, draw_log, rows, ahead):
+    def test_size_gate(self, draw_log, batch_rows, rows, ahead):
         # 64 values per row: 1023 rows fall just below the gate, 1024 meet it
         assert (rows * 64 >= DRAW_AHEAD_MIN_VALUES) == ahead
 
@@ -726,20 +739,22 @@ class TestDrawAhead:
 
         want = serial_stream_mean(values, 5 * rows + 3, RngStream(44), batch=rows)
         draw_log.clear()
-        got = stream_mean(values, 5 * rows + 3, RngStream(44), batch=rows)
+        batch_rows(rows)
+        got = stream_mean(values, 5 * rows + 3, RngStream(44), entries=1)
         assert_same_bits(got, want)
         # ahead: the first and the partial last batch are drawn in turn, and
         # the five fills (the last one dropped) on the helper thread
         caller = draw_log.count(threading.current_thread().name)
         assert (caller, len(draw_log)) == ((2, 7) if ahead else (6, 6))
 
-    def test_last_batch_starts_no_fill(self, draw_log):
+    def test_last_batch_starts_no_fill(self, draw_log, batch_rows):
         def values(gen, b):
             return gen.standard_normal((b, 70))[:, :3]
 
         want = serial_stream_mean(values, 3000, RngStream(46), batch=1000)
         draw_log.clear()
-        got = stream_mean(values, 3000, RngStream(46), batch=1000)
+        batch_rows(1000)
+        got = stream_mean(values, 3000, RngStream(46), entries=1)
         assert_same_bits(got, want)
         # batch 1 draws in turn; batches 2 and 3 take the fills after 1 and 2
         caller = threading.current_thread().name
@@ -783,10 +798,11 @@ class TestDrawAhead:
     }
 
     @pytest.mark.parametrize("change", CHANGED_CALLER_DRAWS)
-    def test_changed_draws_give_the_serial_bits(self, draw_log, change):
+    def test_changed_draws_give_the_serial_bits(self, draw_log, batch_rows, change):
         want = serial_stream_mean(self.changing_draws(change), 10_000, RngStream(0), batch=1000)
         draw_log.clear()
-        got = stream_mean(self.changing_draws(change), 10_000, RngStream(0), batch=1000)
+        batch_rows(1000)
+        got = stream_mean(self.changing_draws(change), 10_000, RngStream(0), entries=1)
         assert_same_bits(got, want)
         caller = draw_log.count(threading.current_thread().name)
         assert caller == self.CHANGED_CALLER_DRAWS[change]
@@ -811,7 +827,7 @@ class TestDrawAhead:
         monkeypatch.setattr(RngStream, "generator", lambda self: FailingFills(generator(self)))
 
     @pytest.mark.parametrize("where", ["helper", "values"])
-    def test_errors_reach_the_caller_and_no_thread_is_left(self, monkeypatch, where):
+    def test_errors_reach_the_caller_and_no_thread_is_left(self, monkeypatch, batch_rows, where):
         threads, calls = [], []
         self.failing_fills(monkeypatch, threads, fail=where == "helper")
 
@@ -824,15 +840,16 @@ class TestDrawAhead:
 
         before = threading.active_count()
         error = FloatingPointError if where == "helper" else ZeroDivisionError
+        batch_rows(1000)
         with pytest.raises(error):
-            stream_mean(values, 10_000, RngStream(0), batch=1000)
+            stream_mean(values, 10_000, RngStream(0), entries=1)
         # helper: batch 1 draws in turn, and batch 2 raises the failed fill
         assert len(calls) == {"helper": 2, "values": 3}[where]
         assert threads and threading.main_thread() not in threads
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in threads)
 
-    def test_error_of_an_unused_fill_is_dropped(self, monkeypatch):
+    def test_error_of_an_unused_fill_is_dropped(self, monkeypatch, batch_rows):
         def values(gen, b):
             # the (b, 35) draw drops the fill that follows (b, 70)
             return gen.standard_normal((b, 70))[:, :2] + gen.standard_normal((b, 35))[:, :2]
@@ -840,6 +857,7 @@ class TestDrawAhead:
         want = serial_stream_mean(values, 5_000, RngStream(0), batch=1000)
         threads = []
         self.failing_fills(monkeypatch, threads)
-        got = stream_mean(values, 5_000, RngStream(0), batch=1000)
+        batch_rows(1000)
+        got = stream_mean(values, 5_000, RngStream(0), entries=1)
         assert_same_bits(got, want)
         assert len(threads) == 4  # the fill of every batch but the last failed, unused

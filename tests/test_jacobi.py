@@ -437,9 +437,9 @@ class TestGinibre:
         # N^2 Gaussians per draw, at most haar.BATCH_ENTRIES per batch
         batches = []
 
-        def spy(values, samples, rng, batch):
-            batches.append(batch)
-            return stream_mean(values, samples, rng, batch=batch)
+        def spy(values, samples, rng, *, entries):
+            batches.append(_batch_rows(entries))
+            return stream_mean(values, samples, rng, entries=entries)
 
         monkeypatch.setattr(jacobi, "stream_mean", spy)
         ginibre_mc(1.0, 1.0, n, 2, RngStream(0))
@@ -455,7 +455,7 @@ class TestGinibre:
             num = det_stack(eye - mats) * det_stack(2.0 * eye - mats)
             return np.stack([num, det_stack(mats) ** 2], axis=1)
 
-        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3))
+        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(3), entries=n * n)
         assert ginibre_mc(1.0, 2.0, n, samples, RngStream(3)).mean == mean_n / mean_d
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -471,8 +471,7 @@ class TestGinibre:
             return np.stack([num, den], axis=1)
 
         # in the route's batches, whose grouping of the row sums it shares
-        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4),
-                                          batch=_batch_rows(n * n))
+        (mean_n, mean_d), _ = stream_mean(values, samples, RngStream(4), entries=n * n)
         assert ginibre_mc(lam, gam, n, samples, RngStream(4)).mean == mean_n / mean_d
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -483,9 +482,9 @@ class TestGinibre:
         rows = _batch_rows(n * n)
         samples, sums = 25_001, []
 
-        def recorded(values, samples, rng, batch):
-            assert batch == rows
-            sums.append(stream_mean(values, samples, rng, batch=batch))
+        def recorded(values, samples, rng, *, entries):
+            assert _batch_rows(entries) == rows
+            sums.append(stream_mean(values, samples, rng, entries=entries))
             return sums[-1]
 
         def oracle(gen, b):
@@ -493,7 +492,7 @@ class TestGinibre:
 
         monkeypatch.setattr(jacobi, "stream_mean", recorded)
         ginibre_mc(lam, gam, n, samples, RngStream(60 + n))
-        want = stream_mean(oracle, samples, RngStream(60 + n), batch=rows)
+        want = stream_mean(oracle, samples, RngStream(60 + n), entries=n * n)
         for got, want in zip(sums[0], want):
             np.testing.assert_array_equal(got, want)
 
