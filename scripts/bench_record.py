@@ -1,7 +1,7 @@
 """Record benchmark medians for one change as ``BENCH_<pr>.json``.
 
-Runs ``python3 perfbench/run.py`` in each given checkout, for the three
-workloads at seeds 41-43 and the benchmark's 30 s run length, once with
+Runs ``python3 perfbench/run.py`` in each given checkout, for every workload
+of ``BENCHMARK.json`` at seeds 41-43 and its ``run_seconds``, once with
 ``--trace 0`` (end-to-end metrics) and once with ``--trace 1`` (per-layer
 metrics), and writes the median of every metric over the seeds, one column
 per checkout:
@@ -62,10 +62,11 @@ import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("identity", "moments", "jacobi")
+# the workloads, run length and end-to-end metrics have one source
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SEEDS = (41, 42, 43)
-SECONDS = 30
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+SECONDS = BENCHMARK["run_seconds"]
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 
 
@@ -224,7 +225,7 @@ def claim(columns: dict[str, Path], workload: str, seeds: list[int]) -> dict:
     column's spread of every end-to-end metric and of the first pass's peak
     RSS, and each column's wins over the pairs (ties count for neither)."""
     names = list(columns)
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     better["first_pass_peak_rss_mb"] = better["peak_rss_mb"]
     values = {name: {} for name in names}
     runs = {name: [] for name in names}

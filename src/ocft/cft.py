@@ -50,7 +50,7 @@ from .haar import (
     sample_unitary_columns,
     stream_mean,
 )
-from .linalg import laplace_minors, log_beta, log_gamma
+from .linalg import laplace_minors
 
 __all__ = [
     "BosonicMeasure",
@@ -79,7 +79,7 @@ def c0_fermionic_closed_form(n_colour: int, n_flavour: int) -> float:
         raise DomainError("need N >= 1 and n >= 1")
     log_val = -0.5 * n_flavour * (n_flavour - 1) * math.log(math.pi)
     for i in range(1, n_flavour):
-        log_val += log_gamma(n_colour + 2.0 * i) - log_gamma(n_colour + 1.0 * i)
+        log_val += math.lgamma(n_colour + 2.0 * i) - math.lgamma(n_colour + 1.0 * i)
     return math.exp(log_val)
 
 
@@ -98,7 +98,7 @@ def c0_fermionic_selfconsistent(n_colour: int, n_flavour: int) -> float:
     if n_flavour == 1:
         return 1.0
     if n_flavour == 2:
-        return math.exp(-log_beta(1.0, n_colour + 1.0)) / math.pi
+        return math.exp(math.lgamma(n_colour + 2.0) - math.lgamma(n_colour + 1.0)) / math.pi
     raise ConfigError("explicit parametrization implemented for n <= 2")
 
 

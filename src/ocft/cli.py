@@ -110,9 +110,8 @@ def _emit(record: dict, fmt: str, out) -> None:
         writer.writerow([k for k, _ in flat])
         writer.writerow([v for _, v in flat])
         return
-    header = list(rows[0].keys()) if rows else []
     flat_rows = [_flatten(r) for r in rows]
-    writer.writerow([k for k, _ in flat_rows[0]] if flat_rows else header)
+    writer.writerow([k for k, _ in flat_rows[0]] if flat_rows else [])
     for fr in flat_rows:
         writer.writerow([v for _, v in fr])
 
@@ -287,7 +286,8 @@ def _run_haar_moment(args, route: Route) -> tuple[dict, int]:
         idx.append((i - 1, j - 1))
     # draw only the columns read: Haar O(N) and SO(N) are invariant under
     # transposition, so read rows where they are fewer, and any k < N
-    # distinct columns have the law of the first k
+    # distinct columns have the law of the first k; k = N, in order, is the
+    # whole draw
     rows, cols = {i for i, _ in idx}, {j for _, j in idx}
     if len(rows) < len(cols):
         idx, cols = [(j, i) for i, j in idx], rows
@@ -307,7 +307,7 @@ def _run_haar_moment(args, route: Route) -> tuple[dict, int]:
         RngStream(args.seed),
         group=args.group,
         workers=args.workers,
-        columns=len(cols) if len(cols) < args.n else None,
+        columns=len(cols),
     )
     record = {
         "command": "haar-moment",

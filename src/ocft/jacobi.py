@@ -13,11 +13,11 @@ queried lg to S at a reference lg (1 for the Jacobi weight, 0 for the
 Gaussian), because the reduction only determines S up to a constant.
 
 Expanding prod_i (lg + r g_i^2) = sum_k lg^{N-k} r^k e_k(g^2) turns S into
-sum_k M_k lg^{N-k} B_k, with M_k the inner moments and the exact
-B_k = integral r^k (1+r)^{-(N+2)} dr = 1 / ((N+1) binom(N, k))
-(``_quad.half_line_moments``).  Every route therefore computes one moment
-vector M_0..M_N and takes the r-integral by this exact Beta rule
-(``_s_ratio``).  For the Jacobi weight the M_k are Selberg integrals, and
+sum_k M_k lg^{N-k} B_k, with M_k the inner moments and the exact Beta rule
+B_k = integral r^k (1+r)^{-(N+2)} dr = 1 / ((N+1) binom(N, k)).  The factor
+1/(N+1) cancels in every ratio, so every route computes one moment vector
+M_0..M_N and weights it by the exact M_k / binom(N, k)
+(``_beta_weights``).  For the Jacobi weight the M_k are Selberg integrals, and
 ``jacobi_quadrature`` evaluates them by Aomoto's closed form
 (``jacobi_inner_moments``); it keeps the name of the CLI's
 ``--method quadrature``.  ``jacobi_pfaffian`` reads them off the values of
@@ -36,7 +36,8 @@ sum_{k<=N} lg^k / k! (the real Ginibre average), which pins the r-domain
 moments are Laguerre-Selberg integrals with an exact Aomoto closed form
 (``gaussian_inner_moments``), so that pipeline is exact end to end.  Both
 Gaussian routes are evaluated in exact rationals and rounded once, so they
-agree to the bit; the Jacobi routes take the float ``_s_ratio``.
+agree to the bit; the Jacobi routes round each weight once and take the
+float ``_s_ratio``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import half_line_moments
 from .errors import ConfigError, DomainError
 from .haar import Estimate, RngStream, stream_mean
 from .linalg import det_stack, pfaffian
@@ -69,9 +69,9 @@ __all__ = [
 # 0.3-0.7 s for a = b <= 50, and 6.4 s at a = b = 200
 MAX_PFAFFIAN_N = 16
 MAX_PFAFFIAN_AB = 100
-# jacobi_inner_moments' range: from N = 1020 the r-integral's (N+1) binom(N, N/2)
-# overflows float64, whatever a and b are; at N = 1019 the exact products take
-# 0.05 s at a + b = 1e6, 0.2 s at 1e18 and 19 s at 2e1000
+# jacobi_inner_moments' range, a time cap on its exact products: at N = 1019
+# the moments and their Beta weights take 0.06 s at a = b = 1, 0.12 s at
+# a + b = 1e18 and 22 s at a + b = 2e1000 (2 vCPUs); no weight exceeds 1
 MAX_SELBERG_N = 1019
 MAX_SELBERG_AB = 10**18
 # ginibre_mc's range.  Its delta-method error understates the spread of the
@@ -196,11 +196,24 @@ def _pfaffian_moments(n: int, a: int, b: int) -> list[Fraction]:
 # -- full averages ---------------------------------------------------------
 
 
+def _beta_weights(moments) -> list[Fraction]:
+    """The exact weights M_k / binom(N, k), k = 0..N, of S(lg) = sum_k M_k
+    lg^{N-k} B_k: B_k = integral_0^inf r^k (1+r)^{-(N+2)} dr, a Beta integral
+    in t = r/(1+r), is 1 / ((N+1) binom(N, k)), and the common factor
+    1/(N+1) cancels in every ratio of two S values."""
+    n = len(moments) - 1
+    return [Fraction(m) / math.comb(n, k) for k, m in enumerate(moments)]
+
+
 def _s_ratio(moments, lg: complex, reference_lg: complex) -> complex:
-    """S(lg) / S(reference_lg) with S(lg) = sum_k M_k lg^{N-k} B_k, the exact
-    r-integral of the moment sum, in float64; ``ConfigError`` if S(reference)
-    is zero or either is not finite."""
-    weighted = np.array(moments, dtype=float) * half_line_moments(len(moments) - 1)
+    """S(lg) / S(reference_lg) in float64, from the exact weights of
+    :func:`_beta_weights`, each rounded once; ``ConfigError`` if a moment or
+    weight is not finite in float64, if S(reference) is zero, or if either
+    S is not finite."""
+    try:
+        weighted = [float(w) for w in _beta_weights(moments)]
+    except (OverflowError, ValueError):  # inf, nan, or a weight past float64
+        raise ConfigError("the weighted moments are not finite in float64") from None
 
     def s(x: complex) -> complex:
         total = 0j  # Horner: overflow gives inf, not OverflowError
@@ -314,18 +327,11 @@ def gaussian_inner_moments(n: int) -> list[int]:
     M_k = integral over [0, inf)^N of prod_{i<j} |x_i - x_j| e_k(x)
     prod_i x_i^{-1/2} exp(-x_i / 2) dx (the g-integral with x = g^2) is a
     Laguerre-Selberg integral; Aomoto's extension (SIAM J. Math. Anal. 18,
-    1987) gives M_k / M_0 = binom(N, k) * N! / (N - k)!.  From N = 167 the
-    largest no longer fits float64, and the moments are refused, so that a
-    caller may take them as floats.
+    1987) gives M_k / M_0 = binom(N, k) * N! / (N - k)!.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
-    moments = [math.comb(n, k) * math.perm(n, k) for k in range(n + 1)]
-    try:
-        float(max(moments))
-    except OverflowError:
-        raise ConfigError(f"Gaussian inner moments overflow float64 at N = {n}") from None
-    return moments
+    return [math.comb(n, k) * math.perm(n, k) for k in range(n + 1)]
 
 
 def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
@@ -333,15 +339,13 @@ def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
 
     Same reduction as the Jacobi route but with W(x) = exp(-x/2) on
     [0, inf), reported as the ratio to lg = 0.  The inner moments
-    (:func:`gaussian_inner_moments`) and the r-integral's Beta weights
-    B_k = 1 / ((N+1) binom(N, k)) are exact, and S(lg) / S(0) is taken in
-    exact rationals and rounded once, so it equals :func:`ginibre_closed`
-    to the bit; that agreement pins the [0, inf) r-domain, since a finite
-    r-domain breaks the N = 1 ratio 1 + lg.  The moments are refused from
-    N = 167.
+    (:func:`gaussian_inner_moments`) and their Beta weights
+    (:func:`_beta_weights`) are exact, and S(lg) / S(0) is taken in exact
+    rationals and rounded once, so it equals :func:`ginibre_closed` to the
+    bit at every N; that agreement pins the [0, inf) r-domain, since a
+    finite r-domain breaks the N = 1 ratio 1 + lg.
     """
-    moments = gaussian_inner_moments(n)
-    weights = [Fraction(m, (n + 1) * math.comb(n, k)) for k, m in enumerate(moments)]
+    weights = _beta_weights(gaussian_inner_moments(n))
     re, im = _exact_horner(weights, _exact_lg(lam, gam))
     return _round_once((re / weights[-1], im / weights[-1]), "pipeline", lam, gam, n)
 

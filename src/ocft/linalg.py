@@ -1,8 +1,8 @@
 """Dense real and complex linear algebra and combinatorial primitives.
 
 Everything downstream (Pfaffian kernels, symmetric-polynomial closed forms,
-Beta-function sums, Monte-Carlo determinant oracles) is built on the handful
-of routines in this module:
+Monte-Carlo determinant oracles) is built on the handful of routines in this
+module:
 
 * ``pfaffian``          -- skew-symmetric elimination with partial pivoting
 * ``det_stack``         -- batched determinants in the input's dtype:
@@ -18,20 +18,18 @@ of routines in this module:
                            here and in ``haar`` work through
 * ``elementary_symmetric_all`` -- every e_k of each row, by the stable
                            product-polynomial scheme
-* ``log_gamma`` / ``log_beta`` -- log-domain special functions
 
 All functions are pure; none keep state.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ShapeError
+from .errors import DimensionError, ShapeError
 
 __all__ = [
     "as_complex_matrix",
@@ -40,8 +38,6 @@ __all__ = [
     "elementary_symmetric_all",
     "is_skew",
     "laplace_minors",
-    "log_beta",
-    "log_gamma",
     "pfaffian",
     "tile_slices",
 ]
@@ -311,16 +307,3 @@ def elementary_symmetric_all(values) -> np.ndarray:
         coeffs[..., 1:k + 2] += v[..., k:k + 1] * coeffs[..., :k + 1].copy()
     return coeffs
 
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def log_beta(x: float, y: float) -> float:
-    """log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x+y)."""
-    if x <= 0 or y <= 0:
-        raise DomainError(f"log_beta needs positive arguments, got ({x}, {y})")
-    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre_01, half_line_nodes
 from .errors import ConfigError
 from .haar import Estimate, RngStream, mc_expectation
 from .linalg import det_stack, elementary_symmetric_all, tile_slices
@@ -161,6 +160,24 @@ def _skew_sigma_blocks(t: np.ndarray) -> np.ndarray:
     s = np.sqrt(t)
     sig[:, 0, 1], sig[:, 1, 0] = s, -s
     return sig
+
+
+def gauss_legendre_01(nodes: int):
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def half_line_nodes(nodes: int):
+    """Nodes r on [0, inf) and weights including the Jacobian dr/dt.
+
+    Gauss-Legendre in t on [0, 1), mapped to r = t/(1-t), whose Jacobian is
+    1/(1-t)^2.  In t, r^k (1+r)^{-(n+2)} dr is t^k (1-t)^{n-k} dt, so the
+    grid is exact for k <= n < 2 * nodes.
+    """
+    t, w = gauss_legendre_01(nodes)
+    r = t / (1.0 - t)
+    return r, w / (1.0 - t) ** 2
 
 
 # Gauss-Legendre nodes per block radius of the m-th moment's grid; in t = r/(1+r)

@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from ocft._quad import gauss_legendre_01
 from ocft.errors import DomainError
 from ocft.jacobi import JacobiQuery, _alpha_matrix_poly, _alpha_poly
 from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
+from ocft.moments import gauss_legendre_01
 
 
 def slab_grid(n, a, b):

@@ -478,7 +478,8 @@ class TestColumnRoute:
         rec, columns = haar_moment(monkeypatch, n, entries, group, 3_001, seed=5, workers=2)
         ref = public_route_expectation(f, n, 3_001, RngStream(5), group=group, workers=2)
         est = mc_expectation(f, n, 3_001, RngStream(5), group=group, workers=2)
-        assert columns == {None}
+        # every column read: the sampler gets k = n, the whole draw
+        assert columns == {n}
         assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
         assert (rec["value"]["re"], rec["value"]["im"]) == (ref.mean.real, ref.mean.imag)
         assert rec["std_error"] == ref.std_error
@@ -503,7 +504,7 @@ class TestColumnRoute:
             self, monkeypatch, group, exact):
         # O11 O22 is cos^2 on SO(2) and -cos^2 on its reflections
         rec, columns = haar_moment(monkeypatch, 2, "1,1;2,2", group, seed=7)
-        assert columns == {None}
+        assert columns == {2}
         est = Estimate(complex(rec["value"]["re"]), rec["std_error"], rec["samples"])
         assert est.z_score(exact) <= 4.0
 

@@ -11,10 +11,9 @@ from jacobi_oracles import (
     inner_pfaffian, inner_symmetrized, mehta_determinant, slab_inner_moments,
 )
 from ocft import jacobi
-from ocft._quad import gauss_legendre_01, half_line_moments
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, _batch_rows, stream_mean
-from ocft.jacobi import _pfaffian_moments, _s_ratio
+from ocft.jacobi import _beta_weights, _exact_horner, _pfaffian_moments, _s_ratio
 from ocft.jacobi import (
     MAX_PFAFFIAN_AB,
     MAX_PFAFFIAN_N,
@@ -30,6 +29,7 @@ from ocft.jacobi import (
     jacobi_quadrature,
 )
 from ocft.linalg import det_stack, elementary_symmetric_all, pfaffian
+from ocft.moments import gauss_legendre_01
 
 # the slab oracle's size on nodes^N grid points, kept to seconds and tens of MiB
 SLAB_BUDGET = 2**21
@@ -330,7 +330,7 @@ class TestFullRatios:
         assert jacobi_pfaffian(zero) == pytest.approx(jacobi_quadrature(zero), rel=1e-13)
 
     def test_quadrature_cap(self):
-        # (N+1) binom(N, N/2) overflows float64 one past the cap, whatever a, b are
+        # a time cap on the exact products: finite at the cap, refused one past it
         for a, b in [(0, 0), (MAX_SELBERG_AB, 0), (0, MAX_SELBERG_AB)]:
             value = jacobi_quadrature(JacobiQuery(1.5, 0.7, a, b, MAX_SELBERG_N))
             assert math.isfinite(value.real) and value.imag == 0.0
@@ -341,11 +341,32 @@ class TestFullRatios:
         with pytest.raises(ConfigError, match="capped"):
             jacobi_inner_moments(10**9, 0, 0)
 
+    @pytest.mark.parametrize("n, a, b, lg", [(1100, 0, 0, 1.5 * 0.7), (1100, 3, 7, -0.75),
+                                             (1500, 1, 2, 0.375 + 1.25j)])
+    def test_s_ratio_past_the_selberg_cap(self, n, a, b, lg):
+        # Aomoto's moments binom(N, k) r_k built here, past MAX_SELBERG_N, where
+        # binom(N, N/2) and the largest moments leave float64; the exact
+        # weights are the ratios r_k <= 1
+        assert n > MAX_SELBERG_N
+        ratios = [Fraction(1)]
+        for k in range(1, n + 1):
+            ratios.append(ratios[-1] * Fraction(2 * a + 1 + n - k, 2 * a + 2 * b + 2 * n + 2 - k))
+        moments = [math.comb(n, k) * r for k, r in enumerate(ratios)]
+        value = _s_ratio(moments, lg, 1.0)
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        exact = _exact_horner(ratios, (Fraction(complex(lg).real), Fraction(complex(lg).imag)))
+        total = sum(ratios)
+        expected = complex(float(exact[0] / total), float(exact[1] / total))
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
     def test_unusable_reference_is_a_config_error(self):
         with pytest.raises(ConfigError):
             _s_ratio([0.0, 0.0, 0.0], 1.5, 1.0)
-        with pytest.raises(ConfigError):
-            _s_ratio([1.0, math.inf], 1.5, 1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                _s_ratio([1.0, bad], 1.5, 1.0)
+            with pytest.raises(ConfigError):
+                _s_ratio(np.array([bad, 1.0, 2.0]), 1.5, 1.0)
         with pytest.raises(ConfigError):
             _s_ratio([1.0, 1.0, 1.0], 1e300, 1.0)
 
@@ -389,14 +410,13 @@ class TestGinibre:
             pipe = ginibre_pipeline(lg, 1.0, n)
             assert pipe == pytest.approx(ginibre_closed(lg, 1.0, n), rel=1e-12)
 
-    def test_pipeline_size_cap(self):
-        # exact up to N = 166; the float Aomoto moments overflow at N = 167
-        for lg in (0.5, 1.0, 2.0, 1.0 + 2.0j, 10.0):
-            assert ginibre_pipeline(lg, 1.0, 166) == pytest.approx(
-                ginibre_closed(lg, 1.0, 166), rel=1e-12
-            )
-        with pytest.raises(ConfigError):
-            ginibre_pipeline(1.0, 1.0, 167)
+    def test_pipeline_has_no_size_cap(self):
+        # the exact Beta weights M_k / binom(N, k) never pass through float64,
+        # so the pipeline equals the closed form past N = 166, where the
+        # largest moment binom(N, k) N! / (N - k)! leaves float64
+        for n in (167, 200):
+            for lg in (0.5, 1.0, 2.0, 1.0 + 2.0j, 10.0, -3.5):
+                assert ginibre_pipeline(lg, 1.0, n) == ginibre_closed(lg, 1.0, n)
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_routes_agree_exactly_on_a_negative_grid(self, n):
@@ -553,14 +573,16 @@ class TestGinibre:
 class TestHalfLineMoments:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_adaptive_quadrature(self, n):
-        exact = half_line_moments(n)
-        assert exact.shape == (n + 1,)
+        # with unit moments the Beta weights are 1 / binom(N, k), which is
+        # (N+1) integral_0^inf r^k (1+r)^{-(N+2)} dr
+        weights = _beta_weights([1] * (n + 1))
+        assert weights == [Fraction(1, math.comb(n, k)) for k in range(n + 1)]
         for k in range(n + 1):
             ref, _ = integrate.quad(
                 lambda r: r**k * (1.0 + r) ** (-(n + 2.0)), 0.0, np.inf,
                 epsabs=0.0, epsrel=1e-13, limit=200,
             )
-            assert exact[k] == pytest.approx(ref, rel=1e-12)
+            assert float(weights[k]) == pytest.approx((n + 1) * ref, rel=1e-12)
 
 
 class TestGaussianInnerMoments:

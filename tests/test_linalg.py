@@ -8,7 +8,7 @@ import pytest
 from ocft import cft, linalg
 from ocft.haar import RngStream
 from haar_oracles import sample_orthogonal_batch
-from ocft.errors import DimensionError, DomainError, ShapeError
+from ocft.errors import DimensionError, ShapeError
 from random_inputs import random_skew
 
 
@@ -365,28 +365,6 @@ class TestElementarySymmetric:
         assert stacked.shape == (2, 5, 9)
         for idx in np.ndindex(2, 5):
             assert np.array_equal(stacked[idx], linalg.elementary_symmetric_all(rows[idx]))
-
-
-class TestLogGammaBeta:
-    def test_log_gamma_values(self):
-        assert linalg.log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert linalg.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)))
-
-    def test_log_beta_values(self):
-        assert linalg.log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_log_beta_matches_gamma_ratio(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x, y = rng.uniform(0.1, 8.0, size=2)
-            direct = math.gamma(x) * math.gamma(y) / math.gamma(x + y)
-            assert math.exp(linalg.log_beta(x, y)) == pytest.approx(direct, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            linalg.log_gamma(0.0)
-        with pytest.raises(DomainError):
-            linalg.log_beta(1.0, -2.0)
 
 
 class TestSkewHelpers:
