@@ -491,10 +491,12 @@ def verify_bosonic_cft(
     exp((phibar Z phibar + phi Z^dagger phi)/2) over the bosonic measure;
     both sides share the constant-term normalisation 1.  The colour side's
     worker shards read substreams 1..workers, the flavour side's the
-    ``workers`` substreams after them.  Each side counts ``probes`` values
-    per row, so a batch holds at most ``haar.BATCH_ENTRIES`` values
-    whatever the probe count; the colour side's draws, N^2 Gaussians per
-    row, are not counted.  N is capped at ``haar.MAX_HAAR_MOMENT_N``.
+    ``workers`` substreams after them.  Each side counts a row's
+    ``probes`` values or the Gaussians of its draw, whichever is more: N^2
+    for an O(N) draw, 2 (N - 1) n for the n complex columns of U(N - 1) that
+    give Z.  So a batch holds at most ``haar.BATCH_ENTRIES`` of either
+    whatever N, n and the probe count.  N is capped at
+    ``haar.MAX_HAAR_MOMENT_N``.
     """
     measure = BosonicMeasure(n_colour, n_flavour)  # validates N > 2n
     check_haar_n(n_colour)
@@ -528,9 +530,10 @@ def verify_bosonic_cft(
             * (np.einsum("bxy,pxy->bp", z, sbar) + np.einsum("bxy,pxy->bp", zdag, s))
         )
 
-    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers, entries=probes)
+    lhs, lhs_se = stream_mean(colour, samples, rng.substream(1), workers,
+                              entries=max(n_colour**2, probes))
     rhs, rhs_se = stream_mean(flavour, samples, rng.substream(1 + workers), workers,
-                              entries=probes)
+                              entries=max(2 * (n_colour - 1) * n_flavour, probes))
 
     return VerificationReport(
         "bosonic", n_colour, n_flavour, samples, threshold, np.arange(probes),

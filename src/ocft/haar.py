@@ -87,9 +87,10 @@ __all__ = [
 # the one batch rule of the package's Monte Carlos (_batch_rows): a batch holds
 # at most BATCH_ENTRIES values of its largest per-row array, the n k Gaussians
 # of a Haar draw in mc_expectation, the N^2 entries of a Ginibre matrix, the
-# Khatri-Rao factor of a colour-side row or a bosonic side's probe values in
-# cft, and at most DEFAULT_BATCH rows, however narrow.  In float64 a batch and
-# the batch drawn ahead of it then take at most 2 x 2 MiB at any N
+# Khatri-Rao factor of a colour-side row, or a bosonic side's probe values or
+# draw Gaussians, whichever is more, in cft, and at most DEFAULT_BATCH rows,
+# however narrow.  In float64 a batch and the batch drawn ahead of it then
+# take at most 2 x 2 MiB at any N
 DEFAULT_BATCH = 20_000
 BATCH_ENTRIES = 2**18
 
@@ -97,9 +98,8 @@ BATCH_ENTRIES = 2**18
 # colour side of cft.verify_bosonic_cft): a time cap.  At N = 64 and 40,000
 # samples, moment --method mc takes 18.6 s and haar-moment entries that read
 # all N rows and columns 14.2 s, each peaking at 42 MiB (2 vCPUs, 1 BLAS
-# thread); time grows as N^2 to N^3.  The bosonic colour side counts the
-# probe values of a row, not the N^2 Gaussians of its draw, so up to 13
-# probes one of its batches holds 20,000 whole O(64) draws, 655 MB
+# thread); time grows as N^2 to N^3.  The bosonic colour side counts the N^2
+# Gaussians of its draw too, so one of its batches holds 64 whole O(64) draws
 MAX_HAAR_MOMENT_N = 64
 
 # stream_mean's generator draws the next array ahead only after an array of at

@@ -34,10 +34,12 @@ The Gaussian weight W(x) = exp(-x/2) reproduces the closed form
 sum_{k<=N} lg^k / k! (the real Ginibre average), which pins the r-domain
 [0, inf) end to end; see ``ginibre_closed`` / ``ginibre_mc``.  Its inner
 moments are Laguerre-Selberg integrals with an exact Aomoto closed form
-(``gaussian_inner_moments``), so that pipeline is exact end to end.  Both
-Gaussian routes are evaluated in exact rationals and rounded once, so they
-agree to the bit; the Jacobi routes round each weight once and take the
-float ``_s_ratio``.
+(``gaussian_inner_moments``), so that pipeline is exact end to end.
+
+All four routes take S(lg) / S(reference) from one evaluator,
+``_exact_ratio``, in exact rationals rounded once.  So the two Jacobi routes
+agree to the bit, as do the two Gaussian ones, and the alternating sum at
+negative lg loses no digit to cancellation.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ MAX_PFAFFIAN_N = 16
 MAX_PFAFFIAN_AB = 100
 # jacobi_inner_moments' range, a time cap on its exact products: at N = 1019
 # the moments and their Beta weights take 0.06 s at a = b = 1, 0.12 s at
-# a + b = 1e18 and 22 s at a + b = 2e1000 (2 vCPUs); no weight exceeds 1
+# a + b = 1e18 and 22 s at a + b = 2e1000, and `jacobi --method quadrature`
+# takes 0.07-0.09 s at a = b = 1 and 0.53-0.65 s at a + b = 1e18, real to
+# complex lambda gamma (2 vCPUs); no weight exceeds 1
 MAX_SELBERG_N = 1019
 MAX_SELBERG_AB = 10**18
 # ginibre_mc's range.  Its delta-method error understates the spread of the
@@ -106,10 +110,6 @@ class JacobiQuery:
             raise DomainError("weight exponents a, b must be non-negative integers")
         if self.n < 1:
             raise DomainError("matrix dimension must be >= 1")
-
-    @property
-    def lg(self) -> complex:
-        return complex(self.lam) * complex(self.gam)
 
 
 # -- h and the alpha kernel, in exact rationals ---------------------------
@@ -205,26 +205,46 @@ def _beta_weights(moments) -> list[Fraction]:
     return [Fraction(m) / math.comb(n, k) for k, m in enumerate(moments)]
 
 
-def _s_ratio(moments, lg: complex, reference_lg: complex) -> complex:
-    """S(lg) / S(reference_lg) in float64, from the exact weights of
-    :func:`_beta_weights`, each rounded once; ``ConfigError`` if a moment or
-    weight is not finite in float64, if S(reference) is zero, or if either
-    S is not finite."""
+def _exact_lg(lam: complex, gam: complex) -> tuple[Fraction, Fraction]:
+    """lambda gamma as the exact pair (re, im) of ``Fraction``s.
+
+    A finite float is a dyadic rational, so the product is exact; a
+    non-finite lambda or gamma raises ``ConfigError``.
+    """
+    lam, gam = complex(lam), complex(gam)
+    if not all(map(math.isfinite, (lam.real, lam.imag, gam.real, gam.imag))):
+        raise ConfigError(f"lambda = {lam} and gamma = {gam} must be finite")
+    (a, b), (c, d) = ((Fraction(x.real), Fraction(x.imag)) for x in (lam, gam))
+    return a * c - b * d, a * d + b * c
+
+
+def _exact_ratio(weights, lg: tuple[Fraction, Fraction], reference: int, route: str) -> complex:
+    """S(lg) / S(reference), S(x) = sum_k weights[k] x^(N-k), evaluated
+    exactly and rounded once to the nearest complex float.
+
+    The rational weights are scaled to integers over their least common
+    denominator D, and the dyadic lg of :func:`_exact_lg` to the Gaussian
+    integer p + iq = 2^e lg, so every Horner step is an integer product with
+    no gcd: D 2^{eN} S(lg) is the Horner sum at p + iq of the k-th integer
+    weight times 2^{ek}.  Each of its parts over D 2^{eN} S(reference) is one
+    correctly rounded integer division, so an alternating sum at negative lg
+    loses no digit to cancellation; a part past float64 raises
+    ``ConfigError``.
+    """
+    n = len(weights) - 1
+    scale = math.lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    e = max(x.denominator for x in lg).bit_length() - 1
+    p, q = (x.numerator << e + 1 - x.denominator.bit_length() for x in lg)
+    re = im = den = 0
+    for k, w in enumerate(ints):
+        re, im = re * p - im * q + (w << e * k), re * q + im * p
+        den = den * reference + w
+    den <<= e * n
     try:
-        weighted = [float(w) for w in _beta_weights(moments)]
-    except (OverflowError, ValueError):  # inf, nan, or a weight past float64
-        raise ConfigError("the weighted moments are not finite in float64") from None
-
-    def s(x: complex) -> complex:
-        total = 0j  # Horner: overflow gives inf, not OverflowError
-        for w in weighted:
-            total = total * x + w
-        return total
-
-    num, den = s(complex(lg)), s(complex(reference_lg))
-    if not (den != 0 and np.isfinite(den) and np.isfinite(num / den)):
-        raise ConfigError(f"S(lg) = {num} over S(reference) = {den} has no float64 ratio")
-    return num / den
+        return complex(re / den, im / den)
+    except OverflowError:
+        raise ConfigError(f"{route} overflows float64 at N = {n}") from None
 
 
 def jacobi_pfaffian(query: JacobiQuery) -> complex:
@@ -241,8 +261,9 @@ def jacobi_pfaffian(query: JacobiQuery) -> complex:
             f"exact Pfaffian route capped at N = {MAX_PFAFFIAN_N} and "
             f"a + b = {MAX_PFAFFIAN_AB}"
         )
-    moments = _pfaffian_moments(query.n, query.a, query.b)
-    return _s_ratio(moments, query.lg, 1.0)
+    lg = _exact_lg(query.lam, query.gam)
+    weights = _beta_weights(_pfaffian_moments(query.n, query.a, query.b))
+    return _exact_ratio(weights, lg, 1, "Pfaffian route")
 
 
 def jacobi_inner_moments(n: int, a: int, b: int) -> list[Fraction]:
@@ -273,40 +294,9 @@ def jacobi_quadrature(query: JacobiQuery) -> complex:
     (:func:`jacobi_inner_moments`), the Pfaffian route's exact rationals, and
     the r-integral by its exact Beta rule, so lg = 0 is a valid query.
     """
-    return _s_ratio(jacobi_inner_moments(query.n, query.a, query.b), query.lg, 1.0)
-
-
-def _exact_lg(lam: complex, gam: complex) -> tuple[Fraction, Fraction]:
-    """lambda gamma as the exact pair (re, im) of ``Fraction``s.
-
-    A finite float is a dyadic rational, so the product is exact; a
-    non-finite lambda or gamma raises ``ConfigError``.
-    """
-    lam, gam = complex(lam), complex(gam)
-    if not all(map(math.isfinite, (lam.real, lam.imag, gam.real, gam.imag))):
-        raise ConfigError(f"lambda = {lam} and gamma = {gam} must be finite")
-    (a, b), (c, d) = ((Fraction(x.real), Fraction(x.imag)) for x in (lam, gam))
-    return a * c - b * d, a * d + b * c
-
-
-def _exact_horner(coeffs, x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """sum_k coeffs[k] x^(K-k), K = len(coeffs) - 1, for real rational
-    coefficients and a complex rational x = (re, im), exactly."""
-    xr, xi = x
-    re = im = Fraction(0)
-    for c in coeffs:
-        re, im = re * xr - im * xi + c, re * xi + im * xr
-    return re, im
-
-
-def _round_once(value: tuple[Fraction, Fraction], route: str, lam, gam, n: int) -> complex:
-    """The exact (re, im) pair as the nearest complex float; ``ConfigError``
-    if a part leaves float64."""
-    try:
-        return complex(float(value[0]), float(value[1]))
-    except OverflowError:
-        lg = complex(lam) * complex(gam)
-        raise ConfigError(f"{route} overflows float64 at lg = {lg}, N = {n}") from None
+    lg = _exact_lg(query.lam, query.gam)
+    weights = _beta_weights(jacobi_inner_moments(query.n, query.a, query.b))
+    return _exact_ratio(weights, lg, 1, "Selberg closed form")
 
 
 def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:
@@ -316,9 +306,10 @@ def ginibre_closed(lam: complex, gam: complex, n: int) -> complex:
     (``Fraction``), as (sum_k lg^k N!/k!) / N!, and rounded once, so the
     alternating sum at negative lg loses no digits to cancellation.
     """
-    re, im = _exact_horner([math.perm(n, k) for k in range(n + 1)], _exact_lg(lam, gam))
-    scale = math.factorial(n)
-    return _round_once((re / scale, im / scale), "closed form", lam, gam, n)
+    if n < 1:
+        raise DomainError("matrix dimension must be >= 1")
+    lg = _exact_lg(lam, gam)
+    return _exact_ratio([math.perm(n, k) for k in range(n + 1)], lg, 0, "closed form")
 
 
 def gaussian_inner_moments(n: int) -> list[int]:
@@ -345,9 +336,8 @@ def ginibre_pipeline(lam: complex, gam: complex, n: int) -> complex:
     bit at every N; that agreement pins the [0, inf) r-domain, since a
     finite r-domain breaks the N = 1 ratio 1 + lg.
     """
-    weights = _beta_weights(gaussian_inner_moments(n))
-    re, im = _exact_horner(weights, _exact_lg(lam, gam))
-    return _round_once((re / weights[-1], im / weights[-1]), "pipeline", lam, gam, n)
+    lg = _exact_lg(lam, gam)
+    return _exact_ratio(_beta_weights(gaussian_inner_moments(n)), lg, 0, "pipeline")
 
 
 def check_ginibre_n(n: int) -> None:

@@ -58,6 +58,8 @@ class MomentQuery:
             raise ConfigError("moment order m must be >= 1")
         if not np.all(np.isfinite(self.g)):
             raise ConfigError("singular values must be finite")
+        if not (math.isfinite(self.z.real) and math.isfinite(self.z.imag)):
+            raise ConfigError(f"z = {self.z} must be finite")
 
     @property
     def n(self) -> int:

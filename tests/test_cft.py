@@ -162,7 +162,8 @@ def c_layout_bosonic_colour(n_colour, n_flavour, probes, samples, rng, workers):
     def colour(o_gen, b):
         return np.exp(np.einsum("bij,pij->bp", sample_orthogonal_batch(n_colour, b, o_gen), mats))
 
-    return stream_mean(colour, samples, rng.substream(1), workers, entries=probes)
+    return stream_mean(colour, samples, rng.substream(1), workers,
+                       entries=max(n_colour**2, probes))
 
 
 # every (N, n) the fermionic and SO(N) colour sides accept: N n <= 8, n <= 2
@@ -695,6 +696,19 @@ class TestFermionicVerification:
         )
 
 
+def spy_on_batches(monkeypatch):
+    """The rows per batch of each ``cft.stream_mean`` call, as a list that
+    fills while the test runs."""
+    batches = []
+
+    def spy(*args, entries, **kwargs):
+        batches.append(_batch_rows(entries))
+        return stream_mean(*args, entries=entries, **kwargs)
+
+    monkeypatch.setattr(cft, "stream_mean", spy)
+    return batches
+
+
 class TestBosonicVerification:
     def test_passes_at_four_colours(self):
         report = verify_bosonic_cft(4, 1, 5, 150_000, RngStream(19))
@@ -721,8 +735,8 @@ class TestBosonicVerification:
     def test_colour_side_keeps_the_c_layout_bits(self, n_colour, n_flavour, probes, samples,
                                                   workers):
         # tiles hold 32,768 O(4) draws, 2,048 O(8) draws and 32 O(64) draws, so
-        # a batch at N = 8 and 64 spans several tiles; 100 probes take batches
-        # of 2,621 rows
+        # a batch at N = 8 (4,096 rows) and 64 (64 rows) spans several tiles;
+        # 100 probes take batches of 2,621 rows
         rng = RngStream(90 + n_colour)
         report = verify_bosonic_cft(n_colour, n_flavour, probes, samples, rng, workers=workers)
         mean, se = c_layout_bosonic_colour(n_colour, n_flavour, probes, samples, rng, workers)
@@ -731,18 +745,26 @@ class TestBosonicVerification:
 
     def test_batches_are_sized_by_the_probe_count(self, monkeypatch):
         # each side's (rows, probes) values stay within haar.BATCH_ENTRIES; up
-        # to 13 probes a batch keeps haar.DEFAULT_BATCH rows
-        batches = []
-
-        def spy(*args, entries, **kwargs):
-            batches.append(_batch_rows(entries))
-            return stream_mean(*args, entries=entries, **kwargs)
-
-        monkeypatch.setattr(cft, "stream_mean", spy)
+        # to 13 probes a batch keeps haar.DEFAULT_BATCH rows.  At N = 3, n = 1
+        # a draw's 9 and 4 Gaussians are fewer than the probes
+        batches = spy_on_batches(monkeypatch)
         for probes, rows in ((13, 20_000), (14, 18_724), (2_000, 131)):
             batches.clear()
             verify_bosonic_cft(3, 1, probes, 20, RngStream(29))
             assert batches == [rows, rows] == [_batch_rows(probes)] * 2
+
+    @pytest.mark.parametrize("n_colour, n_flavour, probes, rows", [
+        (4, 1, 4, (16_384, 20_000)), (6, 2, 4, (7_281, 13_107)), (8, 3, 4, (4_096, 6_241)),
+        (64, 31, 1, (64, 67)), (64, 1, 5_000, (52, 52)),
+    ])
+    def test_batches_count_each_sides_draw_gaussians(self, monkeypatch, n_colour, n_flavour,
+                                                     probes, rows):
+        # N^2 Gaussians per O(N) draw and 2 (N - 1) n per flavour draw, unless
+        # the probe values are more; by the probes alone a batch held 20,000
+        # whole O(64) draws, 655 MB
+        batches = spy_on_batches(monkeypatch)
+        verify_bosonic_cft(n_colour, n_flavour, probes, 2, RngStream(30))
+        assert tuple(batches) == rows
 
     def test_zero_probe_gives_unit_on_both_sides(self):
         # with phi = phibar = 0 both integrands are exp(0); the identity is

@@ -168,6 +168,20 @@ class TestMoment:
         assert code == 2 and out == ""
         assert "overflow" in err
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "1,nan", "-inf,1"])
+    def test_non_finite_z_exits_two_before_sampling(self, monkeypatch, z):
+        # 400,000 O(6) draws were taken before the estimate was refused
+        from ocft import haar
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a Haar draw was taken")
+
+        monkeypatch.setitem(haar._SAMPLERS, "O", no_draws)
+        code, out, err = invoke(["moment", "--n", "6", "--g", "1,1,1,1,1,1", f"--z={z}",
+                                 "--method", "mc", "--samples", "400000"])
+        assert code == 2 and out == ""
+        assert "z = " in err and "must be finite" in err
+
     def test_output_is_strict_json(self, monkeypatch):
         from ocft import moments
 
@@ -379,6 +393,21 @@ class TestJacobi:
                                "--lambda", "1.5", "--gamma", "1.2", "--method", "pfaffian"])
         assert code == 0
         assert json.loads(out)["value"]["re"] == pytest.approx(exact, rel=1e-14)
+
+    def test_negative_product_keeps_its_digits(self):
+        # the alternating sum S(-0.21) cancels; a float Horner over the
+        # weights printed -4.28e-67 here
+        code, out, _ = invoke(["jacobi", "--n", "100", "--a", "0", "--b", "0",
+                               "--lambda=-0.21", "--gamma", "1", "--method", "quadrature"])
+        assert code == 0
+        assert json.loads(out)["value"] == {"re": 1.2570463639356968e-68, "im": 0.0}
+
+    @pytest.mark.parametrize("method", ["pfaffian", "quadrature"])
+    def test_non_finite_lambda_exits_two(self, method):
+        code, out, err = invoke(["jacobi", "--n", "3", "--a", "1", "--b", "1",
+                                 "--lambda", "nan", "--gamma", "1", "--method", method])
+        assert code == 2 and out == ""
+        assert "must be finite" in err
 
     @pytest.mark.parametrize("method", ["pfaffian", "quadrature"])
     def test_large_exponents_exit_two(self, method):

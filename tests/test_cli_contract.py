@@ -19,7 +19,9 @@ import pytest
 
 from ocft.cli import _RUNNERS, build_parser, run
 from ocft.haar import MAX_HAAR_MOMENT_N
-from ocft.jacobi import MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N, MAX_SELBERG_N
+from ocft.jacobi import (
+    MAX_GINIBRE_N, MAX_PFAFFIAN_AB, MAX_PFAFFIAN_N, MAX_SELBERG_AB, MAX_SELBERG_N,
+)
 from ocft.moments import MAX_M2_COMPLEX_N
 
 # tried on every numeric option of a base command
@@ -200,6 +202,17 @@ def test_closed_form_sizes_end_within_a_second(option, value):
     assert time.perf_counter() - started < 1.0
 
 
+def test_jacobi_at_the_selberg_cap_ends_within_five_seconds():
+    # the exact S(lg) / S(1) at both caps and a complex lambda gamma, where
+    # the weights carry 27,550-bit integers: 0.65 s on 2 vCPUs
+    half = MAX_SELBERG_AB // 2
+    argv = ["jacobi", f"--n={MAX_SELBERG_N}", f"--a={half}", f"--b={half}",
+            "--lambda=0.31,0.2", "--gamma=0.77", "--method=quadrature"]
+    started = time.perf_counter()
+    assert (why := _violation(argv, exits=(0,))) is None, why
+    assert time.perf_counter() - started < 5.0
+
+
 @pytest.mark.parametrize("group", ["O", "SO"])
 def test_one_entry_at_the_haar_size_cap_is_quick_and_small(group):
     # one column of O(64) is drawn, not all 64^2 Gaussians; numpy reports its
@@ -241,6 +254,12 @@ WHOLE_DRAWS_AT_THE_CAP = {
     # batch of 80 MB
     "ginibre-check": ["ginibre-check", f"--n={MAX_GINIBRE_N}", "--lambda=1", "--gamma=1",
                       "--samples=4000", "--seed=0"],
+    # 4,096 Gaussians per O(64) draw and 3,906 per flavour draw, so 64 and 67
+    # rows per batch, where the probe count alone gave one batch of all
+    # 4,000 rows on each side, 276 MiB
+    "verify-cft": ["verify-cft", "--variant=bosonic", f"--colors={MAX_HAAR_MOMENT_N}",
+                   f"--flavors={MAX_HAAR_MOMENT_N // 2 - 1}", "--probes=1", "--samples=4000",
+                   "--seed=0", "--workers=1"],
 }
 
 

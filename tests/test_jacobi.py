@@ -13,7 +13,7 @@ from jacobi_oracles import (
 from ocft import jacobi
 from ocft.errors import ConfigError, DomainError
 from ocft.haar import RngStream, _batch_rows, stream_mean
-from ocft.jacobi import _beta_weights, _exact_horner, _pfaffian_moments, _s_ratio
+from ocft.jacobi import _beta_weights, _exact_lg, _exact_ratio, _pfaffian_moments
 from ocft.jacobi import (
     MAX_PFAFFIAN_AB,
     MAX_PFAFFIAN_N,
@@ -33,6 +33,27 @@ from ocft.moments import gauss_legendre_01
 
 # the slab oracle's size on nodes^N grid points, kept to seconds and tens of MiB
 SLAB_BUDGET = 2**21
+
+
+def s_ratio(moments, lg, reference=1):
+    """S(lg) / S(reference) through the routes' one evaluator, from the Beta
+    weights of ``moments``; float moments convert to ``Fraction`` exactly."""
+    return _exact_ratio(_beta_weights(moments), _exact_lg(lg, 1.0), reference, "test")
+
+
+def fraction_s_ratio(moments, lg, reference=1):
+    """S(lg) / S(reference) from the Beta weights M_k / binom(N, k), in plain
+    ``Fraction`` Horner steps on the pair (re, im), rounded once: the oracle
+    for the evaluator's integer-scaled steps."""
+    n = len(moments) - 1
+    lg = complex(lg)
+    xr, xi = Fraction(lg.real), Fraction(lg.imag)
+    re = im = den = Fraction(0)
+    for k, m in enumerate(moments):
+        w = Fraction(m) / math.comb(n, k)
+        re, im = re * xr - im * xi + w, re * xi + im * xr
+        den = den * reference + w
+    return complex(float(re / den), float(im / den))
 
 
 def closed_float(n, a, b):
@@ -234,13 +255,13 @@ class TestPfaffianMoments:
             )
 
     def test_ratios_hold_at_cap(self):
-        q = JacobiQuery(1.08 * np.exp(0.4j), 1.0, 1, 2, MAX_PFAFFIAN_N)
+        lg = 1.08 * np.exp(0.4j)
         exact = jacobi_inner_moments(MAX_PFAFFIAN_N, 1, 2)
         moments = _pfaffian_moments(MAX_PFAFFIAN_N, 1, 2)
-        assert _s_ratio(moments, q.lg, 0.15) == pytest.approx(
-            _s_ratio(exact, q.lg, 0.15), rel=1e-14
-        )
-        assert jacobi_pfaffian(q) == pytest.approx(_s_ratio(exact, q.lg, 1.0), rel=1e-14)
+        for reference in (0, 1):
+            want = fraction_s_ratio(exact, lg, reference)
+            assert s_ratio(moments, lg, reference) == s_ratio(exact, lg, reference) == want
+        assert jacobi_pfaffian(JacobiQuery(lg, 1.0, 1, 2, MAX_PFAFFIAN_N)) == s_ratio(exact, lg)
 
     def test_one_pfaffian_per_coefficient(self, monkeypatch):
         import ocft.jacobi
@@ -277,7 +298,7 @@ class TestFullRatios:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pfaffian_matches_quadrature(self, n):
-        # to the bit: the same exact moments through the same _s_ratio.  The
+        # to the bit: the same exact moments through the same evaluator.  The
         # nested quadrature that the closed form replaced refused N >= 6 and
         # (4, 6, 6) over its 2^21-node budget
         for a, b in [(a, b) for a in range(4) for b in range(4)] + [(6, 6)]:
@@ -288,13 +309,13 @@ class TestFullRatios:
         # the Pfaffian route against the closed form, the closed form against
         # the slab oracle; at (2, 260, 260) the oracle's unscaled weight
         # product would be subnormal in float64
-        q = JacobiQuery(1.5, 1.2, 20, 20, 4)
-        exact = _s_ratio(jacobi_inner_moments(4, 20, 20), q.lg, 1.0)
-        assert jacobi_pfaffian(q) == pytest.approx(exact, rel=1e-14)
+        lg = 1.5 * 1.2
+        exact = fraction_s_ratio(jacobi_inner_moments(4, 20, 20), lg)
+        assert jacobi_pfaffian(JacobiQuery(lg, 1.0, 20, 20, 4)) == exact
         for n, a, b in [(4, 2, 3), (3, 20, 20), (2, 260, 260)]:
-            q = JacobiQuery(1.5, 1.2, a, b, n)
-            slab = _s_ratio(slab_inner_moments(n, a, b), q.lg, 1.0)
-            assert jacobi_quadrature(q) == pytest.approx(slab, rel=1e-14)
+            slab = s_ratio(slab_inner_moments(n, a, b), lg)
+            assert jacobi_quadrature(JacobiQuery(lg, 1.0, a, b, n)) == pytest.approx(
+                slab, rel=1e-14)
 
     def test_depends_on_product_only(self):
         a = jacobi_pfaffian(JacobiQuery(2.0, 0.9, 1, 1, 2))
@@ -316,16 +337,16 @@ class TestFullRatios:
             assert complex(pf) == pytest.approx(complex(qd), rel=1e-14)
 
     def test_zero_product_paths(self):
-        assert _s_ratio(slab_inner_moments(2, 0, 0), 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert s_ratio(slab_inner_moments(2, 0, 0), 0.0, 0) == 1.0
         # lg = 0 as the query and as the reference: the exact moments and the
         # slab oracle's take it alike
         for n in (1, 2, 3, 4):
             pfaffian_route, slab = _pfaffian_moments(n, 1, 2), slab_inner_moments(n, 1, 2)
+            assert s_ratio(pfaffian_route, 0.0) == pytest.approx(s_ratio(slab, 0.0), rel=1e-13)
             for lg in (1.8, 0.15, 8.0, 1.08 * np.exp(0.4j)):
-                for query, reference in ((0.0, lg), (lg, 0.0)):
-                    assert _s_ratio(pfaffian_route, query, reference) == pytest.approx(
-                        _s_ratio(slab, query, reference), rel=1e-13
-                    )
+                assert s_ratio(pfaffian_route, lg, 0) == pytest.approx(
+                    s_ratio(slab, lg, 0), rel=1e-13
+                )
         zero = JacobiQuery(0.0, 1.0, 1, 2, 3)
         assert jacobi_pfaffian(zero) == pytest.approx(jacobi_quadrature(zero), rel=1e-13)
 
@@ -352,23 +373,29 @@ class TestFullRatios:
         for k in range(1, n + 1):
             ratios.append(ratios[-1] * Fraction(2 * a + 1 + n - k, 2 * a + 2 * b + 2 * n + 2 - k))
         moments = [math.comb(n, k) * r for k, r in enumerate(ratios)]
-        value = _s_ratio(moments, lg, 1.0)
+        value = s_ratio(moments, lg)
         assert math.isfinite(value.real) and math.isfinite(value.imag)
-        exact = _exact_horner(ratios, (Fraction(complex(lg).real), Fraction(complex(lg).imag)))
-        total = sum(ratios)
-        expected = complex(float(exact[0] / total), float(exact[1] / total))
-        assert abs(value - expected) <= 1e-12 * abs(expected)
+        assert value == fraction_s_ratio(moments, lg)
 
-    def test_unusable_reference_is_a_config_error(self):
-        with pytest.raises(ConfigError):
-            _s_ratio([0.0, 0.0, 0.0], 1.5, 1.0)
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ConfigError):
-                _s_ratio([1.0, bad], 1.5, 1.0)
-            with pytest.raises(ConfigError):
-                _s_ratio(np.array([bad, 1.0, 2.0]), 1.5, 1.0)
-        with pytest.raises(ConfigError):
-            _s_ratio([1.0, 1.0, 1.0], 1e300, 1.0)
+    def test_unusable_reference_is_a_config_error(self, monkeypatch):
+        # a ratio past float64, and a non-finite lambda or gamma, which is
+        # refused before any moment is taken
+        for route in (jacobi_pfaffian, jacobi_quadrature):
+            with pytest.raises(ConfigError, match="overflow"):
+                route(JacobiQuery(1e300, 1e300, 1, 1, 3))
+        with pytest.raises(ConfigError, match="overflow"):
+            jacobi_quadrature(JacobiQuery(-2.5, 1.0, 0, 0, MAX_SELBERG_N))
+
+        def no_moments(*args):
+            raise AssertionError("a moment was taken")
+
+        monkeypatch.setattr(jacobi, "jacobi_inner_moments", no_moments)
+        monkeypatch.setattr(jacobi, "_pfaffian_moments", no_moments)
+        for route in (jacobi_pfaffian, jacobi_quadrature):
+            for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.nan)):
+                for lam, gam in ((bad, 1.2), (1.5, bad)):
+                    with pytest.raises(ConfigError, match="finite"):
+                        route(JacobiQuery(lam, gam, 1, 1, 3))
 
     def test_integer_valued_float_exponents(self):
         exact = jacobi_pfaffian(JacobiQuery(1.5, 1.2, 2, 1, 2))
@@ -444,6 +471,12 @@ class TestGinibre:
                          power[0] * lg[1] + power[1] * lg[0])
             want = complex(float(re), float(im))
             assert ginibre_closed(lam, gam, n) == ginibre_pipeline(lam, gam, n) == want
+
+    def test_empty_matrix_is_a_domain_error(self):
+        for n in (0, -1):
+            for route in (ginibre_closed, ginibre_pipeline):
+                with pytest.raises(DomainError, match=">= 1"):
+                    route(1.0, 1.0, n)
 
     def test_non_finite_input_is_config_error(self):
         for lam in (math.inf, math.nan, complex(1.0, math.inf)):
@@ -568,6 +601,32 @@ class TestGinibre:
         truncated = s(lg) / s(0.0)
         assert abs(truncated - 2.0) > 0.25  # far from the exact ratio
         assert ginibre_pipeline(1.0, 1.0, 1) == pytest.approx(2.0, rel=1e-8)
+
+
+class TestNegativeProducts:
+    # lg = -0.01 i, i = 1..200, where the alternating sum S(lg) cancels: a
+    # float Horner over the rounded weights was 5e-8 off at N = 50, and 35
+    # times the value off, with the wrong sign, at N = 100
+    GRID = [-0.01 * i for i in range(1, 201)]
+
+    @pytest.mark.parametrize("n", [30, 50, 100, 200, 500, MAX_SELBERG_N])
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (5, 5)])
+    def test_quadrature_is_the_exact_rational_rounded_once(self, n, a, b):
+        # the Fraction oracle takes 0.2 s a point at N = 1019, so past N = 100
+        # four points of the grid, its two ends among them
+        grid = self.GRID if n <= 100 else self.GRID[::66]
+        moments = jacobi_inner_moments(n, a, b)
+        for lg in grid:
+            want = fraction_s_ratio(moments, lg)
+            assert jacobi_quadrature(JacobiQuery(lg, 1.0, a, b, n)) == want, lg
+
+    @pytest.mark.parametrize("n", range(1, MAX_PFAFFIAN_N + 1))
+    def test_pfaffian_equals_quadrature(self, n):
+        # one lg in (-1, 0) per (a, b), moving with N
+        lgs = (-0.01 * n, -0.2 - 0.049 * n, -0.99 + 0.06 * n)
+        for (a, b), lg in zip([(0, 0), (1, 2), (5, 5)], lgs):
+            q = JacobiQuery(lg, 1.0, a, b, n)
+            assert jacobi_pfaffian(q) == jacobi_quadrature(q), (a, b, lg)
 
 
 class TestHalfLineMoments:
